@@ -5,6 +5,7 @@
 //! metrics; `main.rs` is the command line.
 
 pub mod adapter;
+pub mod pace;
 
 use std::time::Instant;
 
@@ -12,6 +13,7 @@ use adapter::{
     ClusterLayers, FleetPlan, PipelineLayers, PipelineRunner, Problem, SimInput, SimOutcome,
     SimPolicy, SimShape, Solution, Topology,
 };
+use pace::Pace;
 
 /// The workloads, by name.
 pub const WORKLOADS: [&str; 3] = ["pipeline_mix", "sim_overload", "sim_large_fleet"];
@@ -51,7 +53,7 @@ impl Sizes {
             pipeline_jobs: 24 * seconds,
             overload_cells: 2 * seconds,
             overload_jobs: 1_000,
-            large_cells: seconds.div_ceil(4),
+            large_cells: seconds.div_ceil(5),
             large_jobs: 50_000,
             large_qpus: 1_024,
         }
@@ -428,13 +430,16 @@ fn pipeline_mix(seed: u64, sizes: &Sizes, traced: bool) -> Result<RunReport, Vec
 
     // Set-up: build the machine and fill the offline embedding table with
     // the catalog, several times; the last one serves the timed phase.
+    let mut pace = Pace::new();
     let mut setup = Vec::new();
     let mut prepared = None;
     for _ in 0..sizes.setup_repeats.max(1) {
-        let (built, seconds) = timed(|| {
-            let runner = PipelineRunner::new(PIPELINE_CONFIG_SEED);
-            let catalog = runner.fill_catalog(&inputs.catalog);
-            catalog.map(|catalog| (runner, catalog))
+        let (built, _, seconds) = pace.around(|| {
+            timed(|| {
+                let runner = PipelineRunner::new(PIPELINE_CONFIG_SEED);
+                let catalog = runner.fill_catalog(&inputs.catalog);
+                catalog.map(|catalog| (runner, catalog))
+            })
         });
         setup.push(seconds);
         prepared = Some(built.map_err(|err| vec![err])?);
@@ -442,18 +447,9 @@ fn pipeline_mix(seed: u64, sizes: &Sizes, traced: bool) -> Result<RunReport, Vec
     let (runner, catalog) = prepared.expect("at least one set-up ran");
 
     // Timed phase: one client, closed loop.
-    let mut latencies_ms = Vec::with_capacity(inputs.jobs.len());
-    let (outcomes, timed_s): (Vec<Result<Solution, String>>, f64) = timed(|| {
-        inputs
-            .jobs
-            .iter()
-            .map(|job| {
-                let (outcome, seconds) = timed(|| runner.solve(&catalog, job));
-                latencies_ms.push(seconds * 1e3);
-                outcome
-            })
-            .collect()
-    });
+    let (outcomes, job_s) = pace.each(&inputs.jobs, |job| runner.solve(&catalog, job));
+    let latencies_ms: Vec<f64> = job_s.iter().map(|s| s * 1e3).collect();
+    let timed_s: f64 = job_s.iter().sum();
 
     let mut errors = Vec::new();
     let verdicts: Vec<Verdict> = (0..inputs.jobs.len())
@@ -493,13 +489,10 @@ fn pipeline_mix(seed: u64, sizes: &Sizes, traced: bool) -> Result<RunReport, Vec
         .map_err(|err| vec![err])?;
     let traced_runner = runner.traced();
     let mut layers = PipelineLayers::default();
-    let (traced_outcomes, traced_s): (Vec<Result<Solution, String>>, f64) = timed(|| {
-        inputs
-            .jobs
-            .iter()
-            .map(|job| traced_runner.solve(&catalog, job, &mut layers))
-            .collect()
+    let (traced_outcomes, traced_job_s) = pace.each(&inputs.jobs, |job| {
+        traced_runner.solve(&catalog, job, &mut layers)
     });
+    let traced_s: f64 = traced_job_s.iter().sum();
     for (i, (a, b)) in outcomes.iter().zip(&traced_outcomes).enumerate() {
         let same = match (a, b) {
             (Ok(a), Ok(b)) => {
@@ -527,6 +520,7 @@ fn pipeline_mix(seed: u64, sizes: &Sizes, traced: bool) -> Result<RunReport, Vec
         (attempted as f64 / traced_s) / jobs_per_s,
         "1",
     ));
+    metrics.push(metric("host.ref_ms", pace.median_s() * 1e3, "ms"));
     Ok(RunReport {
         attempted,
         failed,
@@ -685,25 +679,27 @@ fn sim_workload(
     let mut layers = ClusterLayers::default();
     let (mut traced_loop_s, mut jobs, mut completed) = (0.0, 0u64, 0u64);
     let (mut means, mut p99s, mut hit_rates) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut untraced_s, mut traced_s) = (0.0, 0.0);
+    let mut pace = Pace::new();
     let mut rng = Rng::new(seed, 3);
     for cell in 0..cells.max(1) {
         let cell_seed = rng.next_u64() % 1_000_000_007;
         let plan = FleetPlan::new(shape, cell_seed);
         let rss_before = proc_status_mb("VmRSS");
-        let (rate, calibrate_s) = timed(|| plan.calibrate(shape));
+        let (rate, calibrate_s, calibrate_scaled) = pace.around(|| timed(|| plan.calibrate(shape)));
         if cell == 0 {
             totals.fleet_rss_mb = proc_status_mb("VmHWM") - rss_before;
         }
         let rate = rate.map_err(|err| vec![format!("calibration failed: {err}")])?;
         let input = SimInput::generate(shape, rate, cell_seed);
-        let (fleet, build_s) = timed(|| plan.build());
-        setup.push(calibrate_s + build_s);
+        let (fleet, _, build_scaled) = pace.around(|| timed(|| plan.build()));
+        setup.push(calibrate_scaled + build_scaled);
         totals.calibrate_s += calibrate_s;
 
-        let (outcome, loop_s) = adapter::simulate(fleet, &input);
+        let (outcome, _, loop_scaled) = pace.around(|| adapter::simulate(fleet, &input));
         let label = format!("cell {cell} (seed {cell_seed})");
         check_sim(&label, &outcome, &mut errors);
-        totals.loop_s += loop_s;
+        untraced_s += loop_scaled;
         jobs += outcome.jobs as u64;
         completed += outcome.completed as u64;
         means.push(outcome.mean_s);
@@ -713,8 +709,10 @@ fn sim_workload(
         if traced {
             let (fleet, build_s) = timed(|| plan.build());
             totals.fleet_build_s += build_s;
-            let (again, loop_s) = adapter::simulate_traced(fleet, &input, &mut layers);
+            let (again, loop_s, loop_scaled) =
+                pace.around(|| adapter::simulate_traced(fleet, &input, &mut layers));
             traced_loop_s += loop_s;
+            traced_s += loop_scaled;
             if !again.same_report(&outcome) {
                 errors.push(format!(
                     "{label}: the traced run's SimReport differs from the untraced run's"
@@ -730,7 +728,7 @@ fn sim_workload(
     if !errors.is_empty() {
         return Err(errors);
     }
-    let jobs_per_s = jobs as f64 / totals.loop_s;
+    let jobs_per_s = jobs as f64 / untraced_s;
     if !traced {
         return Ok(RunReport {
             attempted: jobs,
@@ -746,15 +744,11 @@ fn sim_workload(
         });
     }
     totals.cache_hit_rate = mean(&hit_rates);
-    let untraced_loop_s = totals.loop_s;
     totals.loop_s = traced_loop_s;
     let mut metrics = pipeline_layer_metrics(&PipelineLayers::default(), 0.0);
     metrics.extend(cluster_layer_metrics(&layers, &totals));
-    metrics.push(metric(
-        "trace.overhead",
-        untraced_loop_s / traced_loop_s,
-        "1",
-    ));
+    metrics.push(metric("trace.overhead", untraced_s / traced_s, "1"));
+    metrics.push(metric("host.ref_ms", pace.median_s() * 1e3, "ms"));
     Ok(RunReport {
         attempted: jobs,
         failed: jobs - completed,
