@@ -25,13 +25,12 @@ use crate::schedule::AnnealSchedule;
 use crate::timing::QpuTimings;
 use qubo_ising::{solve_ising_exact, Ising, Spin};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
 /// Parameters of one batched sampling request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleParams {
     /// Number of statistically independent reads to draw (Eq. 6 repetitions).
     pub num_reads: usize,
@@ -341,7 +340,7 @@ impl SamplerBackend for ExactEnumerationBackend {
 }
 
 /// Names for the built-in backends, for configs, CLIs and env vars.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
     /// [`SimulatedQpu`] — simulated annealing (the default QPU stand-in).
     #[default]

@@ -13,10 +13,9 @@ use qubo_ising::{Ising, Spin};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the parallel-tempering sampler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PtConfig {
     /// Number of temperature replicas.
     pub replicas: usize,

@@ -12,10 +12,9 @@ use crate::schedule::AnnealSchedule;
 use crate::timing::QpuTimings;
 use qubo_ising::{Ising, Spin};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One distinct configuration observed in the readout ensemble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleRecord {
     /// The spin configuration.
     pub spins: Vec<Spin>,
@@ -26,7 +25,7 @@ pub struct SampleRecord {
 }
 
 /// An aggregated set of readout results, sorted by energy (ascending).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SampleSet {
     /// Distinct configurations with multiplicities, best energy first.
     pub records: Vec<SampleRecord>,
@@ -76,7 +75,7 @@ impl SampleSet {
 }
 
 /// Timing attributed to one QPU access (programming + sampling + readout).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QpuAccessReport {
     /// Number of reads performed.
     pub reads: usize,

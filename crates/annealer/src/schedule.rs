@@ -7,8 +7,6 @@
 //! temperature ramp described by a small set of parameters, with the default
 //! matching the D-Wave default 20 µs anneal.
 
-use serde::{Deserialize, Serialize};
-
 /// Default hardware anneal duration in microseconds (the D-Wave default used
 /// by the paper's Fig. 5 QuOps model).
 pub const DEFAULT_ANNEAL_MICROSECONDS: f64 = 20.0;
@@ -18,7 +16,7 @@ pub const DEFAULT_ANNEAL_MICROSECONDS: f64 = 20.0;
 pub const ANNEAL_RANGE_MICROSECONDS: (f64, f64) = (5.0, 2000.0);
 
 /// How the effective temperature interpolates between its endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScheduleShape {
     /// Geometric (exponential) interpolation — the classic SA cooling law.
     #[default]
@@ -28,7 +26,7 @@ pub enum ScheduleShape {
 }
 
 /// An annealing schedule for the simulated QPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealSchedule {
     /// Starting (hot) temperature in units of the largest problem energy
     /// scale.

@@ -11,8 +11,6 @@
 //! s ≥ log(1 − p_a) / log(1 − p_s)          (Eq. 6)
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Compute the repetition count of Eq. (6): the minimum number of
 /// statistically independent reads needed so that the probability of having
 /// observed the ground state at least once reaches `accuracy`, given a
@@ -48,7 +46,7 @@ pub fn achieved_accuracy(reads: usize, success: f64) -> f64 {
 }
 
 /// Estimate of the per-read success probability from an observed ensemble.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuccessEstimate {
     /// Fraction of reads that reached the reference energy.
     pub p_success: f64,
@@ -115,7 +113,7 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
 /// A fixed-range histogram with uniform bins, for latency and queue-depth
 /// distributions.  Values below the range land in the first bin and values
 /// above it in the last, so every added sample is counted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Inclusive lower edge of the range.
     pub lo: f64,

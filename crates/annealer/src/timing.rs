@@ -8,13 +8,11 @@
 //! the arithmetic that converts "k reads of an n-qubit program" into seconds,
 //! which is what the Stage-2 machine walk and the simulated QPU both use.
 
-use serde::{Deserialize, Serialize};
-
 /// Programming and per-read timing constants, in microseconds.
 ///
 /// Field names follow the parameter names used in the paper's Fig. 6 and
 /// Fig. 7 listings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QpuTimings {
     /// `StateCon`: electronic control-state construction.
     pub state_construction_us: f64,

@@ -9,7 +9,6 @@
 use crate::ast::{Document, ResourceDef};
 use crate::error::{AspenError, Result};
 use crate::expr::{Expr, ParamEnv};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How a quantity of a resource is converted into seconds.
@@ -168,7 +167,7 @@ impl ResourceRate {
 }
 
 /// Description of a hardware component recorded for reporting purposes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentInfo {
     /// Component name (e.g. `intel_xeon_e5_2680`).
     pub name: String,

@@ -13,12 +13,11 @@ use crate::ast::{ExecuteBlock, KernelStmt};
 use crate::error::{AspenError, Result};
 use crate::expr::ParamEnv;
 use crate::machine::MachineModel;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How the resource clauses inside a single `execute` block combine into the
 /// block's runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockSemantics {
     /// Resource demands are serviced sequentially: block time is the **sum**
     /// of the per-resource times.  This is the conservative default and the
@@ -31,7 +30,7 @@ pub enum BlockSemantics {
 }
 
 /// Time and quantity consumed by one resource clause.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceUsage {
     /// Resource name.
     pub resource: String,
@@ -45,7 +44,7 @@ pub struct ResourceUsage {
 }
 
 /// Prediction for one `execute` block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockPrediction {
     /// Optional block label from the model source.
     pub label: Option<String>,
@@ -58,7 +57,7 @@ pub struct BlockPrediction {
 }
 
 /// One item in a kernel's predicted execution trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PredictionItem {
     /// An execute block.
     Block(BlockPrediction),
@@ -98,7 +97,7 @@ impl PredictionItem {
 }
 
 /// Prediction for one kernel invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelPrediction {
     /// Kernel name.
     pub kernel: String,
@@ -109,7 +108,7 @@ pub struct KernelPrediction {
 }
 
 /// Aggregate quantity and time per resource across the whole prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceTotal {
     /// Total quantity demanded (weighted by block counts and loop trips).
     pub quantity: f64,
@@ -118,7 +117,7 @@ pub struct ResourceTotal {
 }
 
 /// A complete runtime prediction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Prediction {
     /// Application model name.
     pub model: String,

@@ -123,8 +123,8 @@
 //! bench mode (default 5.0 virtual seconds).
 //!
 //! `--json PATH` writes the mode's results as a machine-readable JSON
-//! document (via `sx_cluster::json` — the workspace's serde is an offline
-//! no-op stub) for bench-trajectory tracking.
+//! document (via the hand-rolled `sx_cluster::json`) for bench-trajectory
+//! tracking.
 //!
 //! `--virtual` skips the (slow) calibration step that executes a real job
 //! through `split_exec::Pipeline` to sanity-check the analytic service
@@ -259,6 +259,12 @@ impl Args {
                     eprintln!("unknown flag {other}");
                     std::process::exit(2);
                 }
+            }
+        }
+        for (flag, count) in [("--jobs", args.jobs), ("--qpus", args.qpus)] {
+            if count == 0 {
+                eprintln!("{flag} must be at least 1");
+                std::process::exit(2);
             }
         }
         args

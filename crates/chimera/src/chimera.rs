@@ -12,10 +12,9 @@
 //! degree 5, matching the connectivity limits described in Sec. 2.1.
 
 use crate::graph::Graph;
-use serde::{Deserialize, Serialize};
 
 /// Which side of the unit-cell bipartition a qubit belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Side {
     /// Couples to the cell above/below (same column).
     Vertical,
@@ -24,7 +23,7 @@ pub enum Side {
 }
 
 /// Structured coordinate of a qubit inside a Chimera lattice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChimeraCoord {
     /// Cell row, `0..M`.
     pub row: usize,
@@ -37,7 +36,7 @@ pub struct ChimeraCoord {
 }
 
 /// A Chimera hardware graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Chimera {
     m: usize,
     n: usize,

@@ -6,10 +6,9 @@
 //! workload.
 
 use crate::graph::Graph;
-use serde::{Deserialize, Serialize};
 
 /// Immutable CSR adjacency structure built from a [`Graph`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
     /// Offsets into `targets`; `offsets[v]..offsets[v+1]` are `v`'s neighbors.
     offsets: Vec<u32>,

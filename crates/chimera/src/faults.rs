@@ -12,10 +12,9 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A fault specification: which qubits and couplers are inoperable.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultModel {
     /// Indices of dead qubits (all incident couplers are also disabled).
     pub dead_qubits: Vec<usize>,
@@ -109,7 +108,7 @@ impl FaultModel {
 }
 
 /// A hardware graph with faults applied.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultedHardware {
     /// The hardware graph with faulty elements removed.
     pub graph: Graph,

@@ -5,11 +5,10 @@
 //! dense `usize` indices; edges are unordered pairs.  For hot inner loops a
 //! graph can be converted to a compressed sparse row form ([`crate::csr`]).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// An undirected simple graph over vertices `0..n`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Graph {
     /// Adjacency sets, one per vertex, kept sorted for determinism.
     adjacency: Vec<BTreeSet<usize>>,

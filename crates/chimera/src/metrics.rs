@@ -2,7 +2,6 @@
 //! statistics used by the embedding algorithms and the reporting layer.
 
 use crate::graph::Graph;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Distance value representing "unreachable".
@@ -106,7 +105,7 @@ pub fn diameter(graph: &Graph) -> u32 {
 }
 
 /// Summary statistics of a graph, used in reports and figure legends.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphStats {
     /// Number of vertices.
     pub vertices: usize,

@@ -29,11 +29,10 @@
 
 use crate::job::Job;
 use crate::tenant::TenantId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The verdict on one arriving job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdmissionDecision {
     /// Admit the job to the dispatch queue.
     Accept,
@@ -54,7 +53,7 @@ pub enum AdmissionDecision {
 /// What the engine knows about the system at the moment a job arrives —
 /// the controller's only window onto fleet state, so admission decisions
 /// stay deterministic and replayable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionContext {
     /// How many of the arriving job's tenant's jobs are already queued
     /// (not yet dispatched).
@@ -109,7 +108,7 @@ impl AdmissionController for AdmitAll {
 }
 
 /// Per-tenant token-bucket budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TokenBucketConfig {
     /// Sustained admission rate in jobs per virtual second.
     pub rate_hz: f64,

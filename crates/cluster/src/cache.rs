@@ -19,8 +19,6 @@
 //! policy breaks ties by `(recency, key)` — so a seeded simulation replays
 //! bit-identically with eviction enabled.
 
-use serde::{Deserialize, Serialize};
-
 /// One resident embedding, as the eviction policies see it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheEntry {
@@ -99,7 +97,7 @@ impl EvictionPolicy for CostAware {
 }
 
 /// Eviction-policy selection by name, for configuration and CLI surfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicyKind {
     /// [`Lru`].
     #[default]
@@ -155,7 +153,7 @@ impl std::fmt::Display for EvictionPolicyKind {
 /// at all.  Eviction decides who leaves a full cache; admission decides who
 /// enters — on low-repetition mixes, unconditionally caching every one-shot
 /// topology churns the cache and evicts the hot entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionPolicy {
     /// Cache every cold embedding (the pre-admission behavior).
     #[default]

@@ -9,12 +9,11 @@
 //! sequence number assigned at push, so simultaneous events fire in the
 //! order they were scheduled.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// What happened (or is scheduled to happen) at an event's timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A job enters the system and joins the dispatch queue.
     JobArrival {
@@ -31,7 +30,7 @@ pub enum EventKind {
 }
 
 /// One timestamped event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Virtual time in seconds.
     pub time: f64,

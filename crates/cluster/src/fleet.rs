@@ -6,35 +6,38 @@
 //! device does not transfer to another (its chains reference that device's
 //! qubits).  Each [`QpuDevice`] therefore carries:
 //!
-//! * a [`SplitMachine`] whose hardware graph has a per-device
-//!   [`chimera_graph::FaultModel`] applied — and, in a *heterogeneous*
-//!   fleet, a per-device QPU generation ([`QpuModel::Vesuvius`] vs
-//!   [`QpuModel::Dw2x`]), so capacity and stage costs genuinely differ
-//!   across the rack,
-//! * a per-device [`CostModel`] serving the paper's analytic stage costs,
+//! * its QPU generation — in a *heterogeneous* fleet, devices mix
+//!   [`QpuModel::Vesuvius`] and [`QpuModel::Dw2x`], so capacity and stage
+//!   costs genuinely differ across the rack,
+//! * a capacity bound and a fault-difficulty factor derived from the yield
+//!   of its own fault draw ([`chimera_graph::FaultModel::random`]),
+//! * a shared [`CostModel`]: the paper's analytic stage costs depend only
+//!   on the QPU generation, so [`Fleet::new`] tabulates them once per model
+//!   and every device of that model holds the same `Arc`,
 //! * a per-device *warm set* — the interaction topologies whose embeddings
 //!   this device has already computed, held in a **bounded**
 //!   [`WarmCache`] with pluggable eviction
 //!   ([`crate::cache::EvictionPolicy`]); finite embedding-table capacity is
-//!   what produces the hit-rate cliff the `cache_cliff` sweep measures,
-//! * a capacity bound and a fault-difficulty factor derived from the yield.
+//!   what produces the hit-rate cliff the `cache_cliff` sweep measures.
 //!
 //! The capacity bound uses the clique-minor fact that pristine
 //! `C(M, N, 4)` Chimera embeds `K_{4·min(M,N)+1}`, degraded linearly by the
 //! qubit yield; the difficulty factor charges embedding on a faulted lattice
 //! `1/yield³` of the pristine cost (fewer usable qubits ⇒ more CMR passes).
 //! Both are modeling assumptions of the simulator, not measurements — they
-//! are deliberately simple and deterministic.
+//! are deliberately simple and deterministic.  No device keeps its fault map
+//! or hardware graph: only these two scalars outlive construction.
 
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
 use split_exec::cost::{CostModel, StageCosts};
-use split_exec::{PipelineError, QpuModel, SplitExecConfig, SplitMachine};
+use split_exec::{PipelineError, QpuModel, SplitExecConfig};
 
 use crate::cache::{AdmissionPolicy, EvictionPolicyKind, WarmCache};
-use chimera_graph::FaultModel;
+use chimera_graph::{Chimera, FaultModel};
 
 /// Configuration of a simulated fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Number of QPUs in the fleet.
     pub qpus: usize,
@@ -120,17 +123,49 @@ impl FleetConfig {
     }
 }
 
-/// One simulated QPU: hardware model, cost oracle, warm-embedding cache and
-/// runtime occupancy.
+/// The largest clique pristine `model` hardware embeds, `4·min(M,N)+1`:
+/// the bound every device's capacity derives from, and so the size of the
+/// model's cost table.
+fn pristine_clique(model: QpuModel) -> usize {
+    let (m, n, _) = model.lattice();
+    4 * m.min(n) + 1
+}
+
+/// The cost table every device of `model` shares, covering each size a
+/// device of that model can run.
+pub(crate) fn cost_table(model: QpuModel, app: &SplitExecConfig) -> CostModel {
+    CostModel::new(model, app, pristine_clique(model))
+}
+
+/// What the devices of one QPU model share: the pristine lattice their
+/// faults are drawn on and their cost table.
+struct SharedModel {
+    model: QpuModel,
+    pristine: Chimera,
+    cost: Arc<CostModel>,
+}
+
+impl SharedModel {
+    fn new(model: QpuModel, app: &SplitExecConfig) -> Self {
+        let (m, n, l) = model.lattice();
+        Self {
+            model,
+            pristine: Chimera::new(m, n, l),
+            cost: Arc::new(cost_table(model, app)),
+        }
+    }
+}
+
+/// One simulated QPU: generation, capacity, shared cost table,
+/// warm-embedding cache and runtime occupancy.
 #[derive(Debug)]
 pub struct QpuDevice {
     /// Fleet-wide device index.
     pub id: usize,
-    /// The device's machine model (hardware graph carries this device's
-    /// faults; `machine.qpu` is this device's generation).
-    pub machine: SplitMachine,
-    /// Analytic per-stage cost oracle for this device.
-    pub cost: CostModel,
+    /// The QPU generation installed in this device.
+    model: QpuModel,
+    /// Analytic per-stage costs, shared by every device of this model.
+    pub cost: Arc<CostModel>,
     /// Largest logical problem size this device can embed.
     pub capacity_lps: usize,
     /// Multiplier on the embedding cost reflecting fault-induced difficulty
@@ -151,27 +186,24 @@ pub struct QpuDevice {
 }
 
 impl QpuDevice {
-    /// Build device `id` from the fleet configuration.
-    fn new(id: usize, config: &FleetConfig, app: &SplitExecConfig) -> Self {
-        let model = config.device_model(id);
-        let (m, n, l) = model.lattice();
-        let pristine = chimera_graph::Chimera::new(m, n, l);
+    /// Build device `id` of the fleet configuration, drawing its faults on
+    /// the model's pristine lattice.
+    fn new(id: usize, config: &FleetConfig, shared: &SharedModel) -> Self {
         let faults = FaultModel::random(
-            pristine.graph(),
+            shared.pristine.graph(),
             config.qubit_fault_rate,
             config.coupler_fault_rate,
             config.seed.wrapping_add(id as u64),
         );
-        let machine = SplitMachine::with_faults(model, faults);
-        let yield_fraction = machine.usable_qubits() as f64 / machine.chimera.qubit_count() as f64;
-        let pristine_clique = 4 * m.min(n) + 1;
-        let capacity_lps = ((pristine_clique as f64) * yield_fraction).floor() as usize;
+        let qubits = shared.pristine.qubit_count();
+        let yield_fraction = (qubits - faults.dead_qubits.len()) as f64 / qubits as f64;
+        let capacity_lps =
+            ((pristine_clique(shared.model) as f64) * yield_fraction).floor() as usize;
         let fault_difficulty = (1.0 / yield_fraction.powi(3)).max(1.0);
-        let cost = CostModel::new(machine.clone(), *app);
         Self {
             id,
-            machine,
-            cost,
+            model: shared.model,
+            cost: Arc::clone(&shared.cost),
             capacity_lps,
             fault_difficulty,
             warm: WarmCache::new(config.cache_capacity, config.eviction)
@@ -186,7 +218,7 @@ impl QpuDevice {
 
     /// The QPU generation installed in this device.
     pub fn model(&self) -> QpuModel {
-        self.machine.qpu
+        self.model
     }
 
     /// Whether a logical problem of `lps` spins fits this device.
@@ -291,12 +323,23 @@ pub struct Fleet {
 
 impl Fleet {
     /// Build a fleet, drawing each device's faults deterministically from
-    /// the configured seed.
+    /// the configured seed.  Each QPU model in use gets one pristine
+    /// lattice and one cost table, shared by all its devices.
     pub fn new(config: FleetConfig, app_config: SplitExecConfig) -> Self {
         assert!(config.qpus > 0, "a fleet needs at least one QPU");
-        let devices = (0..config.qpus)
-            .map(|id| QpuDevice::new(id, &config, &app_config))
-            .collect();
+        let mut shared: Vec<SharedModel> = Vec::new();
+        let mut devices = Vec::with_capacity(config.qpus);
+        for id in 0..config.qpus {
+            let model = config.device_model(id);
+            let index = match shared.iter().position(|s| s.model == model) {
+                Some(index) => index,
+                None => {
+                    shared.push(SharedModel::new(model, &app_config));
+                    shared.len() - 1
+                }
+            };
+            devices.push(QpuDevice::new(id, &config, &shared[index]));
+        }
         Self {
             devices,
             app_config,
@@ -373,14 +416,31 @@ mod tests {
     fn devices_draw_distinct_fault_maps() {
         let f = fleet(3, 0.05, 7);
         assert_eq!(f.len(), 3);
-        let fault_sets: Vec<_> = f.devices.iter().map(|d| &d.machine.faults).collect();
-        assert_ne!(fault_sets[0], fault_sets[1]);
-        assert_ne!(fault_sets[1], fault_sets[2]);
+        // Each device's yield, and so its difficulty, comes from its own
+        // fault draw.
+        let difficulty: Vec<f64> = f.devices.iter().map(|d| d.fault_difficulty).collect();
+        assert_ne!(difficulty[0], difficulty[1]);
+        assert_ne!(difficulty[1], difficulty[2]);
         // Same seed rebuilds the same fleet.
         let g = fleet(3, 0.05, 7);
         for (a, b) in f.devices.iter().zip(&g.devices) {
-            assert_eq!(a.machine.faults, b.machine.faults);
             assert_eq!(a.capacity_lps, b.capacity_lps);
+            assert_eq!(a.fault_difficulty, b.fault_difficulty);
+        }
+    }
+
+    #[test]
+    fn same_model_devices_share_one_cost_table() {
+        let f = Fleet::new(
+            FleetConfig::heterogeneous(4, 9),
+            SplitExecConfig::with_seed(9),
+        );
+        assert!(Arc::ptr_eq(&f.devices[0].cost, &f.devices[2].cost));
+        assert!(Arc::ptr_eq(&f.devices[1].cost, &f.devices[3].cost));
+        assert!(!Arc::ptr_eq(&f.devices[0].cost, &f.devices[1].cost));
+        // Each table covers every size its devices can run.
+        for d in &f.devices {
+            assert!(d.cost.costs(d.capacity_lps).is_ok());
         }
     }
 

@@ -10,10 +10,9 @@
 //! each generated problem instance to this record.
 
 use crate::tenant::TenantId;
-use serde::{Deserialize, Serialize};
 
 /// One QUBO job in flight through the simulated cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Workload-wide index, also the submission order.
     pub id: usize,
@@ -46,7 +45,7 @@ pub struct Job {
 }
 
 /// Everything the metrics layer records about one finished job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobRecord {
     /// The job's workload index.
     pub job: usize,

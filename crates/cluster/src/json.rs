@@ -1,8 +1,7 @@
 //! Minimal JSON emission for machine-readable reports.
 //!
-//! The workspace's `serde` is an offline no-op stand-in (see
-//! `crates/compat/serde`), so actual serialization cannot come from derive
-//! macros.  This module is the crate's own seam: a tiny ordered
+//! The workspace has no serialization dependency (the build is offline),
+//! so this module is the crate's own seam: a tiny ordered
 //! [`JsonValue`] tree with RFC 8259-conformant string escaping and
 //! `Display`-based rendering, plus `to_json` conversions for the report
 //! types the `cluster_sim` sweeps export (`--json <path>`).  Keys render in
@@ -90,6 +89,7 @@ impl From<usize> for JsonValue {
 }
 
 impl From<&str> for JsonValue {
+    // sx-lint: hot-exempt -- JSON assembly runs at report/export time, never in the event loop; `from` name-collides with `u64::from`-style calls in hot bodies
     fn from(v: &str) -> Self {
         JsonValue::Str(v.to_string())
     }

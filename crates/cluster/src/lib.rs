@@ -9,10 +9,11 @@
 //!
 //! * [`event`] — a binary-heap future-event list on a virtual clock; no
 //!   wall time anywhere, so runs replay bit-identically from their seeds.
-//! * [`fleet`] — each simulated QPU carries its own
+//! * [`fleet`] — each simulated QPU draws its own
 //!   [`chimera_graph::FaultModel`] (fault maps differ per device, so
-//!   capacity and stage-1 cost differ per device) plus a per-device warm
-//!   embedding set mirroring [`split_exec::EmbeddingCache`].  Fleets may be
+//!   capacity and stage-1 cost differ per device), keeps a per-device warm
+//!   embedding set mirroring [`split_exec::EmbeddingCache`], and shares its
+//!   model's [`split_exec::CostModel`] table.  Fleets may be
 //!   *heterogeneous* ([`FleetConfig::heterogeneous`]): DW2X- and
 //!   Vesuvius-class devices differ in lattice size, and therefore in both
 //!   embedding capacity and per-stage timing.
@@ -61,7 +62,7 @@
 //!   the shared [`split_exec::BatchSummary`] report format.
 //! * [`json`] — deterministic hand-rolled JSON emission ([`JsonValue`],
 //!   `SimReport::to_json`) so sweeps are machine-readable without a
-//!   registry serde, plus a real RFC 8259 parser ([`json::parse`]) used to
+//!   serialization dependency, plus a real RFC 8259 parser ([`json::parse`]) used to
 //!   validate every emitted document.
 //! * [`telemetry`] — the observability layer (`docs/OBSERVABILITY.md`):
 //!   pluggable [`TraceSink`]s (null / retained / JSONL streaming /

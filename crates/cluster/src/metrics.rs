@@ -12,13 +12,12 @@ use crate::sim::TraceRecord;
 use crate::telemetry::StreamingHistogram;
 use crate::tenant::TenantId;
 use quantum_anneal::stats::{percentile_sorted, Histogram};
-use serde::{Deserialize, Serialize};
 use split_exec::offline_cache::CacheStats;
 use split_exec::BatchSummary;
 use std::fmt;
 
 /// Latency distribution summary (seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
     /// Mean.
     pub mean: f64,
@@ -87,7 +86,7 @@ impl LatencyStats {
 }
 
 /// Per-device utilization and cache behavior over a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QpuStats {
     /// Device id.
     pub qpu: usize,
@@ -122,7 +121,7 @@ impl QpuStats {
 }
 
 /// Everything the metrics layer records about one tenant over a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantStats {
     /// The tenant.
     pub tenant: TenantId,
@@ -204,7 +203,7 @@ pub fn jains_index(values: &[f64]) -> f64 {
 }
 
 /// The full outcome of one simulated run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// The policy that produced the run.
     pub policy: String,
@@ -506,7 +505,7 @@ impl fmt::Display for SimReport {
 /// One point of a cache-capacity sweep: the fleet-wide hit rate and mean
 /// latency observed at a given per-device capacity under one eviction
 /// policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CachePoint {
     /// Per-device warm-cache capacity the run used.
     pub capacity: usize,
@@ -539,7 +538,7 @@ impl CachePoint {
 /// A hit-rate-vs-capacity series: the outcome of sweeping warm-cache
 /// capacity across the topology diversity of one workload — the measurement
 /// that exposes the hit-rate cliff.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CacheCliffSeries {
     /// Distinct topologies in the swept workload (where the cliff sits).
     pub distinct_topologies: usize,

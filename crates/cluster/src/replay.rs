@@ -561,6 +561,7 @@ impl SchedulerSpec {
 
 impl From<PolicyKind> for SchedulerSpec {
     /// The spec describing exactly what [`PolicyKind::build`] constructs.
+    // sx-lint: hot-exempt -- runs once per run when a scheduler is named, never in the event loop; `from` name-collides with `u64::from`-style calls in hot bodies
     fn from(kind: PolicyKind) -> Self {
         match kind {
             PolicyKind::Fifo => SchedulerSpec::Fifo,

@@ -43,7 +43,6 @@
 use crate::fleet::Fleet;
 use crate::job::Job;
 use crate::workload::Workload;
-use serde::{Deserialize, Serialize};
 
 /// A scheduling policy.
 ///
@@ -371,7 +370,7 @@ impl Scheduler for EarliestDeadlineFirst {
 /// Cross-lane scheduling (which tenant is served next) is always the
 /// virtual-time start-tag race; the lane order only decides which of the
 /// chosen tenant's queued jobs goes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LaneOrder {
     /// Strict submission order — the PR 4 behavior, kept for comparison
     /// (`wfq-fifo` in reports and sweeps).

@@ -40,10 +40,9 @@ use crate::scheduler::Scheduler;
 use crate::telemetry::{MetricsRegistry, SimSeries, StreamingHistogram, TraceSink, VecSink};
 use crate::tenant::{TenantId, TenantMeta};
 use crate::workload::Workload;
-use serde::{Deserialize, Serialize};
 
 /// How the workload's jobs are released into the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadMode {
     /// Use the generated arrival times (open system).
     Open,
@@ -58,7 +57,7 @@ pub enum WorkloadMode {
 
 /// How [`crate::metrics::LatencyStats`] percentiles are computed when the
 /// run is summarized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PercentileMode {
     /// Sort the full sample set and take exact rank statistics (the
     /// historical behavior; allocation per summary is proportional to the
@@ -74,7 +73,7 @@ pub enum PercentileMode {
 }
 
 /// Engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// Open or closed workload release.
     pub mode: WorkloadMode,
@@ -92,7 +91,7 @@ impl Default for SimConfig {
 }
 
 /// One entry of the deterministic event trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceRecord {
     /// An event fired.
     Fired(Event),

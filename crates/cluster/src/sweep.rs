@@ -35,7 +35,7 @@ use rayon::prelude::*;
 use split_exec::SplitExecConfig;
 
 use crate::admission::{AdmissionController, AdmitAll, TokenBucket, TokenBucketConfig};
-use crate::fleet::{Fleet, FleetConfig};
+use crate::fleet::{cost_table, Fleet, FleetConfig};
 use crate::json::JsonValue;
 use crate::metrics::SimReport;
 use crate::replay::SchedulerSpec;
@@ -369,21 +369,24 @@ pub struct RateCalibration {
 }
 
 impl RateCalibration {
-    /// Probe `config`'s first device and average the warm service time
-    /// over `sizes` (logical spins per topology).  Errors when the service
-    /// model cannot produce a breakdown for a size (too large for the
-    /// device) — a plan bug, surfaced eagerly rather than per cell.
+    /// Average the warm service time of `config`'s first device over
+    /// `sizes` (logical spins per topology), read from that device model's
+    /// cost table.  Errors when the table has no row for a size (too large
+    /// for the model) — a plan bug, surfaced eagerly rather than per cell.
     pub fn for_fleet(config: &FleetConfig, sizes: &[usize]) -> Result<RateCalibration, String> {
         if sizes.is_empty() {
             return Err("calibration needs at least one topology size".to_string());
         }
-        let probe = Fleet::new(config.clone(), SplitExecConfig::with_seed(config.seed));
+        let table = cost_table(
+            config.device_model(0),
+            &SplitExecConfig::with_seed(config.seed),
+        );
         let mut total = 0.0;
         for &lps in sizes {
-            let (s1, s2, s3) = probe.devices[0]
-                .service_breakdown(lps, true)
+            let costs = table
+                .costs(lps)
                 .map_err(|err| format!("no warm service model for lps {lps}: {err}"))?;
-            total += s1 + s2 + s3;
+            total += costs.total_warm_seconds();
         }
         Ok(RateCalibration {
             warm_mean_seconds: total / sizes.len() as f64,

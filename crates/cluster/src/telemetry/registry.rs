@@ -14,28 +14,27 @@
 
 use super::sketch::StreamingHistogram;
 use crate::json::JsonValue;
-use serde::{Deserialize, Serialize};
 
 /// Handle to a registered gauge (index into the registry; `Copy`, cheap).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GaugeId(usize);
 
 /// Handle to a registered counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(usize);
 
 /// Handle to a registered histogram sketch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramId(usize);
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Gauge {
     name: String,
     current: f64,
     series: Vec<(f64, f64)>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Counter {
     name: String,
     value: u64,
@@ -53,7 +52,7 @@ struct Counter {
 /// reg.tick(2.5); // samples at t = 0.0, 1.0, 2.0
 /// assert_eq!(reg.gauge_series("queue_depth").map(|s| s.len()), Some(3));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRegistry {
     sample_interval: f64,
     next_due: f64,

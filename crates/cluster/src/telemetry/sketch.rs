@@ -30,8 +30,6 @@
 //! * Exact `min`/`max`/`mean` are tracked alongside the buckets, and
 //!   quantiles are clamped into `[min, max]`.
 
-use serde::{Deserialize, Serialize};
-
 /// Magnitudes below this collapse into the exact zero bucket.  Virtual
 /// times are seconds; no modeled service or wait is anywhere near 1e-12 s,
 /// so the cutoff only swallows true zeros and float dust.
@@ -43,7 +41,7 @@ pub const DEFAULT_RELATIVE_ERROR: f64 = 0.01;
 
 /// One sign's worth of geometric buckets: `counts[i]` counts observations
 /// whose magnitude falls in bucket `offset + i`.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct Buckets {
     offset: i64,
     counts: Vec<u64>,
@@ -102,7 +100,7 @@ impl Buckets {
 /// assert!((p99 - 990.0).abs() <= 990.0 * sketch.relative_error_bound());
 /// assert_eq!(sketch.count(), 1000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingHistogram {
     /// Bucket growth factor γ; bucket `i` spans `[γⁱ, γⁱ⁺¹)`.
     gamma: f64,

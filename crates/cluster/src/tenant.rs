@@ -24,12 +24,9 @@ use crate::job::Job;
 use crate::workload::{
     ArrivalProcess, DeadlinePolicy, FamilySpec, Workload, WorkloadError, WorkloadSpec,
 };
-use serde::{Deserialize, Serialize};
 
 /// Identity of the tenant that submitted a job.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TenantId(pub usize);
 
 impl TenantId {
@@ -51,7 +48,7 @@ impl std::fmt::Display for TenantId {
 /// Per-tenant identity carried by a generated [`Workload`]: what the
 /// metrics layer and the weighted-fair scheduler need to know about a
 /// tenant without re-deriving it from the job stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantMeta {
     /// The tenant's id (index into the composition).
     pub id: TenantId,
@@ -74,7 +71,7 @@ impl TenantMeta {
 
 /// One tenant's contribution to a multi-tenant workload: its own job
 /// count, arrival process and topology mix, plus a fair-share weight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Human-readable label used in reports.
     pub name: String,
@@ -99,7 +96,7 @@ pub struct TenantSpec {
 /// Generation is deterministic: tenant `i` draws from a sub-seed derived
 /// from `seed` and `i`, so adding a tenant never perturbs the streams of
 /// the others.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiTenantSpec {
     /// Base seed; tenant `i` uses a sub-seed derived from `seed` and `i`.
     pub seed: u64,

@@ -24,10 +24,9 @@ use qubo_ising::{qubo_to_ising, Qubo};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use split_exec::cost::CostModel;
 use split_exec::offline_cache::graph_key;
-use split_exec::{SplitExecConfig, SplitMachine};
+use split_exec::{QpuModel, SplitExecConfig};
 
 /// Why a [`WorkloadSpec`] is invalid.
 ///
@@ -120,7 +119,7 @@ impl std::fmt::Display for WorkloadError {
 impl std::error::Error for WorkloadError {}
 
 /// How jobs arrive in an open workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Poisson arrivals: exponential inter-arrival times with the given
     /// mean rate.
@@ -153,15 +152,15 @@ pub enum ArrivalProcess {
 ///   shape of a customer-facing latency promise.
 /// * [`DeadlinePolicy::ProportionalSlack`] — the slack is `factor` times
 ///   the job's predicted *cold* service time on the paper's reference
-///   machine ([`split_exec::CostModel`] over `SplitMachine::paper_default`).
+///   machine (a [`split_exec::CostModel`] of the paper's DW2X-class QPU).
 ///   A factor of 1.0 is only feasible on an idle fleet with a cold cache;
 ///   production SLOs live around 2–10.  The prediction is analytic and
-///   memoized, so stamping stays deterministic and cheap.
+///   tabulated once per stream, so stamping stays deterministic and cheap.
 ///
 /// Like everything else about a workload, deadlines are a pure function of
 /// the spec — two generations of the same spec stamp bit-identical
 /// deadlines.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DeadlinePolicy {
     /// No deadlines (the default).
     #[default]
@@ -198,7 +197,7 @@ impl DeadlinePolicy {
     /// The deadline of a job arriving at `arrival` with logical problem
     /// size `lps`, consulting `reference` for predicted service when the
     /// slack is proportional.
-    fn deadline_for(&self, arrival: f64, lps: usize, reference: &CostModel) -> Option<f64> {
+    fn deadline_for(&self, arrival: f64, lps: usize, reference: Option<&CostModel>) -> Option<f64> {
         match self {
             DeadlinePolicy::None => None,
             DeadlinePolicy::FixedSlack { slack_seconds } => Some(arrival + slack_seconds),
@@ -206,7 +205,7 @@ impl DeadlinePolicy {
                 // An analytic-model failure cannot happen for sizes the
                 // generator produces; fall back to deadline-free rather
                 // than poisoning the stream with NaN.
-                let predicted = reference.costs(lps).ok()?.total_cold_seconds();
+                let predicted = reference?.costs(lps).ok()?.total_cold_seconds();
                 Some(arrival + factor * predicted)
             }
         }
@@ -214,7 +213,7 @@ impl DeadlinePolicy {
 }
 
 /// One problem family in a workload mix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FamilySpec {
     /// MAX-CUT over a cycle of `n` vertices with random edge weights: every
     /// job of the same `n` shares one interaction topology.
@@ -339,7 +338,7 @@ impl FamilySpec {
 
 /// Specification of a workload: how many jobs, how they arrive, and the
 /// weighted mix of problem families they are drawn from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Number of jobs to generate.
     pub jobs: usize,
@@ -480,12 +479,6 @@ impl WorkloadSpec {
     pub(crate) fn generate_unchecked_jobs(&self) -> Vec<Job> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let total_weight: f64 = self.mix.iter().map(|(w, _)| w.max(0.0)).sum();
-        // Reference oracle for proportional deadline slack: the paper's
-        // default machine with the default application config — a fixed,
-        // fleet-independent yardstick, so the same spec stamps the same
-        // deadlines no matter which fleet later serves it.
-        let reference = CostModel::new(SplitMachine::paper_default(), SplitExecConfig::default());
-
         let mut jobs = Vec::with_capacity(self.jobs);
         let mut clock = 0.0_f64;
         let mut burst_remaining = 0usize;
@@ -526,8 +519,31 @@ impl WorkloadSpec {
                 lps,
                 topology_key: graph_key(&interaction),
                 arrival: clock,
-                deadline: self.deadlines.deadline_for(clock, lps, &reference),
+                deadline: None,
             });
+        }
+
+        // Deadlines are stamped after the draw loop (`deadline_for` draws
+        // no randomness), so the reference table for proportional slack can
+        // be sized to the stream.  The reference is the paper's default
+        // machine with the default application config — a fixed,
+        // fleet-independent yardstick, so the same spec stamps the same
+        // deadlines no matter which fleet later serves it.
+        let reference = match self.deadlines {
+            DeadlinePolicy::ProportionalSlack { .. } => {
+                let max_lps = jobs.iter().map(|job| job.lps).max().unwrap_or(0);
+                Some(CostModel::new(
+                    QpuModel::Dw2x,
+                    &SplitExecConfig::default(),
+                    max_lps,
+                ))
+            }
+            _ => None,
+        };
+        for job in &mut jobs {
+            job.deadline = self
+                .deadlines
+                .deadline_for(job.arrival, job.lps, reference.as_ref());
         }
         jobs
     }
@@ -542,7 +558,7 @@ fn exponential(rng: &mut ChaCha8Rng, rate_hz: f64) -> f64 {
 }
 
 /// A generated job stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Jobs in arrival order.
     pub jobs: Vec<Job>,

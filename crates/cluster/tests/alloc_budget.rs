@@ -11,9 +11,9 @@
 //! heap allocations in a full `simulate_with_telemetry` call is the same
 //! at `N` jobs and at `2N` jobs.  Every buffer the loop writes into is
 //! pre-sized in `SimScratch::for_run` (one allocation each, regardless of
-//! capacity), the cost-model memo misses once per *distinct* topology size
-//! (the repeated-topology workload has the same four sizes at any N), and
-//! the report assembly pre-sizes its filtered collections — so doubling
+//! capacity), a cost lookup reads a row of the fleet's prebuilt cost
+//! tables, and the report assembly pre-sizes its filtered collections — so
+//! doubling
 //! the event count must not add a single allocation.  If this test fails
 //! after an engine change, something started allocating per event; run
 //! `sx_lint` to find it, or hoist the buffer into `SimScratch`.
@@ -68,16 +68,6 @@ fn allocations_for(policy: PolicyKind, jobs: usize) -> usize {
         SplitExecConfig::with_seed(11),
     );
     let workload = WorkloadSpec::repeated_topologies(jobs, 2.0, 11).generate();
-    // Pre-warm every device's cost memo for every topology size in the
-    // workload: a memo miss walks the full ASPEN prediction pipeline
-    // (explicitly off the per-event path — see the hot-exempt boundary on
-    // `predict_stage1`), and which (device, size) pairs miss depends on
-    // the dispatch pattern, not the event count.
-    for device in &fleet.devices {
-        for lps in [24, 28, 30, 36] {
-            device.cost.costs(lps).expect("workload sizes cost cleanly");
-        }
-    }
     let mut scheduler = policy.build();
     let mut sink = NullSink;
     let before = ALLOCATIONS.load(Ordering::SeqCst);
@@ -192,7 +182,7 @@ fn allocations_for_sweep(cells: &[CellSpec]) -> usize {
 fn sweep_runner_adds_constant_overhead_and_nothing_per_cell() {
     warmup();
     // Identical cells (one shared workload): every per-cell quantity —
-    // dispatch pattern, memo misses, sketch bucket spans, registry sample
+    // dispatch pattern, cost-table builds, sketch bucket spans, registry sample
     // counts — is identical, so allocation counts must be exactly linear
     // in the cell count.  A super-linear term means the runner itself
     // started allocating per cell beyond the cell body.

@@ -1,14 +1,9 @@
-//! Regression tests for the two failure classes `sx_lint`'s D-rules guard
-//! against, driven end-to-end through the public API:
-//!
-//! * **D003 (NaN-unsafe comparators)** — a job or cache entry carrying a
-//!   NaN cost must not panic any scheduler or eviction policy, because
-//!   every ordering in the workspace goes through `f64::total_cmp` (the
-//!   EventKey pattern of `cluster/src/event.rs`), under which NaN is just
-//!   the greatest value.
-//! * **D002 (hash-order dependence)** — the `CostModel` memo is a
-//!   `HashMap`, which is fine *only* because it is never iterated.  The
-//!   order memo entries were inserted in must be invisible to a run.
+//! Regression tests for the D003 failure class `sx_lint` guards against
+//! (NaN-unsafe comparators), driven end-to-end through the public API: a
+//! job or cache entry carrying a NaN cost must not panic any scheduler or
+//! eviction policy, because every ordering in the workspace goes through
+//! `f64::total_cmp` (the EventKey pattern of `cluster/src/event.rs`), under
+//! which NaN is just the greatest value.
 
 use split_exec::SplitExecConfig;
 use sx_cluster::cache::CacheEntry;
@@ -119,35 +114,4 @@ fn cost_aware_eviction_does_not_panic_on_nan_reembed_cost() {
         entry(4, 2, f64::NAN),
     ];
     assert_eq!(policy.victim(&entries), 1, "smallest (last_use, key) wins");
-}
-
-#[test]
-fn cost_model_memo_population_order_is_invisible() {
-    // The per-device CostModel memo is a HashMap that is only ever read by
-    // key (never iterated) — which makes it D002-exempt by design.  Prove
-    // the claim: pre-warm two same-seed fleets' memos in opposite orders,
-    // run the identical workload through the cost-consulting scheduler,
-    // and require bit-identical reports.
-    let sizes: Vec<usize> = vec![16, 24, 32, 40, 48];
-    let run = |warm_order: &[usize]| {
-        let fleet = small_fleet(13);
-        for device in &fleet.devices {
-            for &lps in warm_order {
-                device
-                    .cost
-                    .costs(lps)
-                    .expect("feasible probe sizes must cost cleanly");
-            }
-        }
-        let workload = WorkloadSpec::repeated_topologies(25, 0.8, 13).generate();
-        let mut scheduler = PolicyKind::ShortestPredictedFirst.build();
-        simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default())
-    };
-    let ascending = run(&sizes);
-    let descending = run(&sizes.iter().rev().copied().collect::<Vec<_>>());
-    assert_eq!(
-        ascending, descending,
-        "memo insertion order leaked into the trace"
-    );
-    assert_ne!(ascending.trace.len(), 0);
 }

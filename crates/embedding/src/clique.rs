@@ -16,10 +16,9 @@
 
 use crate::types::{EmbedError, Embedding};
 use chimera_graph::{Chimera, ChimeraCoord, Side};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of the deterministic clique embedding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CliqueOutcome {
     /// The embedding (chains indexed by logical vertex).
     pub embedding: Embedding,

@@ -31,10 +31,9 @@ use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the CMR heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CmrConfig {
     /// Maximum number of improvement passes after the construction pass.
     pub max_passes: usize,
@@ -73,7 +72,7 @@ impl CmrConfig {
 }
 
 /// Work counters recorded while running the heuristic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CmrStats {
     /// Number of (multi-source) Dijkstra invocations.
     pub dijkstra_calls: u64,
@@ -95,7 +94,7 @@ impl CmrStats {
 }
 
 /// A successful embedding together with its work counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CmrOutcome {
     /// The overlap-free embedding.
     pub embedding: Embedding,

@@ -14,10 +14,9 @@
 use crate::types::Embedding;
 use chimera_graph::Graph;
 use qubo_ising::{Ising, Spin};
-use serde::{Deserialize, Serialize};
 
 /// Options controlling how logical parameters are spread over the hardware.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParameterSetting {
     /// Ferromagnetic coupling strength applied inside every chain.  Positive
     /// values favor aligned chains under the `E = -Σ J sᵢsⱼ` convention.
@@ -51,7 +50,7 @@ impl ParameterSetting {
 
 /// The embedded (physical) Ising program together with bookkeeping needed to
 /// interpret readouts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddedIsing {
     /// The physical Ising model over hardware qubits.
     pub physical: Ising,
@@ -140,7 +139,7 @@ pub fn embed_ising(
 }
 
 /// Result of decoding one hardware readout into logical spins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodedSample {
     /// Logical spins recovered by majority vote over each chain.
     pub spins: Vec<Spin>,

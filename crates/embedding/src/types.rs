@@ -1,12 +1,11 @@
 //! Core embedding types shared across the algorithms.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A minor embedding: for each logical vertex, the set of hardware qubits
 /// (its *chain* or *vertex model*) that collectively represent it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Embedding {
     /// `chains[v]` lists the hardware qubits assigned to logical vertex `v`,
     /// sorted ascending.

@@ -27,10 +27,9 @@
 
 use crate::ising::{Ising, Spin};
 use crate::qubo::Qubo;
-use serde::{Deserialize, Serialize};
 
 /// Result of converting a QUBO into an Ising model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IsingConversion {
     /// The logical Ising model.
     pub ising: Ising,

@@ -6,13 +6,12 @@
 
 use crate::ising::{Ising, Spin};
 use crate::qubo::Qubo;
-use serde::{Deserialize, Serialize};
 
 /// Maximum problem size accepted by the exact solvers (2^24 states).
 pub const MAX_EXACT_VARIABLES: usize = 24;
 
 /// An exact solution of a small instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExactSolution {
     /// Minimum energy value found.
     pub energy: f64,
@@ -84,7 +83,7 @@ pub fn solve_ising_exact(ising: &Ising) -> (f64, Vec<Spin>, usize) {
 
 /// A sampled solution with its energy and multiplicity, as produced by
 /// post-processing (stage 3 of the split-execution application).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedSolution {
     /// Ising energy of the configuration.
     pub energy: f64,

@@ -9,14 +9,13 @@ use chimera_graph::Graph;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A spin value, `-1` or `+1`, stored as `i8` for compactness.
 pub type Spin = i8;
 
 /// An Ising model: linear biases plus sparse symmetric couplings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Ising {
     /// Per-spin biases `hᵢ`.
     h: Vec<f64>,

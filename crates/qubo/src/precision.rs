@@ -9,10 +9,9 @@
 //! bits, and the resulting perturbation is quantified.
 
 use crate::ising::Ising;
-use serde::{Deserialize, Serialize};
 
 /// Specification of the control electronics' precision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrecisionSpec {
     /// Number of bits used to represent each bias/coupling.
     pub bits: u32,
@@ -56,7 +55,7 @@ impl PrecisionSpec {
 }
 
 /// The result of quantizing a logical Ising model for hardware programming.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedIsing {
     /// The quantized (programmed) model.
     pub programmed: Ising,

@@ -8,10 +8,9 @@
 
 use crate::qubo::Qubo;
 use chimera_graph::Graph;
-use serde::{Deserialize, Serialize};
 
 /// A graph k-coloring instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphColoring {
     graph: Graph,
     colors: usize,

@@ -6,10 +6,9 @@
 
 use crate::qubo::Qubo;
 use chimera_graph::Graph;
-use serde::{Deserialize, Serialize};
 
 /// A MAX-CUT instance: a graph plus per-edge weights.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MaxCut {
     graph: Graph,
     weights: Vec<((usize, usize), f64)>,

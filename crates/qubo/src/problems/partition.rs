@@ -6,10 +6,9 @@
 //! minimum is the squared optimal residue (0 for perfectly balanced inputs).
 
 use crate::qubo::Qubo;
-use serde::{Deserialize, Serialize};
 
 /// A number-partitioning instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NumberPartition {
     numbers: Vec<f64>,
 }

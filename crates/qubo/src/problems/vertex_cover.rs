@@ -8,10 +8,9 @@
 
 use crate::qubo::Qubo;
 use chimera_graph::Graph;
-use serde::{Deserialize, Serialize};
 
 /// A minimum-vertex-cover instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VertexCover {
     graph: Graph,
     penalty: f64,

@@ -10,10 +10,9 @@ use chimera_graph::Graph;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense symmetric QUBO matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Qubo {
     n: usize,
     /// Row-major `n × n` matrix, kept symmetric by the mutators.

@@ -21,14 +21,12 @@ use crate::offline_cache::{CacheStats, EmbeddingCache};
 use crate::pipeline::{ExecutionReport, Pipeline};
 use qubo_ising::{qubo_to_ising, Qubo};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Aggregated outcome of one batch submission.
 ///
-/// (No serde derives on the full report: `results` holds
-/// `Result<_, PipelineError>`, which the real `serde` cannot derive through.
-/// The wire format is [`BatchSummary`] — see [`BatchReport::summary`].)
+/// (The compact, plain-data form is [`BatchSummary`] — see
+/// [`BatchReport::summary`].)
 #[derive(Debug)]
 pub struct BatchReport {
     /// Per-job results, in submission order.
@@ -97,7 +95,7 @@ impl fmt::Display for BatchReport {
 /// cache behavior.  This is the shared report format between
 /// [`Pipeline::execute_batch_report`] and the `sx_cluster` simulator, which
 /// produces the same shape for a whole fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchSummary {
     /// Number of jobs submitted.
     pub jobs: usize,

@@ -2,10 +2,9 @@
 
 use minor_embed::CmrConfig;
 use quantum_anneal::{AnnealSchedule, BackendKind};
-use serde::{Deserialize, Serialize};
 
 /// Tunable parameters of the three-stage split-execution application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitExecConfig {
     /// Desired solution accuracy `p_a` (probability that the ensemble
     /// contains the true optimum) — the input parameter of the Stage-2 model.

@@ -1,18 +1,20 @@
-//! A reusable analytic cost oracle over the paper's three stage models.
+//! The paper's three stage models, tabulated once per QPU model.
 //!
-//! The stage predictions ([`predict_stage1`]
-//! etc.) walk an ASPEN listing each call, which is cheap but not free, and
-//! every consumer that wants "what would this job cost?" has so far
-//! re-assembled the three calls by hand.  [`CostModel`] packages them behind
-//! one memoized interface: ask for the per-stage costs of a logical problem
-//! size and get a [`StageCosts`] splitting stage 1 into its *embedding*
-//! share (amortizable via the offline embedding cache) and its residual
-//! *overhead* (data initialization, parameter setting, processor
+//! The stage predictions ([`predict_stage1`] etc.) walk an ASPEN listing
+//! each call.  Their inputs are the lattice `M`/`N`, the logical problem
+//! size, and the application's accuracy and success probability, so the
+//! costs depend only on the QPU generation, never on a device's fault map.
+//! [`CostModel`] therefore evaluates them once, for every logical problem
+//! size up to a bound, into a dense immutable table: ask for the per-stage
+//! costs of a size and get a [`StageCosts`] splitting stage 1 into its
+//! *embedding* share (amortizable via the offline embedding cache) and its
+//! residual *overhead* (data initialization, parameter setting, processor
 //! programming — paid by every job, warm or cold).
 //!
-//! The cluster simulator (`sx_cluster`) uses this as the service-time
-//! distribution of its queueing model: a job arriving at a QPU whose
-//! embedding cache already holds the job's interaction topology pays
+//! The cluster simulator (`sx_cluster`) shares one table among all devices
+//! of a QPU model and uses it as the service-time distribution of its
+//! queueing model: a job arriving at a QPU whose embedding cache already
+//! holds the job's interaction topology pays
 //! [`StageCosts::stage1_warm_seconds`]; a cold job pays
 //! [`StageCosts::stage1_cold_seconds`].  Schedulers use
 //! [`CostModel::costs`] as the prediction oracle for
@@ -20,17 +22,14 @@
 
 use crate::config::SplitExecConfig;
 use crate::error::PipelineError;
-use crate::machine::SplitMachine;
+use crate::machine::{QpuModel, SplitMachine};
 use crate::stage1::predict_stage1;
 use crate::stage2::predict_stage2;
 use crate::stage3::predict_stage3;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Predicted per-stage costs for one logical problem size, with stage 1
 /// split into its cache-amortizable and always-paid parts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageCosts {
     /// Logical problem size the costs were predicted for.
     pub lps: usize,
@@ -68,68 +67,58 @@ impl StageCosts {
     }
 }
 
-/// A memoized analytic cost oracle for one machine/configuration pair.
+/// The analytic stage costs of one QPU model under one application
+/// configuration, for every logical problem size `0..=max_lps`.
 ///
-/// Thread-safe: predictions are computed once per logical problem size and
-/// served from an internal table thereafter, so schedulers can query it in
-/// hot loops.
+/// Built eagerly and immutable afterwards, so it can be shared (behind an
+/// `Arc`) by every device of the model and queried in hot loops: a lookup
+/// is a bounds-checked slice index.
 #[derive(Debug)]
 pub struct CostModel {
-    machine: SplitMachine,
-    config: SplitExecConfig,
-    memo: Mutex<HashMap<usize, StageCosts>>,
+    rows: Vec<Result<StageCosts, PipelineError>>,
 }
 
 impl CostModel {
-    /// A cost model over the given machine and application configuration.
-    pub fn new(machine: SplitMachine, config: SplitExecConfig) -> Self {
-        Self {
-            machine,
-            config,
-            memo: Mutex::new(HashMap::new()),
-        }
+    /// Tabulate the costs of problem sizes `0..=max_lps` on a `qpu`-class
+    /// machine.  A size whose prediction fails keeps its error, which
+    /// [`Self::costs`] returns for that size.
+    pub fn new(qpu: QpuModel, config: &SplitExecConfig, max_lps: usize) -> Self {
+        let machine = SplitMachine::new(qpu);
+        let (accuracy, success) = (config.accuracy, config.success_probability);
+        // Stage 2 does not depend on the problem size.
+        let stage2 = predict_stage2(&machine, accuracy, success).map(|s2| s2.total_seconds);
+        let rows = (0..=max_lps)
+            .map(|lps| {
+                let stage1 = predict_stage1(&machine, lps)?;
+                let stage2_seconds = stage2.clone()?;
+                let stage3 = predict_stage3(&machine, lps, accuracy, success)?;
+                Ok(StageCosts {
+                    lps,
+                    stage1_embed_seconds: stage1.embed_seconds,
+                    stage1_overhead_seconds: stage1.total_seconds - stage1.embed_seconds,
+                    stage2_seconds,
+                    stage3_seconds: stage3.total_seconds,
+                })
+            })
+            .collect();
+        Self { rows }
     }
 
-    /// The machine the model predicts for.
-    pub fn machine(&self) -> &SplitMachine {
-        &self.machine
+    /// The largest problem size the table covers.
+    pub fn max_lps(&self) -> usize {
+        self.rows.len() - 1
     }
 
-    /// The application configuration the model predicts for.
-    pub fn config(&self) -> &SplitExecConfig {
-        &self.config
-    }
-
-    /// Predicted per-stage costs for a logical problem of `lps` spins
-    /// (memoized).
+    /// Predicted per-stage costs for a logical problem of `lps` spins;
+    /// [`PipelineError::SizeOutOfRange`] past [`Self::max_lps`].
     pub fn costs(&self, lps: usize) -> Result<StageCosts, PipelineError> {
-        // sx-lint: allow(A003) -- uncontended: the engine is single-threaded; a parking_lot lock is a few ns
-        if let Some(found) = self.memo.lock().get(&lps) {
-            return Ok(*found);
+        match self.rows.get(lps) {
+            Some(row) => row.clone(),
+            None => Err(PipelineError::SizeOutOfRange {
+                lps,
+                max_lps: self.max_lps(),
+            }),
         }
-        let stage1 = predict_stage1(&self.machine, lps)?;
-        let stage2 = predict_stage2(
-            &self.machine,
-            self.config.accuracy,
-            self.config.success_probability,
-        )?;
-        let stage3 = predict_stage3(
-            &self.machine,
-            lps,
-            self.config.accuracy,
-            self.config.success_probability,
-        )?;
-        let costs = StageCosts {
-            lps,
-            stage1_embed_seconds: stage1.embed_seconds,
-            stage1_overhead_seconds: stage1.total_seconds - stage1.embed_seconds,
-            stage2_seconds: stage2.total_seconds,
-            stage3_seconds: stage3.total_seconds,
-        };
-        // sx-lint: allow(A003) -- uncontended: the engine is single-threaded; a parking_lot lock is a few ns
-        // sx-lint: allow(A001) -- the memo insert happens once per distinct lps; steady state serves hits above
-        self.memo.lock().insert(lps, costs);
-        Ok(costs)
     }
 
     /// Predicted seconds of the amortizable embedding share alone — what a
@@ -138,11 +127,6 @@ impl CostModel {
     pub fn embed_seconds(&self, lps: usize) -> Result<f64, PipelineError> {
         Ok(self.costs(lps)?.stage1_embed_seconds)
     }
-
-    /// Number of distinct problem sizes memoized so far.
-    pub fn memoized_sizes(&self) -> usize {
-        self.memo.lock().len()
-    }
 }
 
 #[cfg(test)]
@@ -150,20 +134,41 @@ mod tests {
     use super::*;
 
     fn model() -> CostModel {
-        CostModel::new(SplitMachine::paper_default(), SplitExecConfig::with_seed(1))
+        CostModel::new(QpuModel::Dw2x, &SplitExecConfig::with_seed(1), 50)
     }
 
     #[test]
     fn costs_match_the_underlying_stage_predictions() {
+        for qpu in QpuModel::all() {
+            let machine = SplitMachine::new(qpu);
+            let m = CostModel::new(qpu, &SplitExecConfig::with_seed(1), 49);
+            let s2 = predict_stage2(&machine, 0.99, 0.7).unwrap();
+            for lps in 0..=m.max_lps() {
+                let costs = m.costs(lps).unwrap();
+                let s1 = predict_stage1(&machine, lps).unwrap();
+                let s3 = predict_stage3(&machine, lps, 0.99, 0.7).unwrap();
+                assert_eq!(costs.lps, lps);
+                assert!((costs.stage1_cold_seconds() - s1.total_seconds).abs() < 1e-12);
+                assert_eq!(costs.stage1_embed_seconds, s1.embed_seconds);
+                assert_eq!(costs.stage2_seconds, s2.total_seconds);
+                assert_eq!(costs.stage3_seconds, s3.total_seconds);
+            }
+        }
+    }
+
+    #[test]
+    fn sizes_past_the_table_are_an_error() {
         let m = model();
-        let costs = m.costs(30).unwrap();
-        let s1 = predict_stage1(m.machine(), 30).unwrap();
-        let s2 = predict_stage2(m.machine(), 0.99, 0.7).unwrap();
-        let s3 = predict_stage3(m.machine(), 30, 0.99, 0.7).unwrap();
-        assert!((costs.stage1_cold_seconds() - s1.total_seconds).abs() < 1e-12);
-        assert!((costs.stage1_embed_seconds - s1.embed_seconds).abs() < 1e-12);
-        assert!((costs.stage2_seconds - s2.total_seconds).abs() < 1e-12);
-        assert!((costs.stage3_seconds - s3.total_seconds).abs() < 1e-12);
+        assert_eq!(m.max_lps(), 50);
+        assert!(m.costs(50).is_ok());
+        assert_eq!(
+            m.costs(51),
+            Err(PipelineError::SizeOutOfRange {
+                lps: 51,
+                max_lps: 50
+            })
+        );
+        assert!(m.embed_seconds(usize::MAX).is_err());
     }
 
     #[test]
@@ -177,17 +182,6 @@ mod tests {
         );
         // The embedding is the dominant share — the paper's headline.
         assert!(costs.stage1_embed_seconds > 10.0 * costs.stage2_seconds);
-    }
-
-    #[test]
-    fn memoization_serves_repeat_queries() {
-        let m = model();
-        let a = m.costs(20).unwrap();
-        let b = m.costs(20).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(m.memoized_sizes(), 1);
-        m.costs(21).unwrap();
-        assert_eq!(m.memoized_sizes(), 2);
     }
 
     #[test]

@@ -17,6 +17,13 @@ pub enum PipelineError {
     Backend(SamplerError),
     /// The input problem is unusable (empty, larger than the hardware, ...).
     BadInput(String),
+    /// A cost-table lookup past the largest size the table was built for.
+    SizeOutOfRange {
+        /// The requested logical problem size.
+        lps: usize,
+        /// The largest size the table covers.
+        max_lps: usize,
+    },
 }
 
 impl fmt::Display for PipelineError {
@@ -26,6 +33,9 @@ impl fmt::Display for PipelineError {
             PipelineError::Embedding(e) => write!(f, "embedding error: {e}"),
             PipelineError::Backend(e) => write!(f, "sampler-backend error: {e}"),
             PipelineError::BadInput(msg) => write!(f, "bad input: {msg}"),
+            PipelineError::SizeOutOfRange { lps, max_lps } => {
+                write!(f, "no cost row for lps {lps} (table covers 0..={max_lps})")
+            }
         }
     }
 }

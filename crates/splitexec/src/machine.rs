@@ -10,10 +10,9 @@
 use aspen_model::builtin::{simple_node, QpuGeneration};
 use aspen_model::MachineModel;
 use chimera_graph::{Chimera, FaultModel, Graph};
-use serde::{Deserialize, Serialize};
 
 /// The three integration architectures of the paper's Fig. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Architecture {
     /// Fig. 1(a): a single host node drives a network-attached QPU (the
     /// configuration analyzed in the paper and modeled by this crate).
@@ -56,7 +55,7 @@ impl Architecture {
 }
 
 /// Which QPU generation is installed in the node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QpuModel {
     /// D-Wave Two "Vesuvius": `C(8,8,4)`, 512 qubits (the paper's Fig. 3).
     Vesuvius,

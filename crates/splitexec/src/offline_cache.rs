@@ -22,13 +22,12 @@ use crate::timing::timed;
 use chimera_graph::Graph;
 use minor_embed::{find_embedding, CmrStats, Embedding};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Number of lookups that found a stored embedding.
     pub hits: usize,
@@ -87,7 +86,7 @@ pub fn entry_key(input: &Graph, machine: &SplitMachine, config: &SplitExecConfig
 }
 
 /// Result of a cached lookup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CachedEmbedding {
     /// The embedding (either freshly computed or from the cache).
     pub embedding: Embedding,

@@ -17,11 +17,10 @@ use crate::stage3::{execute_stage3, predict_stage3, Stage3Execution, Stage3Predi
 use quantum_anneal::SamplerBackend;
 use qubo_ising::convert::spins_to_bits;
 use qubo_ising::Qubo;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The analytic three-stage breakdown for one problem size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictedBreakdown {
     /// Logical problem size.
     pub lps: usize,
@@ -47,7 +46,7 @@ impl PredictedBreakdown {
 }
 
 /// The solution extracted from an executed pipeline, in QUBO terms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolutionSummary {
     /// Best binary assignment found.
     pub assignment: Vec<bool>,
@@ -60,7 +59,7 @@ pub struct SolutionSummary {
 }
 
 /// The measured/modeled result of executing the whole application once.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExecutionReport {
     /// Stage-1 execution record.
     pub stage1: Stage1Execution,

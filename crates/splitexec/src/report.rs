@@ -2,11 +2,10 @@
 //! regeneration binaries and the examples.
 
 use crate::pipeline::{ExecutionReport, PredictedBreakdown};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One row of a stage-breakdown table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BreakdownRow {
     /// Logical problem size.
     pub lps: usize,

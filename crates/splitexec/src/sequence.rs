@@ -8,11 +8,10 @@
 //! example prints as a textual sequence diagram.
 
 use crate::pipeline::ExecutionReport;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The four layers of the Fig. 2 sequence diagram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layer {
     /// The calling thread on the host CPU.
     CallingThread,
@@ -39,7 +38,7 @@ impl Layer {
 
 /// One step of the sequence: work performed at (or a hand-off between)
 /// layers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SequenceEvent {
     /// Layer where the step originates.
     pub from: Layer,
@@ -52,7 +51,7 @@ pub struct SequenceEvent {
 }
 
 /// An ordered trace of sequence events for one round trip.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SequenceTrace {
     /// Events in execution order.
     pub events: Vec<SequenceEvent>,

@@ -23,10 +23,9 @@ use aspen_model::{listings, ApplicationModel, ParamEnv, Prediction, Predictor};
 use minor_embed::{embed_ising, find_embedding, CmrStats, EmbeddedIsing, ParameterSetting};
 use quantum_anneal::QpuTimings;
 use qubo_ising::{qubo_to_ising, Ising, Qubo};
-use serde::{Deserialize, Serialize};
 
 /// Analytic prediction for stage 1 at a given logical problem size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage1Prediction {
     /// Logical problem size (`LPS`, number of logical spins).
     pub lps: usize,
@@ -48,7 +47,6 @@ pub struct Stage1Prediction {
 
 /// Walk the paper's Stage-1 model for a logical problem of `lps` spins on the
 /// given machine.
-// sx-lint: hot-exempt -- runs only on a CostModel::costs memo miss: once per distinct problem size, amortized off the per-event path
 pub fn predict_stage1(
     machine: &SplitMachine,
     lps: usize,
@@ -75,7 +73,7 @@ pub fn predict_stage1(
 }
 
 /// Measured result of actually running stage 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Stage1Execution {
     /// Logical problem size (number of QUBO variables).
     pub lps: usize,

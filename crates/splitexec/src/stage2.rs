@@ -19,10 +19,9 @@ use quantum_anneal::{
     SamplerBackend,
 };
 use qubo_ising::Ising;
-use serde::{Deserialize, Serialize};
 
 /// Analytic prediction for stage 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage2Prediction {
     /// Desired accuracy `p_a`.
     pub accuracy: f64,
@@ -40,7 +39,6 @@ pub struct Stage2Prediction {
 ///
 /// The Fig. 7 listing expresses `Accuracy` as a percentage, so the fraction
 /// `accuracy` is multiplied by 100 before being bound.
-// sx-lint: hot-exempt -- runs only on a CostModel::costs memo miss: once per distinct problem size, amortized off the per-event path
 pub fn predict_stage2(
     machine: &SplitMachine,
     accuracy: f64,
@@ -66,11 +64,9 @@ pub fn predict_stage2(
 }
 
 /// Measured result of running stage 2 on a sampler backend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage2Execution {
-    /// Name of the backend that served the request.  (Owned rather than
-    /// `&'static str` so the struct stays deserializable under a real
-    /// serde implementation.)
+    /// Name of the backend that served the request.
     pub backend: String,
     /// Number of reads performed (Eq. 6 with the configured cap).
     pub reads: usize,

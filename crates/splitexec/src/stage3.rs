@@ -18,10 +18,9 @@ use minor_embed::{unembed_sample, Embedding};
 use quantum_anneal::SampleSet;
 use qubo_ising::energy::RankedSolution;
 use qubo_ising::{rank_solutions, Ising, Spin};
-use serde::{Deserialize, Serialize};
 
 /// Analytic prediction for stage 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage3Prediction {
     /// Logical problem size (`LPS`).
     pub lps: usize,
@@ -38,7 +37,6 @@ pub struct Stage3Prediction {
 /// `accuracy` and `success_probability` determine the number of readout
 /// results via Eq. (6), exactly as the Fig. 8 listing does with its
 /// `Results` parameter.
-// sx-lint: hot-exempt -- runs only on a CostModel::costs memo miss: once per distinct problem size, amortized off the per-event path
 pub fn predict_stage3(
     machine: &SplitMachine,
     lps: usize,
@@ -61,7 +59,7 @@ pub fn predict_stage3(
 }
 
 /// Measured result of running stage 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage3Execution {
     /// Ranked logical solutions (best energy first, duplicates collapsed).
     pub ranked: Vec<RankedSolution>,

@@ -1,6 +1,5 @@
 //! Small timing helpers shared by the executable stages.
 
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Run a closure and return its result together with the elapsed wall-clock
@@ -12,7 +11,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// A predicted-vs-measured pair for one quantity, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ModelVsMeasured {
     /// Analytic (ASPEN-walk) prediction.
     pub predicted_seconds: f64,
