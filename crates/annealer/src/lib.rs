@@ -1,9 +1,9 @@
 //! # quantum-anneal — the simulated QPU substrate
 //!
 //! The paper's stage 2 runs on a D-Wave quantum annealer; this crate provides
-//! the closest classical stand-in that exercises the same code path (see the
-//! substitution table in DESIGN.md): a seeded, Chimera-agnostic Ising sampler
-//! with the hardware's published timing constants.
+//! the closest classical stand-in that exercises the same code path: a
+//! seeded, Chimera-agnostic Ising sampler with the hardware's published
+//! timing constants.
 //!
 //! * [`backend`] — the pluggable [`backend::SamplerBackend`] abstraction:
 //!   stage 2 as an interchangeable component, with simulated-annealing,

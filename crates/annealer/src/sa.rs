@@ -1,7 +1,7 @@
 //! Single-spin-flip simulated annealing over Ising models.
 //!
 //! This is the classical sampler standing in for the physical quantum
-//! annealer (see DESIGN.md): each *read* starts from a random spin
+//! annealer: each *read* starts from a random spin
 //! configuration and performs Metropolis sweeps while the temperature follows
 //! the [`AnnealSchedule`].  Like the hardware, a single read returns the
 //! lowest-energy state it ends in, and the probability of that state being

@@ -53,7 +53,7 @@ fn bench_inline_vs_cached(c: &mut Criterion) {
     }
     group.finish();
 
-    // Print the summary numbers used in EXPERIMENTS.md.
+    // Print the summary numbers: seconds per call, cold vs warm.
     eprintln!("\nablation: inline embedding vs warm lookup (seconds per call):");
     for (name, graph) in ablation_inputs(23) {
         let cache = EmbeddingCache::new();

@@ -43,8 +43,8 @@ fn bench_batched_reads(c: &mut Criterion) {
 
 fn report_success_probability_vs_sweeps(_c: &mut Criterion) {
     // Not a timing benchmark: records the empirical p_s as a function of the
-    // schedule length so EXPERIMENTS.md can relate the simulated QPU to the
-    // paper's assumed characteristic success probabilities.
+    // schedule length, relating the simulated QPU to the paper's assumed
+    // characteristic success probabilities.
     let graph = generators::gnp(16, 0.4, 13);
     let model = Ising::random_on_graph(&graph, 17);
     let (exact, _, _) = solve_ising_exact(&model);

@@ -30,7 +30,7 @@ fn bench_backends(c: &mut Criterion) {
     group.finish();
 
     // Not a timing benchmark: record each backend's solution quality on the
-    // same instance so EXPERIMENTS.md can relate `p_s` to backend choice.
+    // same instance, relating `p_s` to backend choice.
     let (exact_energy, _, _) = qubo_ising::solve_ising_exact(&model);
     eprintln!("\nbest energy over 8 reads (exact optimum {exact_energy:.4}):");
     for kind in BackendKind::all() {

@@ -2,8 +2,7 @@
 //!
 //! Shared helpers for the Criterion benches and the figure-regeneration
 //! binaries.  Every table and figure of the paper's evaluation has a
-//! corresponding bench target or binary (see DESIGN.md §3 for the index and
-//! EXPERIMENTS.md for the recorded results):
+//! corresponding bench target or binary:
 //!
 //! | Paper artifact | Target |
 //! |---|---|
@@ -71,9 +70,9 @@ pub fn fig9a_model_sizes() -> Vec<usize> {
 
 /// The problem sizes for which the measured CMR line is produced.  The
 /// paper's reference data covers n = 1..30; our reimplementation of the CMR
-/// heuristic reliably embeds complete graphs only up to K6-K12 on the
-/// 1152-qubit lattice (see EXPERIMENTS.md), so the sweep stops at 16 and
-/// failed attempts are reported with `success = false`.
+/// heuristic (`minor_embed::cmr`) embeds complete graphs on the 1152-qubit
+/// lattice only up to K6 today (every K8–K16 attempt fails), so the sweep
+/// stops at 16 and failed attempts are reported with `success = false`.
 pub fn fig9a_measured_sizes() -> Vec<usize> {
     (2..=16).step_by(2).collect()
 }

@@ -4,9 +4,11 @@
 //! A-rules prove statically that nothing on the hot path allocates,
 //! `tests/alloc_budget.rs` pins the allocation count dynamically, and this
 //! bench watches the throughput those two protect.  Groups sweep the fleet
-//! size (the dispatch loop's fan-out) under FIFO and then compare policies
-//! at a fixed fleet, reporting events/second (each timed iteration replays
-//! the same seeded workload, so the event count per iteration is exact).
+//! size (the dispatch loop's fan-out) under FIFO, compare policies at a
+//! fixed fleet, and run cache affinity on an overloaded 64-QPU fleet, where
+//! the queue grows to hundreds of jobs and the per-call queue scan shows.
+//! They report events/second (each timed iteration replays the same seeded
+//! workload, so the event count per iteration is exact).
 //!
 //! Each iteration rebuilds the fleet — `simulate` consumes it, since warm
 //! caches and occupancy are part of the run's state — so the measured time
@@ -64,6 +66,7 @@ fn bench_policies(c: &mut Criterion) {
         PolicyKind::Fifo,
         PolicyKind::WeightedFair,
         PolicyKind::EarliestDeadline,
+        PolicyKind::CacheAffinity,
     ] {
         let events = run(policy, 4, &workload).events;
         group.throughput(Throughput::Elements(events as u64));
@@ -76,5 +79,41 @@ fn bench_policies(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(dispatch, bench_fleet_sizes, bench_policies);
+/// Cache affinity on 64 QPUs offered 1.5x their warm capacity by the
+/// two-tenant aggressor/victim stream (a small repeated victim mix, a
+/// 24-variant aggressor at 3x its rate): the queue builds to hundreds of
+/// jobs over a few dozen topologies.
+fn bench_overload(c: &mut Criterion) {
+    const QPUS: usize = 64;
+    const ASYMMETRY: f64 = 3.0;
+    const VICTIM_JOBS: usize = 400; // 1,600 jobs in all
+    let config = FleetConfig {
+        qpus: QPUS,
+        seed: SEED,
+        ..FleetConfig::default()
+    };
+    let rate = RateCalibration::for_fleet(&config, &[16, 20, 24])
+        .expect("the calibration sizes fit a DW2X device")
+        .rate_hz(1.0, 1.5, QPUS);
+    let workload = MultiTenantSpec::aggressor_victim(
+        VICTIM_JOBS,
+        rate / (1.0 + ASYMMETRY),
+        ASYMMETRY,
+        1.0,
+        SEED,
+    )
+    .generate();
+    let policy = PolicyKind::CacheAffinity;
+    let mut group = c.benchmark_group("dispatch/overload");
+    let events = run(policy, QPUS, &workload).events;
+    group.throughput(Throughput::Elements(events as u64));
+    group.bench_with_input(
+        BenchmarkId::new("qpus64_load1.5", format!("{policy:?}")),
+        &policy,
+        |b, &policy| b.iter(|| black_box(run(policy, QPUS, &workload))),
+    );
+    group.finish();
+}
+
+criterion_group!(dispatch, bench_fleet_sizes, bench_policies, bench_overload);
 criterion_main!(dispatch);

@@ -19,6 +19,9 @@
 //! policy breaks ties by `(recency, key)` — so a seeded simulation replays
 //! bit-identically with eviction enabled.
 
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// One resident embedding, as the eviction policies see it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheEntry {
@@ -201,6 +204,37 @@ impl std::fmt::Display for AdmissionPolicy {
     }
 }
 
+/// A multiply-rotate hasher (the `FxHash` scheme) for the simulator's hot
+/// membership sets of topology keys.  A std `SipHash` probe costs several
+/// times more, and the keys are already well-mixed graph hashes.  Every
+/// [`KeySet`] answers membership only — nothing iterates one — so the hash
+/// never affects a decision.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+}
+
+/// A membership set hashed by [`KeyHasher`].
+pub(crate) type KeySet<K> = HashSet<K, BuildHasherDefault<KeyHasher>>;
+
 /// A bounded set of warm topologies with pluggable eviction.
 ///
 /// `capacity = None` reproduces PR 2's unbounded behavior; `Some(0)`
@@ -230,12 +264,12 @@ pub struct WarmCache {
     /// Mirror of the resident keys: `contains` is on the schedulers' hot
     /// path (every queue × idle-device pairing queries warmth), so
     /// membership must not scan `entries`.
-    resident: std::collections::HashSet<u64>,
+    resident: KeySet<u64>,
     /// The doorkeeper: keys seen cold exactly once under
     /// [`AdmissionPolicy::SecondChance`].  Unbounded — a key is 8 bytes and
     /// a simulated run sees a bounded topology universe; a production cache
     /// would use a Bloom filter with periodic reset here.
-    doorkeeper: std::collections::HashSet<u64>,
+    doorkeeper: KeySet<u64>,
     clock: u64,
     evictions: usize,
     bypassed: usize,
@@ -254,8 +288,8 @@ impl WarmCache {
             policy: policy.build(),
             admission: AdmissionPolicy::default(),
             entries: Vec::with_capacity(slots),
-            resident: std::collections::HashSet::with_capacity(slots),
-            doorkeeper: std::collections::HashSet::new(),
+            resident: KeySet::with_capacity_and_hasher(slots, BuildHasherDefault::default()),
+            doorkeeper: KeySet::default(),
             clock: 0,
             evictions: 0,
             bypassed: 0,

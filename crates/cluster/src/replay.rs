@@ -459,7 +459,7 @@ impl SchedulerSpec {
     pub fn build(&self) -> Box<dyn Scheduler> {
         match self {
             SchedulerSpec::Fifo => Box::new(crate::scheduler::Fifo),
-            SchedulerSpec::CacheAffinity => Box::new(crate::scheduler::CacheAffinity),
+            SchedulerSpec::CacheAffinity => Box::new(crate::scheduler::CacheAffinity::new()),
             SchedulerSpec::EarliestDeadlineFirst => {
                 Box::new(crate::scheduler::EarliestDeadlineFirst)
             }

@@ -40,7 +40,10 @@
 //!   deadline-free jobs keep FIFO order — cross-tenant isolation from the
 //!   virtual clock, per-tenant SLO attainment from EDF, composed.
 
-use crate::fleet::Fleet;
+use std::hash::BuildHasherDefault;
+
+use crate::cache::KeySet;
+use crate::fleet::{Fleet, QpuDevice};
 use crate::job::Job;
 use crate::workload::Workload;
 
@@ -71,10 +74,17 @@ pub trait Scheduler {
 /// dispatch hot path, where collecting `Fleet::idle_devices` into a `Vec`
 /// per call would allocate per event.
 fn fastest_idle_device(fleet: &Fleet, now: f64, job: &Job) -> Option<(f64, usize)> {
-    fleet
-        .devices
-        .iter()
-        .filter(|d| d.is_idle(now) && d.can_run(job.lps))
+    fastest_device(fleet.devices.iter().filter(|d| d.is_idle(now)), job)
+}
+
+/// [`fastest_idle_device`] over an explicit candidate set, which must be
+/// in ascending id order for the tie-break to match.
+fn fastest_device<'a>(
+    candidates: impl Iterator<Item = &'a QpuDevice>,
+    job: &Job,
+) -> Option<(f64, usize)> {
+    candidates
+        .filter(|d| d.can_run(job.lps))
         .filter_map(|d| {
             let predicted = d
                 .predicted_service_seconds(job.lps, job.topology_key)
@@ -199,8 +209,53 @@ impl Scheduler for ShortestPredictedFirst {
 pub const COLD_SPEED_BAND: f64 = 1.25;
 
 /// Embedding-cache-affinity routing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CacheAffinity;
+///
+/// Two passes, oldest job first:
+///
+/// 1. the first job whose topology is warm on an idle device takes the
+///    idle device predicted fastest for it;
+/// 2. otherwise the first job that should not wait for a busy warm device
+///    embeds cold on the least-specialized idle device within
+///    [`COLD_SPEED_BAND`] of the fastest.
+///
+/// Within one call the fleet and the clock are fixed, so both verdicts
+/// depend only on the job's `(lps, topology_key)`, and a later job with an
+/// already-judged key gets the same verdict as the oldest one.  Pass 1
+/// therefore judges each distinct key once and skips repeats through a
+/// hashed set; pass 2 visits only the oldest job of each distinct key.
+/// The idle-only scans run over the idle devices collected once per call.
+/// A call costs O(queue + distinct keys × fleet), not O(queue × fleet):
+/// under overload the queue holds hundreds of jobs but only a few dozen
+/// topologies.  The scratch buffers are owned by the policy and reused, so
+/// steady-state dispatch does not allocate.
+#[derive(Debug, Clone)]
+pub struct CacheAffinity {
+    /// Indices of the devices idle at the current call, ascending.
+    idle: Vec<usize>,
+    /// `(lps, topology_key)` pairs pass 1 has judged this call.
+    seen: KeySet<(usize, u64)>,
+    /// Queue index of the oldest job of each key in `seen`, in queue order.
+    oldest: Vec<usize>,
+}
+
+impl Default for CacheAffinity {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl CacheAffinity {
+    /// The policy, with scratch buffers pre-sized for 64 devices and 64
+    /// distinct queued topologies (each grows at most a few times past
+    /// that, never per event).
+    pub fn new() -> Self {
+        Self {
+            idle: Vec::with_capacity(64),
+            seen: KeySet::with_capacity_and_hasher(64, BuildHasherDefault::default()),
+            oldest: Vec::with_capacity(64),
+        }
+    }
+}
 
 impl Scheduler for CacheAffinity {
     fn name(&self) -> &'static str {
@@ -214,26 +269,36 @@ impl Scheduler for CacheAffinity {
         fleet: &Fleet,
         now: f64,
     ) -> Option<(usize, usize)> {
-        if !fleet.devices.iter().any(|d| d.is_idle(now)) {
+        let Self { idle, seen, oldest } = self;
+        idle.clear();
+        for (i, dev) in fleet.devices.iter().enumerate() {
+            if dev.is_idle(now) {
+                idle.push(i);
+            }
+        }
+        if idle.is_empty() {
             return None;
         }
+        let idle_devs = || idle.iter().map(|&i| &fleet.devices[i]);
 
         // Pass 1: oldest job whose topology is warm on an idle device.
         // Among the idle candidates the job takes the device with the
         // smallest *predicted* service, not blindly the warm one — in a
         // heterogeneous fleet a fast cold device can beat a slow warm one,
         // and the prediction already prices both warmth and device speed.
+        seen.clear();
+        oldest.clear();
         for (qi, job) in queue.iter().enumerate() {
-            let warm_idle = fleet
-                .devices
-                .iter()
-                .any(|d| d.is_idle(now) && d.can_run(job.lps) && d.is_warm(job.topology_key));
-            if !warm_idle {
-                continue;
+            if !seen.insert((job.lps, job.topology_key)) {
+                continue; // an older job with this key was turned down
             }
-            if let Some((_, d)) = fastest_idle_device(fleet, now, job) {
-                return Some((qi, d));
+            let warm_idle = idle_devs().any(|d| d.can_run(job.lps) && d.is_warm(job.topology_key));
+            if warm_idle {
+                if let Some((_, d)) = fastest_device(idle_devs(), job) {
+                    return Some((qi, d));
+                }
             }
+            oldest.push(qi);
         }
 
         // Pass 2: place a job that must embed cold anyway.  Prefer the
@@ -244,65 +309,43 @@ impl Scheduler for CacheAffinity {
         // lowest-fault device.  Within the band, prefer the
         // least-specialized cache so caches partition the topology space
         // instead of all devices learning everything.
-        for (qi, job) in queue.iter().enumerate() {
-            let warm_somewhere = fleet
-                .devices
-                .iter()
-                .any(|dev| dev.is_warm(job.topology_key));
-            if warm_somewhere {
-                // Its warm device is busy (pass 1 would have taken it).
-                // Wait for that device only when wait + warm service is
-                // predicted to finish sooner than re-embedding cold on an
-                // idle one.
-                let warm_finish = fleet
-                    .devices
-                    .iter()
-                    .filter(|dev| dev.is_warm(job.topology_key) && dev.can_run(job.lps))
-                    .filter_map(|dev| {
-                        let warm_service = dev
-                            .predicted_service_seconds(job.lps, job.topology_key)
-                            .ok()?;
-                        Some((dev.busy_until - now).max(0.0) + warm_service)
-                    })
-                    .fold(f64::INFINITY, f64::min);
-                let cold_cost = fleet
-                    .devices
-                    .iter()
-                    .filter(|dev| dev.is_idle(now) && dev.can_run(job.lps))
-                    .filter_map(|dev| {
-                        dev.predicted_service_seconds(job.lps, job.topology_key)
-                            .ok()
-                    })
-                    .fold(f64::INFINITY, f64::min);
-                if warm_finish < cold_cost {
-                    continue; // hold this job for its warm device
-                }
-            }
-            // Two passes over the fleet instead of a collected candidate
-            // `Vec`: first the fastest prediction, then the in-band device
-            // with the fewest warm topologies (ties by id; strict `<`
-            // keeps the first, matching the old `min_by` on unique keys).
-            let fastest = fleet
-                .devices
-                .iter()
-                .filter(|dev| dev.is_idle(now) && dev.can_run(job.lps))
-                .filter_map(|dev| {
-                    dev.predicted_service_seconds(job.lps, job.topology_key)
-                        .ok()
-                })
+        for &qi in oldest.iter() {
+            let job = &queue[qi];
+            let predicted = |dev: &QpuDevice| {
+                dev.predicted_service_seconds(job.lps, job.topology_key)
+                    .ok()
+            };
+            let fastest = idle_devs()
+                .filter(|dev| dev.can_run(job.lps))
+                .filter_map(predicted)
                 .fold(f64::INFINITY, f64::min);
+            // A job warm on a busy device (pass 1 would have taken an idle
+            // one) waits for it only when wait + warm service is predicted
+            // to finish sooner than re-embedding cold on an idle device.
+            // With no warm device the fold stays infinite and never holds.
+            let warm_finish = fleet
+                .devices
+                .iter()
+                .filter(|dev| dev.can_run(job.lps) && dev.is_warm(job.topology_key))
+                .filter_map(|dev| Some((dev.busy_until - now).max(0.0) + predicted(dev)?))
+                .fold(f64::INFINITY, f64::min);
+            if warm_finish < fastest {
+                continue; // hold this job for its warm device
+            }
+            // The in-band device with the fewest warm topologies (ties by
+            // id; strict `<` keeps the first).
             let mut placement: Option<(usize, usize)> = None; // (warm count, id)
-            for dev in &fleet.devices {
-                if !dev.is_idle(now) || !dev.can_run(job.lps) {
+            for dev in idle_devs() {
+                if !dev.can_run(job.lps) {
                     continue;
                 }
-                let Ok(predicted) = dev.predicted_service_seconds(job.lps, job.topology_key) else {
+                let Some(cost) = predicted(dev) else {
                     continue;
                 };
-                if predicted <= fastest * COLD_SPEED_BAND {
-                    let key = (dev.warm_topologies(), dev.id);
-                    if placement.map(|cur| key < cur).unwrap_or(true) {
-                        placement = Some(key);
+                if cost <= fastest * COLD_SPEED_BAND {
+                    let rank = (dev.warm_topologies(), dev.id);
+                    if placement.map(|cur| rank < cur).unwrap_or(true) {
+                        placement = Some(rank);
                     }
                 }
             }
@@ -622,7 +665,7 @@ impl PolicyKind {
         match self {
             PolicyKind::Fifo => Box::new(Fifo),
             PolicyKind::ShortestPredictedFirst => Box::new(ShortestPredictedFirst::default()),
-            PolicyKind::CacheAffinity => Box::new(CacheAffinity),
+            PolicyKind::CacheAffinity => Box::new(CacheAffinity::new()),
             PolicyKind::EarliestDeadline => Box::new(EarliestDeadlineFirst),
             PolicyKind::WeightedFair => Box::new(WeightedFairQueue::new()),
         }
@@ -884,7 +927,7 @@ mod tests {
         let queue = vec![job(0, 20, 9)];
         // Both policies weigh device speed for a cold job.
         assert_eq!(
-            CacheAffinity.next_assignment(&queue, &fleet, 0.0),
+            CacheAffinity::new().next_assignment(&queue, &fleet, 0.0),
             Some((0, 1))
         );
         assert_eq!(
@@ -895,7 +938,7 @@ mod tests {
         // hit skips the embed entirely.
         fleet.devices[0].mark_warm(9, 20);
         assert_eq!(
-            CacheAffinity.next_assignment(&queue, &fleet, 0.0),
+            CacheAffinity::new().next_assignment(&queue, &fleet, 0.0),
             Some((0, 0))
         );
         assert_eq!(
@@ -910,7 +953,7 @@ mod tests {
         fleet.devices[2].mark_warm(7, 10);
         let queue = vec![job(0, 10, 7)];
         assert_eq!(
-            CacheAffinity.next_assignment(&queue, &fleet, 0.0),
+            CacheAffinity::new().next_assignment(&queue, &fleet, 0.0),
             Some((0, 2))
         );
     }
@@ -924,7 +967,7 @@ mod tests {
         let queue = vec![job(0, 10, 7)];
         // Device 2 has the emptiest cache.
         assert_eq!(
-            CacheAffinity.next_assignment(&queue, &fleet, 0.0),
+            CacheAffinity::new().next_assignment(&queue, &fleet, 0.0),
             Some((0, 2))
         );
     }
@@ -962,7 +1005,9 @@ mod tests {
         fleet.devices[fastest_id].mark_warm(100, 10);
         fleet.devices[fastest_id].mark_warm(101, 10);
         let queue = vec![job(0, 10, 7)];
-        let (_, placed) = CacheAffinity.next_assignment(&queue, &fleet, 0.0).unwrap();
+        let (_, placed) = CacheAffinity::new()
+            .next_assignment(&queue, &fleet, 0.0)
+            .unwrap();
         assert_ne!(
             placed, fastest_id,
             "cold job funneled to the specialized fastest device"
@@ -977,10 +1022,13 @@ mod tests {
         let queue = vec![job(0, 30, 7)];
         // Cold embedding of lps 30 costs far more than a 1-second wait, so
         // the scheduler declines to burn device 1 on it.
-        assert_eq!(CacheAffinity.next_assignment(&queue, &fleet, 0.0), None);
+        assert_eq!(
+            CacheAffinity::new().next_assignment(&queue, &fleet, 0.0),
+            None
+        );
         // Once the warm device is idle, the job goes there.
         assert_eq!(
-            CacheAffinity.next_assignment(&queue, &fleet, 1.0),
+            CacheAffinity::new().next_assignment(&queue, &fleet, 1.0),
             Some((0, 0))
         );
     }
@@ -1261,6 +1309,312 @@ mod tests {
         for kind in PolicyKind::all() {
             assert_eq!(kind.to_string(), kind.name());
             assert_eq!(kind.build().name(), kind.name());
+        }
+    }
+}
+
+/// The scanning `CacheAffinity` that the memoized policy replaced, kept
+/// as a test-only reference oracle: it judges every queued job afresh
+/// against the whole fleet.  The differential tests hold [`CacheAffinity`]
+/// to it bit for bit, on direct calls and on whole simulated runs.
+#[cfg(test)]
+mod affinity_oracle {
+    use super::*;
+    use crate::prelude::*;
+    use rand::Rng;
+    use rand_chacha::rand_core::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use split_exec::SplitExecConfig;
+
+    /// The pre-memo policy body, unchanged.
+    struct ScanAffinity;
+
+    impl Scheduler for ScanAffinity {
+        fn name(&self) -> &'static str {
+            "affinity"
+        }
+
+        fn next_assignment(
+            &mut self,
+            queue: &[Job],
+            fleet: &Fleet,
+            now: f64,
+        ) -> Option<(usize, usize)> {
+            if !fleet.devices.iter().any(|d| d.is_idle(now)) {
+                return None;
+            }
+            for (qi, job) in queue.iter().enumerate() {
+                let warm_idle = fleet
+                    .devices
+                    .iter()
+                    .any(|d| d.is_idle(now) && d.can_run(job.lps) && d.is_warm(job.topology_key));
+                if !warm_idle {
+                    continue;
+                }
+                if let Some((_, d)) = fastest_idle_device(fleet, now, job) {
+                    return Some((qi, d));
+                }
+            }
+            for (qi, job) in queue.iter().enumerate() {
+                let warm_somewhere = fleet
+                    .devices
+                    .iter()
+                    .any(|dev| dev.is_warm(job.topology_key));
+                if warm_somewhere {
+                    let warm_finish = fleet
+                        .devices
+                        .iter()
+                        .filter(|dev| dev.is_warm(job.topology_key) && dev.can_run(job.lps))
+                        .filter_map(|dev| {
+                            let warm_service = dev
+                                .predicted_service_seconds(job.lps, job.topology_key)
+                                .ok()?;
+                            Some((dev.busy_until - now).max(0.0) + warm_service)
+                        })
+                        .fold(f64::INFINITY, f64::min);
+                    let cold_cost = fleet
+                        .devices
+                        .iter()
+                        .filter(|dev| dev.is_idle(now) && dev.can_run(job.lps))
+                        .filter_map(|dev| {
+                            dev.predicted_service_seconds(job.lps, job.topology_key)
+                                .ok()
+                        })
+                        .fold(f64::INFINITY, f64::min);
+                    if warm_finish < cold_cost {
+                        continue;
+                    }
+                }
+                let fastest = fleet
+                    .devices
+                    .iter()
+                    .filter(|dev| dev.is_idle(now) && dev.can_run(job.lps))
+                    .filter_map(|dev| {
+                        dev.predicted_service_seconds(job.lps, job.topology_key)
+                            .ok()
+                    })
+                    .fold(f64::INFINITY, f64::min);
+                let mut placement: Option<(usize, usize)> = None;
+                for dev in &fleet.devices {
+                    if !dev.is_idle(now) || !dev.can_run(job.lps) {
+                        continue;
+                    }
+                    let Ok(predicted) = dev.predicted_service_seconds(job.lps, job.topology_key)
+                    else {
+                        continue;
+                    };
+                    if predicted <= fastest * COLD_SPEED_BAND {
+                        let key = (dev.warm_topologies(), dev.id);
+                        if placement.map(|cur| key < cur).unwrap_or(true) {
+                            placement = Some(key);
+                        }
+                    }
+                }
+                if let Some((_, d)) = placement {
+                    return Some((qi, d));
+                }
+            }
+            None
+        }
+    }
+
+    /// The fleet shapes of the differential matrix.
+    fn fleet_configs(seed: u64) -> Vec<(&'static str, FleetConfig)> {
+        let uniform = FleetConfig {
+            qpus: 6,
+            qubit_fault_rate: 0.0,
+            coupler_fault_rate: 0.0,
+            seed,
+            ..FleetConfig::default()
+        };
+        let faulty = FleetConfig {
+            qpus: 6,
+            qubit_fault_rate: 0.06,
+            coupler_fault_rate: 0.03,
+            seed,
+            ..FleetConfig::default()
+        };
+        vec![
+            ("uniform", uniform),
+            ("hetero", FleetConfig::heterogeneous(6, seed)),
+            ("faulty", faulty),
+        ]
+    }
+
+    /// The cache variants of the matrix: unbounded, bounded LRU, bounded
+    /// cost-aware, and LRU behind the second-chance doorkeeper.
+    fn with_caches(config: FleetConfig) -> Vec<(&'static str, FleetConfig)> {
+        vec![
+            ("unbounded", config.clone()),
+            (
+                "lru2",
+                config.clone().with_cache(2, EvictionPolicyKind::Lru),
+            ),
+            (
+                "cost2",
+                config.clone().with_cache(2, EvictionPolicyKind::CostAware),
+            ),
+            (
+                "lru3-second-chance",
+                config
+                    .with_cache(3, EvictionPolicyKind::Lru)
+                    .with_cache_admission(AdmissionPolicy::SecondChance),
+            ),
+        ]
+    }
+
+    /// A stream in which every job has a topology of its own: the memo
+    /// never hits, so it must cost no more than it saves.
+    fn all_distinct(jobs: usize, rate_hz: f64, seed: u64) -> Workload {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut arrival = 0.0;
+        let jobs = (0..jobs)
+            .map(|id| {
+                arrival += -(1.0 - rng.gen::<f64>()).ln() / rate_hz;
+                let lps = [16, 20, 24, 30][id % 4];
+                Job {
+                    id,
+                    tenant: TenantId::DEFAULT,
+                    family: format!("distinct-{lps}").into(),
+                    lps,
+                    topology_key: rng.gen::<u64>(),
+                    arrival,
+                    deadline: None,
+                }
+            })
+            .collect();
+        Workload::single_tenant(jobs)
+    }
+
+    /// Run `workload` under the oracle and under the memoized policy and
+    /// demand bit-identical reports and traces.
+    fn assert_same_run(label: &str, fleet: &FleetConfig, workload: &Workload, config: SimConfig) {
+        let run = |scheduler: &mut dyn Scheduler| {
+            let mut sink = VecSink::new();
+            let report = simulate_with_telemetry(
+                Fleet::new(fleet.clone(), SplitExecConfig::with_seed(fleet.seed)),
+                workload,
+                scheduler,
+                &mut AdmitAll,
+                config,
+                &mut sink,
+                None,
+            );
+            (report, sink.into_trace())
+        };
+        let (oracle_report, oracle_trace) = run(&mut ScanAffinity);
+        let (report, trace) = run(&mut CacheAffinity::new());
+        assert!(
+            !oracle_report.records.is_empty(),
+            "{label}: the run completed no job"
+        );
+        assert_eq!(trace, oracle_trace, "{label}: traces diverged");
+        assert_eq!(report, oracle_report, "{label}: reports diverged");
+    }
+
+    #[test]
+    fn memoized_affinity_matches_the_scan_oracle_across_the_matrix() {
+        let sizes = [24, 28, 30, 36];
+        for seed in [3, 41] {
+            for (fleet_name, base) in fleet_configs(seed) {
+                let calibration = RateCalibration::for_fleet(&base, &sizes).unwrap();
+                for (cache_name, fleet) in with_caches(base) {
+                    for load in [0.7, 1.5] {
+                        let rate = calibration.rate_hz(1.0, load, fleet.qpus);
+                        let workload =
+                            WorkloadSpec::repeated_topologies(120, rate, seed).generate();
+                        let label = format!("seed {seed} {fleet_name} {cache_name} load {load}");
+                        assert_same_run(
+                            &format!("{label} open"),
+                            &fleet,
+                            &workload,
+                            SimConfig::default(),
+                        );
+                        let closed = SimConfig {
+                            mode: WorkloadMode::Closed { clients: 9 },
+                            ..SimConfig::default()
+                        };
+                        assert_same_run(&format!("{label} closed"), &fleet, &workload, closed);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_affinity_matches_the_scan_oracle_on_diverse_streams() {
+        for seed in [5, 17] {
+            for (fleet_name, base) in fleet_configs(seed) {
+                let rate = RateCalibration::for_fleet(&base, &[16, 20, 24, 30])
+                    .unwrap()
+                    .rate_hz(1.0, 1.5, base.qpus);
+                for (cache_name, fleet) in with_caches(base) {
+                    let label = format!("seed {seed} {fleet_name} {cache_name}");
+                    // Every job its own topology.
+                    let distinct = all_distinct(150, rate, seed);
+                    assert_same_run(
+                        &format!("{label} distinct"),
+                        &fleet,
+                        &distinct,
+                        SimConfig::default(),
+                    );
+                    // The overload benchmark's two-tenant shape: a small
+                    // repeated victim mix and a 24-variant aggressor.
+                    let tenants = MultiTenantSpec::aggressor_victim(20, rate / 6.0, 5.0, 1.0, seed)
+                        .generate();
+                    assert_same_run(
+                        &format!("{label} tenants"),
+                        &fleet,
+                        &tenants,
+                        SimConfig::default(),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_affinity_matches_the_scan_oracle_on_random_states() {
+        // Direct calls on random fleet states: random busy times and warm
+        // sets, and queues with heavy key repetition, so held, placed and
+        // refused verdicts all occur for repeated keys.
+        let mut rng = ChaCha8Rng::seed_from_u64(99);
+        let mut memo = CacheAffinity::new();
+        for (fleet_name, config) in fleet_configs(7) {
+            for round in 0..150 {
+                let mut fleet = Fleet::new(config.clone(), SplitExecConfig::with_seed(7));
+                let now = 10.0;
+                for dev in &mut fleet.devices {
+                    for _ in 0..rng.gen_range(0..4usize) {
+                        let key = rng.gen_range(0..12u64);
+                        dev.mark_warm(key, 16 + 4 * (key as usize % 5));
+                    }
+                    dev.busy_until = if rng.gen_bool(0.5) {
+                        now + rng.gen_range(0.0..400.0)
+                    } else {
+                        now - 1.0
+                    };
+                }
+                let queue: Vec<Job> = (0..rng.gen_range(1..40usize))
+                    .map(|id| {
+                        let key = rng.gen_range(0..12u64);
+                        Job {
+                            id,
+                            tenant: TenantId::DEFAULT,
+                            family: "random".into(),
+                            lps: 16 + 4 * (key as usize % 5),
+                            topology_key: key,
+                            arrival: id as f64,
+                            deadline: None,
+                        }
+                    })
+                    .collect();
+                assert_eq!(
+                    memo.next_assignment(&queue, &fleet, now),
+                    ScanAffinity.next_assignment(&queue, &fleet, now),
+                    "{fleet_name} round {round}"
+                );
+            }
         }
     }
 }

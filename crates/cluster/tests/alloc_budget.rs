@@ -20,6 +20,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use split_exec::SplitExecConfig;
 use sx_cluster::prelude::*;
@@ -49,6 +50,20 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Held by every test for its whole body.  The counter is process-wide,
+/// so under the default parallel harness one test's allocations would
+/// land in another's counted window; the lock serializes the windows.
+static COUNTED: Mutex<()> = Mutex::new(());
+
+/// Take the counting lock.  A test that failed while holding it poisons
+/// it, but the counter carries no state across tests, so the next test
+/// proceeds.
+fn exclusive() -> MutexGuard<'static, ()> {
+    COUNTED
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Allocations performed by one full simulate call (everything else —
 /// workload generation, fleet construction, scheduler build — happens
@@ -96,6 +111,7 @@ fn warmup() {
 }
 
 fn assert_constant_in_n(policy: PolicyKind) {
+    let _counting = exclusive();
     warmup();
     let at_n = allocations_for(policy, 200);
     let at_2n = allocations_for(policy, 400);
@@ -123,7 +139,13 @@ fn edf_dispatch_loop_allocates_independently_of_event_count() {
 }
 
 #[test]
+fn affinity_dispatch_loop_allocates_independently_of_event_count() {
+    assert_constant_in_n(PolicyKind::CacheAffinity);
+}
+
+#[test]
 fn allocation_count_is_deterministic_run_to_run() {
+    let _counting = exclusive();
     warmup();
     let first = allocations_for(PolicyKind::Fifo, 200);
     let second = allocations_for(PolicyKind::Fifo, 200);
@@ -180,6 +202,7 @@ fn allocations_for_sweep(cells: &[CellSpec]) -> usize {
 
 #[test]
 fn sweep_runner_adds_constant_overhead_and_nothing_per_cell() {
+    let _counting = exclusive();
     warmup();
     // Identical cells (one shared workload): every per-cell quantity —
     // dispatch pattern, cost-table builds, sketch bucket spans, registry sample
@@ -206,6 +229,7 @@ fn sweep_runner_adds_constant_overhead_and_nothing_per_cell() {
 
 #[test]
 fn sweep_cell_body_matches_direct_execution() {
+    let _counting = exclusive();
     warmup();
     let cell = sweep_cell(200);
     let _ = run_sweep(std::slice::from_ref(&cell), 1);
