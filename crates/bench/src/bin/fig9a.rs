@@ -2,7 +2,11 @@
 //!
 //! Prints two series as CSV: the ASPEN-model prediction (solid line, n =
 //! 1..100) and the measured wall-clock time of our CMR heuristic embedding
-//! `K_n` into the 12×12 Chimera lattice (dashed line, n ≤ 30).
+//! `K_n` into the 12×12 Chimera lattice (dashed line, n ≤ 30).  Each
+//! measured row also carries the heuristic's work counters (Dijkstra calls
+//! and edge relaxations, failed tries included) next to the model's
+//! `embedding_ops` for the same n, so model and measurement are compared
+//! op count against op count.
 //!
 //! ```text
 //! cargo run --release -p sx-bench --bin fig9a
@@ -24,14 +28,18 @@ fn main() {
 
     println!();
     println!("# series 2: measured CMR heuristic embedding K_n into C(12,12,4)");
-    println!("n,measured_seconds,success,qubits_used");
+    println!("n,measured_seconds,success,qubits_used,dijkstra_calls,relaxations,embedding_ops");
     for n in fig9a_measured_sizes() {
         let m = measure_cmr_embedding(&machine, n, 1000 + n as u64);
+        let p = predict_stage1(&machine, n).expect("stage-1 prediction");
         println!(
-            "{n},{:.9e},{},{}",
+            "{n},{:.9e},{},{},{},{},{:.6e}",
             m.seconds,
             if m.success { 1 } else { 0 },
-            m.qubits_used
+            m.qubits_used,
+            m.dijkstra_calls,
+            m.relaxations,
+            p.embedding_ops
         );
     }
 

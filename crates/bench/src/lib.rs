@@ -26,7 +26,7 @@
 
 use chimera_graph::generators;
 use chimera_graph::Graph;
-use minor_embed::{find_embedding, CmrConfig, CmrOutcome, EmbedError};
+use minor_embed::{find_embedding, CmrConfig, CmrOutcome, CmrStats, EmbedError};
 use quantum_anneal::BackendKind;
 use split_exec::prelude::*;
 use std::time::Instant;
@@ -100,11 +100,17 @@ pub struct MeasuredEmbedding {
     pub success: bool,
     /// Hardware qubits used (0 on failure).
     pub qubits_used: usize,
+    /// Dijkstra searches the call ran, failed tries included.
+    pub dijkstra_calls: u64,
+    /// Edge relaxations across those searches: the measured counterpart
+    /// of the ASPEN model's `embedding_ops`.
+    pub relaxations: u64,
 }
 
 /// Measure the CMR heuristic embedding `K_n` into the given machine's
-/// hardware graph.  Failures are reported (with their elapsed time) rather
-/// than panicking so sweeps degrade gracefully near the hardware capacity.
+/// hardware graph.  Failures are reported (with their elapsed time and
+/// work counters) rather than panicking so sweeps degrade gracefully near
+/// the hardware capacity.
 pub fn measure_cmr_embedding(machine: &SplitMachine, n: usize, seed: u64) -> MeasuredEmbedding {
     let input = generators::complete(n);
     let config = CmrConfig {
@@ -117,19 +123,18 @@ pub fn measure_cmr_embedding(machine: &SplitMachine, n: usize, seed: u64) -> Mea
     let outcome: Result<CmrOutcome, EmbedError> =
         find_embedding(&input, &machine.hardware, &config);
     let seconds = start.elapsed().as_secs_f64();
-    match outcome {
-        Ok(ok) => MeasuredEmbedding {
-            n,
-            seconds,
-            success: true,
-            qubits_used: ok.embedding.qubits_used(),
-        },
-        Err(_) => MeasuredEmbedding {
-            n,
-            seconds,
-            success: false,
-            qubits_used: 0,
-        },
+    let (qubits_used, stats) = match &outcome {
+        Ok(ok) => (ok.embedding.qubits_used(), ok.stats),
+        Err(EmbedError::NoEmbeddingFound { stats, .. }) => (0, **stats),
+        Err(_) => (0, CmrStats::default()),
+    };
+    MeasuredEmbedding {
+        n,
+        seconds,
+        success: outcome.is_ok(),
+        qubits_used,
+        dijkstra_calls: stats.dijkstra_calls,
+        relaxations: stats.edge_relaxations,
     }
 }
 
@@ -162,6 +167,8 @@ mod tests {
         assert!(m.success);
         assert!(m.qubits_used >= 6);
         assert!(m.seconds > 0.0);
+        assert!(m.dijkstra_calls > 0);
+        assert!(m.relaxations > m.dijkstra_calls);
     }
 
     #[test]

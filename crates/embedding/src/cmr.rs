@@ -22,10 +22,26 @@
 //! returned in [`CmrStats`] expose the measured analogue (Dijkstra calls and
 //! edge relaxations) so the model and the implementation can be compared
 //! directly, which is exactly the comparison of Fig. 9(a).
+//!
+//! # Hot loop
+//!
+//! Nearly all of the heuristic's time is its Dijkstra searches (see
+//! [`crate::dijkstra`] for the kernel's layout).  [`find_embedding`] builds
+//! one [`Csr`] of the hardware per call, shared by every try (Rayon tries
+//! included).  Placing one vertex fills a per-try weight table once — the
+//! overlap penalty of every qubit under the current usage — and all of that
+//! vertex's searches and its root selection read it, since usage only
+//! changes when the new chain is committed.  The heap, the search results,
+//! the neighbour list and the chain trimmer's traversal buffers are per-try
+//! scratch that each placement refills, so a warm placement allocates only
+//! when a buffer must grow.  None of this changes what is computed: every
+//! search, root choice and trim decision is the same as with per-call
+//! buffers and per-relaxation weights, so embeddings and work counters are
+//! bit-identical.
 
-use crate::dijkstra::{multi_source_dijkstra, ShortestPaths};
+use crate::dijkstra::{multi_source_dijkstra, DijkstraHeap, ShortestPaths};
 use crate::types::{EmbedError, Embedding};
-use chimera_graph::Graph;
+use chimera_graph::{Csr, Graph};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -106,7 +122,8 @@ pub struct CmrOutcome {
 ///
 /// Returns an error if the input is larger than the hardware, if the input
 /// has isolated structure the hardware cannot host, or if no overlap-free
-/// embedding is found within the configured budget.
+/// embedding is found within the configured budget.  A
+/// [`EmbedError::NoEmbeddingFound`] carries the failed call's work counters.
 pub fn find_embedding(
     input: &Graph,
     hardware: &Graph,
@@ -129,22 +146,16 @@ pub fn find_embedding(
             available: usable.len(),
         });
     }
+    let mut usable_mask = vec![false; hardware.vertex_count()];
+    for &q in &usable {
+        usable_mask[q] = true;
+    }
+    let csr = Csr::from_graph(hardware);
 
     let tries = config.tries.max(1);
     let run_try = |t: usize| -> (Option<Embedding>, CmrStats) {
-        let mut stats = CmrStats {
-            tries_used: 1,
-            ..CmrStats::default()
-        };
-        let embedding = single_try(
-            input,
-            hardware,
-            &usable,
-            config,
-            config.seed.wrapping_add(t as u64),
-            &mut stats,
-        );
-        (embedding, stats)
+        let seed = config.seed.wrapping_add(t as u64);
+        Try::new(input, &csr, &usable_mask, config, seed).run()
     };
 
     let results: Vec<(Option<Embedding>, CmrStats)> = if config.parallel_tries {
@@ -174,96 +185,238 @@ pub fn find_embedding(
         }),
         None => Err(EmbedError::NoEmbeddingFound {
             passes: config.max_passes,
+            stats: Box::new(total_stats),
         }),
     }
 }
 
+/// Buffers one try refills for every vertex it places.
+#[derive(Default)]
+struct Scratch {
+    /// Cost of entering each qubit under the current usage: the overlap
+    /// penalty, or infinity for an unusable qubit.
+    weights: Vec<f64>,
+    heap: DijkstraHeap,
+    /// One search per embedded neighbour of the vertex being placed; only
+    /// the first `neighbors.len()` are current.
+    searches: Vec<ShortestPaths>,
+    /// The embedded logical neighbours of the vertex being placed.
+    neighbors: Vec<usize>,
+    /// Traversal stack of the chain trimmer's connectivity check.
+    stack: Vec<usize>,
+    /// Visited marks of that check, indexed by chain position.
+    seen: Vec<bool>,
+}
+
 /// One randomized construction + improvement attempt.
-fn single_try(
-    input: &Graph,
-    hardware: &Graph,
-    usable: &[usize],
-    config: &CmrConfig,
-    seed: u64,
-    stats: &mut CmrStats,
-) -> Option<Embedding> {
-    let n = input.vertex_count();
-    let nh = hardware.vertex_count();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let usable_set: Vec<bool> = {
-        let mut mask = vec![false; nh];
-        for &q in usable {
-            mask[q] = true;
-        }
-        mask
-    };
+struct Try<'a> {
+    input: &'a Graph,
+    hardware: &'a Csr,
+    usable: &'a [bool],
+    config: &'a CmrConfig,
+    rng: ChaCha8Rng,
+    chains: Vec<Vec<usize>>,
+    usage: Vec<u32>,
+    stats: CmrStats,
+    scratch: Scratch,
+}
 
-    let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(&mut rng);
-
-    let mut chains: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut usage: Vec<u32> = vec![0; nh];
-
-    // Construction pass.
-    for &x in &order {
-        embed_vertex(
-            x,
+impl<'a> Try<'a> {
+    fn new(
+        input: &'a Graph,
+        hardware: &'a Csr,
+        usable: &'a [bool],
+        config: &'a CmrConfig,
+        seed: u64,
+    ) -> Self {
+        Self {
             input,
             hardware,
-            &usable_set,
+            usable,
             config,
-            &mut rng,
-            &mut chains,
-            &mut usage,
-            stats,
-        );
+            rng: ChaCha8Rng::seed_from_u64(seed),
+            chains: vec![Vec::new(); input.vertex_count()],
+            usage: vec![0; hardware.vertex_count()],
+            stats: CmrStats {
+                tries_used: 1,
+                ..CmrStats::default()
+            },
+            scratch: Scratch::default(),
+        }
     }
 
-    // Improvement passes: re-embed every vertex with the others held fixed,
-    // in a freshly shuffled order each pass, until the embedding is
-    // overlap-free and stops shrinking.  Because later passes can temporarily
-    // re-introduce overlaps, the best overlap-free snapshot seen at the end
-    // of any pass is kept.
-    let mut previous_total = total_length(&chains);
-    let mut passes = 0;
-    let mut best_valid: Option<Vec<Vec<usize>>> = snapshot_if_valid(&chains, &usage);
-    for _ in 0..config.max_passes {
-        passes += 1;
-        order.shuffle(&mut rng);
+    /// Run the try: the best overlap-free embedding it found, if any, and
+    /// its work counters.
+    fn run(mut self) -> (Option<Embedding>, CmrStats) {
+        let mut order: Vec<usize> = (0..self.input.vertex_count()).collect();
+        order.shuffle(&mut self.rng);
+
+        // Construction pass.
         for &x in &order {
-            remove_chain(&chains[x], &mut usage);
-            chains[x].clear();
-            embed_vertex(
-                x,
-                input,
-                hardware,
-                &usable_set,
-                config,
-                &mut rng,
-                &mut chains,
-                &mut usage,
-                stats,
-            );
+            self.embed_vertex(x);
         }
-        let overlap_free = usage.iter().all(|&u| u <= 1);
-        let total = total_length(&chains);
-        if overlap_free {
-            let better = match &best_valid {
-                None => true,
-                Some(best) => total < best.iter().map(Vec::len).sum::<usize>(),
-            };
-            if better {
-                best_valid = snapshot_if_valid(&chains, &usage);
-            }
-            if total >= previous_total {
-                break;
-            }
-        }
-        previous_total = total;
-    }
-    stats.passes_used = stats.passes_used.max(passes);
 
-    best_valid.map(Embedding::from_chains)
+        // Improvement passes: re-embed every vertex with the others held
+        // fixed, in a freshly shuffled order each pass, until the embedding
+        // is overlap-free and stops shrinking.  Because later passes can
+        // temporarily re-introduce overlaps, the best overlap-free snapshot
+        // seen at the end of any pass is kept.
+        let mut previous_total = total_length(&self.chains);
+        let mut passes = 0;
+        let mut best_valid = snapshot_if_valid(&self.chains, &self.usage);
+        for _ in 0..self.config.max_passes {
+            passes += 1;
+            order.shuffle(&mut self.rng);
+            for &x in &order {
+                remove_chain(&self.chains[x], &mut self.usage);
+                self.chains[x].clear();
+                self.embed_vertex(x);
+            }
+            let overlap_free = self.usage.iter().all(|&u| u <= 1);
+            let total = total_length(&self.chains);
+            if overlap_free {
+                let better = match &best_valid {
+                    None => true,
+                    Some(best) => total < best.iter().map(Vec::len).sum::<usize>(),
+                };
+                if better {
+                    best_valid = snapshot_if_valid(&self.chains, &self.usage);
+                }
+                if total >= previous_total {
+                    break;
+                }
+            }
+            previous_total = total;
+        }
+        self.stats.passes_used = self.stats.passes_used.max(passes);
+
+        (best_valid.map(Embedding::from_chains), self.stats)
+    }
+
+    /// Grow the vertex model for logical vertex `x` given the current chains
+    /// of all other vertices.  `chains[x]` is empty on entry.
+    fn embed_vertex(&mut self, x: usize) {
+        let Self {
+            input,
+            hardware,
+            usable,
+            config,
+            rng,
+            chains,
+            usage,
+            stats,
+            scratch,
+        } = self;
+        let Scratch {
+            weights,
+            heap,
+            searches,
+            neighbors,
+            stack,
+            seen,
+        } = scratch;
+        let nh = usable.len();
+        neighbors.clear();
+        neighbors.extend(input.neighbors(x).filter(|&y| !chains[y].is_empty()));
+
+        // Reuse the buffer of x's previous chain.
+        let mut chain = std::mem::take(&mut chains[x]);
+        if neighbors.is_empty() {
+            // No constraints yet: take the least-used usable qubit, breaking
+            // ties randomly.
+            let min_usage = (0..nh)
+                .filter(|&q| usable[q])
+                .map(|q| usage[q])
+                .min()
+                .unwrap_or(0);
+            let is_candidate = |&q: &usize| usable[q] && usage[q] == min_usage;
+            let count = (0..nh).filter(is_candidate).count();
+            let pick = rng.gen_range(0..count);
+            let choice = (0..nh)
+                .filter(is_candidate)
+                .nth(pick)
+                .expect("pick < count");
+            chain.push(choice);
+            add_chain(&chain, usage);
+            chains[x] = chain;
+            return;
+        }
+
+        // One weighted Dijkstra per embedded neighbor, rooted at that
+        // neighbor's chain, all over the same weight table.
+        weights.clear();
+        weights.extend(usable.iter().zip(usage.iter()).map(|(&ok, &u)| {
+            if ok {
+                config.overlap_penalty_base.powi(u as i32)
+            } else {
+                f64::INFINITY
+            }
+        }));
+        if searches.len() < neighbors.len() {
+            searches.resize_with(neighbors.len(), ShortestPaths::default);
+        }
+        let searches = &mut searches[..neighbors.len()];
+        for (&y, sp) in neighbors.iter().zip(searches.iter_mut()) {
+            multi_source_dijkstra(hardware, &chains[y], weights, heap, sp);
+            stats.dijkstra_calls += 1;
+            stats.edge_relaxations += sp.relaxations;
+        }
+
+        // Root selection: cheapest total distance to all neighbor chains.
+        let mut best_root = None;
+        let mut best_cost = f64::INFINITY;
+        for (q, &q_usable) in usable.iter().enumerate() {
+            if !q_usable {
+                continue;
+            }
+            let mut total = weights[q];
+            let mut reachable = true;
+            for sp in searches.iter() {
+                if sp.cost[q].is_finite() {
+                    total += sp.cost[q];
+                } else {
+                    reachable = false;
+                    break;
+                }
+            }
+            if reachable && total < best_cost {
+                best_cost = total;
+                best_root = Some(q);
+            }
+        }
+        let Some(root) = best_root else {
+            // Hardware is disconnected relative to the neighbor chains; fall
+            // back to an arbitrary usable qubit so the try can fail
+            // gracefully later.
+            let fallback = (0..nh).find(|&q| usable[q]).unwrap_or(0);
+            chain.push(fallback);
+            add_chain(&chain, usage);
+            chains[x] = chain;
+            return;
+        };
+
+        // Absorb the connecting paths (excluding the neighbor-chain
+        // endpoints) into x's chain.  The chain is a set, so the order the
+        // paths are walked in does not matter.
+        chain.push(root);
+        for (&y, sp) in neighbors.iter().zip(searches.iter()) {
+            if let Some(path) = sp.path_back(root) {
+                for q in path {
+                    if !chains[y].contains(&q) && !chain.contains(&q) {
+                        chain.push(q);
+                    }
+                }
+            }
+        }
+        chain.sort_unstable();
+        chain.dedup();
+        // Trim qubits that are not needed for connectivity to any neighbor
+        // chain or for keeping the chain itself connected; unions of
+        // shortest paths routinely contain such redundant branches.
+        trim_chain(&mut chain, hardware, neighbors, chains, stack, seen);
+        add_chain(&chain, usage);
+        chains[x] = chain;
+    }
 }
 
 /// Return a copy of the chains when they form a complete, overlap-free
@@ -294,121 +447,7 @@ fn add_chain(chain: &[usize], usage: &mut [u32]) {
     }
 }
 
-/// Grow the vertex model for logical vertex `x` given the current chains of
-/// all other vertices.
-#[allow(clippy::too_many_arguments)]
-fn embed_vertex(
-    x: usize,
-    input: &Graph,
-    hardware: &Graph,
-    usable: &[bool],
-    config: &CmrConfig,
-    rng: &mut ChaCha8Rng,
-    chains: &mut [Vec<usize>],
-    usage: &mut [u32],
-    stats: &mut CmrStats,
-) {
-    let nh = hardware.vertex_count();
-    let embedded_neighbors: Vec<usize> = input
-        .neighbors(x)
-        .filter(|&y| !chains[y].is_empty())
-        .collect();
-
-    if embedded_neighbors.is_empty() {
-        // No constraints yet: take the least-used usable qubit, breaking ties
-        // randomly.
-        let min_usage = (0..nh)
-            .filter(|&q| usable[q])
-            .map(|q| usage[q])
-            .min()
-            .unwrap_or(0);
-        let candidates: Vec<usize> = (0..nh)
-            .filter(|&q| usable[q] && usage[q] == min_usage)
-            .collect();
-        let choice = candidates[rng.gen_range(0..candidates.len())];
-        chains[x] = vec![choice];
-        add_chain(&chains[x], usage);
-        return;
-    }
-
-    // One weighted Dijkstra per embedded neighbor, rooted at that neighbor's
-    // chain.
-    let weight_of = |q: usize, usage: &[u32]| -> f64 {
-        if !usable[q] {
-            f64::INFINITY
-        } else {
-            config.overlap_penalty_base.powi(usage[q] as i32)
-        }
-    };
-    let searches: Vec<(usize, ShortestPaths)> = embedded_neighbors
-        .iter()
-        .map(|&y| {
-            let sp = multi_source_dijkstra(
-                nh,
-                &chains[y],
-                |v| hardware.neighbors(v).collect::<Vec<_>>(),
-                |v| weight_of(v, usage),
-            );
-            stats.dijkstra_calls += 1;
-            stats.edge_relaxations += sp.relaxations;
-            (y, sp)
-        })
-        .collect();
-
-    // Root selection: cheapest total distance to all neighbor chains.
-    let mut best_root = None;
-    let mut best_cost = f64::INFINITY;
-    for (q, &q_usable) in usable.iter().enumerate().take(nh) {
-        if !q_usable {
-            continue;
-        }
-        let mut total = weight_of(q, usage);
-        let mut reachable = true;
-        for (_, sp) in &searches {
-            if sp.cost[q].is_finite() {
-                total += sp.cost[q];
-            } else {
-                reachable = false;
-                break;
-            }
-        }
-        if reachable && total < best_cost {
-            best_cost = total;
-            best_root = Some(q);
-        }
-    }
-    let Some(root) = best_root else {
-        // Hardware is disconnected relative to the neighbor chains; fall back
-        // to an arbitrary usable qubit so the try can fail gracefully later.
-        let fallback = (0..nh).find(|&q| usable[q]).unwrap_or(0);
-        chains[x] = vec![fallback];
-        add_chain(&chains[x], usage);
-        return;
-    };
-
-    // Absorb the connecting paths (excluding the neighbor-chain endpoints)
-    // into x's chain.
-    let mut chain = vec![root];
-    for (y, sp) in &searches {
-        if let Some(path) = sp.path_to(root) {
-            for &q in &path {
-                if !chains[*y].contains(&q) && !chain.contains(&q) {
-                    chain.push(q);
-                }
-            }
-        }
-    }
-    chain.sort_unstable();
-    chain.dedup();
-    // Trim qubits that are not needed for connectivity to any neighbor chain
-    // or for keeping the chain itself connected; unions of shortest paths
-    // routinely contain such redundant branches.
-    trim_chain(&mut chain, hardware, &embedded_neighbors, chains);
-    chains[x] = chain;
-    add_chain(&chains[x], usage);
-}
-
-/// Remove redundant qubits from a freshly built chain.
+/// Remove redundant qubits from a freshly built chain (sorted, no repeats).
 ///
 /// A qubit can be dropped when (a) the remaining chain is still connected in
 /// the hardware graph and (b) every embedded logical neighbor still has at
@@ -416,9 +455,11 @@ fn embed_vertex(
 /// repeatedly until no further removal is possible.
 fn trim_chain(
     chain: &mut Vec<usize>,
-    hardware: &Graph,
+    hardware: &Csr,
     embedded_neighbors: &[usize],
     chains: &[Vec<usize>],
+    stack: &mut Vec<usize>,
+    seen: &mut Vec<bool>,
 ) {
     if chain.len() <= 1 {
         return;
@@ -426,7 +467,8 @@ fn trim_chain(
     let touches_chain = |q: usize, other: &[usize]| -> bool {
         hardware
             .neighbors(q)
-            .any(|n| other.binary_search(&n).is_ok())
+            .iter()
+            .any(|&n| other.binary_search(&(n as usize)).is_ok())
     };
     loop {
         let mut removed = false;
@@ -435,14 +477,13 @@ fn trim_chain(
             if chain.len() == 1 {
                 break;
             }
-            let q = chain[idx];
-            let mut candidate: Vec<usize> = chain.iter().copied().filter(|&c| c != q).collect();
-            candidate.sort_unstable();
-            let still_connected = chimera_graph::metrics::is_connected_subset(hardware, &candidate);
-            let still_covers = embedded_neighbors
-                .iter()
-                .all(|&y| candidate.iter().any(|&c| touches_chain(c, &chains[y])));
-            if still_connected && still_covers {
+            let still_covers = embedded_neighbors.iter().all(|&y| {
+                chain
+                    .iter()
+                    .enumerate()
+                    .any(|(i, &c)| i != idx && touches_chain(c, &chains[y]))
+            });
+            if still_covers && connected_without(chain, idx, hardware, stack, seen) {
                 chain.remove(idx);
                 removed = true;
             } else {
@@ -453,6 +494,37 @@ fn trim_chain(
             break;
         }
     }
+}
+
+/// Whether `chain` (sorted, at least two qubits) minus the qubit at
+/// position `skip` is connected in `hardware`.
+fn connected_without(
+    chain: &[usize],
+    skip: usize,
+    hardware: &Csr,
+    stack: &mut Vec<usize>,
+    seen: &mut Vec<bool>,
+) -> bool {
+    seen.clear();
+    seen.resize(chain.len(), false);
+    seen[skip] = true;
+    let start = usize::from(skip == 0);
+    seen[start] = true;
+    stack.clear();
+    stack.push(start);
+    let mut reached = 1;
+    while let Some(i) = stack.pop() {
+        for &u in hardware.neighbors(chain[i]) {
+            if let Ok(j) = chain.binary_search(&(u as usize)) {
+                if !seen[j] {
+                    seen[j] = true;
+                    reached += 1;
+                    stack.push(j);
+                }
+            }
+        }
+    }
+    reached == chain.len() - 1
 }
 
 #[cfg(test)]

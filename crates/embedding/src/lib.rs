@@ -16,7 +16,8 @@
 //!   coupler assignment, ferromagnetic chain strength) and readout
 //!   un-embedding by majority vote.
 //! * [`dijkstra`] — the weighted multi-source shortest-path search used by
-//!   the heuristic.
+//!   the heuristic: CSR adjacency, a caller-filled weight table and
+//!   reusable buffers.
 //!
 //! ```
 //! use minor_embed::prelude::*;

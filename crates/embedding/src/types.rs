@@ -1,5 +1,6 @@
 //! Core embedding types shared across the algorithms.
 
+use crate::cmr::CmrStats;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -157,6 +158,10 @@ pub enum EmbedError {
     NoEmbeddingFound {
         /// Number of improvement passes attempted.
         passes: usize,
+        /// Work the failed call performed, summed over all its tries.  Boxed
+        /// so that carrying it does not grow `EmbedError`, which callers
+        /// embed in their own error and result types.
+        stats: Box<CmrStats>,
     },
     /// The produced embedding failed validation (used by the verifier).
     Invalid(String),
@@ -174,9 +179,12 @@ impl fmt::Display for EmbedError {
                 f,
                 "hardware too small: needs at least {required} usable qubits, has {available}"
             ),
-            EmbedError::NoEmbeddingFound { passes } => {
-                write!(f, "no overlap-free embedding found after {passes} passes")
-            }
+            EmbedError::NoEmbeddingFound { passes, stats } => write!(
+                f,
+                "no overlap-free embedding found after {passes} passes \
+                 ({} Dijkstra calls, {} edge relaxations)",
+                stats.dijkstra_calls, stats.edge_relaxations
+            ),
             EmbedError::Invalid(msg) => write!(f, "invalid embedding: {msg}"),
             EmbedError::DegenerateInput(msg) => write!(f, "degenerate input: {msg}"),
         }
@@ -251,13 +259,28 @@ mod tests {
     }
 
     #[test]
+    fn failure_counters_do_not_grow_the_error() {
+        // Cost tables downstream store `Result<_, PipelineError>` rows, which
+        // wrap this type; the boxed counters keep it at its string variant's
+        // size.
+        assert!(std::mem::size_of::<EmbedError>() <= 4 * std::mem::size_of::<usize>());
+    }
+
+    #[test]
     fn error_display() {
         let err = EmbedError::HardwareTooSmall {
             required: 100,
             available: 50,
         };
         assert!(err.to_string().contains("100"));
-        let err = EmbedError::NoEmbeddingFound { passes: 5 };
+        let err = EmbedError::NoEmbeddingFound {
+            passes: 5,
+            stats: Box::new(CmrStats {
+                dijkstra_calls: 7,
+                ..CmrStats::default()
+            }),
+        };
         assert!(err.to_string().contains("5 passes"));
+        assert!(err.to_string().contains("7 Dijkstra calls"));
     }
 }

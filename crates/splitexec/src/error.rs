@@ -68,7 +68,11 @@ mod tests {
     fn conversions_and_display() {
         let e: PipelineError = AspenError::UnknownParameter("LPS".into()).into();
         assert!(e.to_string().contains("performance-model"));
-        let e: PipelineError = EmbedError::NoEmbeddingFound { passes: 3 }.into();
+        let e: PipelineError = EmbedError::NoEmbeddingFound {
+            passes: 3,
+            stats: Box::default(),
+        }
+        .into();
         assert!(e.to_string().contains("embedding"));
         let e: PipelineError = quantum_anneal::SamplerError::TooLarge {
             spins: 30,
