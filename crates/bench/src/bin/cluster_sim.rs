@@ -63,12 +63,11 @@
 //!   byte-identical for every thread count; CI diffs a `--threads 2` run
 //!   against the `--threads 1` serial oracle.  Host-side events/sec goes
 //!   to stdout only, so it cannot perturb the diff.
-//! * `--mode replay --input PATH` — re-simulates every run segment of a
-//!   flight record written by `--record` and verifies the engine
-//!   reproduces each recorded trace bit-for-bit.  Segments recorded under
-//!   a stateful admission controller (`token-bucket`) are skipped with a
-//!   note; the mode FAILs if any replayed segment diverges or if the file
-//!   contains no replayable segment at all.
+//! * `--mode replay --input PATH` — re-runs every segment of a flight
+//!   record written by `--record` (each header is the run's full
+//!   `CellSpec`, token-bucket budgets included) and verifies the engine
+//!   reproduces each recorded trace bit-for-bit; FAILs if any segment
+//!   diverges.
 //!
 //! ```text
 //! cargo run --release -p sx-bench --bin cluster_sim -- \
@@ -83,9 +82,8 @@
 //!     [--seeds S1,S2,..] [--loads L1,L2,..] [--policies P1,P2,..]
 //! ```
 //!
-//! `--threads N` (the sweep-shaped modes: cache-cliff, fairness,
-//! aging-sweep, slo, bench, sweep) fans the mode's independent cells across
-//! N worker threads via the workspace's deterministic `rayon` facade
+//! `--threads N` (every mode but replay) fans the mode's independent cells
+//! across N worker threads via the workspace's deterministic `rayon` facade
 //! (default `0` = available parallelism; `--threads 1` is the serial
 //! oracle).  Every cell is a pure function of its [`CellSpec`] and results
 //! are collected in cell-index order, so all outputs are bit-identical for
@@ -96,10 +94,9 @@
 //! `0.7,1.1`, `fifo,affinity,wfq`).
 //!
 //! `--record PATH` (any mode) streams every simulated run to a versioned
-//! JSONL flight record (`sx-flight-record/v1`): each run contributes a
-//! self-describing header line — schema version, seed, policy, admission,
-//! fleet fingerprint, workload digest, and the complete inputs — followed
-//! by its full trace-record stream.  The file is opened eagerly (a bad
+//! JSONL flight record (`sx-flight-record/v2`): each run contributes a
+//! header line — its serialized [`CellSpec`] plus fleet fingerprint and
+//! workload digest — followed by its full trace-record stream.  The file is opened eagerly (a bad
 //! path is a startup error, not a silent no-op) and write failures latched
 //! during the run surface as a FAIL at exit.  `trace_diff` compares two
 //! such records to the first divergent event; `--mode replay` re-simulates
@@ -344,8 +341,8 @@ fn run_cells(args: &Args, observer: &mut Observer, cells: &[CellSpec]) -> SweepO
 /// The observation plumbing shared by every mode: the optional flight
 /// recorder (`--record`, every run) and the optional Perfetto export
 /// (`--trace-out`, first run only — interleaving several runs would make
-/// the lanes unattributable).  Modes hand each run to [`Observer::run`] /
-/// [`Observer::observe`] and never know which sinks are active; both
+/// the lanes unattributable).  Modes hand each run to [`run_cells`] (or
+/// [`Observer::replay`]) and never know which sinks are active; both
 /// output files are opened eagerly at startup so a bad path is a usage
 /// error, and latched write failures surface in [`Observer::close`].
 struct Observer {
@@ -391,26 +388,17 @@ impl Observer {
         self.recorder.is_some() || self.perfetto.is_some()
     }
 
-    /// Assemble the sink chain for one run — flight-record segment header
-    /// (when recording and a header is supplied), Perfetto exporter on the
-    /// first run only, the caller's `extra` sink — and hand it to `run`.
-    /// With nothing active the chain degenerates to a bare [`NullSink`],
-    /// the perf-default path.
-    fn with_chain<T>(
-        &mut self,
-        header: Option<&FlightHeader>,
-        extra: Option<&mut dyn TraceSink>,
-        run: impl FnOnce(&mut dyn TraceSink) -> T,
-    ) -> T {
+    /// Assemble the sink chain for one run of `spec` — its flight-record
+    /// segment header (when recording), the Perfetto exporter on the first
+    /// run only — and hand it to `run`.  With nothing active the chain
+    /// degenerates to a bare [`NullSink`], the perf-default path.
+    fn with_chain<T>(&mut self, spec: &CellSpec, run: impl FnOnce(&mut dyn TraceSink) -> T) -> T {
         let Self {
             recorder,
             perfetto,
             traced,
             ..
         } = self;
-        if let (Some(recorder), Some(header)) = (recorder.as_mut(), header) {
-            recorder.begin_run(header);
-        }
         let attach_perfetto = !*traced;
         *traced = true;
 
@@ -418,6 +406,7 @@ impl Observer {
         let mut chain: &mut dyn TraceSink = &mut base;
         let mut fan_recorder;
         if let Some(recorder) = recorder.as_mut() {
+            recorder.begin_run(spec);
             fan_recorder = FanoutSink::new(recorder, chain);
             chain = &mut fan_recorder;
         }
@@ -428,34 +417,7 @@ impl Observer {
                 chain = &mut fan_perfetto;
             }
         }
-        let mut fan_extra;
-        if let Some(extra) = extra {
-            fan_extra = FanoutSink::new(extra, chain);
-            chain = &mut fan_extra;
-        }
         run(chain)
-    }
-
-    /// Observe one engine run through the sink chain.
-    /// (One seam carries the whole chain, hence the argument count.)
-    #[allow(clippy::too_many_arguments)]
-    // sx-lint: hot-exempt -- bare-name collision with the hot registry/sketch `observe`; this runs once per CLI run, not per event
-    fn observe(
-        &mut self,
-        header: Option<&FlightHeader>,
-        fleet: Fleet,
-        workload: &Workload,
-        scheduler: &mut dyn Scheduler,
-        admission: &mut dyn AdmissionController,
-        config: SimConfig,
-        registry: Option<&mut MetricsRegistry>,
-        extra: Option<&mut dyn TraceSink>,
-    ) -> SimReport {
-        self.with_chain(header, extra, |chain| {
-            simulate_with_telemetry(
-                fleet, workload, scheduler, admission, config, chain, registry,
-            )
-        })
     }
 
     /// Execute one sweep cell through the observation chain — the serial
@@ -464,58 +426,15 @@ impl Observer {
     /// observers), which is what lets `--record`/`--trace-out` capture a
     /// sweep without perturbing its outputs.
     fn run_cell(&mut self, index: usize, cell: &CellSpec) -> CellResult {
-        let header = self.recorder.is_some().then(|| {
-            FlightHeader::new(
-                cell.seed,
-                cell.scheduler.clone(),
-                cell.admission.name(),
-                cell.fleet.clone(),
-                cell.config,
-                (*cell.workload).clone(),
-            )
-        });
-        self.with_chain(header.as_ref(), None, |chain| {
+        self.with_chain(cell, |chain| {
             sx_cluster::sweep::run_cell(index, cell, chain)
         })
     }
 
-    /// The common shape of a primary run: build the fleet from its config
-    /// and the scheduler from its spec, describe the run in a
-    /// [`FlightHeader`] (only when recording — the header embeds a clone
-    /// of the workload), and observe it.
-    #[allow(clippy::too_many_arguments)] // mirrors the engine entry point
-    fn run(
-        &mut self,
-        seed: u64,
-        fleet_config: FleetConfig,
-        workload: &Workload,
-        spec: &SchedulerSpec,
-        admission: &mut dyn AdmissionController,
-        config: SimConfig,
-        registry: Option<&mut MetricsRegistry>,
-    ) -> SimReport {
-        let header = self.recorder.is_some().then(|| {
-            FlightHeader::new(
-                seed,
-                spec.clone(),
-                admission.name(),
-                fleet_config.clone(),
-                config,
-                workload.clone(),
-            )
-        });
-        let fleet = Fleet::new(fleet_config, SplitExecConfig::with_seed(seed));
-        let mut scheduler = spec.build();
-        self.observe(
-            header.as_ref(),
-            fleet,
-            workload,
-            scheduler.as_mut(),
-            admission,
-            config,
-            registry,
-            None,
-        )
+    /// Replay one recorded segment through the observation chain, so
+    /// `--record` re-records the replay and `--trace-out` traces it.
+    fn replay(&mut self, run: &RecordedRun) -> ReplayCheck {
+        self.with_chain(&run.spec, |chain| check_replay(run, chain))
     }
 
     /// Flush the output files and surface any failure the sinks latched
@@ -701,20 +620,27 @@ fn compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         "makespan"
     );
 
+    // One cell per policy, sharing the workload.  Telemetry is a pure
+    // observer, so recording/tracing through the observer yields the same
+    // reports the plain path would.
+    let workload = Arc::new(workload);
+    let cells: Vec<CellSpec> = policies
+        .iter()
+        .map(|&policy| CellSpec {
+            label: policy.to_string(),
+            seed: args.seed,
+            fleet: args.fleet_config(),
+            scheduler: SchedulerSpec::from(policy),
+            admission: AdmissionSpec::AdmitAll,
+            config: args.sim_config(mode),
+            sample_interval: args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL),
+            workload: Arc::clone(&workload),
+        })
+        .collect();
+    let outcome = run_cells(args, observer, &cells);
     let mut by_policy: Vec<(PolicyKind, SimReport)> = Vec::new();
-    for policy in policies {
-        // Telemetry is a pure observer (the sinks see `&TraceRecord` and
-        // cannot perturb the run), so recording/tracing through the
-        // observer yields the same report the plain path would.
-        let report = observer.run(
-            args.seed,
-            args.fleet_config(),
-            &workload,
-            &SchedulerSpec::from(policy),
-            &mut AdmitAll,
-            args.sim_config(mode),
-            None,
-        );
+    for (policy, cell) in policies.into_iter().zip(outcome.cells) {
+        let report = cell.report;
         println!(
             "{:>9} {:>6} {:>4} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6.1} {:>6.1} {:>5} {:>5} {:>9.2} {:>9.1}s",
             report.policy,
@@ -1040,9 +966,6 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         }
     }
     // Admission shedding bounds queue depth: budget the aggressor's lane.
-    // Recorded as a `token-bucket` segment: the flight record keeps it for
-    // diffing, but replay mode skips it (the gate's internal state is not
-    // serialized).
     let gated_workload = Arc::new(
         MultiTenantSpec::aggressor_victim(victim_jobs, victim_rate, 10.0, 1.0, args.seed)
             .generate(),
@@ -1407,20 +1330,28 @@ fn admission_compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) 
         "admission", "hit%", "mean [s]", "evictions", "bypassed", "cold"
     );
 
-    let mut results: Vec<(AdmissionPolicy, SimReport)> = Vec::new();
-    let mut json_points: Vec<JsonValue> = Vec::new();
-    for admission in AdmissionPolicy::all() {
-        let report = observer.run(
-            args.seed,
-            args.fleet_config()
+    let workload = Arc::new(workload);
+    let cells: Vec<CellSpec> = AdmissionPolicy::all()
+        .into_iter()
+        .map(|admission| CellSpec {
+            label: admission.name().to_string(),
+            seed: args.seed,
+            fleet: args
+                .fleet_config()
                 .with_cache(capacity, args.eviction.unwrap_or_default())
                 .with_cache_admission(admission),
-            &workload,
-            &SchedulerSpec::Fifo,
-            &mut AdmitAll,
-            args.sim_config(WorkloadMode::Open),
-            None,
-        );
+            scheduler: SchedulerSpec::Fifo,
+            admission: AdmissionSpec::AdmitAll,
+            config: args.sim_config(WorkloadMode::Open),
+            sample_interval: args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL),
+            workload: Arc::clone(&workload),
+        })
+        .collect();
+    let outcome = run_cells(args, observer, &cells);
+    let mut results: Vec<(AdmissionPolicy, SimReport)> = Vec::new();
+    let mut json_points: Vec<JsonValue> = Vec::new();
+    for (admission, cell) in AdmissionPolicy::all().into_iter().zip(outcome.cells) {
+        let report = cell.report;
         println!(
             "{:>14} {:>7.1} {:>10.3} {:>10} {:>10} {:>6}",
             admission.name(),
@@ -2707,13 +2638,11 @@ fn validate_sweep_doc(doc: &JsonValue, expected_cells: usize) -> Result<(), Stri
     Ok(())
 }
 
-/// `--mode replay`: re-simulate every run segment of a flight record
-/// (`--input`, written by `--record`) and verify the engine reproduces
-/// each recorded trace stream bit-for-bit.  Segments recorded under a
-/// stateful admission controller are skipped (their gate state is not
-/// serialized); the mode FAILs on any divergence or when no segment is
-/// replayable at all.  `--record`/`--trace-out` still apply, so a replay
-/// can itself be re-recorded — the round-trip is byte-stable.
+/// `--mode replay`: re-run every segment of a flight record (`--input`,
+/// written by `--record`) from its recorded `CellSpec` and verify the
+/// engine reproduces each recorded trace stream bit-for-bit; FAILs on any
+/// divergence.  `--record`/`--trace-out` still apply, so a replay can
+/// itself be re-recorded — the round-trip is byte-stable.
 fn replay(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     let path = args.input.as_deref().unwrap_or_else(|| {
         eprintln!("--mode replay needs --input <flight-record.jsonl>");
@@ -2736,82 +2665,45 @@ fn replay(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     );
 
     let mut ok = true;
-    let mut verified = 0usize;
     let mut json_points: Vec<JsonValue> = Vec::new();
     for (segment, run) in record.runs.iter().enumerate() {
-        let header = &run.header;
-        if !header.replayable() {
-            println!(
-                "segment {segment}: policy {}, admission {} — skipped \
-                 (only admit-all segments are replayable)",
-                header.policy, header.admission
-            );
-            json_points.push(JsonValue::object([
-                ("segment", JsonValue::from(segment)),
-                ("policy", JsonValue::from(header.policy.as_str())),
-                ("admission", JsonValue::from(header.admission.as_str())),
-                ("replayed", JsonValue::from(false)),
-            ]));
-            continue;
-        }
-        let mut sink = VecSink::new();
-        let fleet = Fleet::new(
-            header.fleet.clone(),
-            SplitExecConfig::with_seed(header.seed),
-        );
-        let mut scheduler = header.scheduler.build();
-        let report = observer.observe(
-            Some(header),
-            fleet,
-            &header.workload,
-            scheduler.as_mut(),
-            &mut AdmitAll,
-            header.config,
-            None,
-            Some(&mut sink),
-        );
-        let replayed = sink.records();
-        let compared = replayed.len().min(run.records.len());
-        let divergence = (0..compared)
-            .find(|&i| replayed[i] != run.records[i])
-            .or((replayed.len() != run.records.len()).then_some(compared));
-        verified += 1;
-        match divergence {
+        let spec = &run.spec;
+        let check = observer.replay(run);
+        match check.divergence {
             None => println!(
-                "segment {segment}: policy {}, seed {} — bit-identical \
+                "segment {segment}: policy {}, admission {}, seed {} — bit-identical \
                  ({} records, {} jobs completed)",
-                header.policy,
-                header.seed,
+                spec.scheduler.name(),
+                spec.admission.name(),
+                spec.seed,
                 run.records.len(),
-                report.completed
+                check.report.completed
             ),
             Some(at) => {
                 ok = false;
                 println!(
-                    "FAIL: segment {segment} (policy {}, seed {}) DIVERGED at record {at}: \
-                     recorded {:?} vs replayed {:?}",
-                    header.policy,
-                    header.seed,
+                    "FAIL: segment {segment} (policy {}, admission {}, seed {}) DIVERGED at \
+                     record {at}: recorded {:?} vs replayed {:?}",
+                    spec.scheduler.name(),
+                    spec.admission.name(),
+                    spec.seed,
                     run.records.get(at),
-                    replayed.get(at)
+                    check.replayed.get(at)
                 );
             }
         }
         json_points.push(JsonValue::object([
             ("segment", JsonValue::from(segment)),
-            ("policy", JsonValue::from(header.policy.as_str())),
-            ("seed", JsonValue::from(header.seed.to_string())),
-            ("replayed", JsonValue::from(true)),
+            ("label", JsonValue::from(spec.label.as_str())),
+            ("policy", JsonValue::from(spec.scheduler.name())),
+            ("admission", JsonValue::from(spec.admission.name())),
+            ("seed", JsonValue::from(spec.seed.to_string())),
             ("records", JsonValue::from(run.records.len())),
             (
                 "divergence",
-                divergence.map_or(JsonValue::Null, JsonValue::from),
+                check.divergence.map_or(JsonValue::Null, JsonValue::from),
             ),
         ]));
-    }
-    if verified == 0 {
-        println!("FAIL: {path} contains no replayable (admit-all) segment");
-        ok = false;
     }
     (ok, JsonValue::Array(json_points))
 }

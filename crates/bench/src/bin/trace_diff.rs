@@ -2,9 +2,9 @@
 //! event.
 //!
 //! A flight record (written by `cluster_sim --record`, schema
-//! `sx-flight-record/v1`) is a deterministic function of its header: same
-//! seed, fleet, scheduler, and workload must yield the same record stream
-//! byte for byte.  This tool is the CI-facing check of that invariant:
+//! `sx-flight-record/v2`) is a deterministic function of its header, the
+//! run's serialized `CellSpec`: same seed, fleet, scheduler, admission and
+//! workload must yield the same record stream byte for byte.  This tool is the CI-facing check of that invariant:
 //!
 //! ```text
 //! trace_diff <a.jsonl> <b.jsonl> [--context N]

@@ -140,23 +140,37 @@ impl Default for TokenBucketConfig {
 }
 
 impl TokenBucketConfig {
-    /// Reject budgets that would divide by zero or defer forever.
-    fn validate(&self) {
-        assert!(
-            self.rate_hz.is_finite() && self.rate_hz > 0.0,
-            "token-bucket rate must be positive and finite, got {}",
-            self.rate_hz
-        );
-        assert!(
-            self.burst.is_finite() && self.burst >= 1.0,
-            "token-bucket burst must be at least 1, got {}",
-            self.burst
-        );
-        assert!(
-            self.max_defer_seconds.is_finite() && self.max_defer_seconds >= 0.0,
-            "max_defer_seconds must be non-negative and finite, got {}",
-            self.max_defer_seconds
-        );
+    /// Reject budgets that would divide by zero or defer forever.  The
+    /// one check behind both [`TokenBucket::new`] (which panics on `Err`)
+    /// and the flight-record parser (which reports it as a typed error).
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.rate_hz.is_finite() && self.rate_hz > 0.0) {
+            return Err(format!(
+                "token-bucket rate must be positive and finite, got {}",
+                self.rate_hz
+            ));
+        }
+        if !(self.burst.is_finite() && self.burst >= 1.0) {
+            return Err(format!(
+                "token-bucket burst must be at least 1, got {}",
+                self.burst
+            ));
+        }
+        if !(self.max_defer_seconds.is_finite() && self.max_defer_seconds >= 0.0) {
+            return Err(format!(
+                "max_defer_seconds must be non-negative and finite, got {}",
+                self.max_defer_seconds
+            ));
+        }
+        Ok(())
+    }
+
+    /// [`Self::validate`] for the constructors, where an invalid budget is
+    /// a programming error.
+    fn expect_valid(&self) {
+        if let Err(reason) = self.validate() {
+            panic!("{reason}");
+        }
     }
 }
 
@@ -210,7 +224,7 @@ pub struct TokenBucket {
 impl TokenBucket {
     /// A controller applying `config` to every tenant.
     pub fn new(config: TokenBucketConfig) -> Self {
-        config.validate();
+        config.expect_valid();
         Self {
             default_config: config,
             per_tenant: BTreeMap::new(),
@@ -220,7 +234,7 @@ impl TokenBucket {
 
     /// Override the budget of one tenant.
     pub fn with_tenant_budget(mut self, tenant: TenantId, config: TokenBucketConfig) -> Self {
-        config.validate();
+        config.expect_valid();
         self.per_tenant.insert(tenant.index(), config);
         self
     }

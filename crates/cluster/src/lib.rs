@@ -127,9 +127,8 @@ pub use metrics::{
 };
 pub use replay::{
     check_replay, fleet_fingerprint, parse_arrival_trace, parse_flight_record,
-    render_arrival_trace, replay_run, workload_digest, FlightHeader, FlightRecord, RecordedRun,
-    RecordedTrace, RecorderSink, ReplayCheck, ReplayError, SchedulerSpec, TraceReader,
-    ARRIVAL_SCHEMA, FLIGHT_SCHEMA,
+    render_arrival_trace, workload_digest, FlightRecord, RecordedRun, RecorderSink, ReplayCheck,
+    ReplayError, SchedulerSpec, ARRIVAL_SCHEMA, FLIGHT_SCHEMA,
 };
 pub use scheduler::{
     CacheAffinity, EarliestDeadlineFirst, Fifo, LaneOrder, PolicyKind, Scheduler,
@@ -170,9 +169,8 @@ pub mod prelude {
     };
     pub use crate::replay::{
         check_replay, fleet_fingerprint, parse_arrival_trace, parse_flight_record,
-        render_arrival_trace, replay_run, workload_digest, FlightHeader, FlightRecord, RecordedRun,
-        RecordedTrace, RecorderSink, ReplayCheck, ReplayError, SchedulerSpec, TraceReader,
-        ARRIVAL_SCHEMA, FLIGHT_SCHEMA,
+        render_arrival_trace, workload_digest, FlightRecord, RecordedRun, RecorderSink,
+        ReplayCheck, ReplayError, SchedulerSpec, ARRIVAL_SCHEMA, FLIGHT_SCHEMA,
     };
     pub use crate::scheduler::{
         CacheAffinity, EarliestDeadlineFirst, Fifo, LaneOrder, PolicyKind, Scheduler,

@@ -1,16 +1,16 @@
 //! Flight recorder: record any run, replay it bit-identically, diff two
 //! runs to the first divergent event.
 //!
-//! The engine already guarantees that a run is a pure function of its
-//! inputs — same seed, workload, policy and fleet ⇒ bit-identical
+//! A run is a pure function of its [`CellSpec`]: same seed, fleet,
+//! scheduler, admission, engine config and workload ⇒ bit-identical
 //! [`TraceRecord`] stream (the determinism tests in `lib.rs` pin this).
 //! This module persists that guarantee: a **flight record** is a versioned
-//! JSONL file holding, for every simulated run, one self-describing header
-//! line (schema version, seed, policy, fleet fingerprint, workload digest,
-//! and the full inputs needed to re-run) followed by the run's complete
-//! trace, one record per line.  Anything that can be recorded can be
-//! re-ingested ([`parse_flight_record`]), re-simulated ([`replay_run`]),
-//! mechanically verified ([`check_replay`]) and compared run-to-run (the
+//! JSONL file holding, for every simulated run, one header line — the
+//! run's [`CellSpec`], serialized in full, plus a fleet fingerprint and a
+//! workload digest — followed by the run's complete trace, one record per
+//! line.  Anything that can be recorded can be re-ingested
+//! ([`parse_flight_record`]), re-run through [`run_cell`] and verified
+//! record by record ([`check_replay`]), and compared run-to-run (the
 //! `trace_diff` CLI in `crates/bench`) — every regression becomes a
 //! replayable artifact.
 //!
@@ -19,34 +19,25 @@
 //! * [`RecorderSink`] — a [`TraceSink`] that streams header + records to
 //!   any `io::Write` using [`JsonlSink`]'s latched-error plumbing (an
 //!   observability failure never aborts a simulation).
-//! * [`TraceReader`] — workload *sources*: a recorded arrival trace
-//!   ([`ARRIVAL_SCHEMA`]) is just another workload next to the synthetic
-//!   generators ([`WorkloadSpec`] / [`MultiTenantSpec`] implement the same
-//!   trait), so a captured job stream replays bit-identically against
-//!   policy changes.
-//! * [`replay_run`] / [`check_replay`] — rebuild the fleet and scheduler
-//!   from a parsed header and re-run, optionally comparing the replayed
-//!   stream element-wise against the recorded one.
+//! * Arrival traces ([`ARRIVAL_SCHEMA`]) — [`render_arrival_trace`] /
+//!   [`parse_arrival_trace`] turn a captured job stream into a workload
+//!   that replays bit-identically against policy changes.
+//! * [`check_replay`] — re-run a parsed segment's spec and compare the
+//!   replayed stream element-wise against the recorded one.
 //!
 //! Parsing never panics: every malformed input — truncated JSONL,
-//! unknown schema version, out-of-order arrivals, duplicate job ids — is a
-//! typed [`ReplayError`].
-//!
-//! **Replay limitation:** only `admit-all` runs are replayable.  A
-//! [`crate::admission::TokenBucket`]'s configuration and mid-run state are
-//! not serialized into the header, so segments recorded under token-bucket
-//! admission parse fine (and diff fine) but [`replay_run`] refuses them
-//! with [`ReplayError::UnsupportedAdmission`].
+//! unknown schema version, out-of-order arrivals, duplicate job ids, an
+//! invalid admission budget — is a typed [`ReplayError`].
 
 use std::io;
 use std::sync::Arc;
 
-use split_exec::{QpuModel, SplitExecConfig};
+use split_exec::QpuModel;
 
-use crate::admission::AdmitAll;
+use crate::admission::TokenBucketConfig;
 use crate::cache::{AdmissionPolicy, EvictionPolicyKind};
 use crate::event::{Event, EventKind};
-use crate::fleet::{Fleet, FleetConfig};
+use crate::fleet::FleetConfig;
 use crate::job::Job;
 use crate::json::{self, JsonValue, ParseError};
 use crate::metrics::SimReport;
@@ -54,13 +45,14 @@ use crate::scheduler::{
     LaneOrder, PolicyKind, Scheduler, ShortestPredictedFirst, WeightedFairQueue,
     DEFAULT_AGING_WEIGHT,
 };
-use crate::sim::{simulate_with_telemetry, PercentileMode, SimConfig, TraceRecord, WorkloadMode};
-use crate::telemetry::{JsonlSink, TraceSink, VecSink};
-use crate::tenant::{MultiTenantSpec, TenantId, TenantMeta};
-use crate::workload::{Workload, WorkloadError, WorkloadSpec};
+use crate::sim::{PercentileMode, SimConfig, TraceRecord, WorkloadMode};
+use crate::sweep::{run_cell, AdmissionSpec, CellSpec};
+use crate::telemetry::{FanoutSink, JsonlSink, TraceSink, VecSink};
+use crate::tenant::{TenantId, TenantMeta};
+use crate::workload::Workload;
 
 /// Schema tag carried by every flight-record header line.
-pub const FLIGHT_SCHEMA: &str = "sx-flight-record/v1";
+pub const FLIGHT_SCHEMA: &str = "sx-flight-record/v2";
 
 /// Schema tag carried by every arrival-trace header line.
 pub const ARRIVAL_SCHEMA: &str = "sx-arrival-trace/v1";
@@ -69,7 +61,7 @@ pub const ARRIVAL_SCHEMA: &str = "sx-arrival-trace/v1";
 // Errors
 // ---------------------------------------------------------------------------
 
-/// Why a flight record or arrival trace could not be parsed or replayed.
+/// Why a flight record or arrival trace could not be parsed.
 ///
 /// Line numbers are 1-based positions in the input text.
 #[derive(Debug)]
@@ -122,14 +114,6 @@ pub enum ReplayError {
         /// The duplicated id.
         id: usize,
     },
-    /// The recorded run used an admission controller whose state is not
-    /// serialized, so the run cannot be reconstructed.
-    UnsupportedAdmission {
-        /// The controller's recorded name.
-        admission: String,
-    },
-    /// A replayed workload failed the generator's own validation.
-    Workload(WorkloadError),
 }
 
 impl std::fmt::Display for ReplayError {
@@ -157,11 +141,6 @@ impl std::fmt::Display for ReplayError {
             ReplayError::DuplicateJobId { line, id } => {
                 write!(f, "line {line}: duplicate job id {id}")
             }
-            ReplayError::UnsupportedAdmission { admission } => write!(
-                f,
-                "admission {admission:?} cannot be replayed: controller state is not recorded (only admit-all runs replay)"
-            ),
-            ReplayError::Workload(err) => write!(f, "replayed workload is invalid: {err}"),
         }
     }
 }
@@ -170,15 +149,8 @@ impl std::error::Error for ReplayError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ReplayError::Json { source, .. } => Some(source),
-            ReplayError::Workload(err) => Some(err),
             _ => None,
         }
-    }
-}
-
-impl From<WorkloadError> for ReplayError {
-    fn from(err: WorkloadError) -> Self {
-        ReplayError::Workload(err)
     }
 }
 
@@ -633,6 +605,9 @@ fn fleet_to_json(config: &FleetConfig) -> JsonValue {
 
 fn fleet_from_json(line: usize, value: &JsonValue) -> Result<FleetConfig, ReplayError> {
     let qpus = usize_field(line, value, "qpus")?;
+    if qpus == 0 {
+        return Err(field_err(line, "qpus", "a fleet needs at least one QPU"));
+    }
     let qpu_model = qpu_model_from_name(line, "qpu_model", str_field(line, value, "qpu_model")?)?;
     let raw_models = array_field(line, value, "models")?;
     let mut models = Vec::with_capacity(raw_models.len());
@@ -855,94 +830,129 @@ fn workload_from_json(line: usize, value: &JsonValue) -> Result<Workload, Replay
     Ok(Workload { jobs, tenants })
 }
 
-// ---------------------------------------------------------------------------
-// Flight headers and flight records
-// ---------------------------------------------------------------------------
-
-/// The self-describing first line of a recorded run: schema version, the
-/// run's identity (seed, policy, admission), integrity digests, and the
-/// complete inputs ([`FleetConfig`], [`SimConfig`], [`Workload`],
-/// [`SchedulerSpec`]) needed to re-simulate it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightHeader {
-    /// The run's execution seed (`SplitExecConfig::with_seed`).
-    pub seed: u64,
-    /// The scheduler's display name (e.g. `wfq-fifo`) — always equal to
-    /// `self.scheduler.name()`.
-    pub policy: String,
-    /// The admission controller's name (`admit-all`, `token-bucket`).
-    pub admission: String,
-    /// Recipe for rebuilding the exact scheduler.
-    pub scheduler: SchedulerSpec,
-    /// The fleet the run was simulated against.
-    pub fleet: FleetConfig,
-    /// Engine configuration (release mode, percentile mode).
-    pub config: SimConfig,
-    /// The full job stream, embedded so the record is self-contained.
-    pub workload: Workload,
-    /// [`fleet_fingerprint`] of `fleet` at record time.
-    pub fleet_fingerprint: u64,
-    /// [`workload_digest`] of `workload` at record time.
-    pub workload_digest: u64,
+fn bucket_to_json(config: &TokenBucketConfig) -> JsonValue {
+    JsonValue::object([
+        ("rate_hz", JsonValue::from(config.rate_hz)),
+        ("burst", JsonValue::from(config.burst)),
+        // A decimal string, like `seed`: "no depth limit" is `usize::MAX`,
+        // past the 2^53 range a JSON number carries exactly.
+        (
+            "max_queue_depth",
+            JsonValue::from(config.max_queue_depth.to_string()),
+        ),
+        (
+            "max_defer_seconds",
+            JsonValue::from(config.max_defer_seconds),
+        ),
+        ("shed_infeasible", JsonValue::from(config.shed_infeasible)),
+    ])
 }
 
-impl FlightHeader {
-    /// Describe a run about to be recorded; digests are computed here.
-    pub fn new(
-        seed: u64,
-        scheduler: SchedulerSpec,
-        admission: &str,
-        fleet: FleetConfig,
-        config: SimConfig,
-        workload: Workload,
-    ) -> Self {
-        let fleet_fingerprint = fleet_fingerprint(&fleet);
-        let workload_digest = workload_digest(&workload);
-        Self {
-            seed,
-            policy: scheduler.name().to_string(),
-            admission: admission.to_string(),
-            scheduler,
-            fleet,
-            config,
-            workload,
-            fleet_fingerprint,
-            workload_digest,
+/// Parse one bucket budget, running the same [`TokenBucketConfig::validate`]
+/// check the controller's constructor does — so a hand-edited budget is a
+/// typed error here, never a panic when the spec is built.
+fn bucket_from_json(line: usize, value: &JsonValue) -> Result<TokenBucketConfig, ReplayError> {
+    let max_queue_depth = usize::try_from(u64_field(line, value, "max_queue_depth")?)
+        .map_err(|_| field_err(line, "max_queue_depth", "does not fit in usize"))?;
+    let config = TokenBucketConfig {
+        rate_hz: num_field(line, value, "rate_hz")?,
+        burst: num_field(line, value, "burst")?,
+        max_queue_depth,
+        max_defer_seconds: num_field(line, value, "max_defer_seconds")?,
+        shed_infeasible: bool_field(line, value, "shed_infeasible")?,
+    };
+    config
+        .validate()
+        .map_err(|reason| field_err(line, "admission", reason))?;
+    Ok(config)
+}
+
+impl AdmissionSpec {
+    /// The spec as a JSON object (the header's `"admission"` field): the
+    /// controller kind plus, for a token bucket, every budget.
+    pub fn to_json(&self) -> JsonValue {
+        let kind = ("kind", JsonValue::from(self.name()));
+        match self {
+            AdmissionSpec::AdmitAll => JsonValue::object([kind]),
+            AdmissionSpec::TokenBucket {
+                default,
+                per_tenant,
+            } => JsonValue::object([
+                kind,
+                ("default", bucket_to_json(default)),
+                (
+                    "per_tenant",
+                    JsonValue::array(per_tenant.iter().map(|(tenant, config)| {
+                        JsonValue::object([
+                            ("tenant", JsonValue::from(tenant.index())),
+                            ("budget", bucket_to_json(config)),
+                        ])
+                    })),
+                ),
+            ]),
         }
     }
 
-    /// Whether [`replay_run`] can reconstruct this run (only `admit-all`
-    /// runs can — see the module docs).
-    pub fn replayable(&self) -> bool {
-        self.admission == "admit-all"
+    /// Parse a spec back out of the header's `"admission"` object.
+    pub fn from_json(line: usize, value: &JsonValue) -> Result<Self, ReplayError> {
+        match str_field(line, value, "kind")? {
+            "admit-all" => Ok(AdmissionSpec::AdmitAll),
+            "token-bucket" => {
+                let default = bucket_from_json(line, req(line, value, "default")?)?;
+                let raw = array_field(line, value, "per_tenant")?;
+                let mut per_tenant = Vec::with_capacity(raw.len());
+                for item in raw {
+                    per_tenant.push((
+                        TenantId(usize_field(line, item, "tenant")?),
+                        bucket_from_json(line, req(line, item, "budget")?)?,
+                    ));
+                }
+                Ok(AdmissionSpec::TokenBucket {
+                    default,
+                    per_tenant,
+                })
+            }
+            other => Err(field_err(
+                line,
+                "kind",
+                format!("unknown admission kind {other:?}"),
+            )),
+        }
     }
+}
 
-    /// The header as one JSON object (the flight record's header line).
+// ---------------------------------------------------------------------------
+// Flight records: a `CellSpec` header line per run, then its trace
+// ---------------------------------------------------------------------------
+
+impl CellSpec {
+    /// The spec as a flight-record header line: the schema tag, every
+    /// field of the spec, and two integrity digests ([`fleet_fingerprint`],
+    /// [`workload_digest`]) that parsing checks.
     pub fn to_json(&self) -> JsonValue {
         JsonValue::object([
             ("schema", JsonValue::from(FLIGHT_SCHEMA)),
+            ("label", JsonValue::from(self.label.as_str())),
             ("seed", JsonValue::from(self.seed.to_string())),
-            ("policy", JsonValue::from(self.policy.as_str())),
-            ("admission", JsonValue::from(self.admission.as_str())),
             (
                 "fleet_fingerprint",
-                JsonValue::from(self.fleet_fingerprint.to_string()),
+                JsonValue::from(fleet_fingerprint(&self.fleet).to_string()),
             ),
             (
                 "workload_digest",
-                JsonValue::from(self.workload_digest.to_string()),
+                JsonValue::from(workload_digest(&self.workload).to_string()),
             ),
-            ("jobs", JsonValue::from(self.workload.jobs.len())),
             ("scheduler", self.scheduler.to_json()),
+            ("admission", self.admission.to_json()),
             ("config", sim_config_to_json(&self.config)),
+            ("sample_interval", JsonValue::from(self.sample_interval)),
             ("fleet", fleet_to_json(&self.fleet)),
             ("workload", workload_to_json(&self.workload)),
         ])
     }
 
-    /// Parse a header line, verifying schema, digests and internal
-    /// consistency (policy name matches the scheduler spec, job count
-    /// matches the embedded workload).
+    /// Parse a header line, verifying the schema tag, both digests, and
+    /// every value [`run_cell`] would otherwise refuse with a panic.
     pub fn from_json(line: usize, value: &JsonValue) -> Result<Self, ReplayError> {
         let schema = str_field(line, value, "schema")?;
         if schema != FLIGHT_SCHEMA {
@@ -951,69 +961,43 @@ impl FlightHeader {
                 expected: FLIGHT_SCHEMA,
             });
         }
-        let seed = u64_field(line, value, "seed")?;
-        let policy = str_field(line, value, "policy")?.to_string();
-        let admission = str_field(line, value, "admission")?.to_string();
-        let recorded_fleet_fp = u64_field(line, value, "fleet_fingerprint")?;
-        let recorded_workload_digest = u64_field(line, value, "workload_digest")?;
-        let jobs = usize_field(line, value, "jobs")?;
-        let scheduler = SchedulerSpec::from_json(line, req(line, value, "scheduler")?)?;
-        let config = sim_config_from_json(line, req(line, value, "config")?)?;
-        let fleet = fleet_from_json(line, req(line, value, "fleet")?)?;
-        let workload = workload_from_json(line, req(line, value, "workload")?)?;
-        if policy != scheduler.name() {
-            return Err(field_err(
-                line,
-                "policy",
-                format!(
-                    "{policy:?} does not match the scheduler spec ({:?})",
-                    scheduler.name()
-                ),
-            ));
+        let sample_interval = finite_field(line, value, "sample_interval")?;
+        if sample_interval <= 0.0 {
+            return Err(field_err(line, "sample_interval", "must be positive"));
         }
-        if jobs != workload.jobs.len() {
-            return Err(field_err(
-                line,
-                "jobs",
-                format!(
-                    "header declares {jobs} jobs but the embedded workload has {}",
-                    workload.jobs.len()
-                ),
-            ));
-        }
-        if recorded_fleet_fp != fleet_fingerprint(&fleet) {
+        let spec = CellSpec {
+            label: str_field(line, value, "label")?.to_string(),
+            seed: u64_field(line, value, "seed")?,
+            fleet: fleet_from_json(line, req(line, value, "fleet")?)?,
+            scheduler: SchedulerSpec::from_json(line, req(line, value, "scheduler")?)?,
+            admission: AdmissionSpec::from_json(line, req(line, value, "admission")?)?,
+            config: sim_config_from_json(line, req(line, value, "config")?)?,
+            sample_interval,
+            workload: Arc::new(workload_from_json(line, req(line, value, "workload")?)?),
+        };
+        if u64_field(line, value, "fleet_fingerprint")? != fleet_fingerprint(&spec.fleet) {
             return Err(field_err(
                 line,
                 "fleet_fingerprint",
                 "does not match the embedded fleet config (corrupt or hand-edited record)",
             ));
         }
-        if recorded_workload_digest != workload_digest(&workload) {
+        if u64_field(line, value, "workload_digest")? != workload_digest(&spec.workload) {
             return Err(field_err(
                 line,
                 "workload_digest",
                 "does not match the embedded workload (corrupt or hand-edited record)",
             ));
         }
-        Ok(Self {
-            seed,
-            policy,
-            admission,
-            scheduler,
-            fleet,
-            config,
-            workload,
-            fleet_fingerprint: recorded_fleet_fp,
-            workload_digest: recorded_workload_digest,
-        })
+        Ok(spec)
     }
 }
 
-/// One recorded run: its header plus the complete trace that followed it.
+/// One recorded run: its spec plus the complete trace that followed it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordedRun {
-    /// The run's self-describing header.
-    pub header: FlightHeader,
+    /// The run's description, parsed from its header line.
+    pub spec: CellSpec,
     /// The run's trace records, in emission order.
     pub records: Vec<TraceRecord>,
 }
@@ -1041,7 +1025,7 @@ pub fn parse_flight_record(text: &str) -> Result<FlightRecord, ReplayError> {
         let value = json::parse(trimmed).map_err(|source| ReplayError::Json { line, source })?;
         if value.get("schema").is_some() {
             runs.push(RecordedRun {
-                header: FlightHeader::from_json(line, &value)?,
+                spec: CellSpec::from_json(line, &value)?,
                 records: Vec::new(),
             });
         } else {
@@ -1123,7 +1107,7 @@ fn record_from_json(line: usize, value: &JsonValue) -> Result<TraceRecord, Repla
 // ---------------------------------------------------------------------------
 
 /// A [`TraceSink`] that streams a flight record to any [`io::Write`]:
-/// call [`Self::begin_run`] with the run's header, then attach the sink to
+/// call [`Self::begin_run`] with the run's spec, then attach the sink to
 /// the engine — every record becomes one JSONL line.  Reuses
 /// [`JsonlSink`]'s latched-error plumbing: I/O failures are counted and
 /// latched ([`Self::take_error`] / [`Self::finish`]), never raised into
@@ -1144,11 +1128,11 @@ impl<W: io::Write> RecorderSink<W> {
         }
     }
 
-    /// Open a new run segment by writing its header line.  Must be called
-    /// before the run's first record; may be called again for each
-    /// subsequent run recorded into the same file.
-    pub fn begin_run(&mut self, header: &FlightHeader) {
-        self.inner.write_value(&header.to_json());
+    /// Open a new run segment by writing `spec` as its header line.  Must
+    /// be called before the run's first record; may be called again for
+    /// each subsequent run recorded into the same file.
+    pub fn begin_run(&mut self, spec: &CellSpec) {
+        self.inner.write_value(&spec.to_json());
     }
 
     /// Lines (headers + records) successfully written.
@@ -1288,79 +1272,9 @@ pub fn parse_arrival_trace(text: &str) -> Result<Workload, ReplayError> {
     Ok(Workload { jobs, tenants })
 }
 
-/// A source of workloads: recorded arrival traces and the synthetic
-/// generators behind one interface, so the engine (and `cluster_sim`) can
-/// treat "replay this capture" exactly like "generate me a workload".
-pub trait TraceReader {
-    /// Produce the workload.
-    fn read(&self) -> Result<Workload, ReplayError>;
-}
-
-/// A recorded arrival trace held as text (read the file, hand it here).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordedTrace {
-    text: String,
-}
-
-impl RecordedTrace {
-    /// Wrap the raw text of an arrival-trace file.
-    pub fn new(text: impl Into<String>) -> Self {
-        Self { text: text.into() }
-    }
-}
-
-impl TraceReader for RecordedTrace {
-    fn read(&self) -> Result<Workload, ReplayError> {
-        parse_arrival_trace(&self.text)
-    }
-}
-
-impl TraceReader for WorkloadSpec {
-    fn read(&self) -> Result<Workload, ReplayError> {
-        self.try_generate().map_err(ReplayError::Workload)
-    }
-}
-
-impl TraceReader for MultiTenantSpec {
-    fn read(&self) -> Result<Workload, ReplayError> {
-        self.try_generate().map_err(ReplayError::Workload)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Replay
 // ---------------------------------------------------------------------------
-
-/// Re-simulate a recorded run from its header: rebuild the fleet (same
-/// config + seed ⇒ identical fault maps), rebuild the scheduler from its
-/// spec, and run the engine with `sink` attached.  The determinism
-/// contract guarantees the emitted stream is bit-identical to the recorded
-/// one; [`check_replay`] asserts it.
-///
-/// Refuses runs whose admission controller cannot be reconstructed
-/// ([`ReplayError::UnsupportedAdmission`]).
-pub fn replay_run(run: &RecordedRun, sink: &mut dyn TraceSink) -> Result<SimReport, ReplayError> {
-    if !run.header.replayable() {
-        return Err(ReplayError::UnsupportedAdmission {
-            admission: run.header.admission.clone(),
-        });
-    }
-    let fleet = Fleet::new(
-        run.header.fleet.clone(),
-        SplitExecConfig::with_seed(run.header.seed),
-    );
-    let mut scheduler = run.header.scheduler.build();
-    let mut admission = AdmitAll;
-    Ok(simulate_with_telemetry(
-        fleet,
-        &run.header.workload,
-        scheduler.as_mut(),
-        &mut admission,
-        run.header.config,
-        sink,
-        None,
-    ))
-}
 
 /// The outcome of replaying a recorded run and comparing streams.
 #[derive(Debug)]
@@ -1370,31 +1284,39 @@ pub struct ReplayCheck {
     /// Index of the first divergent record, `None` when the replay is
     /// bit-identical.  A length mismatch diverges at the shorter length.
     pub divergence: Option<usize>,
+    /// The replayed stream, in emission order.
+    pub replayed: Vec<TraceRecord>,
     /// The replayed run's report.
     pub report: SimReport,
 }
 
-/// Replay `run` and compare the replayed stream element-wise against the
-/// recorded one.
-pub fn check_replay(run: &RecordedRun) -> Result<ReplayCheck, ReplayError> {
-    let mut sink = VecSink::new();
-    let report = replay_run(run, &mut sink)?;
-    let replayed = sink.into_trace();
+/// Re-run `run`'s recorded spec through [`run_cell`] — the path every run
+/// takes — with `sink` attached beside the comparison buffer, and compare
+/// the replayed stream element-wise against the recorded one.  The
+/// determinism contract makes the replay bit-identical to an untampered
+/// record; `sink` lets the caller re-record or trace the replay.
+pub fn check_replay(run: &RecordedRun, sink: &mut dyn TraceSink) -> ReplayCheck {
+    let mut buffer = VecSink::new();
+    let result = run_cell(0, &run.spec, &mut FanoutSink::new(&mut buffer, sink));
+    let replayed = buffer.into_trace();
     let compared = run.records.len().min(replayed.len());
     let mut divergence = (0..compared).find(|&i| run.records[i] != replayed[i]);
     if divergence.is_none() && run.records.len() != replayed.len() {
         divergence = Some(compared);
     }
-    Ok(ReplayCheck {
+    ReplayCheck {
         compared,
         divergence,
-        report,
-    })
+        replayed,
+        report: result.report,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::DEFAULT_SAMPLE_INTERVAL;
+    use crate::telemetry::NullSink;
 
     fn tiny_workload(n: usize) -> Workload {
         let jobs = (0..n)
@@ -1415,38 +1337,46 @@ mod tests {
         Workload::single_tenant(jobs)
     }
 
-    fn small_header(seed: u64, spec: SchedulerSpec) -> FlightHeader {
-        FlightHeader::new(
+    fn small_cell(seed: u64, scheduler: SchedulerSpec) -> CellSpec {
+        CellSpec {
+            label: format!("s{seed}/{}", scheduler.name()),
             seed,
-            spec,
-            "admit-all",
-            FleetConfig {
+            fleet: FleetConfig {
                 qpus: 2,
                 seed,
                 ..FleetConfig::default()
             },
-            SimConfig::default(),
-            tiny_workload(8),
-        )
+            scheduler,
+            admission: AdmissionSpec::AdmitAll,
+            config: SimConfig::default(),
+            sample_interval: DEFAULT_SAMPLE_INTERVAL,
+            workload: Arc::new(tiny_workload(8)),
+        }
     }
 
-    fn record_run(header: &FlightHeader) -> String {
+    /// A token bucket with a per-tenant override and the "no depth limit"
+    /// `usize::MAX`.
+    fn token_bucket_cell(seed: u64) -> CellSpec {
+        let tight = TokenBucketConfig {
+            rate_hz: 0.5,
+            burst: 1.0,
+            max_queue_depth: usize::MAX,
+            max_defer_seconds: 3.0,
+            shed_infeasible: true,
+        };
+        CellSpec {
+            admission: AdmissionSpec::TokenBucket {
+                default: TokenBucketConfig::default(),
+                per_tenant: vec![(TenantId(0), tight)],
+            },
+            ..small_cell(seed, SchedulerSpec::Fifo)
+        }
+    }
+
+    fn record_run(spec: &CellSpec) -> String {
         let mut recorder = RecorderSink::new(Vec::<u8>::new());
-        recorder.begin_run(header);
-        let fleet = Fleet::new(
-            header.fleet.clone(),
-            SplitExecConfig::with_seed(header.seed),
-        );
-        let mut scheduler = header.scheduler.build();
-        simulate_with_telemetry(
-            fleet,
-            &header.workload,
-            scheduler.as_mut(),
-            &mut AdmitAll,
-            header.config,
-            &mut recorder,
-            None,
-        );
+        recorder.begin_run(spec);
+        run_cell(0, spec, &mut recorder);
         let (bytes, lines) = recorder.finish().expect("in-memory writes cannot fail");
         assert!(lines > 1, "header plus at least one record");
         String::from_utf8(bytes).expect("utf8")
@@ -1486,54 +1416,56 @@ mod tests {
     }
 
     #[test]
-    fn flight_header_round_trips_through_json() {
-        let header = small_header(
+    fn cell_spec_header_round_trips_through_json() {
+        let admit_all = small_cell(
             42,
             SchedulerSpec::WeightedFair {
                 weights: vec![2.0, 1.0],
                 lane_order: LaneOrder::Fifo,
             },
         );
-        let rendered = header.to_json().to_string();
-        let parsed = json::parse(&rendered).expect("valid JSON");
-        let back = FlightHeader::from_json(1, &parsed).expect("round trip");
-        assert_eq!(back, header);
-        // Re-rendering is byte-identical: trace_diff can compare raw lines.
-        assert_eq!(back.to_json().to_string(), rendered);
+        let bucket = token_bucket_cell(43);
+        for spec in [admit_all, bucket] {
+            let rendered = spec.to_json().to_string();
+            let parsed = json::parse(&rendered).expect("valid JSON");
+            let back = CellSpec::from_json(1, &parsed).expect("round trip");
+            assert_eq!(back, spec);
+            // Re-rendering is byte-identical: trace_diff can compare raw lines.
+            assert_eq!(back.to_json().to_string(), rendered);
+        }
     }
 
     #[test]
     fn recorded_run_replays_bit_identically() {
-        let header = small_header(7, SchedulerSpec::CacheAffinity);
-        let text = record_run(&header);
+        let spec = small_cell(7, SchedulerSpec::CacheAffinity);
+        let text = record_run(&spec);
         let flight = parse_flight_record(&text).expect("parses");
         assert_eq!(flight.runs.len(), 1);
         let run = &flight.runs[0];
-        assert_eq!(run.header, header);
+        assert_eq!(run.spec, spec);
         assert!(!run.records.is_empty());
-        let check = check_replay(run).expect("replayable");
+        let check = check_replay(run, &mut NullSink);
         assert_eq!(check.divergence, None, "replay must be bit-identical");
         assert_eq!(check.compared, run.records.len());
     }
 
     #[test]
     fn multi_segment_records_split_into_runs() {
-        let a = small_header(3, SchedulerSpec::Fifo);
-        let b = small_header(4, SchedulerSpec::EarliestDeadlineFirst);
+        let a = small_cell(3, SchedulerSpec::Fifo);
+        let b = small_cell(4, SchedulerSpec::EarliestDeadlineFirst);
         let text = format!("{}{}", record_run(&a), record_run(&b));
         let flight = parse_flight_record(&text).expect("parses");
         assert_eq!(flight.runs.len(), 2);
-        assert_eq!(flight.runs[0].header.seed, 3);
-        assert_eq!(flight.runs[1].header.seed, 4);
+        assert_eq!(flight.runs[0].spec.seed, 3);
+        assert_eq!(flight.runs[1].spec.seed, 4);
         for run in &flight.runs {
-            assert_eq!(check_replay(run).expect("replayable").divergence, None);
+            assert_eq!(check_replay(run, &mut NullSink).divergence, None);
         }
     }
 
     #[test]
     fn a_perturbed_record_diverges_at_a_definite_index() {
-        let header = small_header(11, SchedulerSpec::Fifo);
-        let text = record_run(&header);
+        let text = record_run(&small_cell(11, SchedulerSpec::Fifo));
         let mut flight = parse_flight_record(&text).expect("parses");
         let run = &mut flight.runs[0];
         // Tamper with one mid-stream record.
@@ -1546,59 +1478,38 @@ mod tests {
                 job: 9999,
             };
         }
-        let check = check_replay(run).expect("replayable");
+        let check = check_replay(run, &mut NullSink);
         assert_eq!(check.divergence, Some(mid));
+        assert_ne!(run.records[mid], check.replayed[mid]);
     }
 
     #[test]
     fn truncated_records_diverge_at_the_missing_suffix() {
-        let header = small_header(12, SchedulerSpec::Fifo);
-        let text = record_run(&header);
+        let text = record_run(&small_cell(12, SchedulerSpec::Fifo));
         let mut flight = parse_flight_record(&text).expect("parses");
         let run = &mut flight.runs[0];
         let keep = run.records.len() - 2;
         run.records.truncate(keep);
-        let check = check_replay(run).expect("replayable");
+        let check = check_replay(run, &mut NullSink);
         assert_eq!(check.divergence, Some(keep));
-    }
-
-    #[test]
-    fn token_bucket_segments_are_refused_not_panicked() {
-        let mut header = small_header(5, SchedulerSpec::Fifo);
-        header.admission = "token-bucket".to_string();
-        assert!(!header.replayable());
-        let run = RecordedRun {
-            header,
-            records: Vec::new(),
-        };
-        let mut sink = VecSink::new();
-        match replay_run(&run, &mut sink) {
-            Err(ReplayError::UnsupportedAdmission { admission }) => {
-                assert_eq!(admission, "token-bucket");
-            }
-            other => panic!("expected UnsupportedAdmission, got {other:?}"),
-        }
     }
 
     #[test]
     fn arrival_traces_round_trip_bit_identically() {
         let workload = tiny_workload(10);
         let text = render_arrival_trace(&workload);
-        let back = RecordedTrace::new(text.as_str()).read().expect("parses");
+        let back = parse_arrival_trace(&text).expect("parses");
         assert_eq!(back, workload);
         // Render → parse → render is byte-stable.
         assert_eq!(render_arrival_trace(&back), text);
     }
 
     #[test]
-    fn generator_specs_are_trace_readers_too() {
-        let spec = WorkloadSpec::repeated_topologies(12, 2.0, 9);
+    fn generated_workloads_round_trip_as_arrival_traces() {
+        let spec = crate::workload::WorkloadSpec::repeated_topologies(12, 2.0, 9);
         let direct = spec.try_generate().expect("valid spec");
-        let via_reader = TraceReader::read(&spec).expect("reader path");
-        assert_eq!(via_reader, direct);
-        // And the recorded form of a generated workload replays identically.
         let text = render_arrival_trace(&direct);
-        assert_eq!(RecordedTrace::new(text).read().expect("parses"), direct);
+        assert_eq!(parse_arrival_trace(&text).expect("parses"), direct);
     }
 
     #[test]
@@ -1620,8 +1531,7 @@ mod tests {
 
     #[test]
     fn truncated_jsonl_mid_record_is_a_json_error() {
-        let header = small_header(6, SchedulerSpec::Fifo);
-        let text = record_run(&header);
+        let text = record_run(&small_cell(6, SchedulerSpec::Fifo));
         // Chop the file mid-way through its final line.
         let cut = text.trim_end().len() - 10;
         let err = parse_flight_record(&text[..cut]).expect_err("must fail");
@@ -1633,14 +1543,19 @@ mod tests {
 
     #[test]
     fn unknown_schema_versions_are_refused() {
-        let err =
-            parse_flight_record(r#"{"schema":"sx-flight-record/v999"}"#).expect_err("must fail");
-        match err {
-            ReplayError::UnknownSchema { found, expected } => {
-                assert_eq!(found, "sx-flight-record/v999");
-                assert_eq!(expected, FLIGHT_SCHEMA);
+        for found in ["sx-flight-record/v999", "sx-flight-record/v1"] {
+            let err =
+                parse_flight_record(&format!(r#"{{"schema":"{found}"}}"#)).expect_err("must fail");
+            match err {
+                ReplayError::UnknownSchema {
+                    found: got,
+                    expected,
+                } => {
+                    assert_eq!(got, found);
+                    assert_eq!(expected, FLIGHT_SCHEMA);
+                }
+                other => panic!("expected UnknownSchema, got {other}"),
             }
-            other => panic!("expected UnknownSchema, got {other}"),
         }
         let err = parse_arrival_trace(r#"{"schema":"sx-arrival-trace/v0","jobs":0,"tenants":[]}"#)
             .expect_err("must fail");
@@ -1711,8 +1626,7 @@ mod tests {
 
     #[test]
     fn unknown_record_kinds_are_a_typed_error() {
-        let header = small_header(2, SchedulerSpec::Fifo);
-        let mut text = record_run(&header);
+        let mut text = record_run(&small_cell(2, SchedulerSpec::Fifo));
         text.push_str("{\"t\":1.0,\"kind\":\"teleported\",\"job\":0}\n");
         let err = parse_flight_record(&text).expect_err("must fail");
         match err {
@@ -1723,13 +1637,13 @@ mod tests {
 
     #[test]
     fn tampered_digests_are_an_integrity_error() {
-        let header = small_header(13, SchedulerSpec::Fifo);
-        let rendered = header.to_json().to_string();
-        let tampered =
-            rendered.replacen(&format!("\"{}\"", header.workload_digest), "\"12345\"", 1);
+        let spec = small_cell(13, SchedulerSpec::Fifo);
+        let rendered = spec.to_json().to_string();
+        let digest = workload_digest(&spec.workload);
+        let tampered = rendered.replacen(&format!("\"{digest}\""), "\"12345\"", 1);
         assert_ne!(tampered, rendered, "digest must appear in the header");
         let parsed = json::parse(&tampered).expect("still valid JSON");
-        let err = FlightHeader::from_json(1, &parsed).expect_err("must fail");
+        let err = CellSpec::from_json(1, &parsed).expect_err("must fail");
         match err {
             ReplayError::Field { field, .. } => assert_eq!(field, "workload_digest"),
             other => panic!("expected Field error, got {other}"),

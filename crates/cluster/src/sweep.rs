@@ -1,11 +1,14 @@
 //! Deterministic parallel experiment runner: fan independent simulation
 //! cells across threads, bit-identical to serial.
 //!
-//! A [`CellSpec`] is a complete, serializable-shaped description of one
-//! independent run — seed, generated workload, fleet config, scheduler
-//! spec, admission spec, engine config.  [`SweepPlan`] expands a cartesian
-//! grid of axes (seed × fleet × load × workload variant × scheduler) into
-//! cells, with capacity-derived arrival-rate calibration
+//! A [`CellSpec`] is the one complete description of a run — seed,
+//! workload, fleet config, scheduler spec, admission spec, engine config —
+//! and it is serialized: a flight record's header line is a `CellSpec`
+//! ([`CellSpec::to_json`]), and replay runs the parsed spec through the
+//! same [`run_cell`] every sweep cell and `cluster_sim` run goes through.
+//! [`SweepPlan`] expands a cartesian grid of axes (seed × fleet × load ×
+//! workload variant × scheduler) into cells, with capacity-derived
+//! arrival-rate calibration
 //! ([`RateCalibration`]) hoisted out of the per-cell loop so a cell's rate
 //! depends only on its `(fleet, load)` coordinates, never on axis order.
 //! [`run_sweep`] executes the cells across threads via the compat `rayon`
@@ -45,9 +48,10 @@ use crate::telemetry::{HostStopwatch, MetricsRegistry, NullSink, StreamingHistog
 use crate::tenant::TenantId;
 use crate::workload::Workload;
 
-/// Serializable-shaped admission description: how a cell's
+/// Serializable admission description: how a cell's
 /// [`AdmissionController`] is rebuilt, the way [`SchedulerSpec`] rebuilds
-/// its scheduler.
+/// its scheduler ([`AdmissionSpec::to_json`] / [`AdmissionSpec::from_json`]
+/// carry it through a flight record, budgets and all).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdmissionSpec {
     /// [`AdmitAll`]: every arrival admitted.
@@ -93,7 +97,7 @@ impl AdmissionSpec {
 /// execute a run from scratch.  Cells share their (read-only) workload via
 /// `Arc`, exactly as the serial sweep modes shared one generated workload
 /// across a scheduler axis.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
     /// Display label, e.g. `s7/uniform/load0.7/fifo`.
     pub label: String,

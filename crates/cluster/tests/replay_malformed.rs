@@ -1,12 +1,15 @@
 //! End-to-end tests of the flight-recorder contract through the public
-//! API: a recorded run replays bit-identically, and every malformed input
-//! class — truncated JSONL mid-record, unknown schema versions,
-//! out-of-order arrivals, duplicate job ids — is a typed [`ReplayError`],
-//! never a panic (the `sx_lint` H003 contract extends to parsing
-//! adversarial files).
+//! API: a recorded run — token-bucket admission included — replays
+//! bit-identically, and every malformed input class — truncated JSONL
+//! mid-record, unknown schema versions, out-of-order arrivals, duplicate
+//! job ids, invalid admission budgets — is a typed [`ReplayError`], never
+//! a panic (the `sx_lint` H003 contract extends to parsing adversarial
+//! files).
 
-use split_exec::SplitExecConfig;
+use std::sync::Arc;
+
 use sx_cluster::prelude::*;
+use sx_cluster::sweep::DEFAULT_SAMPLE_INTERVAL;
 
 fn fleet_config(seed: u64) -> FleetConfig {
     FleetConfig {
@@ -20,56 +23,101 @@ fn workload(seed: u64) -> Workload {
     WorkloadSpec::repeated_topologies(16, 1.5, seed).generate()
 }
 
-/// Record one real run into a string and hand back its flight record.
-fn recorded(seed: u64) -> String {
-    let config = SimConfig::default();
-    let workload = workload(seed);
-    let spec = SchedulerSpec::CacheAffinity;
-    let header = FlightHeader::new(
+fn cell(seed: u64, scheduler: SchedulerSpec, admission: AdmissionSpec) -> CellSpec {
+    CellSpec {
+        label: format!("s{seed}/{}", scheduler.name()),
         seed,
-        spec.clone(),
-        "admit-all",
-        fleet_config(seed),
-        config,
-        workload.clone(),
-    );
+        fleet: fleet_config(seed),
+        scheduler,
+        admission,
+        config: SimConfig::default(),
+        sample_interval: DEFAULT_SAMPLE_INTERVAL,
+        workload: Arc::new(workload(seed)),
+    }
+}
+
+/// Record `spec`'s run into a string: its flight record.
+fn record(spec: &CellSpec) -> String {
     let mut recorder = RecorderSink::new(Vec::new());
-    recorder.begin_run(&header);
-    let fleet = Fleet::new(fleet_config(seed), SplitExecConfig::with_seed(seed));
-    let mut scheduler = spec.build();
-    simulate_with_telemetry(
-        fleet,
-        &workload,
-        scheduler.as_mut(),
-        &mut AdmitAll,
-        config,
-        &mut recorder,
-        None,
-    );
+    recorder.begin_run(spec);
+    run_cell(0, spec, &mut recorder);
     let (bytes, _) = recorder.finish().expect("Vec<u8> writes cannot fail");
     String::from_utf8(bytes).expect("flight records are UTF-8")
+}
+
+/// Parse `text`, replay its one segment under a fresh recorder, and hand
+/// back the replay's divergence and its own flight record.
+fn replay_and_rerecord(text: &str) -> (Option<usize>, String) {
+    let flight = parse_flight_record(text).expect("the recorder's own output parses");
+    assert_eq!(flight.runs.len(), 1);
+    let run = &flight.runs[0];
+    let mut recorder = RecorderSink::new(Vec::new());
+    recorder.begin_run(&run.spec);
+    let check = check_replay(run, &mut recorder);
+    assert_eq!(check.compared, run.records.len());
+    let (bytes, _) = recorder.finish().expect("Vec<u8> writes cannot fail");
+    (check.divergence, String::from_utf8(bytes).expect("UTF-8"))
+}
+
+/// Record one admit-all affinity run.
+fn recorded(seed: u64) -> String {
+    record(&cell(
+        seed,
+        SchedulerSpec::CacheAffinity,
+        AdmissionSpec::AdmitAll,
+    ))
+}
+
+/// A token bucket tight enough to defer and shed this workload, with a
+/// per-tenant override and the "no depth limit" `usize::MAX`.
+fn tight_bucket() -> AdmissionSpec {
+    AdmissionSpec::TokenBucket {
+        default: TokenBucketConfig::default(),
+        per_tenant: vec![(
+            TenantId(0),
+            TokenBucketConfig {
+                rate_hz: 0.5,
+                burst: 1.0,
+                max_queue_depth: usize::MAX,
+                max_defer_seconds: 4.0,
+                shed_infeasible: false,
+            },
+        )],
+    }
 }
 
 #[test]
 fn a_recorded_run_round_trips_and_replays_bit_identically() {
     let text = recorded(23);
     let record = parse_flight_record(&text).expect("the recorder's own output parses");
-    assert_eq!(record.runs.len(), 1);
-    let run = &record.runs[0];
-    assert_eq!(run.header.policy, "affinity");
-    assert!(run.header.replayable());
-
-    let check = check_replay(run).expect("an admit-all run replays");
-    assert_eq!(check.compared, run.records.len());
-    assert_eq!(check.divergence, None, "replay must be bit-identical");
-
+    assert_eq!(record.runs[0].spec.scheduler.name(), "affinity");
     // Re-recording the parsed run reproduces the file byte-for-byte: the
     // JSON rendering is deterministic, so diffing records is diffing runs.
-    let mut recorder = RecorderSink::new(Vec::new());
-    recorder.begin_run(&run.header);
-    replay_run(run, &mut recorder).expect("replay under a recorder");
-    let (bytes, _) = recorder.finish().expect("Vec<u8> writes cannot fail");
-    assert_eq!(String::from_utf8(bytes).expect("UTF-8"), text);
+    let (divergence, rerecorded) = replay_and_rerecord(&text);
+    assert_eq!(divergence, None, "replay must be bit-identical");
+    assert_eq!(rerecorded, text);
+}
+
+#[test]
+fn token_bucket_runs_replay_and_rerecord_bit_identically() {
+    let text = record(&cell(23, SchedulerSpec::Fifo, tight_bucket()));
+    let record = parse_flight_record(&text).expect("parses");
+    let records = &record.runs[0].records;
+    assert!(
+        records
+            .iter()
+            .any(|r| matches!(r, TraceRecord::Deferred { .. })),
+        "the bucket must bind, or the test shows nothing"
+    );
+    assert!(
+        records
+            .iter()
+            .any(|r| matches!(r, TraceRecord::Shed { .. })),
+        "the defer budget must run out for some job"
+    );
+    let (divergence, rerecorded) = replay_and_rerecord(&text);
+    assert_eq!(divergence, None, "replay must be bit-identical");
+    assert_eq!(rerecorded, text);
 }
 
 #[test]
@@ -88,13 +136,16 @@ fn truncated_jsonl_mid_record_is_a_typed_parse_error() {
 
 #[test]
 fn unknown_flight_schema_versions_are_refused() {
-    let text = recorded(23).replace(FLIGHT_SCHEMA, "sx-flight-record/v999");
-    match parse_flight_record(&text) {
-        Err(ReplayError::UnknownSchema { found, expected }) => {
-            assert_eq!(found, "sx-flight-record/v999");
-            assert_eq!(expected, FLIGHT_SCHEMA);
+    // v1 headers described admission by name only; no path reads them.
+    for schema in ["sx-flight-record/v999", "sx-flight-record/v1"] {
+        let text = recorded(23).replace(FLIGHT_SCHEMA, schema);
+        match parse_flight_record(&text) {
+            Err(ReplayError::UnknownSchema { found, expected }) => {
+                assert_eq!(found, schema);
+                assert_eq!(expected, FLIGHT_SCHEMA);
+            }
+            other => panic!("expected UnknownSchema, got {other:?}"),
         }
-        other => panic!("expected UnknownSchema, got {other:?}"),
     }
 }
 
@@ -115,9 +166,11 @@ fn arrival_traces_round_trip_through_the_public_api() {
     assert_eq!(reread.jobs, original.jobs);
     assert_eq!(reread.tenants, original.tenants);
     assert_eq!(workload_digest(&reread), workload_digest(&original));
-    // And the reader trait serves generators and recorded traces alike.
-    let from_reader = RecordedTrace::new(trace).read().expect("reader replays");
-    assert_eq!(from_reader.jobs, original.jobs);
+    // A recorded trace stands in for the generator that produced it.
+    let generated = WorkloadSpec::repeated_topologies(16, 1.5, 5)
+        .try_generate()
+        .expect("valid spec");
+    assert_eq!(reread, generated);
 }
 
 #[test]
@@ -183,28 +236,62 @@ fn tampered_records_keep_their_integrity_digests_honest() {
     );
 }
 
+/// The token-bucket header of a real record, its `"admission"` object
+/// rewritten by `edit` — a hand-edited record.
+fn edited_bucket_record(edit: impl Fn(&str) -> String) -> String {
+    let text = record(&cell(23, SchedulerSpec::Fifo, tight_bucket()));
+    let edited = edit(&text);
+    assert_ne!(edited, text, "the edit must hit the header");
+    edited
+}
+
 #[test]
-fn token_bucket_segments_refuse_replay_with_a_typed_error() {
-    let seed = 23;
-    let config = SimConfig::default();
-    let workload = workload(seed);
-    let header = FlightHeader::new(
-        seed,
-        SchedulerSpec::Fifo,
-        "token-bucket",
-        fleet_config(seed),
-        config,
-        workload,
-    );
-    assert!(!header.replayable());
-    let run = RecordedRun {
-        header,
-        records: Vec::new(),
-    };
-    match check_replay(&run) {
-        Err(ReplayError::UnsupportedAdmission { admission }) => {
-            assert_eq!(admission, "token-bucket");
+fn invalid_admission_budgets_are_typed_errors_not_panics() {
+    let cases: [(&str, &str, &str); 4] = [
+        ("\"rate_hz\":0.5", "\"rate_hz\":0", "rate"),
+        ("\"burst\":1,", "\"burst\":0.5,", "burst"),
+        (
+            "\"max_defer_seconds\":4,",
+            "\"max_defer_seconds\":-1,",
+            "max_defer_seconds",
+        ),
+        (
+            "\"kind\":\"token-bucket\"",
+            "\"kind\":\"leaky-bucket\"",
+            "leaky-bucket",
+        ),
+    ];
+    for (from, to, named) in cases {
+        let text = edited_bucket_record(|t| t.replacen(from, to, 1));
+        match parse_flight_record(&text) {
+            Err(err @ ReplayError::Field { .. }) => {
+                assert!(err.to_string().contains(named), "{from} -> {to}: got {err}")
+            }
+            other => panic!("{from} -> {to}: expected a Field error, got {other:?}"),
         }
-        other => panic!("expected UnsupportedAdmission, got {other:?}"),
     }
+}
+
+#[test]
+fn queue_depths_travel_as_decimal_strings() {
+    let text = record(&cell(23, SchedulerSpec::Fifo, tight_bucket()));
+    assert!(text.contains("\"max_queue_depth\":\"18446744073709551615\""));
+    // A bare number is refused like any mistyped field, not rounded.
+    let text = edited_bucket_record(|t| {
+        t.replacen(
+            "\"max_queue_depth\":\"18446744073709551615\"",
+            "\"max_queue_depth\":64",
+            1,
+        )
+    });
+    assert!(
+        matches!(
+            parse_flight_record(&text),
+            Err(ReplayError::Field {
+                field: "max_queue_depth",
+                ..
+            })
+        ),
+        "expected a max_queue_depth Field error"
+    );
 }
