@@ -2,7 +2,7 @@
 //! fairness and deadline SLOs — with a flight recorder that can capture
 //! any run and replay it bit-identically.
 //!
-//! Nine modes (see `docs/cluster_sim.md` for the full flag and JSON-schema
+//! Eight modes (see `docs/cluster_sim.md` for the full flag and JSON-schema
 //! reference):
 //!
 //! * `--mode compare` (default) — replays a stream of QUBO jobs against a
@@ -42,18 +42,6 @@
 //!   Jain's index within 5% of plain WFQ, and unless token-bucket
 //!   deadline-infeasibility shedding sheds doomed aggressor jobs without
 //!   ever claiming a feasible victim job.
-//! * `--mode bench` — the engine perf baseline: a fixed seeded matrix of
-//!   policy × fleet × offered load, each cell run with a
-//!   [`NullSink`] and a sketch-only metrics
-//!   registry, wall-clock timed host-side.  Emits a schema-stable
-//!   `BENCH_cluster.json` (`sx-cluster-bench/v2`: events/sec, jobs/sec,
-//!   ns/event, latency quantiles per cell, plus a parallel-scaling section
-//!   comparing the serial oracle against a `--threads N` re-run that must
-//!   be bit-identical), re-reads the file through
-//!   `sx_cluster::json::parse` and validates it against the schema, and
-//!   cross-checks that telemetry was a pure observer (sink-on vs sink-off
-//!   reports bit-identical) — so one CI step covers generation and
-//!   validation.
 //! * `--mode sweep` — the deterministic parallel experiment runner,
 //!   exposed directly: an explicit (seed × load × policy) grid expanded
 //!   through `sx_cluster::sweep::SweepPlan` (arrival rates calibrated once
@@ -71,14 +59,14 @@
 //!
 //! ```text
 //! cargo run --release -p sx-bench --bin cluster_sim -- \
-//!     [--mode compare|cache-cliff|fairness|aging-sweep|admission|slo|bench|sweep|replay] \
+//!     [--mode compare|cache-cliff|fairness|aging-sweep|admission|slo|sweep|replay] \
 //!     [--jobs N] [--qpus N] [--seed S] [--rate R] [--threads N] \
 //!     [--closed CLIENTS] [--workload repeated|mixed|bursty|trace:PATH] \
 //!     [--policy fifo|spjf|affinity|wfq|all] [--fleet uniform|hetero] \
 //!     [--capacity N] [--eviction lru|cost-aware] \
 //!     [--cache-admission always|second-chance] [--json PATH] [--virtual] \
 //!     [--record PATH] [--input PATH] [--percentiles exact|sketch] \
-//!     [--trace-out PATH] [--arrivals-out PATH] [--sample-interval SECONDS] \
+//!     [--trace-out PATH] [--arrivals-out PATH] \
 //!     [--seeds S1,S2,..] [--loads L1,L2,..] [--policies P1,P2,..]
 //! ```
 //!
@@ -94,7 +82,7 @@
 //! `0.7,1.1`, `fifo,affinity,wfq`).
 //!
 //! `--record PATH` (any mode) streams every simulated run to a versioned
-//! JSONL flight record (`sx-flight-record/v2`): each run contributes a
+//! JSONL flight record (`sx-flight-record/v3`): each run contributes a
 //! header line — its serialized [`CellSpec`] plus fleet fingerprint and
 //! workload digest — followed by its full trace-record stream.  The file is opened eagerly (a bad
 //! path is a startup error, not a silent no-op) and write failures latched
@@ -115,13 +103,13 @@
 //! failures are surfaced at exit.  `--arrivals-out PATH` (compare mode)
 //! exports the generated workload as an `sx-arrival-trace/v1` file that
 //! `--workload trace:PATH` feeds back in, bit-identically — recorded
-//! arrival traces are just another workload source.  `--sample-interval
-//! SECONDS` sets the metrics registry's virtual-time sampling cadence in
-//! bench mode (default 5.0 virtual seconds).
+//! arrival traces are just another workload source.
 //!
 //! `--json PATH` writes the mode's results as a machine-readable JSON
-//! document (via the hand-rolled `sx_cluster::json`) for bench-trajectory
-//! tracking.
+//! document (via the hand-rolled `sx_cluster::json`).  Every mode but
+//! `sweep` wraps them as `{mode, seed, jobs, qpus, passed, results}`;
+//! `replay` writes `input` (the record path) in place of `seed`, `jobs`
+//! and `qpus`, since each of its segment rows carries its own.
 //!
 //! `--virtual` skips the (slow) calibration step that executes a real job
 //! through `split_exec::Pipeline` to sanity-check the analytic service
@@ -131,7 +119,6 @@ use std::sync::Arc;
 
 use split_exec::SplitExecConfig;
 use sx_cluster::prelude::*;
-use sx_cluster::sweep::DEFAULT_SAMPLE_INTERVAL;
 
 #[derive(Debug)]
 struct Args {
@@ -151,7 +138,6 @@ struct Args {
     json: Option<String>,
     virtual_only: bool,
     trace_out: Option<String>,
-    sample_interval: Option<f64>,
     record: Option<String>,
     input: Option<String>,
     arrivals_out: Option<String>,
@@ -180,7 +166,6 @@ impl Args {
             json: None,
             virtual_only: false,
             trace_out: None,
-            sample_interval: None,
             record: None,
             input: None,
             arrivals_out: None,
@@ -246,12 +231,6 @@ impl Args {
                         }
                     }
                 }
-                "--sample-interval" => {
-                    args.sample_interval = Some(parse_or_die(
-                        &value("--sample-interval"),
-                        "--sample-interval",
-                    ))
-                }
                 other => {
                     eprintln!("unknown flag {other}");
                     std::process::exit(2);
@@ -276,9 +255,7 @@ impl Args {
                 seed: self.seed,
                 ..FleetConfig::default()
             },
-            "hetero" | "heterogeneous" | "mixed" => {
-                FleetConfig::heterogeneous(self.qpus, self.seed)
-            }
+            "hetero" => FleetConfig::heterogeneous(self.qpus, self.seed),
             other => {
                 eprintln!("unknown fleet '{other}' (expected uniform or hetero)");
                 std::process::exit(2);
@@ -478,18 +455,17 @@ fn main() {
     let mut observer = Observer::from_args(&args);
     let (mut ok, results) = match args.mode.as_str() {
         "compare" => compare(&args, &mut observer),
-        "cache-cliff" | "cache_cliff" | "cliff" => cache_cliff(&args, &mut observer),
-        "fairness" | "fair" => fairness(&args, &mut observer),
-        "aging-sweep" | "aging_sweep" | "aging" => aging_sweep(&args, &mut observer),
-        "admission" | "cache-admission" => admission_compare(&args, &mut observer),
-        "slo" | "deadline" | "deadlines" => slo(&args, &mut observer),
-        "bench" | "perf" => bench(&args, &mut observer),
+        "cache-cliff" => cache_cliff(&args, &mut observer),
+        "fairness" => fairness(&args, &mut observer),
+        "aging-sweep" => aging_sweep(&args, &mut observer),
+        "admission" => admission_compare(&args, &mut observer),
+        "slo" => slo(&args, &mut observer),
         "sweep" => sweep_mode(&args, &mut observer),
         "replay" => replay(&args, &mut observer),
         other => {
             eprintln!(
                 "unknown mode '{other}' (expected compare, cache-cliff, fairness, \
-                 aging-sweep, admission, slo, bench, sweep or replay)"
+                 aging-sweep, admission, slo, sweep or replay)"
             );
             std::process::exit(2);
         }
@@ -498,22 +474,29 @@ fn main() {
         println!("FAIL: {err}");
         ok = false;
     }
-    // Bench and sweep modes own their output files: BENCH_cluster.json and
-    // the sweep document must carry their schema tags at the top level, not
-    // the generic `{mode, seed, ..., results}` wrapper, so downstream
-    // trackers can diff baselines without unwrapping.
-    let wraps_json = !matches!(args.mode.as_str(), "bench" | "perf" | "sweep");
-    if let (Some(path), true) = (&args.json, wraps_json) {
-        let doc = JsonValue::object([
-            ("mode", JsonValue::from(args.mode.as_str())),
-            // As a string: a u64 seed above 2^53 would be silently rounded
-            // through JsonValue::Num's f64, breaking seeded replay.
-            ("seed", JsonValue::from(args.seed.to_string())),
-            ("jobs", JsonValue::from(args.jobs)),
-            ("qpus", JsonValue::from(args.qpus)),
-            ("passed", JsonValue::from(ok)),
-            ("results", results),
-        ]);
+    // Sweep mode owns its output file: the sweep document must carry its
+    // schema tag at the top level, not the generic `{mode, seed, ...,
+    // results}` wrapper, so downstream trackers can diff it without
+    // unwrapping.
+    if let (Some(path), true) = (&args.json, args.mode != "sweep") {
+        let mut fields = vec![("mode", JsonValue::from(args.mode.as_str()))];
+        if args.mode == "replay" {
+            // A replay's runs come from the record, not the CLI flags:
+            // each segment row carries its own seed, jobs and qpus.
+            let input = args.input.as_deref().unwrap_or_default();
+            fields.push(("input", JsonValue::from(input)));
+        } else {
+            fields.extend([
+                // As a string: a u64 seed above 2^53 would be silently
+                // rounded through JsonValue::Num's f64, breaking seeded
+                // replay.
+                ("seed", JsonValue::from(args.seed.to_string())),
+                ("jobs", JsonValue::from(args.jobs)),
+                ("qpus", JsonValue::from(args.qpus)),
+            ]);
+        }
+        fields.extend([("passed", JsonValue::from(ok)), ("results", results)]);
+        let doc = JsonValue::object(fields);
         if let Err(err) = std::fs::write(path, format!("{doc}\n")) {
             eprintln!("cannot write --json {path}: {err}");
             std::process::exit(2);
@@ -633,7 +616,6 @@ fn compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
             scheduler: SchedulerSpec::from(policy),
             admission: AdmissionSpec::AdmitAll,
             config: args.sim_config(mode),
-            sample_interval: args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL),
             workload: Arc::clone(&workload),
         })
         .collect();
@@ -779,7 +761,6 @@ fn cache_cliff(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                     scheduler: SchedulerSpec::from(policy),
                     admission: AdmissionSpec::AdmitAll,
                     config: args.sim_config(WorkloadMode::Open),
-                    sample_interval: args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL),
                     workload: Arc::clone(&workload),
                 });
             }
@@ -917,7 +898,6 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     // the (asymmetry × skew × policy) grid, then the gated admission run —
     // executed in a single pass through the sweep runner (`--threads`).
     let config = args.sim_config(WorkloadMode::Open);
-    let sample_interval = args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL);
     let depth_limit = 6;
     let mut cells: Vec<CellSpec> = vec![CellSpec {
         label: "isolated".to_string(),
@@ -926,7 +906,6 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         scheduler: SchedulerSpec::Fifo,
         admission: AdmissionSpec::AdmitAll,
         config,
-        sample_interval,
         workload: Arc::new(isolated_workload),
     }];
     for &asymmetry in &asymmetries {
@@ -959,7 +938,6 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                     scheduler: spec,
                     admission: AdmissionSpec::AdmitAll,
                     config,
-                    sample_interval,
                     workload: Arc::clone(&workload),
                 });
             }
@@ -996,7 +974,6 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
             )],
         },
         config,
-        sample_interval,
         workload: Arc::clone(&gated_workload),
     });
 
@@ -1160,7 +1137,6 @@ fn aging_sweep(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         .seeds(vec![args.seed])
         .fleets(vec![(String::new(), args.fleet_config())])
         .loads(vec![1.25])
-        .sample_interval(args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL))
         .calibrated(&[10])
         .unwrap_or_else(|err| {
             eprintln!("aging-sweep calibration failed: {err}");
@@ -1343,7 +1319,6 @@ fn admission_compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) 
             scheduler: SchedulerSpec::Fifo,
             admission: AdmissionSpec::AdmitAll,
             config: args.sim_config(WorkloadMode::Open),
-            sample_interval: args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL),
             workload: Arc::clone(&workload),
         })
         .collect();
@@ -1482,12 +1457,10 @@ fn slo(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     let factors = [6.0, 12.0]; // tight vs loose proportional slack
     let victim_jobs = (args.jobs / 2).max(10);
     let config = args.sim_config(WorkloadMode::Open);
-    let sample_interval = args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL);
     let plan = SweepPlan::new(args.rate_hz, args.qpus, config)
         .seeds(vec![args.seed])
         .fleets(vec![(String::new(), args.fleet_config())])
         .loads(loads.to_vec())
-        .sample_interval(sample_interval)
         .calibrated(&grid_sizes)
         .unwrap_or_else(|err| {
             eprintln!("slo calibration failed: {err}");
@@ -1610,7 +1583,6 @@ fn slo(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                 per_tenant: Vec::new(),
             },
             config,
-            sample_interval,
             workload: Arc::clone(&shed_workload),
         });
     }
@@ -1753,478 +1725,6 @@ fn slo(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     (ok, JsonValue::Array(json_points))
 }
 
-/// Schema tag stamped into (and required back out of) `BENCH_cluster.json`.
-/// Bump the version when a field is added, removed or re-typed so baseline
-/// trackers fail loudly instead of misreading old documents.
-const BENCH_SCHEMA: &str = "sx-cluster-bench/v2";
-
-/// Every per-cell key that must be present and a finite number.
-const BENCH_CELL_NUM_KEYS: &[&str] = &[
-    "load",
-    "jobs",
-    "completed",
-    "events",
-    "wall_seconds",
-    "events_per_sec",
-    "jobs_per_sec",
-    "ns_per_event",
-    "makespan_seconds",
-    "latency_p50_seconds",
-    "latency_p95_seconds",
-    "latency_p99_seconds",
-    "hit_rate",
-];
-
-/// `--mode bench`: the engine performance baseline.  Runs a fixed seeded
-/// matrix (policy × fleet × offered load) of two-tenant aggressor/victim
-/// compositions, each cell through [`simulate_with_telemetry`] with a
-/// [`NullSink`] and a sketch-only [`MetricsRegistry`] — the recommended
-/// large-run telemetry configuration — wall-clock timed host-side via
-/// [`HostStopwatch`].  Writes the schema-stable `BENCH_cluster.json`
-/// (path overridable with `--json`), then re-reads the file, parses it
-/// with `sx_cluster::json::parse` and validates it against
-/// [`BENCH_SCHEMA`], so a single CI invocation covers generation and
-/// validation.  Also re-runs the first cell with a retaining [`VecSink`]
-/// and no registry and requires the bit-identical report the telemetry
-/// purity contract promises.
-///
-/// The matrix is deliberately fixed (it ignores `--policy` and
-/// `--fleet`): baselines are only comparable across invocations if every
-/// run measures the same cells.  `--jobs`, `--qpus`, `--seed` and
-/// `--sample-interval` scale the matrix and are recorded in the output.
-fn bench(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
-    let schedulers = ["fifo", "affinity", "wfq"];
-    let fleets = ["uniform", "hetero"];
-    let loads = [0.7, 1.1];
-    // The aggressor submits 3x the victim's jobs at 3x its rate, so a cell
-    // totals ~4x `victim_jobs` — sized so the default `--jobs 200` yields
-    // 200-job cells like compare mode.
-    let asymmetry = 3.0;
-    let victim_jobs = (args.jobs / 4).max(10);
-    let sample_interval = args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL);
-
-    let fleet_config = |kind: &str| match kind {
-        "uniform" => FleetConfig {
-            qpus: args.qpus,
-            seed: args.seed,
-            ..FleetConfig::default()
-        },
-        _ => FleetConfig::heterogeneous(args.qpus, args.seed),
-    };
-
-    println!(
-        "# cluster_sim bench: {} policies x {} fleets x {} loads, ~{} jobs/cell, {} QPUs, seed {}, \
-         sample interval {sample_interval}s",
-        schedulers.len(),
-        fleets.len(),
-        loads.len(),
-        victim_jobs * 4,
-        args.qpus,
-        args.seed,
-    );
-    println!(
-        "\n{:>9} {:>8} {:>5} {:>7} {:>8} {:>10} {:>9} {:>9} {:>9} {:>6}",
-        "policy",
-        "fleet",
-        "load",
-        "events",
-        "wall [s]",
-        "events/s",
-        "jobs/s",
-        "ns/event",
-        "p99 [s]",
-        "warm%"
-    );
-
-    // The cell matrix through the plan — capacity-derived arrival rates as
-    // in the slo/aging sweeps (`load` is offered warm work over what each
-    // fleet can serve, mix spans lps 16, 20, 24), with the per-fleet
-    // calibration probes hoisted into `SweepPlan::calibrated`.
-    let plan = SweepPlan::new(args.rate_hz, args.qpus, args.sim_config(WorkloadMode::Open))
-        .seeds(vec![args.seed])
-        .fleets(vec![
-            ("uniform".to_string(), fleet_config("uniform")),
-            ("hetero".to_string(), fleet_config("hetero")),
-        ])
-        .loads(loads.to_vec())
-        .sample_interval(sample_interval)
-        .calibrated(&[16, 20, 24])
-        .unwrap_or_else(|err| {
-            eprintln!("bench calibration failed: {err}");
-            std::process::exit(2);
-        });
-    let cell_specs = plan.expand(
-        &[(String::new(), ())],
-        &schedulers,
-        |seed, total_rate, ()| {
-            let victim_rate = total_rate / (1.0 + asymmetry);
-            Arc::new(
-                MultiTenantSpec::aggressor_victim(victim_jobs, victim_rate, asymmetry, 1.0, seed)
-                    .generate(),
-            )
-        },
-        |name, workload| match name {
-            "fifo" => SchedulerSpec::Fifo,
-            "affinity" => SchedulerSpec::CacheAffinity,
-            _ => SchedulerSpec::WeightedFair {
-                weights: workload.weights(),
-                lane_order: LaneOrder::default(),
-            },
-        },
-    );
-
-    let mut ok = true;
-    // The serial oracle pass: per-cell wall clocks for the baseline's
-    // cells section, through the observer chain so `--record` still
-    // captures every cell.  (CI's baseline runs without --record, where
-    // the chain degenerates to the bare NullSink this mode always timed.)
-    let serial = {
-        let stopwatch = HostStopwatch::start();
-        let results: Vec<CellResult> = cell_specs
-            .iter()
-            .enumerate()
-            .map(|(index, cell)| observer.run_cell(index, cell))
-            .collect();
-        SweepOutcome::collect(results, stopwatch.elapsed_seconds())
-    };
-
-    // The purity contract, enforced at runtime on the matrix's first cell:
-    // swapping the sink for a retaining VecSink and dropping the registry
-    // must not move a single bit of the report.
-    {
-        let first = &cell_specs[0];
-        let mut vec_sink = VecSink::new();
-        let mut scheduler = first.scheduler.build();
-        let mut admission = first.admission.build();
-        let rerun = simulate_with_telemetry(
-            Fleet::new(first.fleet.clone(), SplitExecConfig::with_seed(first.seed)),
-            &first.workload,
-            scheduler.as_mut(),
-            admission.as_mut(),
-            first.config,
-            &mut vec_sink,
-            None,
-        );
-        if rerun != serial.cells[0].report {
-            println!("FAIL: sink-on vs sink-off reports differ — telemetry perturbed the run");
-            ok = false;
-        }
-        let fired = vec_sink
-            .records()
-            .iter()
-            .filter(|r| matches!(r, TraceRecord::Fired(_)))
-            .count();
-        if fired != rerun.events {
-            println!(
-                "FAIL: VecSink saw {fired} fired records but the run popped {} events",
-                rerun.events
-            );
-            ok = false;
-        }
-    }
-
-    let mut cells: Vec<JsonValue> = Vec::new();
-    let mut total = EnginePerf {
-        wall_seconds: 0.0,
-        events: 0,
-        jobs: 0,
-    };
-    let mut cell_index = 0;
-    for fleet_kind in fleets {
-        for &load in &loads {
-            for _scheduler in &schedulers {
-                let cell = &serial.cells[cell_index];
-                cell_index += 1;
-                let report = &cell.report;
-                let perf = EnginePerf {
-                    wall_seconds: cell.wall_seconds,
-                    events: report.events,
-                    jobs: report.completed,
-                };
-                total.wall_seconds += perf.wall_seconds;
-                total.events += perf.events;
-                total.jobs += perf.jobs;
-
-                let sketch = &cell.latency_sketch;
-                if sketch.count() as usize != report.completed {
-                    println!(
-                        "FAIL: latency sketch saw {} observations for {} completions",
-                        sketch.count(),
-                        report.completed
-                    );
-                    ok = false;
-                }
-                println!(
-                    "{:>9} {:>8} {:>5.2} {:>7} {:>8.4} {:>10.0} {:>9.1} {:>9.0} {:>9.2} {:>6.1}",
-                    report.policy,
-                    fleet_kind,
-                    load,
-                    perf.events,
-                    perf.wall_seconds,
-                    perf.events_per_sec(),
-                    perf.jobs_per_sec(),
-                    perf.ns_per_event(),
-                    sketch.p99(),
-                    100.0 * report.hit_rate(),
-                );
-
-                cells.push(JsonValue::object([
-                    ("policy", JsonValue::from(report.policy.as_str())),
-                    ("fleet", JsonValue::from(fleet_kind)),
-                    ("load", JsonValue::from(load)),
-                    ("jobs", JsonValue::from(report.jobs)),
-                    ("completed", JsonValue::from(report.completed)),
-                    ("events", JsonValue::from(perf.events)),
-                    ("wall_seconds", JsonValue::from(perf.wall_seconds)),
-                    ("events_per_sec", JsonValue::from(perf.events_per_sec())),
-                    ("jobs_per_sec", JsonValue::from(perf.jobs_per_sec())),
-                    ("ns_per_event", JsonValue::from(perf.ns_per_event())),
-                    ("makespan_seconds", JsonValue::from(report.makespan_seconds)),
-                    ("latency_p50_seconds", JsonValue::from(sketch.p50())),
-                    ("latency_p95_seconds", JsonValue::from(sketch.p95())),
-                    ("latency_p99_seconds", JsonValue::from(sketch.p99())),
-                    ("hit_rate", JsonValue::from(report.hit_rate())),
-                ]));
-            }
-        }
-    }
-
-    // Parallel-scaling measurement: re-run the identical cell list across
-    // `--threads` workers and require bit-identical results — the
-    // determinism contract's "parallelism is invisible" clause, enforced
-    // on every bench run.  Degenerate single-thread figures when observing
-    // forces serial or only one worker is available.
-    let resolved_threads = if args.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        args.threads
-    };
-    let run_parallel = resolved_threads > 1 && !observer.active();
-    let (scaling_threads, parallel_wall, parallel_eps, bit_identical) = if run_parallel {
-        let parallel = run_sweep(&cell_specs, resolved_threads);
-        let identical = parallel.cells.len() == serial.cells.len()
-            && parallel.cells.iter().zip(&serial.cells).all(|(a, b)| {
-                a.report == b.report
-                    && a.latency_sketch == b.latency_sketch
-                    && a.wait_sketch == b.wait_sketch
-            });
-        if !identical {
-            println!(
-                "FAIL: parallel sweep ({resolved_threads} threads) diverged from the serial oracle"
-            );
-            ok = false;
-        }
-        (
-            resolved_threads,
-            parallel.wall_seconds,
-            parallel.events_per_sec(),
-            identical,
-        )
-    } else {
-        (1, serial.wall_seconds, serial.events_per_sec(), true)
-    };
-    let speedup = if parallel_wall > 0.0 {
-        serial.wall_seconds / parallel_wall
-    } else {
-        1.0
-    };
-    println!(
-        "\nparallel scaling: {scaling_threads} thread(s), serial {:.3}s -> parallel {:.3}s \
-         ({speedup:.2}x, bit-identical: {bit_identical})",
-        serial.wall_seconds, parallel_wall,
-    );
-
-    let expected_cells = schedulers.len() * fleets.len() * loads.len();
-    let doc = JsonValue::object([
-        ("schema", JsonValue::from(BENCH_SCHEMA)),
-        // As a string, like the generic wrapper: a u64 seed above 2^53
-        // would be silently rounded through JsonValue::Num's f64.
-        ("seed", JsonValue::from(args.seed.to_string())),
-        ("jobs", JsonValue::from(args.jobs)),
-        ("qpus", JsonValue::from(args.qpus)),
-        ("sample_interval_seconds", JsonValue::from(sample_interval)),
-        ("telemetry_pure", JsonValue::from(ok)),
-        ("cells", JsonValue::Array(cells)),
-        (
-            "parallel_scaling",
-            JsonValue::object([
-                ("threads", JsonValue::from(scaling_threads)),
-                ("serial_wall_seconds", JsonValue::from(serial.wall_seconds)),
-                (
-                    "serial_events_per_sec",
-                    JsonValue::from(serial.events_per_sec()),
-                ),
-                ("parallel_wall_seconds", JsonValue::from(parallel_wall)),
-                ("parallel_events_per_sec", JsonValue::from(parallel_eps)),
-                ("speedup", JsonValue::from(speedup)),
-                ("bit_identical", JsonValue::from(bit_identical)),
-            ]),
-        ),
-        (
-            "totals",
-            JsonValue::object([
-                ("wall_seconds", JsonValue::from(total.wall_seconds)),
-                ("events", JsonValue::from(total.events)),
-                ("jobs", JsonValue::from(total.jobs)),
-                ("events_per_sec", JsonValue::from(total.events_per_sec())),
-                ("jobs_per_sec", JsonValue::from(total.jobs_per_sec())),
-                ("ns_per_event", JsonValue::from(total.ns_per_event())),
-            ]),
-        ),
-    ]);
-
-    println!(
-        "\ntotal: {} events over {:.3}s host wall clock — {:.0} events/s, {:.0} ns/event",
-        total.events,
-        total.wall_seconds,
-        total.events_per_sec(),
-        total.ns_per_event(),
-    );
-
-    // Write, re-read through the strict parser, validate.  Going through
-    // the filesystem (rather than validating the in-memory document) makes
-    // this the same read path a downstream baseline tracker would use.
-    let path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "BENCH_cluster.json".to_string());
-    if let Err(err) = std::fs::write(&path, format!("{doc}\n")) {
-        eprintln!("cannot write {path}: {err}");
-        std::process::exit(2);
-    }
-    let reread = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("cannot re-read {path}: {err}");
-            std::process::exit(2);
-        }
-    };
-    match sx_cluster::json::parse(&reread) {
-        Ok(parsed) => match validate_bench_doc(&parsed, expected_cells) {
-            Ok(()) => {
-                println!("wrote {path} ({expected_cells} cells, schema {BENCH_SCHEMA} valid)")
-            }
-            Err(why) => {
-                println!("FAIL: {path} violates {BENCH_SCHEMA}: {why}");
-                ok = false;
-            }
-        },
-        Err(err) => {
-            println!("FAIL: {path} is not valid JSON: {err}");
-            ok = false;
-        }
-    }
-
-    (ok, doc)
-}
-
-/// Validate a parsed `BENCH_cluster.json` against the `sx-cluster-bench/v2`
-/// schema documented in `docs/cluster_sim.md`.  Returns the first
-/// violation found.  Numeric fields must be finite: `JsonValue` renders
-/// NaN/Inf as `null`, so a non-finite metric shows up here as a
-/// missing-number error rather than slipping into a baseline diff.
-fn validate_bench_doc(doc: &JsonValue, expected_cells: usize) -> Result<(), String> {
-    let num = |obj: &JsonValue, key: &str, at: &str| -> Result<f64, String> {
-        match obj.get(key) {
-            Some(&JsonValue::Num(n)) if n.is_finite() => Ok(n),
-            Some(other) => Err(format!("{at}.{key}: expected a finite number, got {other}")),
-            None => Err(format!("{at}.{key}: missing")),
-        }
-    };
-    let string = |obj: &JsonValue, key: &str, at: &str| -> Result<String, String> {
-        match obj.get(key) {
-            Some(JsonValue::Str(s)) => Ok(s.clone()),
-            Some(other) => Err(format!("{at}.{key}: expected a string, got {other}")),
-            None => Err(format!("{at}.{key}: missing")),
-        }
-    };
-
-    let schema = string(doc, "schema", "$")?;
-    if schema != BENCH_SCHEMA {
-        return Err(format!("$.schema: '{schema}' != '{BENCH_SCHEMA}'"));
-    }
-    let seed = string(doc, "seed", "$")?;
-    seed.parse::<u64>()
-        .map_err(|_| format!("$.seed: '{seed}' is not a u64"))?;
-    num(doc, "jobs", "$")?;
-    num(doc, "qpus", "$")?;
-    num(doc, "sample_interval_seconds", "$")?;
-    match doc.get("telemetry_pure") {
-        Some(JsonValue::Bool(_)) => {}
-        other => return Err(format!("$.telemetry_pure: expected a bool, got {other:?}")),
-    }
-
-    let cells = match doc.get("cells") {
-        Some(JsonValue::Array(cells)) => cells,
-        other => return Err(format!("$.cells: expected an array, got {other:?}")),
-    };
-    if cells.len() != expected_cells {
-        return Err(format!(
-            "$.cells: expected {expected_cells} cells, got {}",
-            cells.len()
-        ));
-    }
-    for (i, cell) in cells.iter().enumerate() {
-        let at = format!("$.cells[{i}]");
-        if !matches!(cell, JsonValue::Object(_)) {
-            return Err(format!("{at}: expected an object, got {cell}"));
-        }
-        string(cell, "policy", &at)?;
-        let fleet = string(cell, "fleet", &at)?;
-        if fleet != "uniform" && fleet != "hetero" {
-            return Err(format!("{at}.fleet: unknown fleet '{fleet}'"));
-        }
-        for key in BENCH_CELL_NUM_KEYS {
-            num(cell, key, &at)?;
-        }
-    }
-
-    let scaling = match doc.get("parallel_scaling") {
-        Some(scaling @ JsonValue::Object(_)) => scaling,
-        other => {
-            return Err(format!(
-                "$.parallel_scaling: expected an object, got {other:?}"
-            ))
-        }
-    };
-    for key in [
-        "threads",
-        "serial_wall_seconds",
-        "serial_events_per_sec",
-        "parallel_wall_seconds",
-        "parallel_events_per_sec",
-        "speedup",
-    ] {
-        num(scaling, key, "$.parallel_scaling")?;
-    }
-    match scaling.get("bit_identical") {
-        Some(JsonValue::Bool(_)) => {}
-        other => {
-            return Err(format!(
-                "$.parallel_scaling.bit_identical: expected a bool, got {other:?}"
-            ))
-        }
-    }
-
-    let totals = match doc.get("totals") {
-        Some(totals @ JsonValue::Object(_)) => totals,
-        other => return Err(format!("$.totals: expected an object, got {other:?}")),
-    };
-    for key in [
-        "wall_seconds",
-        "events",
-        "jobs",
-        "events_per_sec",
-        "jobs_per_sec",
-        "ns_per_event",
-    ] {
-        num(totals, key, "$.totals")?;
-    }
-    Ok(())
-}
-
 /// Schema tag stamped into (and required back out of) the `--mode sweep`
 /// JSON document.  The document is fully deterministic — no wall-clock
 /// fields — so CI can byte-diff a `--threads N` run against the
@@ -2256,7 +1756,8 @@ const SWEEP_CELL_NUM_KEYS: &[&str] = &[
 /// executes it across `--threads` workers.  Emits a schema-stable
 /// [`SWEEP_SCHEMA`] document with per-cell rows and merged sketch
 /// percentiles and **no wall-clock fields** — byte-identical for every
-/// thread count — then re-reads and validates it like bench mode does.
+/// thread count — then re-reads it through the strict parser and
+/// validates it against the schema.
 /// Host-side events/sec goes to stdout only, where it cannot perturb a
 /// CI byte-diff of the document.
 fn sweep_mode(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
@@ -2286,17 +1787,15 @@ fn sweep_mode(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     let canonical_names: Vec<String> = policies.iter().map(|p| p.name().to_string()).collect();
     let scheduler_names: Vec<&str> = canonical_names.iter().map(String::as_str).collect();
 
-    // The same two-tenant aggressor/victim composition bench mode runs, so
-    // sweep cells are comparable against the perf baseline's.
+    // A two-tenant aggressor/victim composition: the aggressor submits 3x
+    // the victim's jobs at 3x its rate, so a cell totals ~4x `victim_jobs`.
     let asymmetry = 3.0;
     let victim_jobs = (args.jobs / 4).max(10);
-    let sample_interval = args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL);
 
     let plan = SweepPlan::new(args.rate_hz, args.qpus, args.sim_config(WorkloadMode::Open))
         .seeds(seeds.clone())
         .fleets(vec![(args.fleet.clone(), args.fleet_config())])
         .loads(loads.clone())
-        .sample_interval(sample_interval)
         .calibrated(&[16, 20, 24])
         .unwrap_or_else(|err| {
             eprintln!("sweep calibration failed: {err}");
@@ -2504,9 +2003,9 @@ fn sweep_mode(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
 
 /// Validate a parsed `SWEEP_cluster.json` against the `sx-sweep/v1` schema
 /// documented in `docs/cluster_sim.md`.  Returns the first violation
-/// found.  As in [`validate_bench_doc`], numeric fields must be finite —
-/// `JsonValue` renders NaN/Inf as `null`, so a non-finite metric surfaces
-/// here instead of slipping into a baseline diff.
+/// found.  Numeric fields must be finite — `JsonValue` renders NaN/Inf as
+/// `null`, so a non-finite metric surfaces here instead of slipping into a
+/// baseline diff.
 fn validate_sweep_doc(doc: &JsonValue, expected_cells: usize) -> Result<(), String> {
     let num = |obj: &JsonValue, key: &str, at: &str| -> Result<f64, String> {
         match obj.get(key) {
@@ -2698,6 +2197,8 @@ fn replay(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
             ("policy", JsonValue::from(spec.scheduler.name())),
             ("admission", JsonValue::from(spec.admission.name())),
             ("seed", JsonValue::from(spec.seed.to_string())),
+            ("jobs", JsonValue::from(spec.workload.len())),
+            ("qpus", JsonValue::from(spec.fleet.qpus)),
             ("records", JsonValue::from(run.records.len())),
             (
                 "divergence",

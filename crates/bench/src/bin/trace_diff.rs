@@ -2,7 +2,7 @@
 //! event.
 //!
 //! A flight record (written by `cluster_sim --record`, schema
-//! `sx-flight-record/v2`) is a deterministic function of its header, the
+//! `sx-flight-record/v3`) is a deterministic function of its header, the
 //! run's serialized `CellSpec`: same seed, fleet, scheduler, admission and
 //! workload must yield the same record stream byte for byte.  This tool is the CI-facing check of that invariant:
 //!

@@ -18,7 +18,7 @@
 //!   this device has already computed, held in a **bounded**
 //!   [`WarmCache`] with pluggable eviction
 //!   ([`crate::cache::EvictionPolicy`]); finite embedding-table capacity is
-//!   what produces the hit-rate cliff the `cache_cliff` sweep measures.
+//!   what produces the hit-rate cliff the `cache-cliff` sweep measures.
 //!
 //! The capacity bound uses the clique-minor fact that pristine
 //! `C(M, N, 4)` Chimera embeds `K_{4·min(M,N)+1}`, degraded linearly by the

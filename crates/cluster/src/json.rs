@@ -11,9 +11,9 @@
 //! rather than producing an unparseable document.
 //!
 //! [`parse`] is the inverse seam: a recursive-descent RFC 8259 parser used
-//! by the tests (every emitted document must round-trip) and by
-//! `cluster_sim --mode bench` to validate `BENCH_cluster.json` against its
-//! schema after writing it.
+//! by the tests (every emitted document must round-trip), by
+//! `cluster_sim --mode sweep` to validate its `sx-sweep/v1` document
+//! against the schema after writing it, and by the flight-record reader.
 
 use crate::event::EventKind;
 use crate::metrics::{LatencyStats, QpuStats, SimReport, TenantStats};

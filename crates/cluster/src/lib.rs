@@ -22,7 +22,7 @@
 //!   [`Lru`] and [`CostAware`] (evict the topology cheapest to re-embed,
 //!   priced by [`split_exec::CostModel`]) shipping.  Warm hits refresh
 //!   recency; capacity below the workload's topology diversity produces the
-//!   hit-rate cliff the `cache_cliff` bench sweep maps.
+//!   hit-rate cliff the `cache-cliff` sweep maps.
 //! * [`workload`] — seeded open workloads (Poisson, bursty) over real
 //!   problem families from [`qubo_ising::problems`]; topology keys come
 //!   from the actual QUBO → Ising reduction.  Jobs can carry completion
@@ -70,9 +70,8 @@
 //!   a [`MetricsRegistry`] sampling queue depth, utilization, hit-rate and
 //!   lane depth on the virtual clock, [`StreamingHistogram`] quantile
 //!   sketches (mergeable, documented error bound) for percentiles without
-//!   record retention, and host-side engine profiling
-//!   ([`telemetry::EnginePerf`]) feeding the `BENCH_cluster.json` perf
-//!   baseline.
+//!   record retention, and a host-side stopwatch
+//!   ([`telemetry::HostStopwatch`]) for the sweep runner's wall clock.
 //!
 //! Service times are the paper's own stage models ([`split_exec::cost`]),
 //! so the simulator is the paper's performance model instantiated at fleet
@@ -143,8 +142,8 @@ pub use sweep::{
     SweepOutcome, SweepPlan,
 };
 pub use telemetry::{
-    time_host, EnginePerf, FanoutSink, HostStopwatch, JsonlSink, MetricsRegistry, NullSink,
-    PerfettoSink, SimSeries, StreamingHistogram, TraceSink, VecSink,
+    FanoutSink, HostStopwatch, JsonlSink, MetricsRegistry, NullSink, PerfettoSink, SimSeries,
+    StreamingHistogram, TraceSink, VecSink,
 };
 pub use tenant::{MultiTenantSpec, TenantId, TenantMeta, TenantSpec};
 pub use workload::{
@@ -185,8 +184,8 @@ pub mod prelude {
         RateCalibration, SweepOutcome, SweepPlan,
     };
     pub use crate::telemetry::{
-        time_host, EnginePerf, FanoutSink, HostStopwatch, JsonlSink, MetricsRegistry, NullSink,
-        PerfettoSink, SimSeries, StreamingHistogram, TraceSink, VecSink,
+        FanoutSink, HostStopwatch, JsonlSink, MetricsRegistry, NullSink, PerfettoSink, SimSeries,
+        StreamingHistogram, TraceSink, VecSink,
     };
     pub use crate::tenant::{MultiTenantSpec, TenantId, TenantMeta, TenantSpec};
     pub use crate::workload::{

@@ -52,7 +52,7 @@ use crate::tenant::{TenantId, TenantMeta};
 use crate::workload::Workload;
 
 /// Schema tag carried by every flight-record header line.
-pub const FLIGHT_SCHEMA: &str = "sx-flight-record/v2";
+pub const FLIGHT_SCHEMA: &str = "sx-flight-record/v3";
 
 /// Schema tag carried by every arrival-trace header line.
 pub const ARRIVAL_SCHEMA: &str = "sx-arrival-trace/v1";
@@ -945,7 +945,6 @@ impl CellSpec {
             ("scheduler", self.scheduler.to_json()),
             ("admission", self.admission.to_json()),
             ("config", sim_config_to_json(&self.config)),
-            ("sample_interval", JsonValue::from(self.sample_interval)),
             ("fleet", fleet_to_json(&self.fleet)),
             ("workload", workload_to_json(&self.workload)),
         ])
@@ -961,10 +960,6 @@ impl CellSpec {
                 expected: FLIGHT_SCHEMA,
             });
         }
-        let sample_interval = finite_field(line, value, "sample_interval")?;
-        if sample_interval <= 0.0 {
-            return Err(field_err(line, "sample_interval", "must be positive"));
-        }
         let spec = CellSpec {
             label: str_field(line, value, "label")?.to_string(),
             seed: u64_field(line, value, "seed")?,
@@ -972,7 +967,6 @@ impl CellSpec {
             scheduler: SchedulerSpec::from_json(line, req(line, value, "scheduler")?)?,
             admission: AdmissionSpec::from_json(line, req(line, value, "admission")?)?,
             config: sim_config_from_json(line, req(line, value, "config")?)?,
-            sample_interval,
             workload: Arc::new(workload_from_json(line, req(line, value, "workload")?)?),
         };
         if u64_field(line, value, "fleet_fingerprint")? != fleet_fingerprint(&spec.fleet) {
@@ -1315,7 +1309,6 @@ pub fn check_replay(run: &RecordedRun, sink: &mut dyn TraceSink) -> ReplayCheck 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::DEFAULT_SAMPLE_INTERVAL;
     use crate::telemetry::NullSink;
 
     fn tiny_workload(n: usize) -> Workload {
@@ -1349,7 +1342,6 @@ mod tests {
             scheduler,
             admission: AdmissionSpec::AdmitAll,
             config: SimConfig::default(),
-            sample_interval: DEFAULT_SAMPLE_INTERVAL,
             workload: Arc::new(tiny_workload(8)),
         }
     }
@@ -1427,6 +1419,8 @@ mod tests {
         let bucket = token_bucket_cell(43);
         for spec in [admit_all, bucket] {
             let rendered = spec.to_json().to_string();
+            assert!(rendered.starts_with(r#"{"schema":"sx-flight-record/v3","#));
+            assert!(!rendered.contains("sample_interval"), "{rendered}");
             let parsed = json::parse(&rendered).expect("valid JSON");
             let back = CellSpec::from_json(1, &parsed).expect("round trip");
             assert_eq!(back, spec);
@@ -1543,7 +1537,11 @@ mod tests {
 
     #[test]
     fn unknown_schema_versions_are_refused() {
-        for found in ["sx-flight-record/v999", "sx-flight-record/v1"] {
+        for found in [
+            "sx-flight-record/v999",
+            "sx-flight-record/v1",
+            "sx-flight-record/v2",
+        ] {
             let err =
                 parse_flight_record(&format!(r#"{{"schema":"{found}"}}"#)).expect_err("must fail");
             match err {

@@ -28,8 +28,8 @@
 //! is the serial oracle the determinism suite compares against
 //! (`tests/sweep_determinism.rs`).
 //!
-//! Only [`SweepOutcome::wall_seconds`] and [`CellResult::wall_seconds`]
-//! are host-side wall-clock measurements; they are excluded from every
+//! [`run_cell`] reads no wall clock.  Only [`SweepOutcome::wall_seconds`]
+//! is a host-side wall-clock measurement; it is excluded from every
 //! determinism comparison and from the deterministic `sx-sweep/v1` JSON.
 
 use std::sync::Arc;
@@ -111,15 +111,11 @@ pub struct CellSpec {
     pub admission: AdmissionSpec,
     /// Engine configuration (open/closed mode, percentile summarization).
     pub config: SimConfig,
-    /// Virtual-time sampling cadence of the cell's metrics registry.
-    pub sample_interval: f64,
     /// The generated workload this cell replays.
     pub workload: Arc<Workload>,
 }
 
-/// The result of one cell, collected in cell-index order.
-///
-/// Everything here except [`Self::wall_seconds`] is a deterministic
+/// The result of one cell, collected in cell-index order: a deterministic
 /// function of the cell's [`CellSpec`].
 #[derive(Debug, Clone)]
 pub struct CellResult {
@@ -133,11 +129,12 @@ pub struct CellResult {
     pub latency_sketch: StreamingHistogram,
     /// Queueing-delay sketch from the cell's registry (seconds).
     pub wait_sketch: StreamingHistogram,
-    /// Host-side wall clock spent executing the cell (setup + dispatch
-    /// loop + report assembly).  Not deterministic; excluded from every
-    /// bit-identity comparison.
-    pub wall_seconds: f64,
 }
+
+/// Virtual-time sampling cadence of every cell's metrics registry.  It
+/// paces only the registry's gauges, which no [`CellResult`] reads, so no
+/// output depends on its value.
+const SAMPLE_INTERVAL: f64 = 5.0;
 
 /// Once-per-cell setup: rebuild the fleet, scheduler, admission controller
 /// and metrics registry from the cell's specs.
@@ -155,7 +152,7 @@ fn cell_runtime(
         Fleet::new(spec.fleet.clone(), SplitExecConfig::with_seed(spec.seed)),
         spec.scheduler.build(),
         spec.admission.build(),
-        MetricsRegistry::new(spec.sample_interval),
+        MetricsRegistry::new(SAMPLE_INTERVAL),
     )
 }
 
@@ -167,7 +164,6 @@ fn assemble_cell(
     spec: &CellSpec,
     report: SimReport,
     registry: &MetricsRegistry,
-    wall_seconds: f64,
 ) -> CellResult {
     let sketch = |name: &str| {
         registry.histogram(name).cloned().unwrap_or_default() // sim_series always registers both; empty workloads still get an empty sketch
@@ -178,7 +174,6 @@ fn assemble_cell(
         report,
         latency_sketch: sketch("latency_seconds"),
         wait_sketch: sketch("wait_seconds"),
-        wall_seconds,
     }
 }
 
@@ -192,7 +187,6 @@ fn assemble_cell(
 /// (sinks are pure observers).
 // sx-lint: hot-root -- the sweep runner's per-cell body: between setup and assembly this IS the dispatch loop, and must stay allocation-free in steady state
 pub fn run_cell(index: usize, spec: &CellSpec, sink: &mut dyn TraceSink) -> CellResult {
-    let stopwatch = HostStopwatch::start();
     let (fleet, mut scheduler, mut admission, mut registry) = cell_runtime(spec);
     let report = simulate_with_telemetry(
         fleet,
@@ -203,7 +197,7 @@ pub fn run_cell(index: usize, spec: &CellSpec, sink: &mut dyn TraceSink) -> Cell
         sink,
         Some(&mut registry),
     );
-    assemble_cell(index, spec, report, &registry, stopwatch.elapsed_seconds())
+    assemble_cell(index, spec, report, &registry)
 }
 
 /// Cross-cell aggregates, merged in cell-index order through
@@ -317,8 +311,8 @@ impl SweepOutcome {
     }
 
     /// Summed events per host second across the sweep — the host-side
-    /// throughput figure `--mode bench`'s parallel-scaling section
-    /// records.
+    /// throughput figure `cluster_sim --mode sweep` prints on its `host:`
+    /// line.
     pub fn events_per_sec(&self) -> f64 {
         if self.wall_seconds > 0.0 {
             self.merged.events as f64 / self.wall_seconds
@@ -430,13 +424,8 @@ pub struct SweepPlan {
     base_rate_hz: f64,
     qpus: usize,
     config: SimConfig,
-    sample_interval: f64,
     calibrations: Option<Vec<RateCalibration>>,
 }
-
-/// Default virtual-time sampling cadence of per-cell metrics registries
-/// (matches `--mode bench`'s default `--sample-interval`).
-pub const DEFAULT_SAMPLE_INTERVAL: f64 = 5.0;
 
 impl SweepPlan {
     /// A plan with the given base arrival rate, fleet size and engine
@@ -449,7 +438,6 @@ impl SweepPlan {
             base_rate_hz,
             qpus,
             config,
-            sample_interval: DEFAULT_SAMPLE_INTERVAL,
             calibrations: None,
         }
     }
@@ -471,12 +459,6 @@ impl SweepPlan {
     /// Set the load axis.
     pub fn loads(mut self, loads: impl Into<Vec<f64>>) -> SweepPlan {
         self.loads = loads.into();
-        self
-    }
-
-    /// Set the per-cell registry sampling cadence.
-    pub fn sample_interval(mut self, sample_interval: f64) -> SweepPlan {
-        self.sample_interval = sample_interval;
         self
     }
 
@@ -558,7 +540,6 @@ impl SweepPlan {
                                 scheduler,
                                 admission: AdmissionSpec::AdmitAll,
                                 config: self.config,
-                                sample_interval: self.sample_interval,
                                 workload: Arc::clone(&workload),
                             });
                         }
@@ -699,9 +680,9 @@ mod tests {
                 ("hetero".to_string(), hetero),
             ])
             .calibrated(&[16, 20, 24])
-            .expect("calibration succeeds for the bench mix sizes");
+            .expect("calibration succeeds for the sweep mix sizes");
         let direct = RateCalibration::for_fleet(&uniform, &[16, 20, 24])
-            .expect("calibration succeeds for the bench mix sizes");
+            .expect("calibration succeeds for the sweep mix sizes");
         assert_eq!(plan.calibration(0), Some(&direct));
         assert!(plan.rate_for(0, 1.0) > 0.0);
         // rate is linear in load given one calibration.

@@ -1,6 +1,6 @@
 //! Observability for the cluster simulator: trace sinks, a virtual-time
 //! metrics registry with streaming quantile sketches, Perfetto export, and
-//! host-side engine profiling.
+//! a host-side stopwatch.
 //!
 //! The layer is built around one invariant: **telemetry is a pure
 //! observer**.  Sinks and registries receive references to engine state and
@@ -19,8 +19,8 @@
 //!   the virtual clock, plus histogram sketches.
 //! * [`sketch`] — [`StreamingHistogram`]: mergeable log-bucketed
 //!   percentiles with a documented relative-error bound.
-//! * [`stopwatch`] — [`HostStopwatch`]/[`EnginePerf`]: wall-clock engine
-//!   profiling (the one sanctioned D001 exception; see `lint.allow`).
+//! * [`stopwatch`] — [`HostStopwatch`]: the sweep runner's wall clock (the
+//!   one sanctioned D001 exception; see `lint.allow`).
 //!
 //! `docs/OBSERVABILITY.md` is the narrative guide.
 
@@ -34,4 +34,4 @@ pub use perfetto::PerfettoSink;
 pub use registry::{CounterId, GaugeId, HistogramId, MetricsRegistry, SimSeries};
 pub use sink::{FanoutSink, JsonlSink, NullSink, TraceSink, VecSink};
 pub use sketch::StreamingHistogram;
-pub use stopwatch::{time_host, EnginePerf, HostStopwatch};
+pub use stopwatch::HostStopwatch;

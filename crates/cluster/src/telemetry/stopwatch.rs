@@ -1,17 +1,19 @@
-//! Host-side wall-clock profiling of the engine itself.
+//! Host-side wall-clock timing of the engine itself.
 //!
 //! Everything else in this crate runs on the virtual clock — rule D001
 //! (`docs/LINTING.md`) bans wall clocks from simulator code precisely so a
 //! run is a pure function of its inputs.  This module is the one sanctioned
 //! exception, carried in `lint.allow`: it measures *the simulator*, never
 //! the simulated world.  Wall-clock readings taken here must never feed
-//! back into simulation state; they exist only to answer "how fast does the
-//! engine run on this host" (events/sec, jobs/sec, ns per dispatch-loop
-//! event) for the `BENCH_cluster.json` perf trajectory.
+//! back into simulation state; their one reader is the sweep runner's
+//! whole-sweep wall clock ([`crate::sweep::SweepOutcome::wall_seconds`]),
+//! which `cluster_sim` prints on its stdout `host:` line and keeps out of
+//! every deterministic document.  Per-layer host time is the benchmark's
+//! job (`perfbench --trace 1`).
 
 use std::time::Instant;
 
-/// A wall-clock stopwatch for profiling engine phases.
+/// A wall-clock stopwatch for timing engine phases.
 #[derive(Debug, Clone, Copy)]
 pub struct HostStopwatch {
     start: Instant,
@@ -29,90 +31,5 @@ impl HostStopwatch {
     /// Wall-clock seconds elapsed since [`Self::start`].
     pub fn elapsed_seconds(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
-    }
-}
-
-/// Run `f`, returning its result and the wall-clock seconds it took —
-/// the telemetry twin of `split_exec::timing::timed`.
-pub fn time_host<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let sw = HostStopwatch::start();
-    let out = f();
-    (out, sw.elapsed_seconds())
-}
-
-/// Host-side performance of one engine run: wall time plus the event and
-/// job counts needed to derive throughput.  Derived rates answer `0.0`
-/// rather than NaN/∞ on degenerate runs (zero events or zero wall time).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnginePerf {
-    /// Wall-clock seconds the run took on the host.
-    pub wall_seconds: f64,
-    /// Events popped from the future-event list.
-    pub events: usize,
-    /// Jobs completed.
-    pub jobs: usize,
-}
-
-impl EnginePerf {
-    /// Simulation events processed per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.events as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// Jobs completed per wall-clock second.
-    pub fn jobs_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.jobs as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// Wall-clock nanoseconds per dispatch-loop event.
-    pub fn ns_per_event(&self) -> f64 {
-        if self.events > 0 {
-            self.wall_seconds * 1e9 / self.events as f64
-        } else {
-            0.0
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stopwatch_is_monotone_and_time_host_returns_the_value() {
-        let sw = HostStopwatch::start();
-        let (value, seconds) = time_host(|| 41 + 1);
-        assert_eq!(value, 42);
-        assert!(seconds >= 0.0);
-        assert!(sw.elapsed_seconds() >= seconds);
-    }
-
-    #[test]
-    fn engine_perf_rates_are_nan_free_on_degenerate_runs() {
-        let zero = EnginePerf {
-            wall_seconds: 0.0,
-            events: 0,
-            jobs: 0,
-        };
-        assert_eq!(zero.events_per_sec(), 0.0);
-        assert_eq!(zero.jobs_per_sec(), 0.0);
-        assert_eq!(zero.ns_per_event(), 0.0);
-
-        let perf = EnginePerf {
-            wall_seconds: 2.0,
-            events: 1_000_000,
-            jobs: 500,
-        };
-        assert_eq!(perf.events_per_sec(), 500_000.0);
-        assert_eq!(perf.jobs_per_sec(), 250.0);
-        assert_eq!(perf.ns_per_event(), 2000.0);
     }
 }

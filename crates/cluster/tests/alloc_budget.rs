@@ -187,7 +187,6 @@ fn sweep_cell(jobs: usize) -> CellSpec {
         scheduler: SchedulerSpec::Fifo,
         admission: AdmissionSpec::AdmitAll,
         config: SimConfig::default(),
-        sample_interval: 5.0,
         workload: Arc::new(WorkloadSpec::repeated_topologies(jobs, 2.0, 11).generate()),
     }
 }

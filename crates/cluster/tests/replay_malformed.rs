@@ -9,7 +9,6 @@
 use std::sync::Arc;
 
 use sx_cluster::prelude::*;
-use sx_cluster::sweep::DEFAULT_SAMPLE_INTERVAL;
 
 fn fleet_config(seed: u64) -> FleetConfig {
     FleetConfig {
@@ -31,7 +30,6 @@ fn cell(seed: u64, scheduler: SchedulerSpec, admission: AdmissionSpec) -> CellSp
         scheduler,
         admission,
         config: SimConfig::default(),
-        sample_interval: DEFAULT_SAMPLE_INTERVAL,
         workload: Arc::new(workload(seed)),
     }
 }
@@ -136,8 +134,13 @@ fn truncated_jsonl_mid_record_is_a_typed_parse_error() {
 
 #[test]
 fn unknown_flight_schema_versions_are_refused() {
-    // v1 headers described admission by name only; no path reads them.
-    for schema in ["sx-flight-record/v999", "sx-flight-record/v1"] {
+    // v1 headers described admission by name only and v2 headers carried
+    // a registry cadence no output read; no path reads either.
+    for schema in [
+        "sx-flight-record/v999",
+        "sx-flight-record/v1",
+        "sx-flight-record/v2",
+    ] {
         let text = recorded(23).replace(FLIGHT_SCHEMA, schema);
         match parse_flight_record(&text) {
             Err(ReplayError::UnknownSchema { found, expected }) => {

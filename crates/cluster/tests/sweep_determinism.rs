@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use sx_cluster::prelude::*;
-use sx_cluster::sweep::DEFAULT_SAMPLE_INTERVAL;
 
 /// A small but non-trivial plan: two seeds, one fleet, two loads, three
 /// policies — 12 cells, enough to give every thread count real work.
@@ -29,7 +28,6 @@ fn test_plan() -> SweepPlan {
             },
         )])
         .loads(vec![0.6, 1.2])
-        .sample_interval(DEFAULT_SAMPLE_INTERVAL)
 }
 
 fn expand(plan: &SweepPlan) -> Vec<CellSpec> {
