@@ -62,7 +62,7 @@
 //!     [--mode compare|cache-cliff|fairness|aging-sweep|admission|slo|sweep|replay] \
 //!     [--jobs N] [--qpus N] [--seed S] [--rate R] [--threads N] \
 //!     [--closed CLIENTS] [--workload repeated|mixed|bursty|trace:PATH] \
-//!     [--policy fifo|spjf|affinity|wfq|all] [--fleet uniform|hetero] \
+//!     [--policy fifo|spjf|affinity|edf|wfq|wfq-fifo|all] [--fleet uniform|hetero] \
 //!     [--capacity N] [--eviction lru|cost-aware] \
 //!     [--cache-admission always|second-chance] [--json PATH] [--virtual] \
 //!     [--record PATH] [--input PATH] [--percentiles exact|sketch] \
@@ -130,7 +130,8 @@ struct Args {
     threads: usize,
     closed: Option<usize>,
     workload: String,
-    policy: String,
+    /// `--policy`; `None` is `all`.
+    policy: Option<SchedulerSpec>,
     fleet: String,
     capacity: Option<usize>,
     eviction: Option<EvictionPolicyKind>,
@@ -144,7 +145,7 @@ struct Args {
     percentiles: PercentileMode,
     seeds: Option<Vec<u64>>,
     loads: Option<Vec<f64>>,
-    policies: Option<Vec<String>>,
+    policies: Option<Vec<SchedulerSpec>>,
 }
 
 impl Args {
@@ -158,7 +159,7 @@ impl Args {
             threads: 0,
             closed: None,
             workload: "repeated".into(),
-            policy: "all".into(),
+            policy: None,
             fleet: "uniform".into(),
             capacity: None,
             eviction: None,
@@ -191,17 +192,13 @@ impl Args {
                 "--threads" => args.threads = parse_or_die(&value("--threads"), "--threads"),
                 "--seeds" => args.seeds = Some(parse_csv(&value("--seeds"), "--seeds")),
                 "--loads" => args.loads = Some(parse_csv(&value("--loads"), "--loads")),
-                "--policies" => {
-                    args.policies = Some(
-                        value("--policies")
-                            .split(',')
-                            .map(|p| p.trim().to_string())
-                            .collect(),
-                    )
-                }
+                "--policies" => args.policies = Some(parse_csv(&value("--policies"), "--policies")),
                 "--closed" => args.closed = Some(parse_or_die(&value("--closed"), "--closed")),
                 "--workload" => args.workload = value("--workload"),
-                "--policy" => args.policy = value("--policy"),
+                "--policy" => {
+                    let raw = value("--policy");
+                    args.policy = (raw != "all").then(|| parse_or_die(&raw, "--policy"));
+                }
                 "--fleet" => args.fleet = value("--fleet"),
                 "--capacity" => {
                     args.capacity = Some(parse_or_die(&value("--capacity"), "--capacity"))
@@ -281,17 +278,34 @@ impl Args {
     }
 }
 
-fn parse_or_die<T: std::str::FromStr>(raw: &str, flag: &str) -> T {
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("cannot parse {flag} value '{raw}'");
+fn parse_or_die<T: std::str::FromStr<Err: std::fmt::Display>>(raw: &str, flag: &str) -> T {
+    raw.parse().unwrap_or_else(|err| {
+        eprintln!("cannot parse {flag} value '{raw}': {err}");
         std::process::exit(2);
     })
 }
 
-fn parse_csv<T: std::str::FromStr>(raw: &str, flag: &str) -> Vec<T> {
+fn parse_csv<T: std::str::FromStr<Err: std::fmt::Display>>(raw: &str, flag: &str) -> Vec<T> {
     raw.split(',')
         .map(|part| parse_or_die(part.trim(), flag))
         .collect()
+}
+
+/// The scheduler a cell named `name` (a [`SchedulerSpec`] name) runs on
+/// `workload`: a weighted-fair queue weighs its lanes by the workload's
+/// tenant weights, carried in the spec so a recorded run rebuilds the
+/// same lanes on replay.  Also the scheduler axis of [`SweepPlan::expand`].
+fn scheduler_for(name: &str, workload: &Workload) -> SchedulerSpec {
+    match name
+        .parse()
+        .expect("scheduler axes hold SchedulerSpec names")
+    {
+        SchedulerSpec::WeightedFair { lane_order, .. } => SchedulerSpec::WeightedFair {
+            weights: workload.weights(),
+            lane_order,
+        },
+        spec => spec,
+    }
 }
 
 /// Execute a mode's cell list: across `--threads` workers through the
@@ -556,13 +570,9 @@ fn compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         );
     }
 
-    let policies: Vec<PolicyKind> = if args.policy == "all" {
-        PolicyKind::all().to_vec()
-    } else {
-        vec![args.policy.parse().unwrap_or_else(|e: String| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })]
+    let policies: Vec<SchedulerSpec> = match &args.policy {
+        Some(policy) => vec![policy.clone()],
+        None => SchedulerSpec::all().to_vec(),
     };
 
     let mode = match args.closed {
@@ -608,20 +618,20 @@ fn compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     // reports the plain path would.
     let workload = Arc::new(workload);
     let cells: Vec<CellSpec> = policies
-        .iter()
-        .map(|&policy| CellSpec {
-            label: policy.to_string(),
+        .into_iter()
+        .map(|scheduler| CellSpec {
+            label: scheduler.to_string(),
             seed: args.seed,
             fleet: args.fleet_config(),
-            scheduler: SchedulerSpec::from(policy),
+            scheduler,
             admission: AdmissionSpec::AdmitAll,
             config: args.sim_config(mode),
             workload: Arc::clone(&workload),
         })
         .collect();
     let outcome = run_cells(args, observer, &cells);
-    let mut by_policy: Vec<(PolicyKind, SimReport)> = Vec::new();
-    for (policy, cell) in policies.into_iter().zip(outcome.cells) {
+    let mut reports: Vec<SimReport> = Vec::new();
+    for cell in outcome.cells {
         let report = cell.report;
         println!(
             "{:>9} {:>6} {:>4} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6.1} {:>6.1} {:>5} {:>5} {:>9.2} {:>9.1}s",
@@ -639,29 +649,26 @@ fn compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
             100.0 * report.stage1_fraction(),
             report.makespan_seconds,
         );
-        by_policy.push((policy, report));
+        reports.push(report);
     }
 
     // The shared batch/cluster report format, for the last policy run.
-    if let Some((policy, report)) = by_policy.last() {
-        println!("\n# shared BatchSummary format ({policy}):");
+    if let Some(report) = reports.last() {
+        println!("\n# shared BatchSummary format ({}):", report.policy);
         println!("{}", report.batch_summary());
     }
 
     // Acceptance checks: stage-1 dominance at fleet scale, and (on the
     // repeated mix with both policies present) affinity beating FIFO.
     let mut ok = true;
-    for (policy, report) in &by_policy {
+    for report in &reports {
         if report.completed > 0 && report.stage1_fraction() <= 0.5 {
-            println!("FAIL: {policy} breakdown is not stage-1 dominated");
+            println!("FAIL: {} breakdown is not stage-1 dominated", report.policy);
             ok = false;
         }
     }
-    let fifo = by_policy.iter().find(|(p, _)| *p == PolicyKind::Fifo);
-    let affinity = by_policy
-        .iter()
-        .find(|(p, _)| *p == PolicyKind::CacheAffinity);
-    if let (Some((_, fifo)), Some((_, affinity))) = (fifo, affinity) {
+    let ran = |name: &str| reports.iter().find(|r| r.policy == name);
+    if let (Some(fifo), Some(affinity)) = (ran("fifo"), ran("affinity")) {
         let speedup = fifo.latency.mean / affinity.latency.mean;
         println!(
             "\naffinity vs fifo: {speedup:.2}x mean latency ({} vs {} cold embeds)",
@@ -673,7 +680,7 @@ fn compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
             ok = false;
         }
     }
-    let json = JsonValue::array(by_policy.iter().map(|(_, report)| report.to_json()));
+    let json = JsonValue::array(reports.iter().map(SimReport::to_json));
     (ok, json)
 }
 
@@ -694,14 +701,7 @@ fn cache_cliff(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     // FIFO routes without looking at caches, so every device sees every
     // topology and the per-device capacity is compared directly against the
     // full diversity; an explicit --policy overrides it.
-    let policy: PolicyKind = if args.policy == "all" {
-        PolicyKind::Fifo
-    } else {
-        args.policy.parse().unwrap_or_else(|e: String| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
-    };
+    let policy = args.policy.clone().unwrap_or(SchedulerSpec::Fifo);
 
     println!(
         "# cluster_sim cache-cliff: {} jobs per run, {} {} QPUs, policy {}, rate {} Hz, seed {}",
@@ -758,7 +758,7 @@ fn cache_cliff(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                     label: format!("d{diversity}/{}/cap{capacity}", eviction.name()),
                     seed: args.seed,
                     fleet: args.fleet_config().with_cache(capacity, eviction),
-                    scheduler: SchedulerSpec::from(policy),
+                    scheduler: policy.clone(),
                     admission: AdmissionSpec::AdmitAll,
                     config: args.sim_config(WorkloadMode::Open),
                     workload: Arc::clone(&workload),
@@ -852,6 +852,9 @@ fn cache_cliff(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
 /// fairness acceptance claim.
 const FAIR_BOUND: f64 = 8.0;
 
+/// The fairness grid's policy axis: the FIFO baseline against WFQ.
+const FAIRNESS_POLICIES: [&str; 2] = ["fifo", "wfq"];
+
 /// `--mode fairness`: tenant weight skew × arrival-rate asymmetry ×
 /// policy on the aggressor/victim composition, with enforced acceptance
 /// checks (see module docs).
@@ -920,22 +923,12 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                 )
                 .generate(),
             );
-            for policy in [PolicyKind::Fifo, PolicyKind::WeightedFair] {
-                // The per-workload WFQ (explicit tenant weights) needs the
-                // full SchedulerSpec form so a recorded run rebuilds the
-                // exact same lanes on replay.
-                let spec = match policy {
-                    PolicyKind::WeightedFair => SchedulerSpec::WeightedFair {
-                        weights: workload.weights(),
-                        lane_order: LaneOrder::default(),
-                    },
-                    other => SchedulerSpec::from(other),
-                };
+            for policy in FAIRNESS_POLICIES {
                 cells.push(CellSpec {
-                    label: format!("asym{asymmetry}/skew{skew}/{}", spec.name()),
+                    label: format!("asym{asymmetry}/skew{skew}/{policy}"),
                     seed: args.seed,
                     fleet: args.fleet_config(),
-                    scheduler: spec,
+                    scheduler: scheduler_for(policy, &workload),
                     admission: AdmissionSpec::AdmitAll,
                     config,
                     workload: Arc::clone(&workload),
@@ -959,10 +952,7 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         label: "gated".to_string(),
         seed: args.seed,
         fleet: args.fleet_config(),
-        scheduler: SchedulerSpec::WeightedFair {
-            weights: gated_workload.weights(),
-            lane_order: LaneOrder::default(),
-        },
+        scheduler: scheduler_for("wfq", &gated_workload),
         admission: AdmissionSpec::TokenBucket {
             default: generous,
             per_tenant: vec![(
@@ -983,7 +973,7 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     let mut cell_index = 1;
     for &asymmetry in &asymmetries {
         for &skew in &skews {
-            for policy in [PolicyKind::Fifo, PolicyKind::WeightedFair] {
+            for policy in FAIRNESS_POLICIES {
                 let report = &outcome.cells[cell_index].report;
                 cell_index += 1;
                 let victim = report.tenant_named("victim").expect("victim stats");
@@ -1000,7 +990,7 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                     report.max_min_share(),
                 );
 
-                if policy == PolicyKind::WeightedFair {
+                if policy == "wfq" {
                     // A starved victim reports p99 = 0.0 and would pass the
                     // bound vacuously — completion is part of the claim.
                     if victim.completed < victim.submitted {
@@ -1041,7 +1031,7 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                     ),
                     ("max_min_share", JsonValue::from(report.max_min_share())),
                 ]));
-                if policy == PolicyKind::WeightedFair && asymmetry == 10.0 && skew == 1.0 {
+                if policy == "wfq" && asymmetry == 10.0 && skew == 1.0 {
                     wfq_at_full_load = Some(report);
                 }
             }
@@ -1492,18 +1482,7 @@ fn slo(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         |seed, rate_hz, &factor| {
             Arc::new(slo_spec(victim_jobs, rate_hz / 2.0, factor, factor, 1.0, seed).generate())
         },
-        |name, workload| match name {
-            "fifo" => SchedulerSpec::Fifo,
-            "wfq-fifo" => SchedulerSpec::WeightedFair {
-                weights: workload.weights(),
-                lane_order: LaneOrder::Fifo,
-            },
-            "wfq" => SchedulerSpec::WeightedFair {
-                weights: workload.weights(),
-                lane_order: LaneOrder::EarliestDeadline,
-            },
-            _ => SchedulerSpec::EarliestDeadlineFirst,
-        },
+        scheduler_for,
     );
     let grid_len = cells.len();
 
@@ -1568,10 +1547,7 @@ fn slo(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
             label: format!("shed-{shed_infeasible}"),
             seed: args.seed,
             fleet: args.fleet_config(),
-            scheduler: SchedulerSpec::WeightedFair {
-                weights: shed_workload.weights(),
-                lane_order: LaneOrder::default(),
-            },
+            scheduler: scheduler_for("wfq", &shed_workload),
             admission: AdmissionSpec::TokenBucket {
                 default: TokenBucketConfig {
                     rate_hz: 1e3, // only the feasibility check binds
@@ -1763,29 +1739,15 @@ const SWEEP_CELL_NUM_KEYS: &[&str] = &[
 fn sweep_mode(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     let seeds = args.seeds.clone().unwrap_or_else(|| vec![args.seed]);
     let loads = args.loads.clone().unwrap_or_else(|| vec![0.7, 1.1]);
-    let policy_names = args.policies.clone().unwrap_or_else(|| {
-        ["fifo", "affinity", "wfq"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
-    });
-    // Validate and canonicalize every policy name up front: a typo is a
-    // usage error, not an empty grid or a mid-sweep panic.
-    let policies: Vec<PolicyKind> = policy_names
-        .iter()
-        .map(|name| {
-            name.parse().unwrap_or_else(|err| {
-                eprintln!("--policies: {err}");
-                std::process::exit(2);
-            })
-        })
-        .collect();
+    let policies = args
+        .policies
+        .clone()
+        .unwrap_or_else(|| parse_csv("fifo,affinity,wfq", "--policies"));
     if seeds.is_empty() || loads.is_empty() || policies.is_empty() {
         eprintln!("--seeds/--loads/--policies must each name at least one axis value");
         std::process::exit(2);
     }
-    let canonical_names: Vec<String> = policies.iter().map(|p| p.name().to_string()).collect();
-    let scheduler_names: Vec<&str> = canonical_names.iter().map(String::as_str).collect();
+    let scheduler_names: Vec<&str> = policies.iter().map(SchedulerSpec::name).collect();
 
     // A two-tenant aggressor/victim composition: the aggressor submits 3x
     // the victim's jobs at 3x its rate, so a cell totals ~4x `victim_jobs`.
@@ -1811,14 +1773,7 @@ fn sweep_mode(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                     .generate(),
             )
         },
-        |name, workload| match name.parse::<PolicyKind>() {
-            Ok(PolicyKind::WeightedFair) => SchedulerSpec::WeightedFair {
-                weights: workload.weights(),
-                lane_order: LaneOrder::default(),
-            },
-            Ok(kind) => SchedulerSpec::from(kind),
-            Err(_) => unreachable!("policy names were validated above"),
-        },
+        scheduler_for,
     );
 
     println!(
@@ -1933,9 +1888,9 @@ fn sweep_mode(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         (
             "policies",
             JsonValue::Array(
-                canonical_names
+                scheduler_names
                     .iter()
-                    .map(|n| JsonValue::from(n.as_str()))
+                    .map(|&n| JsonValue::from(n))
                     .collect(),
             ),
         ),

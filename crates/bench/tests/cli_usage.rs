@@ -1,7 +1,7 @@
-//! `cluster_sim` rejects unusable counts and unknown modes as usage errors
-//! (exit code 2 with a message), in every mode, instead of panicking or
-//! printing NaN — and its `--mode replay --json` document describes the
-//! replayed record, not the command line.
+//! `cluster_sim` rejects unusable counts, unknown modes and unknown
+//! scheduler names as usage errors (exit code 2 with a message), in every
+//! mode, instead of panicking or printing NaN — and its `--mode replay
+//! --json` document describes the replayed record, not the command line.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -52,6 +52,43 @@ fn retired_modes_and_aliases_are_usage_errors() {
             assert!(stderr.contains(valid), "--mode {mode}: {stderr}");
         }
     }
+}
+
+#[test]
+fn unknown_policy_names_are_usage_errors_that_list_the_valid_names() {
+    for args in [
+        &["--mode", "compare", "--policy", "nope"][..],
+        &["--mode", "sweep", "--policies", "fifo,nope"],
+    ] {
+        let out = cluster_sim(&[args, &["--virtual", "--jobs", "10"]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("'nope'"), "{args:?}: {stderr}");
+        for valid in ["fifo", "spjf", "affinity", "edf", "wfq", "wfq-fifo"] {
+            assert!(stderr.contains(valid), "{args:?}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn sweep_takes_every_scheduler_spec_name() {
+    let doc_path = scratch("sweep.json");
+    let doc_arg = doc_path.to_str().unwrap();
+    let flags = ["--mode", "sweep", "--virtual", "--jobs", "40"];
+    assert_succeeds(
+        &[
+            &flags[..],
+            &["--policies", "wfq-fifo,wfq", "--json", doc_arg],
+        ]
+        .concat(),
+    );
+    let doc = json::parse(&std::fs::read_to_string(&doc_path).expect("document written"))
+        .expect("document parses");
+    let _ = std::fs::remove_file(&doc_path);
+    assert_eq!(
+        doc.get("policies"),
+        Some(&JsonValue::array(["wfq-fifo", "wfq"].map(JsonValue::from)))
+    );
 }
 
 fn assert_succeeds(args: &[&str]) {

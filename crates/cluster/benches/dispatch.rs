@@ -1,4 +1,8 @@
-//! Criterion bench for the dispatch loop: end-to-end `simulate` throughput.
+//! Criterion bench for the dispatch loop: end-to-end throughput of the
+//! production-shaped call — `simulate_with_telemetry` with [`AdmitAll`], a
+//! [`NullSink`] and no metrics registry, the call `tests/alloc_budget.rs`
+//! counts allocations in and `perfbench` runs.  (`simulate` would also
+//! time a `VecSink` retaining every trace record.)
 //!
 //! Third layer of the hot-path contract (docs/ARCHITECTURE.md): `sx_lint`'s
 //! A-rules prove statically that nothing on the hot path allocates,
@@ -10,7 +14,7 @@
 //! They report events/second (each timed iteration replays the same seeded
 //! workload, so the event count per iteration is exact).
 //!
-//! Each iteration rebuilds the fleet — `simulate` consumes it, since warm
+//! Each iteration rebuilds the fleet — the engine consumes it, since warm
 //! caches and occupancy are part of the run's state — so the measured time
 //! includes fleet construction.  That cost is O(devices), independent of
 //! the event count, and identical across policies; at 400 jobs the loop
@@ -36,13 +40,15 @@ fn fleet(qpus: usize) -> Fleet {
     )
 }
 
-fn run(policy: PolicyKind, qpus: usize, workload: &Workload) -> SimReport {
-    let mut scheduler = policy.build();
-    simulate(
+fn run(policy: &SchedulerSpec, qpus: usize, workload: &Workload) -> SimReport {
+    simulate_with_telemetry(
         fleet(qpus),
         workload,
-        scheduler.as_mut(),
+        policy.build().as_mut(),
+        &mut AdmitAll,
         SimConfig::default(),
+        &mut NullSink,
+        None,
     )
 }
 
@@ -50,10 +56,10 @@ fn bench_fleet_sizes(c: &mut Criterion) {
     let workload = WorkloadSpec::repeated_topologies(JOBS, RATE_HZ, SEED).generate();
     let mut group = c.benchmark_group("dispatch/fleet_size");
     for qpus in [2usize, 4, 8] {
-        let events = run(PolicyKind::Fifo, qpus, &workload).events;
+        let events = run(&SchedulerSpec::Fifo, qpus, &workload).events;
         group.throughput(Throughput::Elements(events as u64));
         group.bench_with_input(BenchmarkId::from_parameter(qpus), &qpus, |b, &qpus| {
-            b.iter(|| black_box(run(PolicyKind::Fifo, qpus, &workload)))
+            b.iter(|| black_box(run(&SchedulerSpec::Fifo, qpus, &workload)))
         });
     }
     group.finish();
@@ -62,18 +68,14 @@ fn bench_fleet_sizes(c: &mut Criterion) {
 fn bench_policies(c: &mut Criterion) {
     let workload = WorkloadSpec::repeated_topologies(JOBS, RATE_HZ, SEED).generate();
     let mut group = c.benchmark_group("dispatch/policy");
-    for policy in [
-        PolicyKind::Fifo,
-        PolicyKind::WeightedFair,
-        PolicyKind::EarliestDeadline,
-        PolicyKind::CacheAffinity,
-    ] {
-        let events = run(policy, 4, &workload).events;
+    for policy in ["fifo", "wfq", "edf", "affinity"] {
+        let policy: SchedulerSpec = policy.parse().expect("a SchedulerSpec name");
+        let events = run(&policy, 4, &workload).events;
         group.throughput(Throughput::Elements(events as u64));
         group.bench_with_input(
-            BenchmarkId::new("qpus4", format!("{policy:?}")),
+            BenchmarkId::new("qpus4", policy.name()),
             &policy,
-            |b, &policy| b.iter(|| black_box(run(policy, 4, &workload))),
+            |b, policy| b.iter(|| black_box(run(policy, 4, &workload))),
         );
     }
     group.finish();
@@ -103,14 +105,14 @@ fn bench_overload(c: &mut Criterion) {
         SEED,
     )
     .generate();
-    let policy = PolicyKind::CacheAffinity;
+    let policy = SchedulerSpec::CacheAffinity;
     let mut group = c.benchmark_group("dispatch/overload");
-    let events = run(policy, QPUS, &workload).events;
+    let events = run(&policy, QPUS, &workload).events;
     group.throughput(Throughput::Elements(events as u64));
     group.bench_with_input(
-        BenchmarkId::new("qpus64_load1.5", format!("{policy:?}")),
+        BenchmarkId::new("qpus64_load1.5", policy.name()),
         &policy,
-        |b, &policy| b.iter(|| black_box(run(policy, QPUS, &workload))),
+        |b, policy| b.iter(|| black_box(run(policy, QPUS, &workload))),
     );
     group.finish();
 }

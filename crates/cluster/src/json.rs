@@ -669,8 +669,8 @@ mod tests {
             },
             SplitExecConfig::with_seed(3),
         );
-        let mut policy = PolicyKind::WeightedFair.build();
-        let report = simulate(fleet, &workload, policy.as_mut(), SimConfig::default());
+        let mut policy = WeightedFairQueue::new();
+        let report = simulate(fleet, &workload, &mut policy, SimConfig::default());
         let json = report.to_json();
         assert_eq!(json.get("policy"), Some(&JsonValue::from("wfq")));
         assert_eq!(json.get("jobs"), Some(&JsonValue::from(report.jobs)));

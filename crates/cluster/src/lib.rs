@@ -52,6 +52,7 @@
 //!   inside each lane by default, [`LaneOrder`]), so a tenant within its
 //!   fair share keeps its latency no matter how hard another tenant floods
 //!   the fleet, while tight-deadline jobs still jump their own lane.
+//!   [`SchedulerSpec`] names a policy with its knobs and builds it.
 //! * [`sim`] — the engine; [`metrics`] — latency percentiles
 //!   (via [`quantum_anneal::stats::percentile`]), per-stage breakdown,
 //!   per-QPU utilization and cache behavior (hit rate, evictions),
@@ -84,7 +85,7 @@
 //!
 //! let workload = WorkloadSpec::repeated_topologies(30, 0.05, 7).generate();
 //! let fleet = Fleet::new(FleetConfig::default(), SplitExecConfig::with_seed(7));
-//! let mut policy = PolicyKind::CacheAffinity.build();
+//! let mut policy = SchedulerSpec::CacheAffinity.build();
 //! let report = simulate(fleet, &workload, policy.as_mut(), SimConfig::default());
 //! assert_eq!(report.completed + report.rejected, 30);
 //! assert!(report.stage1_fraction() > 0.9); // the paper's headline, fleet-scale
@@ -127,10 +128,10 @@ pub use metrics::{
 pub use replay::{
     check_replay, fleet_fingerprint, parse_arrival_trace, parse_flight_record,
     render_arrival_trace, workload_digest, FlightRecord, RecordedRun, RecorderSink, ReplayCheck,
-    ReplayError, SchedulerSpec, ARRIVAL_SCHEMA, FLIGHT_SCHEMA,
+    ReplayError, ARRIVAL_SCHEMA, FLIGHT_SCHEMA,
 };
 pub use scheduler::{
-    CacheAffinity, EarliestDeadlineFirst, Fifo, LaneOrder, PolicyKind, Scheduler,
+    CacheAffinity, EarliestDeadlineFirst, Fifo, LaneOrder, Scheduler, SchedulerSpec,
     ShortestPredictedFirst, WeightedFairQueue,
 };
 pub use sim::{
@@ -169,10 +170,10 @@ pub mod prelude {
     pub use crate::replay::{
         check_replay, fleet_fingerprint, parse_arrival_trace, parse_flight_record,
         render_arrival_trace, workload_digest, FlightRecord, RecordedRun, RecorderSink,
-        ReplayCheck, ReplayError, SchedulerSpec, ARRIVAL_SCHEMA, FLIGHT_SCHEMA,
+        ReplayCheck, ReplayError, ARRIVAL_SCHEMA, FLIGHT_SCHEMA,
     };
     pub use crate::scheduler::{
-        CacheAffinity, EarliestDeadlineFirst, Fifo, LaneOrder, PolicyKind, Scheduler,
+        CacheAffinity, EarliestDeadlineFirst, Fifo, LaneOrder, Scheduler, SchedulerSpec,
         ShortestPredictedFirst, WeightedFairQueue,
     };
     pub use crate::sim::{
@@ -202,7 +203,7 @@ mod determinism_tests {
     use crate::prelude::*;
     use split_exec::SplitExecConfig;
 
-    fn run(policy: PolicyKind, seed: u64) -> SimReport {
+    fn run(policy: &SchedulerSpec, seed: u64) -> SimReport {
         // Rate ~1 job/s against ~1–4 s services keeps several devices busy,
         // so policies genuinely differ (at negligible load every policy
         // collapses onto device 0).
@@ -221,9 +222,9 @@ mod determinism_tests {
 
     #[test]
     fn same_seed_gives_bit_identical_trace_and_metrics() {
-        for policy in PolicyKind::all() {
-            let a = run(policy, 17);
-            let b = run(policy, 17);
+        for policy in SchedulerSpec::all() {
+            let a = run(&policy, 17);
+            let b = run(&policy, 17);
             // PartialEq over the full report covers the trace, every f64
             // metric and every per-job record; equality of f64s produced by
             // the same deterministic computation is bit-identity.
@@ -236,8 +237,8 @@ mod determinism_tests {
 
     #[test]
     fn different_seeds_diverge() {
-        let a = run(PolicyKind::Fifo, 1);
-        let b = run(PolicyKind::Fifo, 2);
+        let a = run(&SchedulerSpec::Fifo, 1);
+        let b = run(&SchedulerSpec::Fifo, 2);
         assert_ne!(a.trace, b.trace);
     }
 
@@ -259,7 +260,7 @@ mod determinism_tests {
                 );
                 // FIFO routes by queue position alone, so every device sees
                 // every topology: at capacity 1 the bound must bind.
-                let mut scheduler = PolicyKind::Fifo.build();
+                let mut scheduler = SchedulerSpec::Fifo.build();
                 simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default())
             };
             let a = run(29);
@@ -357,8 +358,8 @@ mod determinism_tests {
         // cache-affinity policy completes the same workload with lower mean
         // latency than FIFO, because it pays ~one cold embed per topology
         // instead of ~one per (topology, device) pair.
-        let fifo = run(PolicyKind::Fifo, 23);
-        let affinity = run(PolicyKind::CacheAffinity, 23);
+        let fifo = run(&SchedulerSpec::Fifo, 23);
+        let affinity = run(&SchedulerSpec::CacheAffinity, 23);
         assert_eq!(fifo.jobs, affinity.jobs);
         assert!(affinity.cold_misses() < fifo.cold_misses());
         assert!(
@@ -386,7 +387,7 @@ mod proptests {
             },
             SplitExecConfig::with_seed(seed),
         );
-        let mut scheduler = PolicyKind::Fifo.build();
+        let mut scheduler = SchedulerSpec::Fifo.build();
         simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default())
     }
 
@@ -434,7 +435,7 @@ mod proptests {
             } else {
                 EvictionPolicyKind::Lru
             };
-            for policy in PolicyKind::all() {
+            for policy in SchedulerSpec::all() {
                 let workload = WorkloadSpec::repeated_topologies(20, 1.0, seed).generate();
                 let fleet = Fleet::new(
                     FleetConfig { qpus: 2, seed, ..FleetConfig::default() }
@@ -458,7 +459,7 @@ mod proptests {
         /// under every policy.
         #[test]
         fn jobs_are_conserved(seed in 0u64..200) {
-            for policy in PolicyKind::all() {
+            for policy in SchedulerSpec::all() {
                 let workload = WorkloadSpec::mixed(12, 0.1, seed).generate();
                 let fleet = Fleet::new(
                     FleetConfig { qpus: 2, seed, ..FleetConfig::default() },
@@ -520,7 +521,11 @@ mod proptests {
                 seed,
             )
             .generate();
-            for policy in [PolicyKind::Fifo, PolicyKind::WeightedFair] {
+            let wfq = SchedulerSpec::WeightedFair {
+                weights: Vec::new(),
+                lane_order: LaneOrder::default(),
+            };
+            for policy in [SchedulerSpec::Fifo, wfq] {
                 let fleet = Fleet::new(
                     FleetConfig { qpus: 2, seed, ..FleetConfig::default() },
                     SplitExecConfig::with_seed(seed),

@@ -8,7 +8,9 @@
 //! JSONL file holding, for every simulated run, one header line — the
 //! run's [`CellSpec`], serialized in full, plus a fleet fingerprint and a
 //! workload digest — followed by the run's complete trace, one record per
-//! line.  Anything that can be recorded can be re-ingested
+//! line.  The header's JSON codecs live here, the [`SchedulerSpec`] one
+//! included (the spec itself sits in [`crate::scheduler`], next to the
+//! schedulers it builds).  Anything that can be recorded can be re-ingested
 //! ([`parse_flight_record`]), re-run through [`run_cell`] and verified
 //! record by record ([`check_replay`]), and compared run-to-run (the
 //! `trace_diff` CLI in `crates/bench`) — every regression becomes a
@@ -41,10 +43,7 @@ use crate::fleet::FleetConfig;
 use crate::job::Job;
 use crate::json::{self, JsonValue, ParseError};
 use crate::metrics::SimReport;
-use crate::scheduler::{
-    LaneOrder, PolicyKind, Scheduler, ShortestPredictedFirst, WeightedFairQueue,
-    DEFAULT_AGING_WEIGHT,
-};
+use crate::scheduler::{LaneOrder, SchedulerSpec};
 use crate::sim::{PercentileMode, SimConfig, TraceRecord, WorkloadMode};
 use crate::sweep::{run_cell, AdmissionSpec, CellSpec};
 use crate::telemetry::{FanoutSink, JsonlSink, TraceSink, VecSink};
@@ -379,74 +378,11 @@ pub fn workload_digest(workload: &Workload) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler specs: a serializable recipe for rebuilding a policy
+// Scheduler spec <-> JSON
 // ---------------------------------------------------------------------------
 
-/// A serializable description of a scheduling policy — everything needed to
-/// rebuild the exact scheduler a run used, including the knobs
-/// [`PolicyKind`] cannot carry (aging weight, explicit lane weights, lane
-/// ordering).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SchedulerSpec {
-    /// [`crate::scheduler::Fifo`].
-    Fifo,
-    /// [`crate::scheduler::CacheAffinity`].
-    CacheAffinity,
-    /// [`crate::scheduler::EarliestDeadlineFirst`].
-    EarliestDeadlineFirst,
-    /// [`ShortestPredictedFirst`] with an explicit aging weight.
-    ShortestPredictedFirst {
-        /// Anti-starvation aging weight (seconds of credit per second
-        /// queued).
-        aging_weight: f64,
-    },
-    /// [`WeightedFairQueue`] with explicit lane weights and lane order.
-    WeightedFair {
-        /// Per-lane fair-share weights; missing lanes default to 1.0, so an
-        /// empty vector is the uniform-weight queue.
-        weights: Vec<f64>,
-        /// How jobs are ordered within a lane.
-        lane_order: LaneOrder,
-    },
-}
-
+/// The flight-record codec of a [`SchedulerSpec`].
 impl SchedulerSpec {
-    /// The display name the rebuilt scheduler reports
-    /// ([`Scheduler::name`]): `fifo`, `affinity`, `edf`, `spjf`, `wfq` or
-    /// `wfq-fifo`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedulerSpec::Fifo => "fifo",
-            SchedulerSpec::CacheAffinity => "affinity",
-            SchedulerSpec::EarliestDeadlineFirst => "edf",
-            SchedulerSpec::ShortestPredictedFirst { .. } => "spjf",
-            SchedulerSpec::WeightedFair { lane_order, .. } => match lane_order {
-                LaneOrder::EarliestDeadline => "wfq",
-                LaneOrder::Fifo => "wfq-fifo",
-            },
-        }
-    }
-
-    /// Instantiate the described scheduler.
-    pub fn build(&self) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerSpec::Fifo => Box::new(crate::scheduler::Fifo),
-            SchedulerSpec::CacheAffinity => Box::new(crate::scheduler::CacheAffinity::new()),
-            SchedulerSpec::EarliestDeadlineFirst => {
-                Box::new(crate::scheduler::EarliestDeadlineFirst)
-            }
-            SchedulerSpec::ShortestPredictedFirst { aging_weight } => {
-                Box::new(ShortestPredictedFirst::with_aging(*aging_weight))
-            }
-            SchedulerSpec::WeightedFair {
-                weights,
-                lane_order,
-            } => Box::new(
-                WeightedFairQueue::with_weights(weights.clone()).with_lane_order(*lane_order),
-            ),
-        }
-    }
-
     /// The spec as a flat JSON object (the header's `"scheduler"` field).
     pub fn to_json(&self) -> JsonValue {
         match self {
@@ -527,25 +463,6 @@ impl SchedulerSpec {
                 "policy",
                 format!("unknown policy {other:?}"),
             )),
-        }
-    }
-}
-
-impl From<PolicyKind> for SchedulerSpec {
-    /// The spec describing exactly what [`PolicyKind::build`] constructs.
-    // sx-lint: hot-exempt -- runs once per run when a scheduler is named, never in the event loop; `from` name-collides with `u64::from`-style calls in hot bodies
-    fn from(kind: PolicyKind) -> Self {
-        match kind {
-            PolicyKind::Fifo => SchedulerSpec::Fifo,
-            PolicyKind::CacheAffinity => SchedulerSpec::CacheAffinity,
-            PolicyKind::EarliestDeadline => SchedulerSpec::EarliestDeadlineFirst,
-            PolicyKind::ShortestPredictedFirst => SchedulerSpec::ShortestPredictedFirst {
-                aging_weight: DEFAULT_AGING_WEIGHT,
-            },
-            PolicyKind::WeightedFair => SchedulerSpec::WeightedFair {
-                weights: Vec::new(),
-                lane_order: LaneOrder::default(),
-            },
         }
     }
 }
@@ -1396,14 +1313,6 @@ mod tests {
             let back = SchedulerSpec::from_json(1, &parsed).expect("round trip");
             assert_eq!(back, spec);
             assert_eq!(back.name(), spec.build().name(), "spec names its scheduler");
-        }
-    }
-
-    #[test]
-    fn policy_kind_specs_build_what_policy_kind_builds() {
-        for kind in PolicyKind::all() {
-            let spec = SchedulerSpec::from(kind);
-            assert_eq!(spec.build().name(), kind.build().name());
         }
     }
 

@@ -39,6 +39,10 @@
 //!   deadline-carrying jobs dispatch earliest-deadline-first and
 //!   deadline-free jobs keep FIFO order — cross-tenant isolation from the
 //!   virtual clock, per-tenant SLO attainment from EDF, composed.
+//!
+//! [`SchedulerSpec`] describes one of these policies with its knobs: CLI
+//! names parse into it, [`SchedulerSpec::build`] makes the scheduler, and
+//! every run's `CellSpec` and flight-record header carry it.
 
 use std::hash::BuildHasherDefault;
 
@@ -631,76 +635,117 @@ impl Scheduler for WeightedFairQueue {
     }
 }
 
-/// Policy selection by name, for CLI surfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
+/// A scheduling policy with its knobs (aging weight, lane weights, lane
+/// order): everything needed to build the exact scheduler a run uses.
+/// CLI names parse into it (`FromStr`), and every `CellSpec` and
+/// flight-record header carries it through the JSON codec in
+/// [`crate::replay`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum SchedulerSpec {
     /// [`Fifo`].
     Fifo,
-    /// [`ShortestPredictedFirst`].
-    ShortestPredictedFirst,
     /// [`CacheAffinity`].
     CacheAffinity,
     /// [`EarliestDeadlineFirst`].
-    EarliestDeadline,
-    /// [`WeightedFairQueue`] with uniform weights and EDF lanes; use
-    /// [`WeightedFairQueue::with_weights`] / [`WeightedFairQueue::for_workload`]
-    /// directly for weighted shares or FIFO lanes.
-    WeightedFair,
+    EarliestDeadlineFirst,
+    /// [`ShortestPredictedFirst`] with an explicit aging weight.
+    ShortestPredictedFirst {
+        /// Anti-starvation aging weight (seconds of credit per second
+        /// queued).
+        aging_weight: f64,
+    },
+    /// [`WeightedFairQueue`] with explicit lane weights and lane order.
+    WeightedFair {
+        /// Per-lane fair-share weights; missing lanes default to 1.0, so an
+        /// empty vector is the uniform-weight queue.
+        weights: Vec<f64>,
+        /// How jobs are ordered within a lane.
+        lane_order: LaneOrder,
+    },
 }
 
-impl PolicyKind {
-    /// All policies, in comparison-table order.
-    pub fn all() -> [PolicyKind; 5] {
+impl SchedulerSpec {
+    /// The five default policies, in comparison-table order: `fifo`,
+    /// `spjf` ([`DEFAULT_AGING_WEIGHT`]), `affinity`, `edf` and `wfq`
+    /// (uniform weights, EDF lanes).
+    pub fn all() -> [SchedulerSpec; 5] {
         [
-            PolicyKind::Fifo,
-            PolicyKind::ShortestPredictedFirst,
-            PolicyKind::CacheAffinity,
-            PolicyKind::EarliestDeadline,
-            PolicyKind::WeightedFair,
+            SchedulerSpec::Fifo,
+            SchedulerSpec::ShortestPredictedFirst {
+                aging_weight: DEFAULT_AGING_WEIGHT,
+            },
+            SchedulerSpec::CacheAffinity,
+            SchedulerSpec::EarliestDeadlineFirst,
+            SchedulerSpec::WeightedFair {
+                weights: Vec::new(),
+                lane_order: LaneOrder::EarliestDeadline,
+            },
         ]
     }
 
-    /// Instantiate the policy.
-    pub fn build(&self) -> Box<dyn Scheduler> {
+    /// The display name the built scheduler reports
+    /// ([`Scheduler::name`]): `fifo`, `affinity`, `edf`, `spjf`, `wfq` or
+    /// `wfq-fifo`.
+    pub fn name(&self) -> &'static str {
         match self {
-            PolicyKind::Fifo => Box::new(Fifo),
-            PolicyKind::ShortestPredictedFirst => Box::new(ShortestPredictedFirst::default()),
-            PolicyKind::CacheAffinity => Box::new(CacheAffinity::new()),
-            PolicyKind::EarliestDeadline => Box::new(EarliestDeadlineFirst),
-            PolicyKind::WeightedFair => Box::new(WeightedFairQueue::new()),
+            SchedulerSpec::Fifo => "fifo",
+            SchedulerSpec::CacheAffinity => "affinity",
+            SchedulerSpec::EarliestDeadlineFirst => "edf",
+            SchedulerSpec::ShortestPredictedFirst { .. } => "spjf",
+            SchedulerSpec::WeightedFair { lane_order, .. } => match lane_order {
+                LaneOrder::EarliestDeadline => "wfq",
+                LaneOrder::Fifo => "wfq-fifo",
+            },
         }
     }
 
-    /// The policy's stable name.
-    pub fn name(&self) -> &'static str {
+    /// Instantiate the described scheduler.
+    pub fn build(&self) -> Box<dyn Scheduler> {
         match self {
-            PolicyKind::Fifo => "fifo",
-            PolicyKind::ShortestPredictedFirst => "spjf",
-            PolicyKind::CacheAffinity => "affinity",
-            PolicyKind::EarliestDeadline => "edf",
-            PolicyKind::WeightedFair => "wfq",
+            SchedulerSpec::Fifo => Box::new(Fifo),
+            SchedulerSpec::CacheAffinity => Box::new(CacheAffinity::new()),
+            SchedulerSpec::EarliestDeadlineFirst => Box::new(EarliestDeadlineFirst),
+            SchedulerSpec::ShortestPredictedFirst { aging_weight } => {
+                Box::new(ShortestPredictedFirst::with_aging(*aging_weight))
+            }
+            SchedulerSpec::WeightedFair {
+                weights,
+                lane_order,
+            } => Box::new(
+                WeightedFairQueue::with_weights(weights.clone()).with_lane_order(*lane_order),
+            ),
         }
     }
 }
 
-impl std::str::FromStr for PolicyKind {
+impl std::str::FromStr for SchedulerSpec {
     type Err = String;
 
+    /// A policy by name, case-insensitively: a [`SchedulerSpec::name`] or
+    /// one of its aliases.  Knobs take their defaults — `spjf` ages at
+    /// [`DEFAULT_AGING_WEIGHT`], `wfq`/`wfq-fifo` weigh every lane 1.0.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let wfq = |lane_order| SchedulerSpec::WeightedFair {
+            weights: Vec::new(),
+            lane_order,
+        };
         match s.trim().to_ascii_lowercase().as_str() {
-            "fifo" => Ok(PolicyKind::Fifo),
-            "spjf" | "sjf" | "shortest" => Ok(PolicyKind::ShortestPredictedFirst),
-            "affinity" | "cache" | "cache-affinity" => Ok(PolicyKind::CacheAffinity),
-            "edf" | "deadline" | "earliest-deadline" => Ok(PolicyKind::EarliestDeadline),
-            "wfq" | "fair" | "weighted-fair" => Ok(PolicyKind::WeightedFair),
+            "fifo" => Ok(SchedulerSpec::Fifo),
+            "spjf" | "sjf" | "shortest" => Ok(SchedulerSpec::ShortestPredictedFirst {
+                aging_weight: DEFAULT_AGING_WEIGHT,
+            }),
+            "affinity" | "cache" | "cache-affinity" => Ok(SchedulerSpec::CacheAffinity),
+            "edf" | "deadline" | "earliest-deadline" => Ok(SchedulerSpec::EarliestDeadlineFirst),
+            "wfq" | "fair" | "weighted-fair" => Ok(wfq(LaneOrder::EarliestDeadline)),
+            "wfq-fifo" => Ok(wfq(LaneOrder::Fifo)),
             other => Err(format!(
-                "unknown scheduling policy '{other}' (expected fifo, spjf, affinity, edf or wfq)"
+                "unknown scheduling policy '{other}' (expected fifo, spjf, affinity, edf, wfq or wfq-fifo)"
             )),
         }
     }
 }
 
-impl std::fmt::Display for PolicyKind {
+impl std::fmt::Display for SchedulerSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
@@ -1287,28 +1332,34 @@ mod tests {
     }
 
     #[test]
-    fn policy_kind_parses_and_displays() {
-        assert_eq!("fifo".parse::<PolicyKind>().unwrap(), PolicyKind::Fifo);
-        assert_eq!(
-            "edf".parse::<PolicyKind>().unwrap(),
-            PolicyKind::EarliestDeadline
-        );
-        assert_eq!(
-            "SPJF".parse::<PolicyKind>().unwrap(),
-            PolicyKind::ShortestPredictedFirst
-        );
-        assert_eq!(
-            "cache-affinity".parse::<PolicyKind>().unwrap(),
-            PolicyKind::CacheAffinity
-        );
-        assert_eq!(
-            "weighted-fair".parse::<PolicyKind>().unwrap(),
-            PolicyKind::WeightedFair
-        );
-        assert!("nope".parse::<PolicyKind>().is_err());
-        for kind in PolicyKind::all() {
-            assert_eq!(kind.to_string(), kind.name());
-            assert_eq!(kind.build().name(), kind.name());
+    fn scheduler_spec_names_parse_build_and_display_round_trip() {
+        let wfq_fifo = SchedulerSpec::WeightedFair {
+            weights: Vec::new(),
+            lane_order: LaneOrder::Fifo,
+        };
+        let aliases: [(&str, &[&str]); 6] = [
+            ("fifo", &["FIFO"]),
+            ("spjf", &["sjf", "shortest", "SPJF"]),
+            ("affinity", &["cache", "cache-affinity", "Cache-Affinity"]),
+            ("edf", &["deadline", "earliest-deadline", "EDF"]),
+            ("wfq", &["fair", "weighted-fair", "Weighted-Fair"]),
+            ("wfq-fifo", &["WFQ-FIFO"]),
+        ];
+        let specs: Vec<SchedulerSpec> =
+            SchedulerSpec::all().into_iter().chain([wfq_fifo]).collect();
+        assert_eq!(specs.len(), aliases.len());
+        for (spec, (name, spellings)) in specs.iter().zip(aliases) {
+            assert_eq!(spec.name(), name);
+            assert_eq!(spec.name().parse::<SchedulerSpec>().as_ref(), Ok(spec));
+            assert_eq!(spec.build().name(), spec.name());
+            assert_eq!(spec.to_string(), spec.name());
+            for alias in spellings {
+                assert_eq!(alias.parse::<SchedulerSpec>().as_ref(), Ok(spec), "{alias}");
+            }
+        }
+        let err = "nope".parse::<SchedulerSpec>().unwrap_err();
+        for (name, _) in aliases {
+            assert!(err.contains(name), "{err}");
         }
     }
 }

@@ -41,8 +41,7 @@ use crate::admission::{AdmissionController, AdmitAll, TokenBucket, TokenBucketCo
 use crate::fleet::{cost_table, Fleet, FleetConfig};
 use crate::json::JsonValue;
 use crate::metrics::SimReport;
-use crate::replay::SchedulerSpec;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{Scheduler, SchedulerSpec};
 use crate::sim::{simulate_with_telemetry, SimConfig};
 use crate::telemetry::{HostStopwatch, MetricsRegistry, NullSink, StreamingHistogram, TraceSink};
 use crate::tenant::TenantId;
@@ -554,7 +553,6 @@ impl SweepPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::PolicyKind;
     use crate::sim::{PercentileMode, SimConfig, WorkloadMode};
     use crate::workload::WorkloadSpec;
 
@@ -705,14 +703,5 @@ mod tests {
             )],
         };
         assert_eq!(spec.build().name(), "token-bucket");
-    }
-
-    #[test]
-    fn policy_kind_axis_resolves_through_scheduler_specs() {
-        // Guard the idiom the CLI uses: every PolicyKind has a SchedulerSpec form.
-        for policy in PolicyKind::all() {
-            let spec = SchedulerSpec::from(policy);
-            assert!(!spec.name().is_empty());
-        }
     }
 }

@@ -47,7 +47,7 @@ fn micros(seconds: f64) -> f64 {
 ///     SplitExecConfig::with_seed(7),
 /// );
 /// let mut sink = PerfettoSink::new();
-/// let mut policy = PolicyKind::Fifo.build();
+/// let mut policy = SchedulerSpec::Fifo.build();
 /// let mut admit = AdmitAll;
 /// simulate_with_telemetry(
 ///     fleet, &workload, policy.as_mut(), &mut admit,

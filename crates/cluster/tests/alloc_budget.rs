@@ -68,7 +68,7 @@ fn exclusive() -> MutexGuard<'static, ()> {
 /// Allocations performed by one full simulate call (everything else —
 /// workload generation, fleet construction, scheduler build — happens
 /// outside the counted window).
-fn allocations_for(policy: PolicyKind, jobs: usize) -> usize {
+fn allocations_for(policy: &SchedulerSpec, jobs: usize) -> usize {
     // The cache is bounded (with room for every distinct topology) so its
     // buffers are pre-sized at construction: an *unbounded* warm cache
     // grows with the distinct topologies each device happens to see, and
@@ -107,10 +107,10 @@ fn allocations_for(policy: PolicyKind, jobs: usize) -> usize {
 /// One throwaway run so lazily-initialized process state (allocator
 /// internals, thread-locals) is paid for before any counted window opens.
 fn warmup() {
-    let _ = allocations_for(PolicyKind::Fifo, 20);
+    let _ = allocations_for(&SchedulerSpec::Fifo, 20);
 }
 
-fn assert_constant_in_n(policy: PolicyKind) {
+fn assert_constant_in_n(policy: &SchedulerSpec) {
     let _counting = exclusive();
     warmup();
     let at_n = allocations_for(policy, 200);
@@ -125,30 +125,33 @@ fn assert_constant_in_n(policy: PolicyKind) {
 
 #[test]
 fn fifo_dispatch_loop_allocates_independently_of_event_count() {
-    assert_constant_in_n(PolicyKind::Fifo);
+    assert_constant_in_n(&SchedulerSpec::Fifo);
 }
 
 #[test]
 fn wfq_dispatch_loop_allocates_independently_of_event_count() {
-    assert_constant_in_n(PolicyKind::WeightedFair);
+    assert_constant_in_n(&SchedulerSpec::WeightedFair {
+        weights: Vec::new(),
+        lane_order: LaneOrder::default(),
+    });
 }
 
 #[test]
 fn edf_dispatch_loop_allocates_independently_of_event_count() {
-    assert_constant_in_n(PolicyKind::EarliestDeadline);
+    assert_constant_in_n(&SchedulerSpec::EarliestDeadlineFirst);
 }
 
 #[test]
 fn affinity_dispatch_loop_allocates_independently_of_event_count() {
-    assert_constant_in_n(PolicyKind::CacheAffinity);
+    assert_constant_in_n(&SchedulerSpec::CacheAffinity);
 }
 
 #[test]
 fn allocation_count_is_deterministic_run_to_run() {
     let _counting = exclusive();
     warmup();
-    let first = allocations_for(PolicyKind::Fifo, 200);
-    let second = allocations_for(PolicyKind::Fifo, 200);
+    let first = allocations_for(&SchedulerSpec::Fifo, 200);
+    let second = allocations_for(&SchedulerSpec::Fifo, 200);
     assert_eq!(
         first, second,
         "identical runs must perform identical allocation sequences"

@@ -25,7 +25,7 @@ fn main() {
         workload.max_lps()
     );
 
-    for policy in PolicyKind::all() {
+    for policy in SchedulerSpec::all() {
         // Same fleet seed per policy: identical fault maps, fair comparison.
         // Each device holds at most `capacity` warm embeddings (LRU).
         let fleet = Fleet::new(
@@ -63,7 +63,7 @@ fn main() {
         );
         // FIFO routes blind to warmth, so the caches churn and the
         // eviction choice is what separates the two runs.
-        let mut scheduler = PolicyKind::Fifo.build();
+        let mut scheduler = SchedulerSpec::Fifo.build();
         let report = simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default());
         println!(
             "  {:>10}: mean latency {:.3}s, hit rate {:.0}%, {} evictions",
