@@ -1,7 +1,8 @@
-//! `cluster_sim` rejects unusable counts, unknown modes and unknown
-//! scheduler names as usage errors (exit code 2 with a message), in every
-//! mode, instead of panicking or printing NaN — and its `--mode replay
-//! --json` document describes the replayed record, not the command line.
+//! `cluster_sim` rejects unusable counts, unknown modes, unknown scheduler
+//! names and empty sweep axes as usage errors (exit code 2 with a
+//! message), in every mode, instead of panicking or printing NaN — and its
+//! `--mode replay --json` document describes the replayed record, not the
+//! command line.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -67,6 +68,17 @@ fn unknown_policy_names_are_usage_errors_that_list_the_valid_names() {
         for valid in ["fifo", "spjf", "affinity", "edf", "wfq", "wfq-fifo"] {
             assert!(stderr.contains(valid), "{args:?}: {stderr}");
         }
+    }
+}
+
+#[test]
+fn empty_sweep_axes_are_usage_errors_that_name_the_flag() {
+    for flag in ["--seeds", "--loads", "--policies"] {
+        let out = cluster_sim(&["--mode", "sweep", "--virtual", "--jobs", "10", flag, ""]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} '': {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} '': {stderr}");
+        assert!(stderr.contains(flag), "{flag} '': {stderr}");
     }
 }
 

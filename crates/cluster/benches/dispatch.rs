@@ -9,18 +9,22 @@
 //! `tests/alloc_budget.rs` pins the allocation count dynamically, and this
 //! bench watches the throughput those two protect.  Groups sweep the fleet
 //! size (the dispatch loop's fan-out) under FIFO, compare policies at a
-//! fixed fleet, and run cache affinity on an overloaded 64-QPU fleet, where
-//! the queue grows to hundreds of jobs and the per-call queue scan shows.
-//! They report events/second (each timed iteration replays the same seeded
-//! workload, so the event count per iteration is exact).
+//! fixed fleet, run cache affinity on an overloaded 64-QPU fleet, where
+//! the queue grows to hundreds of jobs and the per-call queue scan shows,
+//! and run WFQ on a 1,024-device heterogeneous fleet, where placement
+//! (`Fleet::fastest_idle`) dominates.  They report events/second (each
+//! timed iteration replays the same seeded workload, so the event count
+//! per iteration is exact).
 //!
 //! Each iteration rebuilds the fleet — the engine consumes it, since warm
-//! caches and occupancy are part of the run's state — so the measured time
-//! includes fleet construction.  That cost is O(devices), independent of
-//! the event count, and identical across policies; at 400 jobs the loop
-//! dominates.
+//! caches and occupancy are part of the run's state.  In the small groups
+//! the measured time includes that construction: it is O(devices),
+//! independent of the event count, and identical across policies, and at
+//! 400 jobs the loop dominates.  The large-fleet group builds its fleet in
+//! untimed set-up instead, since 1,024 devices take tens of milliseconds
+//! to build.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use split_exec::SplitExecConfig;
 use std::hint::black_box;
 use sx_cluster::prelude::*;
@@ -41,8 +45,12 @@ fn fleet(qpus: usize) -> Fleet {
 }
 
 fn run(policy: &SchedulerSpec, qpus: usize, workload: &Workload) -> SimReport {
+    run_on(fleet(qpus), policy, workload)
+}
+
+fn run_on(fleet: Fleet, policy: &SchedulerSpec, workload: &Workload) -> SimReport {
     simulate_with_telemetry(
-        fleet(qpus),
+        fleet,
         workload,
         policy.build().as_mut(),
         &mut AdmitAll,
@@ -117,5 +125,47 @@ fn bench_overload(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(dispatch, bench_fleet_sizes, bench_policies, bench_overload);
+/// WFQ on 1,024 mixed-generation QPUs with 4-entry cost-aware caches,
+/// fed 4,000 jobs of the repeated-topology mix.  Spread over 1,024
+/// devices, most of those jobs embed cold, at about ten times the warm
+/// cost, so the offered load is 0.05 of warm capacity: higher loads build
+/// a queue and time WFQ's queue scan instead.  With the queue short, the
+/// cost of a call is placing one job on a large fleet.
+fn bench_large_fleet(c: &mut Criterion) {
+    const QPUS: usize = 1_024;
+    const JOBS: usize = 4_000;
+    const LOAD: f64 = 0.05;
+    let config =
+        FleetConfig::heterogeneous(QPUS, SEED).with_cache(4, EvictionPolicyKind::CostAware);
+    let rate = RateCalibration::for_fleet(&config, &[24, 28, 30, 36])
+        .expect("the mix's sizes fit both generations")
+        .rate_hz(1.0, LOAD, QPUS);
+    let workload = WorkloadSpec::repeated_topologies(JOBS, rate, SEED).generate();
+    let policy: SchedulerSpec = "wfq".parse().expect("a SchedulerSpec name");
+    let build = || Fleet::new(config.clone(), SplitExecConfig::with_seed(SEED));
+    let mut group = c.benchmark_group("dispatch/large_fleet");
+    group.sample_size(10);
+    let events = run_on(build(), &policy, &workload).events;
+    group.throughput(Throughput::Elements(events as u64));
+    group.bench_with_input(
+        BenchmarkId::new(format!("qpus1024_load{LOAD}"), policy.name()),
+        &policy,
+        |b, policy| {
+            b.iter_batched(
+                build,
+                |fleet| run_on(fleet, policy, &workload),
+                BatchSize::LargeInput,
+            )
+        },
+    );
+    group.finish();
+}
+
+criterion_group!(
+    dispatch,
+    bench_fleet_sizes,
+    bench_policies,
+    bench_overload,
+    bench_large_fleet
+);
 criterion_main!(dispatch);

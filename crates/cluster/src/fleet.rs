@@ -27,13 +27,31 @@
 //! Both are modeling assumptions of the simulator, not measurements — they
 //! are deliberately simple and deterministic.  No device keeps its fault map
 //! or hardware graph: only these two scalars outlive construction.
+//!
+//! The fleet also carries a *placement index* so "the fastest idle device
+//! for this job" ([`Fleet::fastest_idle`]) does not price every device:
+//!
+//! * the warm holders of each topology, in id order — kept in step with
+//!   the device caches because `Fleet::mark_warm` is the one way to make
+//!   a device warm;
+//! * per QPU model, the device ids sorted by `(fault_difficulty, id)`.  A
+//!   device's cold prediction is its model's warm time plus
+//!   `embed × fault_difficulty`, which cannot decrease as the difficulty
+//!   grows, so the first idle, feasible, cold device in that order is the
+//!   model's cheapest cold candidate.
+//!
+//! The index holds no time state: "idle" is read from
+//! [`QpuDevice::busy_until`] at query time, exactly as a full scan reads it.
 
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use split_exec::cost::{CostModel, StageCosts};
 use split_exec::{PipelineError, QpuModel, SplitExecConfig};
 
-use crate::cache::{AdmissionPolicy, EvictionPolicyKind, WarmCache};
+use crate::cache::{AdmissionPolicy, EvictionPolicyKind, KeyHasher, WarmCache};
+use crate::job::Job;
 use chimera_graph::{Chimera, FaultModel};
 
 /// Configuration of a simulated fleet.
@@ -169,8 +187,9 @@ pub struct QpuDevice {
     /// Largest logical problem size this device can embed.
     pub capacity_lps: usize,
     /// Multiplier on the embedding cost reflecting fault-induced difficulty
-    /// (1.0 for a pristine device).
-    pub fault_difficulty: f64,
+    /// (1.0 for a pristine device).  Fixed at construction: the fleet's
+    /// cold placement order is sorted by it.
+    fault_difficulty: f64,
     /// Bounded warm set: topologies whose embeddings this device holds.
     warm: WarmCache,
     /// When the device becomes idle (virtual seconds); `<= now` means idle.
@@ -219,6 +238,12 @@ impl QpuDevice {
     /// The QPU generation installed in this device.
     pub fn model(&self) -> QpuModel {
         self.model
+    }
+
+    /// Multiplier on the embedding cost reflecting fault-induced difficulty
+    /// (1.0 for a pristine device).
+    pub fn fault_difficulty(&self) -> f64 {
+        self.fault_difficulty
     }
 
     /// Whether a logical problem of `lps` spins fits this device.
@@ -292,7 +317,14 @@ impl QpuDevice {
         lps: usize,
         topology_key: u64,
     ) -> Result<f64, PipelineError> {
-        let (s1, s2, s3) = self.service_breakdown(lps, self.is_warm(topology_key))?;
+        self.service_seconds(lps, self.is_warm(topology_key))
+    }
+
+    /// Total service seconds for a job of `lps` spins with the given cache
+    /// state: the sum [`Self::predicted_service_seconds`] returns, for a
+    /// caller that already knows the warmth.
+    fn service_seconds(&self, lps: usize, warm: bool) -> Result<f64, PipelineError> {
+        let (s1, s2, s3) = self.service_breakdown(lps, warm)?;
         Ok(s1 + s2 + s3)
     }
 
@@ -304,21 +336,171 @@ impl QpuDevice {
 
     /// Record that this device computed (and cached) an embedding for
     /// `topology_key` of `lps` spins, evicting a resident topology if the
-    /// cache is at capacity.  Returns the evicted key, if any.
-    pub(crate) fn mark_warm(&mut self, topology_key: u64, lps: usize) -> Option<u64> {
+    /// cache is at capacity.  Returns the evicted key, if any.  Only
+    /// [`Fleet::mark_warm`] calls it, so the holder index follows every
+    /// change of residency.
+    fn mark_warm(&mut self, topology_key: u64, lps: usize) -> Option<u64> {
         let reembed = self.reembed_seconds(lps);
         // sx-lint: allow(A001) -- delegates to WarmCache::insert, whose buffers are pre-sized to the cache capacity in cache.rs
         self.warm.insert(topology_key, lps, reembed)
     }
 }
 
-/// The fleet: all devices plus shared application configuration.
+/// The ids of `model`'s devices sorted by `(fault_difficulty, id)`: the
+/// order in which their cold predictions ascend.
+fn cold_order(devices: &[QpuDevice], model: QpuModel) -> Vec<u32> {
+    let mut ids: Vec<u32> = (0..devices.len())
+        .filter(|&id| devices[id].model == model)
+        .map(|id| id as u32)
+        .collect();
+    ids.sort_by(|&a, &b| {
+        let (da, db) = (&devices[a as usize], &devices[b as usize]);
+        da.fault_difficulty
+            .total_cmp(&db.fault_difficulty)
+            .then(a.cmp(&b))
+    });
+    ids
+}
+
+/// End of a holder list in [`WarmHolders::nodes`].
+const NIL: u32 = u32::MAX;
+
+/// One link of a holder list: a device id and the next node.
+#[derive(Debug, Clone, Copy)]
+struct HolderNode {
+    device: u32,
+    next: u32,
+}
+
+/// Which devices hold each topology warm.
+///
+/// Each resident key owns a singly linked list of device ids in ascending
+/// order, threaded through one node pool; freed nodes go on a free list.
+/// A bounded fleet has at most `devices × capacity` resident
+/// `(device, key)` pairs, so [`WarmHolders::with_capacity`] sizes the
+/// pool and the key map for that many and steady-state dispatch never
+/// allocates.  The
+/// map is sized at twice the pair bound: a hash table holding at most half
+/// its capacity rehashes its tombstones in place instead of growing.
+/// Unbounded caches grow both once per newly resident pair.
+#[derive(Debug)]
+struct WarmHolders {
+    /// Head node of each resident key's list.
+    heads: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
+    /// The node pool.
+    nodes: Vec<HolderNode>,
+    /// Head of the free-node list.
+    free: u32,
+}
+
+impl WarmHolders {
+    fn with_capacity(pairs: usize) -> Self {
+        Self {
+            heads: HashMap::with_capacity_and_hasher(2 * pairs, BuildHasherDefault::default()),
+            nodes: Vec::with_capacity(pairs),
+            free: NIL,
+        }
+    }
+
+    /// The holders of `key`, in ascending id order.
+    fn iter(&self, key: u64) -> Holders<'_> {
+        Holders {
+            nodes: &self.nodes,
+            at: self.heads.get(&key).copied().unwrap_or(NIL),
+        }
+    }
+
+    /// Add `device` to `key`'s list, keeping id order.
+    // sx-lint: hot-root -- cold-embed bookkeeping: called once per newly cached embedding
+    fn insert(&mut self, key: u64, device: usize) {
+        let device = device as u32;
+        let node = if self.free == NIL {
+            self.nodes.push(HolderNode { device, next: NIL });
+            (self.nodes.len() - 1) as u32
+        } else {
+            let node = self.free;
+            self.free = self.nodes[node as usize].next;
+            self.nodes[node as usize] = HolderNode { device, next: NIL };
+            node
+        };
+        let head = self.heads.entry(key).or_insert(NIL);
+        if *head == NIL || self.nodes[*head as usize].device > device {
+            self.nodes[node as usize].next = *head;
+            *head = node;
+            return;
+        }
+        let mut at = *head;
+        loop {
+            let next = self.nodes[at as usize].next;
+            if next == NIL || self.nodes[next as usize].device > device {
+                break;
+            }
+            at = next;
+        }
+        self.nodes[node as usize].next = self.nodes[at as usize].next;
+        self.nodes[at as usize].next = node;
+    }
+
+    /// Drop `device` from `key`'s list; an emptied list leaves the map.
+    // sx-lint: hot-root -- eviction bookkeeping: called once per evicted embedding
+    fn remove(&mut self, key: u64, device: usize) {
+        let device = device as u32;
+        let Some(&head) = self.heads.get(&key) else {
+            return;
+        };
+        let (mut prev, mut at) = (NIL, head);
+        while at != NIL && self.nodes[at as usize].device != device {
+            (prev, at) = (at, self.nodes[at as usize].next);
+        }
+        if at == NIL {
+            return;
+        }
+        let next = self.nodes[at as usize].next;
+        if prev != NIL {
+            self.nodes[prev as usize].next = next;
+        } else if next != NIL {
+            self.heads.insert(key, next);
+        } else {
+            self.heads.remove(&key);
+        }
+        self.nodes[at as usize].next = self.free;
+        self.free = at;
+    }
+}
+
+/// Iterator over one topology's warm holders, in ascending id order.
+#[derive(Debug, Clone)]
+pub(crate) struct Holders<'a> {
+    nodes: &'a [HolderNode],
+    at: u32,
+}
+
+impl Iterator for Holders<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.at == NIL {
+            return None;
+        }
+        let node = self.nodes[self.at as usize];
+        self.at = node.next;
+        Some(node.device as usize)
+    }
+}
+
+/// The fleet: all devices plus shared application configuration, and the
+/// placement index over them.
 #[derive(Debug)]
 pub struct Fleet {
     /// The devices, indexed by id.
     pub devices: Vec<QpuDevice>,
     /// The application configuration shared by all devices.
     pub app_config: SplitExecConfig,
+    /// Per QPU model, the device ids sorted by `(fault_difficulty, id)`:
+    /// the order in which that model's cold predictions ascend.
+    cold_order: Vec<Vec<u32>>,
+    /// The warm holders of each resident topology.
+    holders: WarmHolders,
 }
 
 impl Fleet {
@@ -327,6 +509,10 @@ impl Fleet {
     /// lattice and one cost table, shared by all its devices.
     pub fn new(config: FleetConfig, app_config: SplitExecConfig) -> Self {
         assert!(config.qpus > 0, "a fleet needs at least one QPU");
+        assert!(
+            u32::try_from(config.qpus).is_ok_and(|qpus| qpus < NIL),
+            "the placement index stores device ids as u32"
+        );
         let mut shared: Vec<SharedModel> = Vec::new();
         let mut devices = Vec::with_capacity(config.qpus);
         for id in 0..config.qpus {
@@ -340,9 +526,16 @@ impl Fleet {
             };
             devices.push(QpuDevice::new(id, &config, &shared[index]));
         }
+        let cold_order = shared
+            .iter()
+            .map(|s| cold_order(&devices, s.model))
+            .collect();
+        let pairs = config.cache_capacity.unwrap_or(0) * config.qpus;
         Self {
             devices,
             app_config,
+            cold_order,
+            holders: WarmHolders::with_capacity(pairs),
         }
     }
 
@@ -356,13 +549,81 @@ impl Fleet {
         self.devices.is_empty()
     }
 
-    /// Ids of devices idle at virtual time `now`, in id order.
-    pub fn idle_devices(&self, now: f64) -> Vec<usize> {
-        self.devices
-            .iter()
-            .filter(|d| d.is_idle(now))
-            .map(|d| d.id)
-            .collect()
+    /// Record that device `d` computed an embedding for `topology_key` of
+    /// `lps` spins: the device caches it (or its admission gate bypasses
+    /// it), and the holder index follows — the new holder joins, an
+    /// evicted topology's holder leaves.  Returns the evicted key, if any.
+    // sx-lint: hot-root -- cold-embed bookkeeping: called once per dispatched cold job
+    pub(crate) fn mark_warm(&mut self, d: usize, topology_key: u64, lps: usize) -> Option<u64> {
+        let device = &mut self.devices[d];
+        let was_warm = device.is_warm(topology_key);
+        let evicted = device.mark_warm(topology_key, lps);
+        let now_warm = device.is_warm(topology_key);
+        if let Some(key) = evicted {
+            self.holders.remove(key, d);
+        }
+        if now_warm && !was_warm {
+            self.holders.insert(topology_key, d);
+        }
+        evicted
+    }
+
+    /// The devices holding `topology_key` warm, in ascending id order.
+    pub(crate) fn warm_holders(&self, topology_key: u64) -> Holders<'_> {
+        self.holders.iter(topology_key)
+    }
+
+    /// The idle device predicted fastest for `job` — smallest
+    /// [`QpuDevice::predicted_service_seconds`] among the idle devices
+    /// that can run it, ties broken by the lower id — together with that
+    /// prediction; `None` when no idle device can run it.
+    ///
+    /// The answer equals a scan of every device, bit for bit, but the
+    /// query prices only the idle warm holders of the job's topology and,
+    /// per QPU model, a prefix of the cold order: it skips devices that
+    /// are busy, too small or warm, takes the first one left, and keeps
+    /// walking while the cold cost equals that first cost (rounding can
+    /// tie devices of different difficulty, and the lower id must win).
+    /// The first strictly larger cost ends the model's walk.
+    // sx-lint: hot-root -- the placement primitive of wfq, edf and affinity, once per priced job per dispatch attempt
+    pub fn fastest_idle(&self, job: &Job, now: f64) -> Option<(f64, usize)> {
+        let mut best: Option<(f64, usize)> = None;
+        let mut offer = |cost: f64, id: usize| {
+            if best.is_none_or(|(c, i)| cost.total_cmp(&c).then(id.cmp(&i)).is_lt()) {
+                best = Some((cost, id));
+            }
+        };
+        for id in self.warm_holders(job.topology_key) {
+            let device = &self.devices[id];
+            if device.is_idle(now) && device.can_run(job.lps) {
+                if let Ok(cost) = device.service_seconds(job.lps, true) {
+                    offer(cost, id);
+                }
+            }
+        }
+        for order in &self.cold_order {
+            let mut first: Option<f64> = None;
+            for &id in order {
+                let device = &self.devices[id as usize];
+                if !device.is_idle(now)
+                    || !device.can_run(job.lps)
+                    || device.is_warm(job.topology_key)
+                {
+                    continue;
+                }
+                // A model's cost table prices a size for all its devices
+                // or for none.
+                let Ok(cost) = device.service_seconds(job.lps, false) else {
+                    break;
+                };
+                if first.is_some_and(|first| cost > first) {
+                    break;
+                }
+                first = Some(cost);
+                offer(cost, id as usize);
+            }
+        }
+        best
     }
 
     /// The largest problem size any device in the fleet can embed.
@@ -395,6 +656,45 @@ impl Fleet {
     }
 }
 
+/// Test-only reference oracles for the placement index.
+#[cfg(test)]
+impl Fleet {
+    /// The whole-fleet scan [`Fleet::fastest_idle`] replaced: price every
+    /// idle device that can run `job` and keep the smallest `(cost, id)`.
+    pub(crate) fn fastest_idle_scan(&self, job: &Job, now: f64) -> Option<(f64, usize)> {
+        self.devices
+            .iter()
+            .filter(|d| d.is_idle(now) && d.can_run(job.lps))
+            .filter_map(|d| {
+                let predicted = d
+                    .predicted_service_seconds(job.lps, job.topology_key)
+                    .ok()?;
+                Some((predicted, d.id))
+            })
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+    }
+
+    /// Panic unless every topology's holder list is exactly the devices
+    /// warm for it, in id order — for each key resident anywhere and each
+    /// key the index lists.
+    pub(crate) fn assert_holders_match_caches(&self) {
+        let resident = self
+            .devices
+            .iter()
+            .flat_map(|d| d.warm.entries().iter().map(|e| e.key));
+        for key in resident.chain(self.holders.heads.keys().copied()) {
+            let warm: Vec<usize> = self
+                .devices
+                .iter()
+                .filter(|d| d.is_warm(key))
+                .map(|d| d.id)
+                .collect();
+            let listed: Vec<usize> = self.warm_holders(key).collect();
+            assert_eq!(listed, warm, "holder list of topology {key:#x}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,14 +718,14 @@ mod tests {
         assert_eq!(f.len(), 3);
         // Each device's yield, and so its difficulty, comes from its own
         // fault draw.
-        let difficulty: Vec<f64> = f.devices.iter().map(|d| d.fault_difficulty).collect();
+        let difficulty: Vec<f64> = f.devices.iter().map(|d| d.fault_difficulty()).collect();
         assert_ne!(difficulty[0], difficulty[1]);
         assert_ne!(difficulty[1], difficulty[2]);
         // Same seed rebuilds the same fleet.
         let g = fleet(3, 0.05, 7);
         for (a, b) in f.devices.iter().zip(&g.devices) {
             assert_eq!(a.capacity_lps, b.capacity_lps);
-            assert_eq!(a.fault_difficulty, b.fault_difficulty);
+            assert_eq!(a.fault_difficulty(), b.fault_difficulty());
         }
     }
 
@@ -450,7 +750,7 @@ mod tests {
         let d = &f.devices[0];
         // C(12,12,4) pristine: K_49 capacity, no difficulty penalty.
         assert_eq!(d.capacity_lps, 49);
-        assert_eq!(d.fault_difficulty, 1.0);
+        assert_eq!(d.fault_difficulty(), 1.0);
         assert!(d.can_run(49));
         assert!(!d.can_run(50));
     }
@@ -461,7 +761,7 @@ mod tests {
         let pristine = fleet(1, 0.0, 3);
         let d = &faulty.devices[0];
         assert!(d.capacity_lps < pristine.devices[0].capacity_lps);
-        assert!(d.fault_difficulty > 1.0);
+        assert!(d.fault_difficulty() > 1.0);
         // Stage-1 cold cost is dearer on the faulty device.
         let (cold_faulty, _, _) = d.service_breakdown(20, false).unwrap();
         let (cold_pristine, _, _) = pristine.devices[0].service_breakdown(20, false).unwrap();
@@ -477,7 +777,7 @@ mod tests {
         let mut f = fleet(1, 0.01, 5);
         let key = 0xDEADBEEF;
         let cold = f.devices[0].predicted_service_seconds(40, key).unwrap();
-        f.devices[0].mark_warm(key, 40);
+        f.mark_warm(0, key, 40);
         assert!(f.devices[0].is_warm(key));
         let warm = f.devices[0].predicted_service_seconds(40, key).unwrap();
         assert!(
@@ -500,12 +800,13 @@ mod tests {
             .with_cache(2, EvictionPolicyKind::Lru),
             SplitExecConfig::with_seed(1),
         );
-        let d = &mut f.devices[0];
-        assert_eq!(d.cache_capacity(), Some(2));
-        assert_eq!(d.mark_warm(1, 30), None);
-        assert_eq!(d.mark_warm(2, 36), None);
-        d.touch_warm(1);
-        assert_eq!(d.mark_warm(3, 40), Some(2));
+        assert_eq!(f.devices[0].cache_capacity(), Some(2));
+        assert_eq!(f.mark_warm(0, 1, 30), None);
+        assert_eq!(f.mark_warm(0, 2, 36), None);
+        f.devices[0].touch_warm(1);
+        assert_eq!(f.mark_warm(0, 3, 40), Some(2));
+        assert!(f.warm_holders(2).next().is_none());
+        let d = &f.devices[0];
         assert_eq!(d.warm_topologies(), 2);
         assert_eq!(d.evictions(), 1);
         assert!(!d.is_warm(2));
@@ -528,14 +829,13 @@ mod tests {
             .with_cache(2, EvictionPolicyKind::CostAware),
             SplitExecConfig::with_seed(1),
         );
-        let d = &mut f.devices[0];
         // Re-embed cost grows with lps, so the small topology is evicted
         // even though the large one is older.
-        assert!(d.reembed_seconds(36) > d.reembed_seconds(8));
-        d.mark_warm(1, 36);
-        d.mark_warm(2, 8);
-        assert_eq!(d.mark_warm(3, 20), Some(2));
-        assert!(d.is_warm(1));
+        assert!(f.devices[0].reembed_seconds(36) > f.devices[0].reembed_seconds(8));
+        f.mark_warm(0, 1, 36);
+        f.mark_warm(0, 2, 8);
+        assert_eq!(f.mark_warm(0, 3, 20), Some(2));
+        assert!(f.devices[0].is_warm(1));
     }
 
     #[test]
@@ -552,12 +852,16 @@ mod tests {
             .with_cache_admission(AdmissionPolicy::SecondChance),
             SplitExecConfig::with_seed(1),
         );
-        let d = &mut f.devices[0];
-        d.mark_warm(7, 20);
-        assert!(!d.is_warm(7), "doorkeeper must bypass the first occurrence");
-        assert_eq!(d.cache_bypassed(), 1);
-        d.mark_warm(7, 20);
-        assert!(d.is_warm(7), "second occurrence must be cached");
+        f.mark_warm(0, 7, 20);
+        assert!(
+            !f.devices[0].is_warm(7),
+            "doorkeeper must bypass the first occurrence"
+        );
+        assert!(f.warm_holders(7).next().is_none());
+        assert_eq!(f.devices[0].cache_bypassed(), 1);
+        f.mark_warm(0, 7, 20);
+        assert!(f.devices[0].is_warm(7), "second occurrence must be cached");
+        assert_eq!(f.warm_holders(7).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -582,10 +886,176 @@ mod tests {
     #[test]
     fn idle_tracking() {
         let mut f = fleet(2, 0.0, 1);
-        assert_eq!(f.idle_devices(0.0), vec![0, 1]);
+        assert!(f.devices.iter().all(|d| d.is_idle(0.0)));
         f.devices[0].busy_until = 5.0;
-        assert_eq!(f.idle_devices(1.0), vec![1]);
-        assert_eq!(f.idle_devices(5.0), vec![0, 1]);
+        assert!(!f.devices[0].is_idle(1.0) && f.devices[1].is_idle(1.0));
+        // `busy_until == now` counts as idle.
+        assert!(f.devices.iter().all(|d| d.is_idle(5.0)));
+    }
+
+    /// Random fleet states for the placement-index differential test:
+    /// random warm sets (through [`Fleet::mark_warm`], so evictions and
+    /// doorkeeper bypasses happen), busy times on both sides of `now` and
+    /// exactly at it, and capacities set by hand on some devices.
+    fn randomize(f: &mut Fleet, rng: &mut rand_chacha::ChaCha8Rng, now: f64) {
+        use rand::Rng;
+        for d in 0..f.len() {
+            for _ in 0..rng.gen_range(0..6usize) {
+                let key = rng.gen_range(0..10u64);
+                f.mark_warm(d, key, 12 + 4 * (key as usize % 6));
+            }
+            f.devices[d].busy_until = match rng.gen_range(0..4u8) {
+                0 => now + rng.gen_range(0.1..50.0),
+                1 => now,
+                _ => now - rng.gen_range(0.0..5.0),
+            };
+            if rng.gen_bool(0.2) {
+                f.devices[d].capacity_lps = rng.gen_range(10..40usize);
+            }
+        }
+    }
+
+    #[test]
+    fn fastest_idle_matches_the_whole_fleet_scan_on_random_states() {
+        use rand_chacha::rand_core::SeedableRng;
+        let faulty = FleetConfig {
+            qpus: 12,
+            qubit_fault_rate: 0.06,
+            coupler_fault_rate: 0.03,
+            ..FleetConfig::default()
+        };
+        let uniform = FleetConfig {
+            qpus: 12,
+            qubit_fault_rate: 0.0,
+            coupler_fault_rate: 0.0,
+            ..FleetConfig::default()
+        };
+        let shapes = [
+            ("uniform", uniform),
+            ("hetero", FleetConfig::heterogeneous(12, 0)),
+            ("faulty", faulty),
+        ];
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2024);
+        let mut placed = 0;
+        let mut f = fleet(1, 0.0, 0);
+        for (shape, base) in shapes {
+            let caches = [
+                ("unbounded", base.clone()),
+                ("lru2", base.clone().with_cache(2, EvictionPolicyKind::Lru)),
+                (
+                    "cost3",
+                    base.clone().with_cache(3, EvictionPolicyKind::CostAware),
+                ),
+                (
+                    "lru2-second-chance",
+                    base.clone()
+                        .with_cache(2, EvictionPolicyKind::Lru)
+                        .with_cache_admission(AdmissionPolicy::SecondChance),
+                ),
+            ];
+            for (cache, config) in caches {
+                for round in 0..40u64 {
+                    // A fresh fault draw every fifth round; in between, the
+                    // random states pile up on one fleet's caches.
+                    if round % 5 == 0 {
+                        let config = FleetConfig {
+                            seed: round,
+                            ..config.clone()
+                        };
+                        f = Fleet::new(config, SplitExecConfig::with_seed(round));
+                    }
+                    let now = 100.0 * (round + 1) as f64;
+                    randomize(&mut f, &mut rng, now);
+                    f.assert_holders_match_caches();
+                    for key in 0..12u64 {
+                        for lps in [8, 12, 20, 28, 36, 48, 60] {
+                            let job = Job {
+                                id: 0,
+                                tenant: crate::tenant::TenantId::DEFAULT,
+                                family: "probe".into(),
+                                lps,
+                                topology_key: key,
+                                arrival: 0.0,
+                                deadline: None,
+                            };
+                            let scan = f.fastest_idle_scan(&job, now);
+                            let index = f.fastest_idle(&job, now);
+                            assert_eq!(
+                                index.map(|(c, d)| (c.to_bits(), d)),
+                                scan.map(|(c, d)| (c.to_bits(), d)),
+                                "{shape} {cache} round {round} key {key} lps {lps}"
+                            );
+                            placed += usize::from(scan.is_some());
+                        }
+                    }
+                }
+            }
+        }
+        assert!(placed > 1000, "too few placements exercised: {placed}");
+    }
+
+    #[test]
+    fn a_rounding_tie_between_difficulties_goes_to_the_lower_id() {
+        // Device 0 is one ulp harder than devices 1 and 2, so the cold
+        // order is 1, 2, 0.  For some size its cold cost still rounds to
+        // theirs, and then the scan's lowest-id tie-break picks device 0:
+        // the walk must not stop at the first device of the order.
+        let mut f = fleet(3, 0.0, 1);
+        f.devices[0].fault_difficulty = 1.0f64.next_up();
+        f.cold_order = vec![cold_order(&f.devices, QpuModel::Dw2x)];
+        assert_eq!(f.cold_order, vec![vec![1, 2, 0]]);
+        let tied = (4..=49)
+            .map(|lps| Job {
+                id: 0,
+                tenant: crate::tenant::TenantId::DEFAULT,
+                family: "tie".into(),
+                lps,
+                topology_key: 1,
+                arrival: 0.0,
+                deadline: None,
+            })
+            .filter(|job| {
+                let cost = |d: usize| f.devices[d].service_seconds(job.lps, false).unwrap();
+                cost(0) == cost(1)
+            })
+            .collect::<Vec<_>>();
+        assert!(
+            !tied.is_empty(),
+            "no size rounds the two difficulties to one cost"
+        );
+        for job in &tied {
+            assert_eq!(f.fastest_idle_scan(job, 0.0).map(|(_, d)| d), Some(0));
+            assert_eq!(f.fastest_idle(job, 0.0), f.fastest_idle_scan(job, 0.0));
+        }
+    }
+
+    #[test]
+    fn holder_lists_follow_insertions_evictions_and_bypasses() {
+        let mut f = Fleet::new(
+            FleetConfig {
+                qpus: 3,
+                ..FleetConfig::default()
+            }
+            .with_cache(1, EvictionPolicyKind::Lru),
+            SplitExecConfig::with_seed(1),
+        );
+        f.mark_warm(2, 5, 10);
+        f.mark_warm(0, 5, 10);
+        f.mark_warm(1, 5, 10);
+        assert_eq!(f.warm_holders(5).collect::<Vec<_>>(), vec![0, 1, 2]);
+        // Device 1's one slot goes to topology 6: it leaves 5's list.
+        assert_eq!(f.mark_warm(1, 6, 10), Some(5));
+        assert_eq!(f.warm_holders(5).collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(f.warm_holders(6).collect::<Vec<_>>(), vec![1]);
+        // Re-marking a resident topology changes nothing.
+        assert_eq!(f.mark_warm(0, 5, 10), None);
+        assert_eq!(f.warm_holders(5).collect::<Vec<_>>(), vec![0, 2]);
+        // Emptied lists leave the index; freed nodes are reused.
+        f.mark_warm(0, 7, 10);
+        f.mark_warm(2, 7, 10);
+        assert!(f.warm_holders(5).next().is_none());
+        assert_eq!(f.warm_holders(7).collect::<Vec<_>>(), vec![0, 2]);
+        f.assert_holders_match_caches();
     }
 
     #[test]

@@ -43,6 +43,13 @@
 //! [`SchedulerSpec`] describes one of these policies with its knobs: CLI
 //! names parse into it, [`SchedulerSpec::build`] makes the scheduler, and
 //! every run's `CellSpec` and flight-record header carry it.
+//!
+//! Cache affinity, EDF and WFQ place a job on the idle device predicted
+//! fastest for it through the fleet's placement index
+//! ([`Fleet::fastest_idle`]), which walks the topology's warm holders and
+//! a per-model cost order instead of the whole fleet.  FIFO needs no
+//! prediction, and SJF scans every idle device: its aged score can tie
+//! after rounding, and then the device-order tie-break decides.
 
 use std::hash::BuildHasherDefault;
 
@@ -65,37 +72,6 @@ pub trait Scheduler {
     /// Choose the next `(queue index, device id)` assignment, or `None`.
     fn next_assignment(&mut self, queue: &[Job], fleet: &Fleet, now: f64)
         -> Option<(usize, usize)>;
-}
-
-/// The idle device predicted fastest for `job` — smallest
-/// [`crate::fleet::QpuDevice::predicted_service_seconds`], ties broken by
-/// device id — together with that prediction.  The shared deterministic
-/// placement primitive of the cache-affinity and weighted-fair policies:
-/// warmth and device speed are both priced into the prediction.
-///
-/// Scans the fleet directly with [`crate::fleet::QpuDevice::is_idle`]
-/// rather than taking a materialized idle list: every caller sits on the
-/// dispatch hot path, where collecting `Fleet::idle_devices` into a `Vec`
-/// per call would allocate per event.
-fn fastest_idle_device(fleet: &Fleet, now: f64, job: &Job) -> Option<(f64, usize)> {
-    fastest_device(fleet.devices.iter().filter(|d| d.is_idle(now)), job)
-}
-
-/// [`fastest_idle_device`] over an explicit candidate set, which must be
-/// in ascending id order for the tie-break to match.
-fn fastest_device<'a>(
-    candidates: impl Iterator<Item = &'a QpuDevice>,
-    job: &Job,
-) -> Option<(f64, usize)> {
-    candidates
-        .filter(|d| d.can_run(job.lps))
-        .filter_map(|d| {
-            let predicted = d
-                .predicted_service_seconds(job.lps, job.topology_key)
-                .ok()?;
-            Some((predicted, d.id))
-        })
-        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
 }
 
 /// The EDF sort key of a job: its deadline, with deadline-free jobs ranked
@@ -227,11 +203,15 @@ pub const COLD_SPEED_BAND: f64 = 1.25;
 /// already-judged key gets the same verdict as the oldest one.  Pass 1
 /// therefore judges each distinct key once and skips repeats through a
 /// hashed set; pass 2 visits only the oldest job of each distinct key.
-/// The idle-only scans run over the idle devices collected once per call.
-/// A call costs O(queue + distinct keys × fleet), not O(queue × fleet):
-/// under overload the queue holds hundreds of jobs but only a few dozen
-/// topologies.  The scratch buffers are owned by the policy and reused, so
-/// steady-state dispatch does not allocate.
+/// Pass 1 reads the key's warm holders from the fleet's placement index
+/// and places through it ([`Fleet::fastest_idle`]); pass 2's
+/// wait-or-embed verdict folds over the key's holders, and its in-band
+/// spread scans the idle devices collected once per call.  A call costs
+/// O(queue + distinct keys × (holders + index walk) + visited pass-2 keys
+/// × idle devices), not O(queue × fleet): under overload the queue holds
+/// hundreds of jobs but only a few dozen topologies.  The scratch buffers
+/// are owned by the policy and reused, so steady-state dispatch does not
+/// allocate.
 #[derive(Debug, Clone)]
 pub struct CacheAffinity {
     /// Indices of the devices idle at the current call, ascending.
@@ -296,9 +276,12 @@ impl Scheduler for CacheAffinity {
             if !seen.insert((job.lps, job.topology_key)) {
                 continue; // an older job with this key was turned down
             }
-            let warm_idle = idle_devs().any(|d| d.can_run(job.lps) && d.is_warm(job.topology_key));
+            let warm_idle = fleet.warm_holders(job.topology_key).any(|id| {
+                let d = &fleet.devices[id];
+                d.is_idle(now) && d.can_run(job.lps)
+            });
             if warm_idle {
-                if let Some((_, d)) = fastest_device(idle_devs(), job) {
+                if let Some((_, d)) = fleet.fastest_idle(job, now) {
                     return Some((qi, d));
                 }
             }
@@ -328,9 +311,9 @@ impl Scheduler for CacheAffinity {
             // to finish sooner than re-embedding cold on an idle device.
             // With no warm device the fold stays infinite and never holds.
             let warm_finish = fleet
-                .devices
-                .iter()
-                .filter(|dev| dev.can_run(job.lps) && dev.is_warm(job.topology_key))
+                .warm_holders(job.topology_key)
+                .map(|id| &fleet.devices[id])
+                .filter(|dev| dev.can_run(job.lps))
                 .filter_map(|dev| Some((dev.busy_until - now).max(0.0) + predicted(dev)?))
                 .fold(f64::INFINITY, f64::min);
             if warm_finish < fastest {
@@ -390,6 +373,21 @@ impl Scheduler for EarliestDeadlineFirst {
         fleet: &Fleet,
         now: f64,
     ) -> Option<(usize, usize)> {
+        self.assign(queue, fleet, now, Fleet::fastest_idle)
+    }
+}
+
+impl EarliestDeadlineFirst {
+    /// [`Scheduler::next_assignment`] with the placement primitive as a
+    /// parameter, so the differential tests can run the policy on a
+    /// whole-fleet scan.
+    fn assign(
+        &self,
+        queue: &[Job],
+        fleet: &Fleet,
+        now: f64,
+        place: impl Fn(&Fleet, &Job, f64) -> Option<(f64, usize)>,
+    ) -> Option<(usize, usize)> {
         if !fleet.devices.iter().any(|d| d.is_idle(now)) {
             return None;
         }
@@ -404,7 +402,7 @@ impl Scheduler for EarliestDeadlineFirst {
             if best.map(|(k, _, _)| key >= k).unwrap_or(false) {
                 continue;
             }
-            if let Some((_, d)) = fastest_idle_device(fleet, now, job) {
+            if let Some((_, d)) = place(fleet, job, now) {
                 best = Some((key, qi, d));
             }
         }
@@ -577,6 +575,21 @@ impl Scheduler for WeightedFairQueue {
         fleet: &Fleet,
         now: f64,
     ) -> Option<(usize, usize)> {
+        self.assign(queue, fleet, now, Fleet::fastest_idle)
+    }
+}
+
+impl WeightedFairQueue {
+    /// [`Scheduler::next_assignment`] with the placement primitive as a
+    /// parameter, so the differential tests can run the policy on a
+    /// whole-fleet scan.
+    fn assign(
+        &mut self,
+        queue: &[Job],
+        fleet: &Fleet,
+        now: f64,
+        place: impl Fn(&Fleet, &Job, f64) -> Option<(f64, usize)>,
+    ) -> Option<(usize, usize)> {
         if !fleet.devices.iter().any(|d| d.is_idle(now)) {
             return None;
         }
@@ -620,7 +633,7 @@ impl Scheduler for WeightedFairQueue {
             // Within the lane, the cost oracle picks the placement: the
             // idle device with the smallest prediction (warm beats cold,
             // fast beats slow).
-            if let Some((cost, device)) = fastest_idle_device(fleet, now, job) {
+            if let Some((cost, device)) = place(fleet, job, now) {
                 chosen = Some((tenant, qi, device, cost));
                 break;
             }
@@ -817,7 +830,7 @@ mod tests {
     #[test]
     fn spjf_prefers_the_warm_short_job() {
         let mut fleet = fleet(1);
-        fleet.devices[0].mark_warm(42, 10);
+        fleet.mark_warm(0, 42, 10);
         let queue = vec![job(0, 10, 1), job(1, 10, 42)];
         // Same size, but job 1 is warm on device 0 ⇒ far shorter predicted.
         assert_eq!(
@@ -841,7 +854,7 @@ mod tests {
         // Regression for the starvation bug: pure SJF (aging 0) picks the
         // fresh short job no matter how long the large one has waited.
         let mut fleet = fleet(1);
-        fleet.devices[0].mark_warm(2, 8); // the short topology is warm
+        fleet.mark_warm(0, 2, 8); // the short topology is warm
         let p_large = fleet.devices[0].predicted_service_seconds(40, 1).unwrap();
         let p_short = fleet.devices[0].predicted_service_seconds(8, 2).unwrap();
         assert!(p_large > p_short);
@@ -890,7 +903,7 @@ mod tests {
         // than they are served (sustained pressure), and the stream lasts
         // comfortably past the large job's aging-promotion point.
         let mut probe = build_fleet();
-        probe.devices[0].mark_warm(2, 8);
+        probe.mark_warm(0, 2, 8);
         let p_short = probe.devices[0].predicted_service_seconds(8, 2).unwrap();
         let p_large = probe.devices[0].predicted_service_seconds(40, 1).unwrap();
         let gap = 0.8 * p_short;
@@ -981,7 +994,7 @@ mod tests {
         );
         // Warmth on the slower device outweighs the faster cold one: a warm
         // hit skips the embed entirely.
-        fleet.devices[0].mark_warm(9, 20);
+        fleet.mark_warm(0, 9, 20);
         assert_eq!(
             CacheAffinity::new().next_assignment(&queue, &fleet, 0.0),
             Some((0, 0))
@@ -995,7 +1008,7 @@ mod tests {
     #[test]
     fn affinity_routes_warm_jobs_to_their_device() {
         let mut fleet = fleet(3);
-        fleet.devices[2].mark_warm(7, 10);
+        fleet.mark_warm(2, 7, 10);
         let queue = vec![job(0, 10, 7)];
         assert_eq!(
             CacheAffinity::new().next_assignment(&queue, &fleet, 0.0),
@@ -1006,9 +1019,9 @@ mod tests {
     #[test]
     fn affinity_spreads_cold_jobs_to_least_specialized_device() {
         let mut fleet = fleet(3);
-        fleet.devices[0].mark_warm(100, 10);
-        fleet.devices[0].mark_warm(101, 10);
-        fleet.devices[1].mark_warm(102, 10);
+        fleet.mark_warm(0, 100, 10);
+        fleet.mark_warm(0, 101, 10);
+        fleet.mark_warm(1, 102, 10);
         let queue = vec![job(0, 10, 7)];
         // Device 2 has the emptiest cache.
         assert_eq!(
@@ -1047,8 +1060,8 @@ mod tests {
             .min_by(|&a, &b| costs[a].total_cmp(&costs[b]))
             .unwrap();
         // Specialize the fastest device; the cold job must go elsewhere.
-        fleet.devices[fastest_id].mark_warm(100, 10);
-        fleet.devices[fastest_id].mark_warm(101, 10);
+        fleet.mark_warm(fastest_id, 100, 10);
+        fleet.mark_warm(fastest_id, 101, 10);
         let queue = vec![job(0, 10, 7)];
         let (_, placed) = CacheAffinity::new()
             .next_assignment(&queue, &fleet, 0.0)
@@ -1062,7 +1075,7 @@ mod tests {
     #[test]
     fn affinity_holds_a_job_for_its_warm_device_when_the_wait_is_short() {
         let mut fleet = fleet(2);
-        fleet.devices[0].mark_warm(7, 30);
+        fleet.mark_warm(0, 7, 30);
         fleet.devices[0].busy_until = 1.0; // frees up in 1 virtual second
         let queue = vec![job(0, 30, 7)];
         // Cold embedding of lps 30 costs far more than a 1-second wait, so
@@ -1138,7 +1151,7 @@ mod tests {
     #[test]
     fn wfq_picks_the_warm_device_within_a_lane() {
         let mut fleet = fleet(3);
-        fleet.devices[2].mark_warm(7, 10);
+        fleet.mark_warm(2, 7, 10);
         let queue = vec![tenant_job(0, 0, 10, 7)];
         assert_eq!(
             WeightedFairQueue::new().next_assignment(&queue, &fleet, 0.0),
@@ -1170,7 +1183,7 @@ mod tests {
         // dwarfs the fixed overhead, so warm and cold charges differ by an
         // order of magnitude.
         let mut fleet = fleet(1);
-        fleet.devices[0].mark_warm(7, 30);
+        fleet.mark_warm(0, 7, 30);
         let mut wfq = WeightedFairQueue::new();
         let mut queue: Vec<Job> = (0..20)
             .map(|i| {
@@ -1364,12 +1377,15 @@ mod tests {
     }
 }
 
-/// The scanning `CacheAffinity` that the memoized policy replaced, kept
-/// as a test-only reference oracle: it judges every queued job afresh
-/// against the whole fleet.  The differential tests hold [`CacheAffinity`]
-/// to it bit for bit, on direct calls and on whole simulated runs.
+/// Test-only reference oracles that scan the whole fleet: the scanning
+/// `CacheAffinity` that the memoized, indexed policy replaced, which judges
+/// every queued job afresh against every device, and EDF and WFQ placed by
+/// [`Fleet::fastest_idle_scan`] instead of the placement index.  The
+/// differential tests hold the production policies to them bit for bit,
+/// on direct calls and on whole simulated runs, and check the fleet's
+/// holder index against the device caches on every scheduler call.
 #[cfg(test)]
-mod affinity_oracle {
+mod scan_oracles {
     use super::*;
     use crate::prelude::*;
     use rand::Rng;
@@ -1402,7 +1418,7 @@ mod affinity_oracle {
                 if !warm_idle {
                     continue;
                 }
-                if let Some((_, d)) = fastest_idle_device(fleet, now, job) {
+                if let Some((_, d)) = fleet.fastest_idle_scan(job, now) {
                     return Some((qi, d));
                 }
             }
@@ -1467,6 +1483,93 @@ mod affinity_oracle {
             }
             None
         }
+    }
+
+    /// [`EarliestDeadlineFirst`] placed by the whole-fleet scan.
+    struct ScanEdf;
+
+    impl Scheduler for ScanEdf {
+        fn name(&self) -> &'static str {
+            "edf"
+        }
+
+        fn next_assignment(
+            &mut self,
+            queue: &[Job],
+            fleet: &Fleet,
+            now: f64,
+        ) -> Option<(usize, usize)> {
+            EarliestDeadlineFirst.assign(queue, fleet, now, Fleet::fastest_idle_scan)
+        }
+    }
+
+    /// [`WeightedFairQueue`] placed by the whole-fleet scan.
+    struct ScanWfq(WeightedFairQueue);
+
+    impl Scheduler for ScanWfq {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn next_assignment(
+            &mut self,
+            queue: &[Job],
+            fleet: &Fleet,
+            now: f64,
+        ) -> Option<(usize, usize)> {
+            self.0.assign(queue, fleet, now, Fleet::fastest_idle_scan)
+        }
+    }
+
+    /// A policy whose every call first checks the fleet's holder index
+    /// against the device caches.  The engine asks again after each
+    /// dispatch, so the check sees the state after every cache change.
+    struct CheckHolders(Box<dyn Scheduler>);
+
+    impl Scheduler for CheckHolders {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn next_assignment(
+            &mut self,
+            queue: &[Job],
+            fleet: &Fleet,
+            now: f64,
+        ) -> Option<(usize, usize)> {
+            fleet.assert_holders_match_caches();
+            self.0.next_assignment(queue, fleet, now)
+        }
+    }
+
+    /// The production policy built from `spec` and its scan oracle.
+    fn policy_and_oracle(spec: &SchedulerSpec) -> (Box<dyn Scheduler>, Box<dyn Scheduler>) {
+        let oracle: Box<dyn Scheduler> = match spec {
+            SchedulerSpec::CacheAffinity => Box::new(ScanAffinity),
+            SchedulerSpec::EarliestDeadlineFirst => Box::new(ScanEdf),
+            SchedulerSpec::WeightedFair {
+                weights,
+                lane_order,
+            } => Box::new(ScanWfq(
+                WeightedFairQueue::with_weights(weights.clone()).with_lane_order(*lane_order),
+            )),
+            other => panic!("{other} has no scan oracle"),
+        };
+        (spec.build(), oracle)
+    }
+
+    /// The index-placed policies, each checked against its oracle.
+    fn indexed_specs(workload: &Workload) -> Vec<SchedulerSpec> {
+        let wfq = |lane_order| SchedulerSpec::WeightedFair {
+            weights: workload.weights(),
+            lane_order,
+        };
+        vec![
+            SchedulerSpec::CacheAffinity,
+            SchedulerSpec::EarliestDeadlineFirst,
+            wfq(LaneOrder::EarliestDeadline),
+            wfq(LaneOrder::Fifo),
+        ]
     }
 
     /// The fleet shapes of the differential matrix.
@@ -1537,9 +1640,16 @@ mod affinity_oracle {
         Workload::single_tenant(jobs)
     }
 
-    /// Run `workload` under the oracle and under the memoized policy and
-    /// demand bit-identical reports and traces.
-    fn assert_same_run(label: &str, fleet: &FleetConfig, workload: &Workload, config: SimConfig) {
+    /// Run `workload` under `spec`'s scan oracle and under the production
+    /// policy (checking the holder index on every call) and demand
+    /// bit-identical reports and traces.
+    fn assert_same_run(
+        label: &str,
+        spec: &SchedulerSpec,
+        fleet: &FleetConfig,
+        workload: &Workload,
+        config: SimConfig,
+    ) {
         let run = |scheduler: &mut dyn Scheduler| {
             let mut sink = VecSink::new();
             let report = simulate_with_telemetry(
@@ -1553,18 +1663,37 @@ mod affinity_oracle {
             );
             (report, sink.into_trace())
         };
-        let (oracle_report, oracle_trace) = run(&mut ScanAffinity);
-        let (report, trace) = run(&mut CacheAffinity::new());
+        let (policy, mut oracle) = policy_and_oracle(spec);
+        let (oracle_report, oracle_trace) = run(oracle.as_mut());
+        let (report, trace) = run(&mut CheckHolders(policy));
         assert!(
             !oracle_report.records.is_empty(),
-            "{label}: the run completed no job"
+            "{label} {spec}: the run completed no job"
         );
-        assert_eq!(trace, oracle_trace, "{label}: traces diverged");
-        assert_eq!(report, oracle_report, "{label}: reports diverged");
+        assert_eq!(trace, oracle_trace, "{label} {spec}: traces diverged");
+        assert_eq!(report, oracle_report, "{label} {spec}: reports diverged");
+    }
+
+    /// Open and closed runs of `workload` under every index-placed policy.
+    fn assert_same_runs(label: &str, fleet: &FleetConfig, workload: &Workload) {
+        let closed = SimConfig {
+            mode: WorkloadMode::Closed { clients: 9 },
+            ..SimConfig::default()
+        };
+        for spec in indexed_specs(workload) {
+            assert_same_run(
+                &format!("{label} open"),
+                &spec,
+                fleet,
+                workload,
+                SimConfig::default(),
+            );
+            assert_same_run(&format!("{label} closed"), &spec, fleet, workload, closed);
+        }
     }
 
     #[test]
-    fn memoized_affinity_matches_the_scan_oracle_across_the_matrix() {
+    fn indexed_policies_match_their_scan_oracles_across_the_matrix() {
         let sizes = [24, 28, 30, 36];
         for seed in [3, 41] {
             for (fleet_name, base) in fleet_configs(seed) {
@@ -1575,18 +1704,31 @@ mod affinity_oracle {
                         let workload =
                             WorkloadSpec::repeated_topologies(120, rate, seed).generate();
                         let label = format!("seed {seed} {fleet_name} {cache_name} load {load}");
-                        assert_same_run(
-                            &format!("{label} open"),
-                            &fleet,
-                            &workload,
-                            SimConfig::default(),
-                        );
-                        let closed = SimConfig {
-                            mode: WorkloadMode::Closed { clients: 9 },
-                            ..SimConfig::default()
-                        };
-                        assert_same_run(&format!("{label} closed"), &fleet, &workload, closed);
+                        assert_same_runs(&label, &fleet, &workload);
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_policies_match_their_scan_oracles_on_deadline_tenants() {
+        // Two tenants with proportional-slack deadlines: EDF and the EDF
+        // lanes reorder, and WFQ serves two lanes.
+        for seed in [6, 23] {
+            for (fleet_name, base) in fleet_configs(seed) {
+                let rate = RateCalibration::for_fleet(&base, &[16, 20, 24])
+                    .unwrap()
+                    .rate_hz(1.0, 1.2, base.qpus);
+                let workload = MultiTenantSpec::aggressor_victim(24, rate / 4.0, 3.0, 1.0, seed)
+                    .with_uniform_deadlines(DeadlinePolicy::ProportionalSlack { factor: 3.0 })
+                    .generate();
+                for (cache_name, fleet) in with_caches(base) {
+                    assert_same_runs(
+                        &format!("seed {seed} {fleet_name} {cache_name} deadlines"),
+                        &fleet,
+                        &workload,
+                    );
                 }
             }
         }
@@ -1605,6 +1747,7 @@ mod affinity_oracle {
                     let distinct = all_distinct(150, rate, seed);
                     assert_same_run(
                         &format!("{label} distinct"),
+                        &SchedulerSpec::CacheAffinity,
                         &fleet,
                         &distinct,
                         SimConfig::default(),
@@ -1615,6 +1758,7 @@ mod affinity_oracle {
                         .generate();
                     assert_same_run(
                         &format!("{label} tenants"),
+                        &SchedulerSpec::CacheAffinity,
                         &fleet,
                         &tenants,
                         SimConfig::default(),
@@ -1635,12 +1779,12 @@ mod affinity_oracle {
             for round in 0..150 {
                 let mut fleet = Fleet::new(config.clone(), SplitExecConfig::with_seed(7));
                 let now = 10.0;
-                for dev in &mut fleet.devices {
+                for d in 0..fleet.len() {
                     for _ in 0..rng.gen_range(0..4usize) {
                         let key = rng.gen_range(0..12u64);
-                        dev.mark_warm(key, 16 + 4 * (key as usize % 5));
+                        fleet.mark_warm(d, key, 16 + 4 * (key as usize % 5));
                     }
-                    dev.busy_until = if rng.gen_bool(0.5) {
+                    fleet.devices[d].busy_until = if rng.gen_bool(0.5) {
                         now + rng.gen_range(0.0..400.0)
                     } else {
                         now - 1.0

@@ -505,7 +505,7 @@ pub fn simulate_with_telemetry(
                 device.touch_warm(job.topology_key);
             } else {
                 device.cold_misses += 1;
-                device.mark_warm(job.topology_key, job.lps);
+                fleet.mark_warm(d, job.topology_key, job.lps);
             }
             in_flight[job.id] = Some(JobRecord {
                 job: job.id,

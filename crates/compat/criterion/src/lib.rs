@@ -2,7 +2,8 @@
 //!
 //! Implements the API shape the workspace's benches use — `Criterion`,
 //! `benchmark_group`, `bench_function` / `bench_with_input`, `Bencher::iter`,
-//! `BenchmarkId`, `Throughput`, and the `criterion_group!` /
+//! `Bencher::iter_batched` / `BatchSize`, `BenchmarkId`, `Throughput`, and
+//! the `criterion_group!` /
 //! `criterion_main!` macros — over a simple wall-clock measurement loop:
 //! one warm-up iteration, then timed iterations until a small time budget or
 //! the configured sample size is exhausted, reporting the mean per-iteration
@@ -61,6 +62,15 @@ pub enum Throughput {
     Bytes(u64),
 }
 
+/// How many inputs [`Bencher::iter_batched`] prepares per batch.  The
+/// stand-in prepares one input per timed call whatever the size; the type
+/// exists so call sites read as they would against real criterion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// Inputs large enough to prepare a few at a time.
+    LargeInput,
+}
+
 /// Runs the closure under measurement.
 pub struct Bencher {
     samples: u64,
@@ -82,6 +92,32 @@ impl Bencher {
             }
         }
         self.mean = start.elapsed() / iters.max(1) as u32;
+    }
+
+    /// Measure `routine` on inputs made by `setup`, timing only the
+    /// routine (neither the set-up nor dropping the output): one warm-up
+    /// call, then timed calls until the measured
+    /// time reaches the budget or the sample cap is reached.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        black_box(routine(setup()));
+        let mut iters: u64 = 0;
+        let mut measured = Duration::ZERO;
+        loop {
+            let input = setup();
+            let start = Instant::now();
+            let output = routine(input);
+            measured += start.elapsed();
+            drop(black_box(output));
+            iters += 1;
+            if iters >= self.samples || measured >= TIME_BUDGET {
+                break;
+            }
+        }
+        self.mean = measured / iters.max(1) as u32;
     }
 }
 
@@ -226,6 +262,13 @@ mod tests {
         group.sample_size(5).throughput(Throughput::Elements(2));
         group.bench_with_input(BenchmarkId::from_parameter(3), &3u64, |b, &x| {
             b.iter(|| black_box(x * x))
+        });
+        group.bench_function("batched", |b| {
+            b.iter_batched(
+                || vec![3u64; 4],
+                |v| v.iter().sum::<u64>(),
+                BatchSize::LargeInput,
+            )
         });
         group.finish();
     }
