@@ -24,7 +24,6 @@ use crate::sampler::{QpuAccessReport, SampleSet, SimulatedQpu};
 use crate::schedule::AnnealSchedule;
 use crate::timing::QpuTimings;
 use qubo_ising::{solve_ising_exact, Ising, Spin};
-use rayon::prelude::*;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -34,8 +33,8 @@ use std::sync::Arc;
 pub struct SampleParams {
     /// Number of statistically independent reads to draw (Eq. 6 repetitions).
     pub num_reads: usize,
-    /// Base seed; read `i` derives its stream from `seed + i`, so results
-    /// are deterministic and independent of read-level parallelism.
+    /// Base seed; read `i` derives its stream from `seed + i`, so each read
+    /// depends only on its index and results are deterministic.
     pub seed: u64,
     /// Characteristic magnitude of the programmed parameters.  Backends with
     /// unit-scale temperature schedules multiply them by this factor so the
@@ -93,10 +92,10 @@ impl std::error::Error for SamplerError {}
 
 /// Anything that can serve as stage 2 of the split-execution pipeline.
 ///
-/// Implementations must be deterministic in `params.seed` and safe to share
-/// across threads (`Send + Sync`), since batch submission fans jobs out over
-/// a thread pool against one shared backend instance.
-pub trait SamplerBackend: fmt::Debug + Send + Sync {
+/// Implementations must be deterministic in `params.seed`.  Calls run on
+/// the caller's thread; batch submission runs its jobs one after another
+/// against one shared backend instance.
+pub trait SamplerBackend: fmt::Debug {
     /// Stable, human-readable backend name (also the `Display` form of the
     /// corresponding [`BackendKind`] for built-ins).
     fn name(&self) -> &'static str;
@@ -166,25 +165,13 @@ impl SamplerBackend for SimulatedQpu {
 /// Parallel tempering as a stage-2 backend: each read is one independent
 /// replica-exchange run seeded from `seed + read_index`, reporting the best
 /// configuration that run visited.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ParallelTemperingBackend {
     /// Replica-exchange configuration (temperatures are in units of the
     /// problem's energy scale and rescaled per request).
     pub config: PtConfig,
     /// Hardware timing constants used for modeled access times.
     pub timings: QpuTimings,
-    /// Whether to distribute reads across the thread pool.
-    pub parallel: bool,
-}
-
-impl Default for ParallelTemperingBackend {
-    fn default() -> Self {
-        Self {
-            config: PtConfig::default(),
-            timings: QpuTimings::default(),
-            parallel: true,
-        }
-    }
 }
 
 impl ParallelTemperingBackend {
@@ -221,20 +208,15 @@ impl SamplerBackend for ParallelTemperingBackend {
         let mut config = self.config;
         config.min_temperature *= scale;
         config.max_temperature *= scale;
-        let run_read = |i: usize| {
-            let result = parallel_tempering(ising, &config, params.seed.wrapping_add(i as u64));
-            (result.best_spins, result.best_energy, result.updates)
-        };
-        let raw: Vec<(Vec<Spin>, f64, u64)> = if self.parallel {
-            (0..params.num_reads)
-                .into_par_iter()
-                .map(run_read)
-                .collect()
-        } else {
-            (0..params.num_reads).map(run_read).collect()
-        };
-        let updates = raw.iter().map(|r| r.2).sum();
-        let set = SampleSet::from_reads(raw.into_iter().map(|(s, e, _)| (s, e)).collect());
+        let mut updates = 0;
+        let reads = (0..params.num_reads)
+            .map(|i| {
+                let result = parallel_tempering(ising, &config, params.seed.wrapping_add(i as u64));
+                updates += result.updates;
+                (result.best_spins, result.best_energy)
+            })
+            .collect();
+        let set = SampleSet::from_reads(reads);
         let report = QpuAccessReport {
             reads: params.num_reads,
             modeled_seconds: self.modeled_access_seconds(params.num_reads),
@@ -555,21 +537,6 @@ mod tests {
         assert_eq!(
             SampleParams::new(1, 0).with_energy_scale(0.01).energy_scale,
             1.0
-        );
-    }
-
-    #[test]
-    fn parallel_and_serial_pt_reads_agree() {
-        let model = small_model(8);
-        let serial = ParallelTemperingBackend {
-            parallel: false,
-            ..ParallelTemperingBackend::default()
-        };
-        let parallel = ParallelTemperingBackend::default();
-        let params = SampleParams::new(6, 13);
-        assert_eq!(
-            serial.sample(&model, &params).unwrap(),
-            parallel.sample(&model, &params).unwrap()
         );
     }
 }

@@ -14,8 +14,8 @@
 //!   Ising model; one call = one hardware read.
 //! * [`pt`] — parallel tempering, a stronger classical reference sampler.
 //! * [`sampler`] — the [`sampler::SimulatedQpu`] front-end: batched,
-//!   Rayon-parallel reads aggregated into a [`sampler::SampleSet`] plus a
-//!   modeled hardware access time.
+//!   seed-indexed reads run in order on the calling thread, aggregated into
+//!   a [`sampler::SampleSet`] plus a modeled hardware access time.
 //! * [`stats`] — Eq. (6) repetition counts and success-probability
 //!   estimation.
 //! * [`timing`] — the DW2 programming/readout constants from the paper's

@@ -4,14 +4,14 @@
 //! split-execution pipeline: it accepts a (hardware-embeddable) Ising
 //! program, performs `num_reads` statistically independent anneals, and
 //! returns an aggregated [`SampleSet`] plus the QPU-access time the paper's
-//! timing constants assign to that work.  Reads are embarrassingly parallel
-//! and are distributed over a Rayon thread pool.
+//! timing constants assign to that work.  Reads run one after another on
+//! the calling thread; read `i` is seeded `seed + i`, so each read depends
+//! only on its index.
 
 use crate::sa::{anneal_once, CompiledIsing};
 use crate::schedule::AnnealSchedule;
 use crate::timing::QpuTimings;
 use qubo_ising::{Ising, Spin};
-use rayon::prelude::*;
 
 /// One distinct configuration observed in the readout ensemble.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,24 +88,12 @@ pub struct QpuAccessReport {
 }
 
 /// The classical simulated-annealing QPU used throughout this reproduction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimulatedQpu {
     /// Annealing schedule applied to every read.
     pub schedule: AnnealSchedule,
     /// Hardware timing constants used for modeled access times.
     pub timings: QpuTimings,
-    /// Whether to distribute reads across the Rayon thread pool.
-    pub parallel: bool,
-}
-
-impl Default for SimulatedQpu {
-    fn default() -> Self {
-        Self {
-            schedule: AnnealSchedule::default(),
-            timings: QpuTimings::default(),
-            parallel: true,
-        }
-    }
 }
 
 impl SimulatedQpu {
@@ -138,17 +126,15 @@ impl SimulatedQpu {
         // sx-lint: allow(D001) -- times a real annealing run (host wall clock); results stay seed-deterministic
         let start = std::time::Instant::now();
         let compiled = CompiledIsing::new(model);
-        let run_read = |i: usize| {
-            let read = anneal_once(&compiled, &self.schedule, seed.wrapping_add(i as u64));
-            (read.spins, read.energy, read.updates)
-        };
-        let raw: Vec<(Vec<Spin>, f64, u64)> = if self.parallel {
-            (0..num_reads).into_par_iter().map(run_read).collect()
-        } else {
-            (0..num_reads).map(run_read).collect()
-        };
-        let updates = raw.iter().map(|r| r.2).sum();
-        let set = SampleSet::from_reads(raw.into_iter().map(|(s, e, _)| (s, e)).collect());
+        let mut updates = 0;
+        let reads = (0..num_reads)
+            .map(|i| {
+                let read = anneal_once(&compiled, &self.schedule, seed.wrapping_add(i as u64));
+                updates += read.updates;
+                (read.spins, read.energy)
+            })
+            .collect();
+        let set = SampleSet::from_reads(reads);
         let report = QpuAccessReport {
             reads: num_reads,
             modeled_seconds: self.timings.total_access_seconds(num_reads),
@@ -215,30 +201,10 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_in_seed() {
         let model = small_model(5);
-        let qpu = SimulatedQpu {
-            parallel: false,
-            schedule: AnnealSchedule::fast(),
-            ..SimulatedQpu::default()
-        };
+        let qpu = SimulatedQpu::with_schedule(AnnealSchedule::fast());
         let a = qpu.sample(&model, 16, 3);
         let b = qpu.sample(&model, 16, 3);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_and_serial_sampling_agree() {
-        let model = small_model(6);
-        let serial = SimulatedQpu {
-            parallel: false,
-            schedule: AnnealSchedule::fast(),
-            ..SimulatedQpu::default()
-        };
-        let parallel = SimulatedQpu {
-            parallel: true,
-            schedule: AnnealSchedule::fast(),
-            ..SimulatedQpu::default()
-        };
-        assert_eq!(serial.sample(&model, 24, 9), parallel.sample(&model, 24, 9));
     }
 
     #[test]

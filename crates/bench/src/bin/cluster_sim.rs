@@ -42,15 +42,14 @@
 //!   Jain's index within 5% of plain WFQ, and unless token-bucket
 //!   deadline-infeasibility shedding sheds doomed aggressor jobs without
 //!   ever claiming a feasible victim job.
-//! * `--mode sweep` — the deterministic parallel experiment runner,
-//!   exposed directly: an explicit (seed × load × policy) grid expanded
-//!   through `sx_cluster::sweep::SweepPlan` (arrival rates calibrated once
-//!   per fleet, see below) and executed across `--threads` workers.  Emits
-//!   a schema-stable `sx-sweep/v1` JSON document — per-cell rows plus
-//!   merged sketch percentiles, no wall-clock fields — that is
-//!   byte-identical for every thread count; CI diffs a `--threads 2` run
-//!   against the `--threads 1` serial oracle.  Host-side events/sec goes
-//!   to stdout only, so it cannot perturb the diff.
+//! * `--mode sweep` — the deterministic experiment runner, exposed
+//!   directly: an explicit (seed × load × policy) grid expanded through
+//!   `sx_cluster::sweep::SweepPlan` (arrival rates calibrated once per
+//!   fleet, see below) and executed cell by cell.  Emits a schema-stable
+//!   `sx-sweep/v1` JSON document — per-cell rows plus merged sketch
+//!   percentiles, no wall-clock fields — that is byte-identical from run
+//!   to run; CI runs it twice and diffs the two documents.  Host-side
+//!   events/sec goes to stdout only, so it cannot perturb the diff.
 //! * `--mode replay --input PATH` — re-runs every segment of a flight
 //!   record written by `--record` (each header is the run's full
 //!   `CellSpec`, token-bucket budgets included) and verifies the engine
@@ -60,7 +59,7 @@
 //! ```text
 //! cargo run --release -p sx-bench --bin cluster_sim -- \
 //!     [--mode compare|cache-cliff|fairness|aging-sweep|admission|slo|sweep|replay] \
-//!     [--jobs N] [--qpus N] [--seed S] [--rate R] [--threads N] \
+//!     [--jobs N] [--qpus N] [--seed S] [--rate R] \
 //!     [--closed CLIENTS] [--workload repeated|mixed|bursty|trace:PATH] \
 //!     [--policy fifo|spjf|affinity|edf|wfq|wfq-fifo|all] [--fleet uniform|hetero] \
 //!     [--capacity N] [--eviction lru|cost-aware] \
@@ -70,16 +69,13 @@
 //!     [--seeds S1,S2,..] [--loads L1,L2,..] [--policies P1,P2,..]
 //! ```
 //!
-//! `--threads N` (every mode but replay) fans the mode's independent cells
-//! across N worker threads via the workspace's deterministic `rayon` facade
-//! (default `0` = available parallelism; `--threads 1` is the serial
-//! oracle).  Every cell is a pure function of its [`CellSpec`] and results
-//! are collected in cell-index order, so all outputs are bit-identical for
-//! every thread count.  `--record`/`--trace-out` force serial execution
-//! (their sinks are single-stream writers) without changing any result —
-//! sinks are pure observers.  `--seeds`/`--loads`/`--policies` set the
-//! explicit axis grid of `--mode sweep` (defaults: `--seed`'s value,
-//! `0.7,1.1`, `fifo,affinity,wfq`).
+//! Every mode runs its independent cells one after another in cell-index
+//! order; every cell is a pure function of its [`CellSpec`].
+//! `--record`/`--trace-out` attach their sinks to that same run without
+//! changing any result — sinks are pure observers.
+//! `--seeds`/`--loads`/`--policies` set the explicit axis grid of
+//! `--mode sweep` (defaults: `--seed`'s value, `0.7,1.1`,
+//! `fifo,affinity,wfq`).
 //!
 //! `--record PATH` (any mode) streams every simulated run to a versioned
 //! JSONL flight record (`sx-flight-record/v3`): each run contributes a
@@ -127,7 +123,6 @@ struct Args {
     qpus: usize,
     seed: u64,
     rate_hz: f64,
-    threads: usize,
     closed: Option<usize>,
     workload: String,
     /// `--policy`; `None` is `all`.
@@ -156,7 +151,6 @@ impl Args {
             qpus: 4,
             seed: 7,
             rate_hz: 1.0,
-            threads: 0,
             closed: None,
             workload: "repeated".into(),
             policy: None,
@@ -189,7 +183,6 @@ impl Args {
                 "--qpus" => args.qpus = parse_or_die(&value("--qpus"), "--qpus"),
                 "--seed" => args.seed = parse_or_die(&value("--seed"), "--seed"),
                 "--rate" => args.rate_hz = parse_or_die(&value("--rate"), "--rate"),
-                "--threads" => args.threads = parse_or_die(&value("--threads"), "--threads"),
                 "--seeds" => args.seeds = Some(parse_csv(&value("--seeds"), "--seeds")),
                 "--loads" => args.loads = Some(parse_csv(&value("--loads"), "--loads")),
                 "--policies" => args.policies = Some(parse_csv(&value("--policies"), "--policies")),
@@ -308,25 +301,18 @@ fn scheduler_for(name: &str, workload: &Workload) -> SchedulerSpec {
     }
 }
 
-/// Execute a mode's cell list: across `--threads` workers through the
-/// parallel sweep runner when nothing is observing, serially through the
-/// observer's sink chain otherwise (the flight recorder and the Perfetto
-/// exporter are single-stream writers).  Both paths produce bit-identical
-/// [`CellResult`]s — cells are pure functions of their specs and sinks are
-/// pure observers — so `--record`/`--trace-out` never change a sweep's
-/// outputs, only its wall clock.
-fn run_cells(args: &Args, observer: &mut Observer, cells: &[CellSpec]) -> SweepOutcome {
-    if observer.active() || args.threads == 1 {
-        let stopwatch = HostStopwatch::start();
-        let results = cells
-            .iter()
-            .enumerate()
-            .map(|(index, cell)| observer.run_cell(index, cell))
-            .collect();
-        SweepOutcome::collect(results, stopwatch.elapsed_seconds())
-    } else {
-        run_sweep(cells, args.threads)
-    }
+/// Execute a mode's cell list in cell-index order, each cell through the
+/// observer's sink chain (a bare [`NullSink`] when nothing observes).
+/// Sinks are pure observers, so `--record`/`--trace-out` never change a
+/// sweep's outputs, only its wall clock.
+fn run_cells(observer: &mut Observer, cells: &[CellSpec]) -> SweepOutcome {
+    let stopwatch = HostStopwatch::start();
+    let results = cells
+        .iter()
+        .enumerate()
+        .map(|(index, cell)| observer.run_cell(index, cell))
+        .collect();
+    SweepOutcome::collect(results, stopwatch.elapsed_seconds())
 }
 
 /// The observation plumbing shared by every mode: the optional flight
@@ -372,13 +358,6 @@ impl Observer {
         }
     }
 
-    /// Whether any observation sink is attached.  Active observation
-    /// forces a sweep to run serially: the recorder and Perfetto exporter
-    /// are single-stream writers and cannot interleave concurrent cells.
-    fn active(&self) -> bool {
-        self.recorder.is_some() || self.perfetto.is_some()
-    }
-
     /// Assemble the sink chain for one run of `spec` — its flight-record
     /// segment header (when recording), the Perfetto exporter on the first
     /// run only — and hand it to `run`.  With nothing active the chain
@@ -411,8 +390,8 @@ impl Observer {
         run(chain)
     }
 
-    /// Execute one sweep cell through the observation chain — the serial
-    /// path of [`run_cells`].  Produces the identical [`CellResult`] that
+    /// Execute one sweep cell through the observation chain — the body of
+    /// [`run_cells`].  Produces the identical [`CellResult`] that
     /// `sweep::run_cell` with a bare [`NullSink`] would (sinks are pure
     /// observers), which is what lets `--record`/`--trace-out` capture a
     /// sweep without perturbing its outputs.
@@ -629,7 +608,7 @@ fn compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
             workload: Arc::clone(&workload),
         })
         .collect();
-    let outcome = run_cells(args, observer, &cells);
+    let outcome = run_cells(observer, &cells);
     let mut reports: Vec<SimReport> = Vec::new();
     for cell in outcome.cells {
         let report = cell.report;
@@ -765,7 +744,7 @@ fn cache_cliff(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                 });
             }
         }
-        let outcome = run_cells(args, observer, &cells);
+        let outcome = run_cells(observer, &cells);
         let mut results = outcome.cells.iter();
         for eviction in EvictionPolicyKind::all() {
             for &capacity in &capacities {
@@ -899,7 +878,7 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
 
     // The whole mode as one cell list, in table order — isolated baseline,
     // the (asymmetry × skew × policy) grid, then the gated admission run —
-    // executed in a single pass through the sweep runner (`--threads`).
+    // executed in a single pass through `run_cells`.
     let config = args.sim_config(WorkloadMode::Open);
     let depth_limit = 6;
     let mut cells: Vec<CellSpec> = vec![CellSpec {
@@ -967,7 +946,7 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         workload: Arc::clone(&gated_workload),
     });
 
-    let outcome = run_cells(args, observer, &cells);
+    let outcome = run_cells(observer, &cells);
     let isolated_p99 = outcome.cells[0].report.latency.p99;
 
     let mut cell_index = 1;
@@ -1179,7 +1158,7 @@ fn aging_sweep(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         "aging", "p99 [s]", "mean [s]", "max wait", "starved", "makespan"
     );
 
-    let outcome = run_cells(args, observer, &cells);
+    let outcome = run_cells(observer, &cells);
 
     let mut ok = true;
     let mut points: Vec<(f64, f64, f64)> = Vec::new(); // (weight, p99, starvation)
@@ -1312,7 +1291,7 @@ fn admission_compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) 
             workload: Arc::clone(&workload),
         })
         .collect();
-    let outcome = run_cells(args, observer, &cells);
+    let outcome = run_cells(observer, &cells);
     let mut results: Vec<(AdmissionPolicy, SimReport)> = Vec::new();
     let mut json_points: Vec<JsonValue> = Vec::new();
     for (admission, cell) in AdmissionPolicy::all().into_iter().zip(outcome.cells) {
@@ -1563,7 +1542,7 @@ fn slo(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         });
     }
 
-    let outcome = run_cells(args, observer, &cells);
+    let outcome = run_cells(observer, &cells);
 
     let mut cell_index = 0;
     for &load in &loads {
@@ -1703,8 +1682,7 @@ fn slo(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
 
 /// Schema tag stamped into (and required back out of) the `--mode sweep`
 /// JSON document.  The document is fully deterministic — no wall-clock
-/// fields — so CI can byte-diff a `--threads N` run against the
-/// `--threads 1` serial oracle.
+/// fields — so CI can byte-diff two runs of the same command.
 const SWEEP_SCHEMA: &str = "sx-sweep/v1";
 
 /// Per-cell keys of an `sx-sweep/v1` cell row that must be present and
@@ -1725,14 +1703,14 @@ const SWEEP_CELL_NUM_KEYS: &[&str] = &[
     "hit_rate",
 ];
 
-/// `--mode sweep`: the deterministic parallel experiment runner exposed
-/// directly.  Expands an explicit seed × load × policy grid over the
+/// `--mode sweep`: the deterministic experiment runner exposed directly.
+/// Expands an explicit seed × load × policy grid over the
 /// aggressor/victim composition through [`SweepPlan`] (arrival rates
 /// calibrated once per fleet, so axis order cannot move a cell's rate) and
-/// executes it across `--threads` workers.  Emits a schema-stable
-/// [`SWEEP_SCHEMA`] document with per-cell rows and merged sketch
-/// percentiles and **no wall-clock fields** — byte-identical for every
-/// thread count — then re-reads it through the strict parser and
+/// executes it cell by cell.  Emits a schema-stable [`SWEEP_SCHEMA`]
+/// document with per-cell rows and merged sketch percentiles and **no
+/// wall-clock fields** — byte-identical from run to run — then re-reads
+/// it through the strict parser and
 /// validates it against the schema.
 /// Host-side events/sec goes to stdout only, where it cannot perturb a
 /// CI byte-diff of the document.
@@ -1788,7 +1766,7 @@ fn sweep_mode(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         "cell", "policy", "load", "jobs", "done", "events", "p99 [s]", "wait p99", "warm%"
     );
 
-    let outcome = run_cells(args, observer, &cells);
+    let outcome = run_cells(observer, &cells);
 
     let mut ok = true;
     let mut rows: Vec<JsonValue> = Vec::new();

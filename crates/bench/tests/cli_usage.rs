@@ -1,5 +1,5 @@
-//! `cluster_sim` rejects unusable counts, unknown modes, unknown scheduler
-//! names and empty sweep axes as usage errors (exit code 2 with a
+//! `cluster_sim` rejects unusable counts, unknown modes, retired flags,
+//! unknown scheduler names and empty sweep axes as usage errors (exit code 2 with a
 //! message), in every mode, instead of panicking or printing NaN — and its
 //! `--mode replay --json` document describes the replayed record, not the
 //! command line.
@@ -53,6 +53,24 @@ fn retired_modes_and_aliases_are_usage_errors() {
             assert!(stderr.contains(valid), "--mode {mode}: {stderr}");
         }
     }
+}
+
+#[test]
+fn retired_threads_flag_is_a_usage_error() {
+    // Every mode runs its cells serially; there is no thread count to pick.
+    let out = cluster_sim(&[
+        "--mode",
+        "sweep",
+        "--virtual",
+        "--jobs",
+        "10",
+        "--threads",
+        "2",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "--threads 2: {stderr}");
+    assert!(!stderr.contains("panicked"), "--threads 2: {stderr}");
+    assert!(stderr.contains("--threads"), "--threads 2: {stderr}");
 }
 
 #[test]

@@ -41,7 +41,7 @@ pub struct CacheEntry {
 ///
 /// Implementations must be deterministic: given the same entries (in the
 /// same order) they must return the same victim index.
-pub trait EvictionPolicy: std::fmt::Debug + Send {
+pub trait EvictionPolicy: std::fmt::Debug {
     /// Stable policy name used in reports and CLI surfaces.
     fn name(&self) -> &'static str;
 

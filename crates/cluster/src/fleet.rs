@@ -626,15 +626,6 @@ impl Fleet {
         best
     }
 
-    /// The largest problem size any device in the fleet can embed.
-    pub fn max_capacity_lps(&self) -> usize {
-        self.devices
-            .iter()
-            .map(|d| d.capacity_lps)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The costliest *cold* service any device would charge a job of
     /// `lps` spins — the longest a single job of that size can pin a
     /// device (devices that cannot run or price the size contribute

@@ -1,5 +1,5 @@
-//! Deterministic parallel experiment runner: fan independent simulation
-//! cells across threads, bit-identical to serial.
+//! Deterministic experiment runner: independent simulation cells, each a
+//! pure function of its spec, run in cell-index order.
 //!
 //! A [`CellSpec`] is the one complete description of a run — seed,
 //! workload, fleet config, scheduler spec, admission spec, engine config —
@@ -11,22 +11,21 @@
 //! arrival-rate calibration
 //! ([`RateCalibration`]) hoisted out of the per-cell loop so a cell's rate
 //! depends only on its `(fleet, load)` coordinates, never on axis order.
-//! [`run_sweep`] executes the cells across threads via the compat `rayon`
-//! joiner and collects [`CellResult`]s in index order; cross-cell
-//! aggregates are merged through [`StreamingHistogram::merge`].
+//! [`run_sweep`] executes the cells one after another and collects
+//! [`CellResult`]s in index order; cross-cell aggregates are merged through
+//! [`StreamingHistogram::merge`].
 //!
-//! # Parallelism is invisible
+//! # Execution order is invisible
 //!
 //! Every cell is a pure function of its [`CellSpec`]: the fleet (and its
 //! per-device RNGs) is rebuilt from the cell's seed, the scheduler and
 //! admission controller are rebuilt from their specs, and the engine runs
 //! with a [`NullSink`] plus a per-cell sketch [`MetricsRegistry`] — the
 //! production-shaped telemetry configuration.  No state is shared between
-//! cells, results are collected in cell-index order, and merges walk that
-//! order, so the per-cell reports *and* the merged aggregates are
-//! bit-identical whether the sweep ran on 1 thread or N.  `threads == 1`
-//! is the serial oracle the determinism suite compares against
-//! (`tests/sweep_determinism.rs`).
+//! cells, and merges walk cell-index order, so a cell's report does not
+//! depend on which cells ran before it, and the merged aggregates depend
+//! only on the cell list.  The cell-permutation proptest in
+//! `tests/sweep_determinism.rs` checks this.
 //!
 //! [`run_cell`] reads no wall clock.  Only [`SweepOutcome::wall_seconds`]
 //! is a host-side wall-clock measurement; it is excluded from every
@@ -34,7 +33,6 @@
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
 use split_exec::SplitExecConfig;
 
 use crate::admission::{AdmissionController, AdmitAll, TokenBucket, TokenBucketConfig};
@@ -179,11 +177,11 @@ fn assemble_cell(
 /// Execute one cell: the sweep runner's per-cell body.
 ///
 /// The cell is a pure function of `spec` — see the module docs — so the
-/// result is identical no matter which thread runs it or in what order.
-/// `sink` is normally [`NullSink`] (the production-shaped config);
-/// `cluster_sim`'s observer passes its recording chain here when a flight
-/// record or Perfetto trace was requested, which cannot perturb the report
-/// (sinks are pure observers).
+/// result is identical no matter in what order cells run.  `sink` is
+/// normally [`NullSink`] (the production-shaped config); `cluster_sim`'s
+/// observer passes its recording chain here when a flight record or
+/// Perfetto trace was requested, which cannot perturb the report (sinks
+/// are pure observers).
 // sx-lint: hot-root -- the sweep runner's per-cell body: between setup and assembly this IS the dispatch loop, and must stay allocation-free in steady state
 pub fn run_cell(index: usize, spec: &CellSpec, sink: &mut dyn TraceSink) -> CellResult {
     let (fleet, mut scheduler, mut admission, mut registry) = cell_runtime(spec);
@@ -297,9 +295,9 @@ pub struct SweepOutcome {
 }
 
 impl SweepOutcome {
-    /// Assemble an outcome from already-executed cells (used by the serial
-    /// observer path in `cluster_sim`, which must produce the same shape
-    /// the parallel runner does).
+    /// Assemble an outcome from already-executed cells (used by
+    /// `cluster_sim`, which runs each cell through its observer's sink
+    /// chain and must produce the same shape [`run_sweep`] does).
     pub fn collect(cells: Vec<CellResult>, wall_seconds: f64) -> SweepOutcome {
         let merged = MergedAggregates::merge(&cells);
         SweepOutcome {
@@ -321,30 +319,14 @@ impl SweepOutcome {
     }
 }
 
-/// Execute `cells` across `threads` worker threads (`0` = available
-/// parallelism) and collect results in cell-index order.
-///
-/// `threads == 1` runs the cells serially on the calling thread — the
-/// serial oracle.  Any other count fans the index range over the compat
-/// `rayon` joiner, which chunks it across scoped threads and concatenates
-/// results in index order; because every cell is pure (see module docs)
-/// the outcome is bit-identical for every thread count.
-pub fn run_sweep(cells: &[CellSpec], threads: usize) -> SweepOutcome {
+/// Execute `cells` in index order, each with a bare [`NullSink`].
+pub fn run_sweep(cells: &[CellSpec]) -> SweepOutcome {
     let stopwatch = HostStopwatch::start();
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        // sx-lint: allow(H003) -- the facade's build is infallible (no pool-size or resource validation can fail)
-        .expect("the rayon facade's pool build cannot fail");
-    let results: Vec<CellResult> = pool.install(|| {
-        (0..cells.len())
-            .into_par_iter()
-            .map(|i| {
-                let mut sink = NullSink;
-                run_cell(i, &cells[i], &mut sink)
-            })
-            .collect()
-    });
+    let results = cells
+        .iter()
+        .enumerate()
+        .map(|(index, cell)| run_cell(index, cell, &mut NullSink))
+        .collect();
     SweepOutcome::collect(results, stopwatch.elapsed_seconds())
 }
 
@@ -593,12 +575,17 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_sweeps_are_bit_identical() {
-        let cells = small_cells(11);
-        let serial = run_sweep(&cells, 1);
-        let parallel = run_sweep(&cells, 3);
-        assert_eq!(serial.cells.len(), parallel.cells.len());
-        for (a, b) in serial.cells.iter().zip(&parallel.cells) {
+    fn merged_aggregates_sum_cell_counts() {
+        let cells = small_cells(5);
+        let outcome = run_sweep(&cells);
+        let completed: usize = outcome.cells.iter().map(|c| c.report.completed).sum();
+        assert_eq!(outcome.merged.completed, completed);
+        assert_eq!(outcome.merged.latency.count(), completed as u64);
+        assert_eq!(outcome.merged.cells, cells.len());
+        // Running the same cells again reproduces every cell and the
+        // merged document byte for byte.
+        let again = run_sweep(&cells);
+        for (a, b) in outcome.cells.iter().zip(&again.cells) {
             assert_eq!(a.index, b.index);
             assert_eq!(a.label, b.label);
             assert_eq!(a.report, b.report);
@@ -606,19 +593,9 @@ mod tests {
             assert_eq!(a.wait_sketch, b.wait_sketch);
         }
         assert_eq!(
-            format!("{}", serial.merged.to_json()),
-            format!("{}", parallel.merged.to_json())
+            format!("{}", outcome.merged.to_json()),
+            format!("{}", again.merged.to_json())
         );
-    }
-
-    #[test]
-    fn merged_aggregates_sum_cell_counts() {
-        let cells = small_cells(5);
-        let outcome = run_sweep(&cells, 2);
-        let completed: usize = outcome.cells.iter().map(|c| c.report.completed).sum();
-        assert_eq!(outcome.merged.completed, completed);
-        assert_eq!(outcome.merged.latency.count(), completed as u64);
-        assert_eq!(outcome.merged.cells, cells.len());
     }
 
     #[test]

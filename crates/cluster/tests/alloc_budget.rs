@@ -19,8 +19,7 @@
 //! `sx_lint` to find it, or hoist the buffer into `SimScratch`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::cell::Cell;
 
 use split_exec::SplitExecConfig;
 use sx_cluster::prelude::*;
@@ -30,40 +29,50 @@ use sx_cluster::prelude::*;
 /// buffer growth).
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by this thread.  Per thread, so the harness's own
+    /// threads (running other tests, recording results) never land in a
+    /// test's counted window.  Const-initialized and without a destructor,
+    /// so reading it from inside the allocator never allocates.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
+fn count_one() {
+    // During thread teardown the slot may be gone; that allocation is not
+    // in any window.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so the
+// `GlobalAlloc` contract the caller upholds for this allocator is exactly
+// the one `System` requires; the counter touches no allocated memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
+        // SAFETY: `layout` is the caller's, valid per `GlobalAlloc::alloc`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with this
+        // `layout`, as `GlobalAlloc::dealloc` requires of the caller.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
+        // SAFETY: as for `dealloc`, plus the caller's valid `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
-
-/// Held by every test for its whole body.  The counter is process-wide,
-/// so under the default parallel harness one test's allocations would
-/// land in another's counted window; the lock serializes the windows.
-static COUNTED: Mutex<()> = Mutex::new(());
-
-/// Take the counting lock.  A test that failed while holding it poisons
-/// it, but the counter carries no state across tests, so the next test
-/// proceeds.
-fn exclusive() -> MutexGuard<'static, ()> {
-    COUNTED
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Allocations performed by one full simulate call (everything else —
 /// workload generation, fleet construction, scheduler build — happens
@@ -85,7 +94,7 @@ fn allocations_for(policy: &SchedulerSpec, jobs: usize) -> usize {
     let workload = WorkloadSpec::repeated_topologies(jobs, 2.0, 11).generate();
     let mut scheduler = policy.build();
     let mut sink = NullSink;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let report = simulate_with_telemetry(
         fleet,
         &workload,
@@ -95,7 +104,7 @@ fn allocations_for(policy: &SchedulerSpec, jobs: usize) -> usize {
         &mut sink,
         None,
     );
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         report.records.len(),
         jobs,
@@ -111,7 +120,6 @@ fn warmup() {
 }
 
 fn assert_constant_in_n(policy: &SchedulerSpec) {
-    let _counting = exclusive();
     warmup();
     let at_n = allocations_for(policy, 200);
     let at_2n = allocations_for(policy, 400);
@@ -148,7 +156,6 @@ fn affinity_dispatch_loop_allocates_independently_of_event_count() {
 
 #[test]
 fn allocation_count_is_deterministic_run_to_run() {
-    let _counting = exclusive();
     warmup();
     let first = allocations_for(&SchedulerSpec::Fifo, 200);
     let second = allocations_for(&SchedulerSpec::Fifo, 200);
@@ -165,13 +172,6 @@ fn allocation_count_is_deterministic_run_to_run() {
 // contract: the runner adds NOTHING per cell beyond the cell body itself —
 // collection and merging are per-sweep constants — so the per-cell
 // steady-state allocation count is unchanged under the sweep runner.
-//
-// **Thread-spawn exemption**: these tests measure at `threads = 1`, the
-// serial oracle, where the compat rayon facade spawns no threads.  At
-// `threads > 1` the facade pays one scoped-thread spawn per worker per
-// *sweep* — a per-sweep constant owned by `std::thread`, not a per-event
-// or per-cell cost — and runs the bit-identical per-cell body (pinned by
-// tests/sweep_determinism.rs), so exempting spawn cost loses nothing.
 
 use std::sync::Arc;
 
@@ -195,16 +195,15 @@ fn sweep_cell(jobs: usize) -> CellSpec {
 }
 
 fn allocations_for_sweep(cells: &[CellSpec]) -> usize {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let outcome = run_sweep(cells, 1);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
+    let outcome = run_sweep(cells);
+    let after = allocations();
     assert_eq!(outcome.cells.len(), cells.len());
     after - before
 }
 
 #[test]
 fn sweep_runner_adds_constant_overhead_and_nothing_per_cell() {
-    let _counting = exclusive();
     warmup();
     // Identical cells (one shared workload): every per-cell quantity —
     // dispatch pattern, cost-table builds, sketch bucket spans, registry sample
@@ -217,7 +216,7 @@ fn sweep_runner_adds_constant_overhead_and_nothing_per_cell() {
     let three = vec![cell.clone(), cell.clone(), cell.clone()];
     // Throwaway sweep: pays one-time lazy state (thread-local init, first
     // merge growth patterns) before any counted window opens.
-    let _ = run_sweep(&one, 1);
+    let _ = run_sweep(&one);
     let c1 = allocations_for_sweep(&one);
     let c2 = allocations_for_sweep(&two);
     let c3 = allocations_for_sweep(&three);
@@ -231,16 +230,15 @@ fn sweep_runner_adds_constant_overhead_and_nothing_per_cell() {
 
 #[test]
 fn sweep_cell_body_matches_direct_execution() {
-    let _counting = exclusive();
     warmup();
     let cell = sweep_cell(200);
-    let _ = run_sweep(std::slice::from_ref(&cell), 1);
+    let _ = run_sweep(std::slice::from_ref(&cell));
 
     // The cell body run directly, outside the runner.
     let mut sink = NullSink;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let direct_result = sx_cluster::sweep::run_cell(0, &cell, &mut sink);
-    let direct = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let direct = allocations() - before;
 
     // The same cell as the marginal cost of one more cell in a sweep: the
     // merged sketches already span the (identical) cell's bucket range

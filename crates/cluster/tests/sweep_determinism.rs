@@ -1,11 +1,9 @@
-//! The sweep runner's determinism contract, end-to-end: parallelism is
-//! invisible.  A [`SweepPlan`] executed at `--threads 1` (the serial
-//! oracle), at 2 threads, and at the host's available parallelism must
-//! produce byte-identical per-cell reports and a byte-identical merged
-//! document — across seeds, scheduling policies, and thread counts — and
-//! the order cells happen to execute in must never leak into any result.
+//! The sweep runner's determinism contract, end-to-end: execution order is
+//! invisible.  Running any permutation of a [`SweepPlan`]'s cells must
+//! give every cell exactly the report and sketches the unpermuted run gave
+//! it, across seeds and scheduling policies.
 //!
-//! Also pins the satellite fix this PR hoists into the plan: a cell's
+//! Also pins the plan's rate calibration: a cell's
 //! capacity-calibrated arrival rate is a pure function of its
 //! `(fleet, load)` coordinate, so reordering or extending the axis lists
 //! cannot drift any cell's rate (and therefore its workload).
@@ -16,7 +14,7 @@ use proptest::prelude::*;
 use sx_cluster::prelude::*;
 
 /// A small but non-trivial plan: two seeds, one fleet, two loads, three
-/// policies — 12 cells, enough to give every thread count real work.
+/// policies — 12 cells.
 fn test_plan() -> SweepPlan {
     SweepPlan::new(1.0, 2, SimConfig::default())
         .seeds(vec![3, 11])
@@ -50,59 +48,6 @@ fn expand(plan: &SweepPlan) -> Vec<CellSpec> {
             },
         },
     )
-}
-
-/// Render everything comparable about a cell except its wall clock — the
-/// "byte-identical" form CI's diffs see.
-fn cell_fingerprint(cell: &CellResult) -> String {
-    format!(
-        "{}|{}|{}|{:?}|{:?}",
-        cell.index, cell.label, cell.report, cell.latency_sketch, cell.wait_sketch
-    )
-}
-
-#[test]
-fn thread_count_is_invisible_across_seeds_and_policies() {
-    let cells = expand(&test_plan());
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let oracle = run_sweep(&cells, 1);
-    for threads in [2, available] {
-        let parallel = run_sweep(&cells, threads);
-        assert_eq!(parallel.cells.len(), oracle.cells.len());
-        for (a, b) in parallel.cells.iter().zip(&oracle.cells) {
-            assert_eq!(
-                cell_fingerprint(a),
-                cell_fingerprint(b),
-                "cell '{}' diverged at {threads} threads",
-                b.label
-            );
-            assert_eq!(a.report, b.report);
-            assert_eq!(a.latency_sketch, b.latency_sketch);
-            assert_eq!(a.wait_sketch, b.wait_sketch);
-        }
-        // The merged document byte-for-byte — what `--mode sweep` writes.
-        assert_eq!(
-            format!("{}", parallel.merged.to_json()),
-            format!("{}", oracle.merged.to_json()),
-            "merged JSON diverged at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn zero_threads_means_available_parallelism_and_stays_identical() {
-    let cells = expand(&test_plan());
-    let auto = run_sweep(&cells, 0);
-    let oracle = run_sweep(&cells, 1);
-    for (a, b) in auto.cells.iter().zip(&oracle.cells) {
-        assert_eq!(
-            a.report, b.report,
-            "cell '{}' diverged at auto threads",
-            b.label
-        );
-    }
 }
 
 /// Calibrated arrival rates are pinned to the `(fleet, load)` coordinate:
@@ -176,8 +121,8 @@ fn calibrated_rates_survive_axis_reordering() {
         },
         |_, _| SchedulerSpec::Fifo,
     );
-    let fwd = run_sweep(&cells_fwd, 1);
-    let re = run_sweep(&cells_re, 1);
+    let fwd = run_sweep(&cells_fwd);
+    let re = run_sweep(&cells_re);
     for a in &fwd.cells {
         let b = re
             .cells
@@ -196,17 +141,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Cell execution order never leaks into results: running an arbitrary
-    /// permutation of the cell list (at an arbitrary thread count) yields,
-    /// for every cell, exactly the result the unpermuted serial oracle
-    /// produced for the same spec — only `index` (its position in the
-    /// submitted list) differs.
+    /// permutation of the cell list yields, for every cell, exactly the
+    /// result the unpermuted run produced for the same spec — only `index`
+    /// (its position in the submitted list) differs.
     #[test]
     fn execution_order_never_leaks_into_results(
         permutation_seed in 0u64..u64::MAX,
-        threads in 1usize..4,
     ) {
         let cells = expand(&test_plan());
-        let oracle = run_sweep(&cells, 1);
+        let oracle = run_sweep(&cells);
 
         // A deterministic Fisher–Yates driven by the proptest-chosen seed.
         let mut order: Vec<usize> = (0..cells.len()).collect();
@@ -217,14 +160,14 @@ proptest! {
         }
         let permuted: Vec<CellSpec> = order.iter().map(|&i| cells[i].clone()).collect();
 
-        let shuffled = run_sweep(&permuted, threads);
+        let shuffled = run_sweep(&permuted);
         for (pos, &original) in order.iter().enumerate() {
             let a = &shuffled.cells[pos];
             let b = &oracle.cells[original];
             prop_assert_eq!(&a.label, &b.label);
             prop_assert_eq!(a.index, pos, "results must come back in submission order");
             prop_assert_eq!(&a.report, &b.report,
-                "cell '{}' changed under permutation at {} threads", b.label, threads);
+                "cell '{}' changed under permutation", b.label);
             prop_assert_eq!(&a.latency_sketch, &b.latency_sketch);
             prop_assert_eq!(&a.wait_sketch, &b.wait_sketch);
         }

@@ -1,280 +1,58 @@
-//! Offline stand-in for the `rayon` crate.
+//! Offline stand-in for the `rayon` crate, reduced to one call.
 //!
-//! Provides the one idiom the workspace uses — `(0..n).into_par_iter()
-//! .map(f).collect::<Vec<_>>()` — with genuine data parallelism: the index
-//! range is chunked across `std::thread::available_parallelism()` scoped
-//! threads and results are concatenated in index order, so parallel and
-//! serial execution produce identical output for pure `f`.
-//!
-//! This is not a work-stealing pool; each call site pays thread spawn cost.
-//! For the sampling workloads here (dozens of multi-millisecond anneals per
-//! call) that overhead is noise.  If a future PR needs finer-grained
-//! parallelism, swap this facade for the real `rayon` — the call sites
-//! already use its API.
-//!
-//! An explicit worker count is available through the same API real `rayon`
-//! uses: [`ThreadPoolBuilder::num_threads`] + [`ThreadPool::install`].
-//! `install` scopes the override to the calling thread (a thread-local, as
-//! the facade has no persistent pool), so `pool.install(|| range
-//! .into_par_iter()...)` runs that map on exactly `num_threads` workers —
-//! and `num_threads(1)` degenerates to a plain serial loop on the calling
-//! thread, the serial oracle deterministic sweeps compare against.
+//! The workspace is single-threaded by construction: nothing in it fans
+//! out, so nothing needs a pool.  This crate survives only because the
+//! benchmark's adapter (`perfbench/src/adapter.rs`, `single_threaded`)
+//! still wraps each workload in
+//! `ThreadPoolBuilder::new().num_threads(1).build().expect(..).install(op)`;
+//! `install` just calls `op`.  It goes in the next change to the benchmark,
+//! together with that wrapper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::Cell;
-use std::ops::Range;
+use std::convert::Infallible;
 
-thread_local! {
-    /// Worker-count override installed by [`ThreadPool::install`] on the
-    /// current thread; `None` means use `available_parallelism`.
-    static INSTALLED_WORKERS: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Builds a [`ThreadPool`] with an explicit worker count (mirrors
-/// `rayon::ThreadPoolBuilder`).
+/// Mirrors `rayon::ThreadPoolBuilder`; the worker count is ignored.
 #[derive(Debug, Default, Clone)]
-pub struct ThreadPoolBuilder {
-    num_threads: usize,
-}
+pub struct ThreadPoolBuilder;
 
 impl ThreadPoolBuilder {
-    /// A builder with the default (automatic) worker count.
+    /// A builder.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Use exactly `num_threads` workers; `0` means
-    /// `available_parallelism` (rayon's convention).
-    pub fn num_threads(mut self, num_threads: usize) -> Self {
-        self.num_threads = num_threads;
+    /// Accepted for API compatibility; every "pool" runs on the caller.
+    pub fn num_threads(self, _num_threads: usize) -> Self {
         self
     }
 
-    /// Build the pool.  The facade has no spawn-at-build machinery, so
-    /// this cannot fail; the `Result` mirrors rayon's signature.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        Ok(ThreadPool {
-            num_threads: self.num_threads,
-        })
+    /// Build the pool; cannot fail.
+    pub fn build(self) -> Result<ThreadPool, Infallible> {
+        Ok(ThreadPool)
     }
 }
 
-/// Error type of [`ThreadPoolBuilder::build`]; never produced by the
-/// facade, present for API compatibility.
-#[derive(Debug)]
-pub struct ThreadPoolBuildError;
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "rayon facade thread pool build error")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// A handle carrying an explicit worker count for parallel maps run under
-/// [`ThreadPool::install`].
+/// Mirrors `rayon::ThreadPool`: [`Self::install`] runs on the calling thread.
 #[derive(Debug, Clone)]
-pub struct ThreadPool {
-    num_threads: usize,
-}
+pub struct ThreadPool;
 
 impl ThreadPool {
-    /// The worker count parallel maps under [`Self::install`] use (`0` =
-    /// automatic).
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
-
-    /// Run `op` with this pool's worker count installed for every parallel
-    /// map `op` performs on the calling thread.  The previous override is
-    /// restored on exit (installs nest).
+    /// Run `op` on the calling thread and return its result.
     pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        let previous = INSTALLED_WORKERS
-            .with(|w| w.replace((self.num_threads > 0).then_some(self.num_threads)));
-        // Restore on unwind too: a panicking op must not leak its override
-        // into unrelated later work on this thread.
-        struct Restore(Option<usize>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                let prev = self.0;
-                INSTALLED_WORKERS.with(|w| w.set(prev));
-            }
-        }
-        let _restore = Restore(previous);
         op()
     }
 }
 
-/// Run `f` over `range` with ordered results, splitting across threads.
-fn par_map_range<T, F>(range: Range<usize>, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let len = range.end.saturating_sub(range.start);
-    let workers = INSTALLED_WORKERS
-        .with(Cell::get)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .min(len.max(1));
-    if len <= 1 || workers <= 1 {
-        return range.map(f).collect();
-    }
-    let chunk = len.div_ceil(workers);
-    let f = &f;
-    let mut out: Vec<T> = Vec::with_capacity(len);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let lo = range.start + w * chunk;
-                let hi = (lo + chunk).min(range.end);
-                scope.spawn(move || (lo..hi).map(f).collect::<Vec<T>>())
-            })
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("rayon facade worker panicked"));
-        }
-    });
-    out
-}
-
-/// Parallel iterator over a `usize` index range.
-#[derive(Debug, Clone)]
-pub struct ParRange {
-    range: Range<usize>,
-}
-
-/// The mapped form of [`ParRange`], ready to collect.
-pub struct ParRangeMap<F> {
-    range: Range<usize>,
-    f: F,
-}
-
-impl ParRange {
-    /// Apply `f` to every index, preserving order.
-    pub fn map<T, F>(self, f: F) -> ParRangeMap<F>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        ParRangeMap {
-            range: self.range,
-            f,
-        }
-    }
-}
-
-impl<F> ParRangeMap<F> {
-    /// Execute the map in parallel and collect the ordered results.
-    pub fn collect<C, T>(self) -> C
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        C: FromIterator<T>,
-    {
-        par_map_range(self.range, self.f).into_iter().collect()
-    }
-}
-
-/// Conversion into a parallel iterator (mirrors `rayon`'s trait of the same
-/// name; implemented for the index ranges the workspace parallelizes over).
-pub trait IntoParallelIterator {
-    /// The parallel-iterator form.
-    type Iter;
-    /// Convert `self` into a parallel iterator.
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-impl IntoParallelIterator for Range<usize> {
-    type Iter = ParRange;
-    fn into_par_iter(self) -> ParRange {
-        ParRange { range: self }
-    }
-}
-
-/// Run two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("rayon facade join panicked"))
-    })
-}
-
-pub mod prelude {
-    //! Glob-importable traits, mirroring `rayon::prelude`.
-    pub use crate::IntoParallelIterator;
-}
-
 #[cfg(test)]
 mod tests {
-    use super::join;
-    use super::prelude::*;
-
     #[test]
-    fn parallel_map_preserves_order() {
-        let squares: Vec<usize> = (0..1000).into_par_iter().map(|i| i * i).collect();
-        assert_eq!(squares.len(), 1000);
-        assert!(squares.iter().enumerate().all(|(i, &s)| s == i * i));
-    }
-
-    #[test]
-    fn empty_and_singleton_ranges() {
-        let none: Vec<usize> = (0..0).into_par_iter().map(|i| i).collect();
-        assert!(none.is_empty());
-        let one: Vec<usize> = (5..6).into_par_iter().map(|i| i + 1).collect();
-        assert_eq!(one, vec![6]);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
-
-    #[test]
-    fn installed_worker_counts_agree_with_serial() {
-        let serial: Vec<usize> = (0..257).map(|i| i * 3 + 1).collect();
-        for workers in [1usize, 2, 3, 8] {
-            let pool = crate::ThreadPoolBuilder::new()
-                .num_threads(workers)
-                .build()
-                .expect("facade build cannot fail");
-            let mapped: Vec<usize> =
-                pool.install(|| (0..257).into_par_iter().map(|i| i * 3 + 1).collect());
-            assert_eq!(mapped, serial, "worker count {workers} changed the output");
-        }
-    }
-
-    #[test]
-    fn install_restores_the_previous_override() {
-        let outer = crate::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .expect("facade build cannot fail");
-        let inner = crate::ThreadPoolBuilder::new()
+    fn install_runs_the_closure() {
+        let pool = crate::ThreadPoolBuilder::new()
             .num_threads(1)
             .build()
-            .expect("facade build cannot fail");
-        outer.install(|| {
-            let nested: Vec<usize> = inner.install(|| (0..16).into_par_iter().map(|i| i).collect());
-            assert_eq!(nested.len(), 16);
-            // Back on the outer pool's override after the nested install.
-            let again: Vec<usize> = (0..16).into_par_iter().map(|i| i + 1).collect();
-            assert_eq!(again[15], 16);
-        });
+            .expect("cannot fail");
+        assert_eq!(pool.install(|| 2 + 2), 4);
     }
 }

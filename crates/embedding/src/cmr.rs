@@ -27,16 +27,16 @@
 //!
 //! Nearly all of the heuristic's time is its Dijkstra searches (see
 //! [`crate::dijkstra`] for the kernel's layout).  [`find_embedding`] builds
-//! one [`Csr`] of the hardware per call, shared by every try (Rayon tries
-//! included).  Placing one vertex fills a per-try weight table once — the
-//! overlap penalty of every qubit under the current usage — and all of that
-//! vertex's searches and its root selection read it, since usage only
-//! changes when the new chain is committed.  The heap, the search results,
-//! the neighbour list and the chain trimmer's traversal buffers are per-try
-//! scratch that each placement refills, so a warm placement allocates only
-//! when a buffer must grow.  None of this changes what is computed: every
-//! search, root choice and trim decision is the same as with per-call
-//! buffers and per-relaxation weights, so embeddings and work counters are
+//! one [`Csr`] of the hardware per call, shared by every try.  Placing one
+//! vertex fills a per-try weight table once — the overlap penalty of every
+//! qubit under the current usage — and all of that vertex's searches and
+//! its root selection read it, since usage only changes when the new chain
+//! is committed.  The heap, the search results, the neighbour list and the
+//! chain trimmer's traversal buffers are per-try scratch that each
+//! placement refills, so a warm placement allocates only when a buffer
+//! must grow.  None of this changes what is computed: every search, root
+//! choice and trim decision is the same as with per-call buffers and
+//! per-relaxation weights, so embeddings and work counters are
 //! bit-identical.
 
 use crate::dijkstra::{multi_source_dijkstra, DijkstraHeap, ShortestPaths};
@@ -46,7 +46,6 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// Configuration of the CMR heuristic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,10 +55,8 @@ pub struct CmrConfig {
     /// Number of independent randomized restarts; the best (fewest qubits)
     /// successful try wins.
     pub tries: usize,
-    /// Base RNG seed; try `i` uses `seed + i`.
+    /// Base RNG seed; try `i` uses `seed + i`.  Tries run in index order.
     pub seed: u64,
-    /// Run restarts in parallel with Rayon.
-    pub parallel_tries: bool,
     /// Base of the exponential penalty applied to qubits already used by
     /// other chains.
     pub overlap_penalty_base: f64,
@@ -71,7 +68,6 @@ impl Default for CmrConfig {
             max_passes: 10,
             tries: 4,
             seed: 0,
-            parallel_tries: false,
             overlap_penalty_base: 64.0,
         }
     }
@@ -152,29 +148,18 @@ pub fn find_embedding(
     }
     let csr = Csr::from_graph(hardware);
 
-    let tries = config.tries.max(1);
-    let run_try = |t: usize| -> (Option<Embedding>, CmrStats) {
-        let seed = config.seed.wrapping_add(t as u64);
-        Try::new(input, &csr, &usable_mask, config, seed).run()
-    };
-
-    let results: Vec<(Option<Embedding>, CmrStats)> = if config.parallel_tries {
-        (0..tries).into_par_iter().map(run_try).collect()
-    } else {
-        (0..tries).map(run_try).collect()
-    };
-
     let mut total_stats = CmrStats::default();
     let mut best: Option<Embedding> = None;
-    for (embedding, stats) in &results {
-        total_stats.absorb(stats);
+    for t in 0..config.tries.max(1) {
+        let seed = config.seed.wrapping_add(t as u64);
+        let (embedding, stats) = Try::new(input, &csr, &usable_mask, config, seed).run();
+        total_stats.absorb(&stats);
         if let Some(e) = embedding {
-            let better = match &best {
-                None => true,
-                Some(b) => e.qubits_used() < b.qubits_used(),
-            };
-            if better {
-                best = Some(e.clone());
+            if best
+                .as_ref()
+                .is_none_or(|b| e.qubits_used() < b.qubits_used())
+            {
+                best = Some(e);
             }
         }
     }
@@ -634,34 +619,6 @@ mod tests {
         let b = find_embedding(&input, &hw, &config).unwrap();
         assert_eq!(a.embedding, b.embedding);
         assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
-    fn parallel_tries_match_serial_success() {
-        let input = generators::complete(5);
-        let hw = Chimera::new(2, 2, 4).into_graph();
-        let serial = find_embedding(
-            &input,
-            &hw,
-            &CmrConfig {
-                seed: 9,
-                parallel_tries: false,
-                ..CmrConfig::default()
-            },
-        )
-        .unwrap();
-        let parallel = find_embedding(
-            &input,
-            &hw,
-            &CmrConfig {
-                seed: 9,
-                parallel_tries: true,
-                ..CmrConfig::default()
-            },
-        )
-        .unwrap();
-        // Each try is seeded identically, so the chosen best embedding agrees.
-        assert_eq!(serial.embedding, parallel.embedding);
     }
 
     #[test]

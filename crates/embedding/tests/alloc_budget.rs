@@ -18,7 +18,7 @@
 //! serialized on a lock, also counts what the test harness allocates on its
 //! own threads while a window is open (recording another test's result, for
 //! one), and that made an exact zero flaky.  Every measured call runs on
-//! the test's thread (`parallel_tries` is off).
+//! the test's thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

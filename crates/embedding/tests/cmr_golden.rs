@@ -132,7 +132,6 @@ fn measure() -> Vec<Row> {
                     seed,
                     tries: 2,
                     max_passes: 4,
-                    parallel_tries: true,
                     ..CmrConfig::default()
                 };
                 let row = match find_embedding(&input, &hw, &config) {

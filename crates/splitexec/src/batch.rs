@@ -7,20 +7,20 @@
 //! the interaction graph of every job is keyed into an [`EmbeddingCache`],
 //! and jobs with a topology seen before (the common case when re-solving a
 //! problem family with different coefficients) skip the embedding heuristic
-//! entirely.  Jobs then fan out across the thread pool; every job's result
-//! is bit-identical to submitting it alone through [`Pipeline::execute`]
-//! with the same configuration, because all stochastic components are
-//! seeded per job, not per worker.
+//! entirely.  Jobs then run in submission order; every job's result is
+//! bit-identical to submitting it alone through [`Pipeline::execute`] with
+//! the same configuration, because all stochastic components are seeded
+//! per job.
 //!
 //! [`Pipeline::execute_batch`] returns the per-job results;
 //! [`Pipeline::execute_batch_report`] additionally aggregates per-stage
 //! timing and cache behavior into a [`BatchReport`].
 
 use crate::error::PipelineError;
-use crate::offline_cache::{CacheStats, EmbeddingCache};
+use crate::offline_cache::{graph_key, CacheStats, EmbeddingCache};
 use crate::pipeline::{ExecutionReport, Pipeline};
 use qubo_ising::{qubo_to_ising, Qubo};
-use rayon::prelude::*;
+use std::collections::HashSet;
 use std::fmt;
 
 /// Aggregated outcome of one batch submission.
@@ -43,8 +43,8 @@ pub struct BatchReport {
     pub stage3_seconds: f64,
     /// Sum of end-to-end modeled seconds over successful jobs.
     pub total_seconds: f64,
-    /// Wall-clock seconds the whole batch took (with job-level parallelism
-    /// this is far below `total_seconds`' serial accounting).
+    /// Wall-clock seconds the whole batch took on the host (the modeled
+    /// time is `total_seconds`).
     pub wall_seconds: f64,
     /// Embedding-cache behavior for this batch (hits = jobs whose stage-1
     /// embedding was amortized away).
@@ -146,8 +146,8 @@ impl fmt::Display for BatchSummary {
 
 impl Pipeline {
     /// Execute a batch of jobs, amortizing stage-1 embeddings across
-    /// identical interaction topologies and running jobs across the thread
-    /// pool.  Results come back in submission order; each equals what
+    /// identical interaction topologies and running jobs in submission
+    /// order.  Results come back in that order; each equals what
     /// [`Pipeline::execute`] would return for that job alone.
     pub fn execute_batch(&self, jobs: &[Qubo]) -> Vec<Result<ExecutionReport, PipelineError>> {
         self.execute_batch_report(jobs).results
@@ -167,42 +167,29 @@ impl Pipeline {
         let start = std::time::Instant::now();
         let stats_before = cache.stats();
 
-        // Warm the cache once per distinct interaction topology, in
-        // parallel over the distinct graphs.  Doing this before the job
-        // fan-out means concurrent jobs with the same topology find a hit
-        // instead of racing to compute the same embedding twice.  Each
-        // job's O(n²) QUBO→Ising conversion runs once here, in parallel,
-        // and the resulting graph is reused for dedup and warming.
-        let graphs: Vec<Option<chimera_graph::Graph>> = (0..jobs.len())
-            .into_par_iter()
-            .map(|i| {
-                // Empty jobs are rejected later by stage 1.
-                (jobs[i].num_variables() > 0)
-                    .then(|| qubo_to_ising(&jobs[i]).ising.interaction_graph())
-            })
-            .collect();
-        let mut seen = std::collections::HashSet::new();
-        let warm_graphs: Vec<&chimera_graph::Graph> = graphs
-            .iter()
-            .flatten()
-            .filter(|graph| {
-                !cache.contains(graph, &self.machine, &self.config)
-                    && seen.insert(crate::offline_cache::graph_key(graph))
-            })
-            .collect();
-        let _: Vec<()> = (0..warm_graphs.len())
-            .into_par_iter()
-            .map(|w| {
-                // Failures are not cached; the job itself will surface them.
-                let _ = cache.get_or_compute(warm_graphs[w], &self.machine, &self.config);
-            })
-            .collect();
+        // Warm the cache once per distinct interaction topology before any
+        // job runs.  This is the paper's off-line embedding step (Sec. 3.3):
+        // each distinct topology costs one miss here, and every job, the
+        // first of its topology included, is then served from the table, so
+        // misses = distinct topologies and hits = jobs.  A topology that
+        // fails to embed is tried once here (failures are not cached); the
+        // job itself surfaces the error.  Empty jobs are rejected later by
+        // stage 1.
+        let mut seen = HashSet::new();
+        for job in jobs.iter().filter(|job| job.num_variables() > 0) {
+            let graph = qubo_to_ising(job).ising.interaction_graph();
+            if seen.insert(graph_key(&graph))
+                && !cache.contains(&graph, &self.machine, &self.config)
+            {
+                let _ = cache.get_or_compute(&graph, &self.machine, &self.config);
+            }
+        }
 
-        // Fan the jobs out; every job is seeded by the shared config, so
-        // ordering and parallelism cannot change results.
-        let results: Vec<Result<ExecutionReport, PipelineError>> = (0..jobs.len())
-            .into_par_iter()
-            .map(|i| self.execute_cached(&jobs[i], cache))
+        // Every job is seeded by the shared config, so its result does not
+        // depend on its place in the batch.
+        let results: Vec<Result<ExecutionReport, PipelineError>> = jobs
+            .iter()
+            .map(|job| self.execute_cached(job, cache))
             .collect();
 
         let mut report = BatchReport {

@@ -30,8 +30,8 @@
 //!
 //! Batch submission ([`batch`]) amortizes the stage-1 bottleneck: jobs
 //! sharing an interaction topology are embedded once (the paper's Sec. 3.3
-//! off-line embedding table, [`offline_cache`]) and fan out across a thread
-//! pool.
+//! off-line embedding table, [`offline_cache`]) before the jobs run in
+//! submission order.
 //!
 //! ```
 //! use split_exec::prelude::*;

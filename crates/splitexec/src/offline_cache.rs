@@ -21,7 +21,7 @@ use crate::machine::SplitMachine;
 use crate::timing::timed;
 use chimera_graph::Graph;
 use minor_embed::{find_embedding, CmrStats, Embedding};
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -47,12 +47,14 @@ impl CacheStats {
     }
 }
 
-/// A thread-safe cache of pre-computed embeddings keyed by the labeled edge
-/// set of the input graph.
+/// A cache of pre-computed embeddings keyed by the labeled edge set of the
+/// input graph.  Lookups take `&self` (interior mutability), so one cache
+/// can be shared by the pipelines of a batch on one thread.
 #[derive(Debug, Default)]
 pub struct EmbeddingCache {
-    entries: Mutex<HashMap<u64, Embedding>>,
-    stats: Mutex<CacheStats>,
+    entries: RefCell<HashMap<u64, Embedding>>,
+    hits: Cell<usize>,
+    misses: Cell<usize>,
 }
 
 /// Canonical cache key: vertex count plus the sorted edge list, hashed.
@@ -80,8 +82,6 @@ pub fn entry_key(input: &Graph, machine: &SplitMachine, config: &SplitExecConfig
     cmr.tries.hash(&mut hasher);
     cmr.seed.hash(&mut hasher);
     cmr.overlap_penalty_base.to_bits().hash(&mut hasher);
-    // `parallel_tries` is deliberately excluded: serial and parallel tries
-    // produce identical embeddings (each try is independently seeded).
     hasher.finish()
 }
 
@@ -108,7 +108,7 @@ impl EmbeddingCache {
     /// Number of stored embeddings.
     // sx-lint: hot-exempt -- offline embedding table, consulted at embed time, never in the event loop; `len` name-collides with collection calls in engine bodies
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.borrow().len()
     }
 
     /// Whether the cache is empty.
@@ -118,7 +118,10 @@ impl EmbeddingCache {
 
     /// Current statistics.
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock()
+        CacheStats {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+        }
     }
 
     /// Whether an embedding for `graph` under this machine/config context is
@@ -131,7 +134,7 @@ impl EmbeddingCache {
         config: &SplitExecConfig,
     ) -> bool {
         self.entries
-            .lock()
+            .borrow()
             .contains_key(&entry_key(graph, machine, config))
     }
 
@@ -148,7 +151,7 @@ impl EmbeddingCache {
         embedding: Embedding,
     ) {
         self.entries
-            .lock()
+            .borrow_mut()
             .insert(entry_key(graph, machine, config), embedding);
     }
 
@@ -161,8 +164,9 @@ impl EmbeddingCache {
         config: &SplitExecConfig,
     ) -> Result<CachedEmbedding, PipelineError> {
         let key = entry_key(input, machine, config);
-        if let Some(found) = self.entries.lock().get(&key).cloned() {
-            self.stats.lock().hits += 1;
+        let found = self.entries.borrow().get(&key).cloned();
+        if let Some(found) = found {
+            self.hits.set(self.hits.get() + 1);
             return Ok(CachedEmbedding {
                 embedding: found,
                 cache_hit: true,
@@ -172,8 +176,10 @@ impl EmbeddingCache {
         }
         let (outcome, seconds) = timed(|| find_embedding(input, &machine.hardware, &config.cmr));
         let outcome = outcome?;
-        self.entries.lock().insert(key, outcome.embedding.clone());
-        self.stats.lock().misses += 1;
+        self.entries
+            .borrow_mut()
+            .insert(key, outcome.embedding.clone());
+        self.misses.set(self.misses.get() + 1);
         Ok(CachedEmbedding {
             embedding: outcome.embedding,
             cache_hit: false,
