@@ -87,9 +87,11 @@
 //! them.
 //!
 //! `--percentiles exact|sketch` selects how `SimReport` summarizes
-//! latency/wait/lateness distributions: `exact` (default) sorts retained
-//! samples, `sketch` streams them through the mergeable log-bucketed
-//! histogram — retention-free, within its documented relative-error bound.
+//! latency/wait/lateness distributions: `exact` (default) sorts a copy of
+//! the samples, `sketch` streams them through the mergeable log-bucketed
+//! histogram, within its documented relative-error bound.  Either way the
+//! report keeps every per-job record, so memory still grows with the job
+//! count.
 //!
 //! `--trace-out PATH` (any mode) attaches a [`PerfettoSink`] to the first
 //! simulated run and writes a Chrome trace-event JSON document loadable at
@@ -1099,18 +1101,22 @@ fn aging_sweep(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     // the fleet's service capacity or queues never form and every weight
     // looks identical, so the arrival rate is derived from the cost
     // model itself: ~125% of what the fleet can serve warm.  The capacity
-    // probe is hoisted into the plan (`SweepPlan::calibrated`), so the rate
-    // is pinned to the (fleet, load) coordinate and cannot drift if axes
-    // are added or reordered.
-    let plan = SweepPlan::new(args.rate_hz, args.qpus, args.sim_config(WorkloadMode::Open))
-        .seeds(vec![args.seed])
-        .fleets(vec![(String::new(), args.fleet_config())])
-        .loads(vec![1.25])
-        .calibrated(&[10])
-        .unwrap_or_else(|err| {
-            eprintln!("aging-sweep calibration failed: {err}");
-            std::process::exit(2);
-        });
+    // probe runs once, when the plan is built (`SweepPlan::new`), so the
+    // rate is pinned to the load and cannot drift if axes are added or
+    // reordered.
+    let plan = SweepPlan::new(
+        "",
+        args.fleet_config(),
+        &[10],
+        args.rate_hz,
+        args.sim_config(WorkloadMode::Open),
+    )
+    .unwrap_or_else(|err| {
+        eprintln!("aging-sweep calibration failed: {err}");
+        std::process::exit(2);
+    })
+    .seeds(vec![args.seed])
+    .loads(vec![1.25]);
 
     let weights = [0.0, 0.01, 0.03, DEFAULT_AGING_WEIGHT, 0.3, 1.0];
     // The aging weight is the scheduler axis: f64 `Display` round-trips
@@ -1419,22 +1425,20 @@ fn slo(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     // calibrated against the *mean* warm service over the grid's sizes —
     // calibrating on one mid size would make nominal load 1.0 quietly
     // super-critical and saturate long runs into all-miss ties.  The probe
-    // is hoisted into the plan (`SweepPlan::calibrated`): one calibration
-    // per fleet, every cell's rate derived from the stored value.
+    // runs once, when the plan is built (`SweepPlan::new`), and every
+    // cell's rate is derived from the stored value.
     let grid_sizes = [12usize, 14, 20, 22, 28, 30, 34, 36];
     let loads = [0.6, 1.1];
     let factors = [6.0, 12.0]; // tight vs loose proportional slack
     let victim_jobs = (args.jobs / 2).max(10);
     let config = args.sim_config(WorkloadMode::Open);
-    let plan = SweepPlan::new(args.rate_hz, args.qpus, config)
-        .seeds(vec![args.seed])
-        .fleets(vec![(String::new(), args.fleet_config())])
-        .loads(loads.to_vec())
-        .calibrated(&grid_sizes)
+    let plan = SweepPlan::new("", args.fleet_config(), &grid_sizes, args.rate_hz, config)
         .unwrap_or_else(|err| {
             eprintln!("slo calibration failed: {err}");
             std::process::exit(2);
-        });
+        })
+        .seeds(vec![args.seed])
+        .loads(loads.to_vec());
 
     println!(
         "# cluster_sim slo: 2 tenants x {victim_jobs} jobs, {} {} QPUs, seed {}, \
@@ -1486,7 +1490,7 @@ fn slo(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                     weight: 1.0,
                     jobs: victim_jobs,
                     arrivals: ArrivalProcess::Poisson {
-                        rate_hz: plan.rate_for(0, loads[1]) / 4.0,
+                        rate_hz: plan.rate_for(loads[1]) / 4.0,
                     },
                     mix: vec![(
                         1.0,
@@ -1503,7 +1507,7 @@ fn slo(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                     weight: 1.0,
                     jobs: victim_jobs * 3,
                     arrivals: ArrivalProcess::Poisson {
-                        rate_hz: 3.0 * plan.rate_for(0, loads[1]) / 4.0,
+                        rate_hz: 3.0 * plan.rate_for(loads[1]) / 4.0,
                     },
                     mix: vec![(
                         1.0,
@@ -1706,7 +1710,7 @@ const SWEEP_CELL_NUM_KEYS: &[&str] = &[
 /// `--mode sweep`: the deterministic experiment runner exposed directly.
 /// Expands an explicit seed × load × policy grid over the
 /// aggressor/victim composition through [`SweepPlan`] (arrival rates
-/// calibrated once per fleet, so axis order cannot move a cell's rate) and
+/// calibrated once per plan, so axis order cannot move a cell's rate) and
 /// executes it cell by cell.  Emits a schema-stable [`SWEEP_SCHEMA`]
 /// document with per-cell rows and merged sketch percentiles and **no
 /// wall-clock fields** — byte-identical from run to run — then re-reads
@@ -1728,15 +1732,19 @@ fn sweep_mode(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     let asymmetry = 3.0;
     let victim_jobs = (args.jobs / 4).max(10);
 
-    let plan = SweepPlan::new(args.rate_hz, args.qpus, args.sim_config(WorkloadMode::Open))
-        .seeds(seeds.clone())
-        .fleets(vec![(args.fleet.clone(), args.fleet_config())])
-        .loads(loads.clone())
-        .calibrated(&[16, 20, 24])
-        .unwrap_or_else(|err| {
-            eprintln!("sweep calibration failed: {err}");
-            std::process::exit(2);
-        });
+    let plan = SweepPlan::new(
+        args.fleet.clone(),
+        args.fleet_config(),
+        &[16, 20, 24],
+        args.rate_hz,
+        args.sim_config(WorkloadMode::Open),
+    )
+    .unwrap_or_else(|err| {
+        eprintln!("sweep calibration failed: {err}");
+        std::process::exit(2);
+    })
+    .seeds(seeds.clone())
+    .loads(loads.clone());
     let cells = plan.expand(
         &[(String::new(), ())],
         &scheduler_names,
@@ -1876,7 +1884,7 @@ fn sweep_mode(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                     .map(|&load| {
                         JsonValue::object([
                             ("load", JsonValue::from(load)),
-                            ("rate_hz", JsonValue::from(plan.rate_for(0, load))),
+                            ("rate_hz", JsonValue::from(plan.rate_for(load))),
                         ])
                     })
                     .collect(),

@@ -91,9 +91,9 @@ pub trait AdmissionController {
     fn admit(&mut self, job: &Job, ctx: &AdmissionContext, now: f64) -> AdmissionDecision;
 }
 
-/// The open-door controller: every job is accepted.  This is the implicit
-/// controller of [`crate::sim::simulate`], preserving the single-tenant
-/// behavior of earlier revisions.
+/// The open-door controller: every job is accepted.  Built from
+/// [`crate::sweep::AdmissionSpec::AdmitAll`], the admission of every
+/// [`crate::sweep::SweepPlan`] cell.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AdmitAll;
 

@@ -5,14 +5,16 @@
 //! could never exhibit the hit-rate cliff that appears when the working set
 //! of topologies outgrows what a device can hold.  [`WarmCache`] makes the
 //! capacity finite and delegates the victim choice to an
-//! [`EvictionPolicy`]:
+//! [`EvictionPolicyKind`]:
 //!
-//! * [`Lru`] — evict the least-recently-used topology, the classic default.
-//! * [`CostAware`] — evict the topology with the *smallest* predicted
-//!   re-embed cost (the cheapest entry to re-warm, as priced by
-//!   [`split_exec::CostModel`] at insertion time).  When topologies differ
-//!   in logical problem size, the embed cost spans orders of magnitude
-//!   (∝ LPS³), so protecting the expensive entries beats pure recency.
+//! * [`EvictionPolicyKind::Lru`] — evict the least-recently-used topology,
+//!   the classic default.
+//! * [`EvictionPolicyKind::CostAware`] — evict the topology with the
+//!   *smallest* predicted re-embed cost (the cheapest entry to re-warm, as
+//!   priced by [`split_exec::CostModel`] at insertion time).  When
+//!   topologies differ in logical problem size, the embed cost spans orders
+//!   of magnitude (∝ LPS³), so protecting the expensive entries beats pure
+//!   recency.
 //!
 //! Determinism: the cache keeps its entries in a plain `Vec` in insertion
 //! order, recency is a monotone counter bumped on every touch, and every
@@ -37,75 +39,16 @@ pub struct CacheEntry {
     pub reembed_seconds: f64,
 }
 
-/// Chooses which resident entry a full cache sacrifices.
-///
-/// Implementations must be deterministic: given the same entries (in the
-/// same order) they must return the same victim index.
-pub trait EvictionPolicy: std::fmt::Debug {
-    /// Stable policy name used in reports and CLI surfaces.
-    fn name(&self) -> &'static str;
-
-    /// Index of the entry to evict; `entries` is never empty.
-    fn victim(&self, entries: &[CacheEntry]) -> usize;
-}
-
-/// Least-recently-used eviction.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Lru;
-
-impl EvictionPolicy for Lru {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
-    fn victim(&self, entries: &[CacheEntry]) -> usize {
-        entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| (e.last_use, e.key))
-            .map(|(i, _)| i)
-            // sx-lint: allow(A002) -- same contract as the H003 allow below: unreachable on a non-empty cache
-            // sx-lint: allow(H003) -- EvictionPolicy::victim contract: `entries` is never empty
-            .expect("victim() called on an empty cache")
-    }
-}
-
-/// Cost-aware eviction: sacrifice the entry that is cheapest to re-warm.
-///
-/// Ties (identical predicted re-embed cost, e.g. equal-sized topologies on
-/// one device) fall back to LRU order.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CostAware;
-
-impl EvictionPolicy for CostAware {
-    fn name(&self) -> &'static str {
-        "cost-aware"
-    }
-
-    fn victim(&self, entries: &[CacheEntry]) -> usize {
-        entries
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.reembed_seconds
-                    .total_cmp(&b.reembed_seconds)
-                    .then(a.last_use.cmp(&b.last_use))
-                    .then(a.key.cmp(&b.key))
-            })
-            .map(|(i, _)| i)
-            // sx-lint: allow(A002) -- same contract as the H003 allow below: unreachable on a non-empty cache
-            // sx-lint: allow(H003) -- EvictionPolicy::victim contract: `entries` is never empty
-            .expect("victim() called on an empty cache")
-    }
-}
-
-/// Eviction-policy selection by name, for configuration and CLI surfaces.
+/// Which resident entry a full cache sacrifices; also the policy's name
+/// for configuration and CLI surfaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicyKind {
-    /// [`Lru`].
+    /// Least-recently-used eviction.
     #[default]
     Lru,
-    /// [`CostAware`].
+    /// Cost-aware eviction: sacrifice the entry that is cheapest to
+    /// re-warm.  Ties (identical predicted re-embed cost, e.g. equal-sized
+    /// topologies on one device) fall back to LRU order.
     CostAware,
 }
 
@@ -115,20 +58,34 @@ impl EvictionPolicyKind {
         [EvictionPolicyKind::Lru, EvictionPolicyKind::CostAware]
     }
 
-    /// Instantiate the policy.
-    pub fn build(&self) -> Box<dyn EvictionPolicy> {
-        match self {
-            EvictionPolicyKind::Lru => Box::new(Lru),
-            EvictionPolicyKind::CostAware => Box::new(CostAware),
-        }
-    }
-
     /// The policy's stable name.
     pub fn name(&self) -> &'static str {
         match self {
             EvictionPolicyKind::Lru => "lru",
             EvictionPolicyKind::CostAware => "cost-aware",
         }
+    }
+
+    /// Index of the entry to evict; `entries` is never empty.  The same
+    /// entries in the same order always give the same victim: LRU breaks
+    /// ties by `(last_use, key)`, cost-aware orders by re-embed cost
+    /// (`total_cmp`), then `last_use`, then `key`.
+    pub fn victim(&self, entries: &[CacheEntry]) -> usize {
+        let candidates = entries.iter().enumerate();
+        let victim = match self {
+            EvictionPolicyKind::Lru => candidates.min_by_key(|(_, e)| (e.last_use, e.key)),
+            EvictionPolicyKind::CostAware => candidates.min_by(|(_, a), (_, b)| {
+                a.reembed_seconds
+                    .total_cmp(&b.reembed_seconds)
+                    .then(a.last_use.cmp(&b.last_use))
+                    .then(a.key.cmp(&b.key))
+            }),
+        };
+        victim
+            .map(|(i, _)| i)
+            // sx-lint: allow(A002) -- same contract as the H003 allow below: unreachable on a non-empty cache
+            // sx-lint: allow(H003) -- victim contract: `entries` is never empty
+            .expect("victim() called on an empty cache")
     }
 }
 
@@ -258,7 +215,7 @@ pub(crate) type KeySet<K> = HashSet<K, BuildHasherDefault<KeyHasher>>;
 #[derive(Debug)]
 pub struct WarmCache {
     capacity: Option<usize>,
-    policy: Box<dyn EvictionPolicy>,
+    policy: EvictionPolicyKind,
     admission: AdmissionPolicy,
     entries: Vec<CacheEntry>,
     /// Mirror of the resident keys: `contains` is on the schedulers' hot
@@ -285,7 +242,7 @@ impl WarmCache {
         let slots = capacity.unwrap_or(0);
         Self {
             capacity,
-            policy: policy.build(),
+            policy,
             admission: AdmissionPolicy::default(),
             entries: Vec::with_capacity(slots),
             resident: KeySet::with_capacity_and_hasher(slots, BuildHasherDefault::default()),
@@ -342,11 +299,6 @@ impl WarmCache {
     /// The active admission policy.
     pub fn admission(&self) -> AdmissionPolicy {
         self.admission
-    }
-
-    /// The active eviction policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// The resident entries, in insertion order.
@@ -478,7 +430,6 @@ mod tests {
                              // Even though 1 is older, the cheap entry is sacrificed.
         assert_eq!(c.insert(3, 20, 10.0), Some(2));
         assert!(c.contains(1));
-        assert_eq!(c.policy_name(), "cost-aware");
     }
 
     #[test]
@@ -570,7 +521,6 @@ mod tests {
         assert!("fancy".parse::<EvictionPolicyKind>().is_err());
         for kind in EvictionPolicyKind::all() {
             assert_eq!(kind.to_string(), kind.name());
-            assert_eq!(kind.build().name(), kind.name());
         }
     }
 }

@@ -17,7 +17,7 @@
 //! * a per-device *warm set* — the interaction topologies whose embeddings
 //!   this device has already computed, held in a **bounded**
 //!   [`WarmCache`] with pluggable eviction
-//!   ([`crate::cache::EvictionPolicy`]); finite embedding-table capacity is
+//!   ([`crate::cache::EvictionPolicyKind`]); finite embedding-table capacity is
 //!   what produces the hit-rate cliff the `cache-cliff` sweep measures.
 //!
 //! The capacity bound uses the clique-minor fact that pristine

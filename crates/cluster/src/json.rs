@@ -657,20 +657,26 @@ mod tests {
     #[test]
     fn report_exports_headline_and_tenants() {
         use crate::prelude::*;
-        use split_exec::SplitExecConfig;
+        use std::sync::Arc;
 
-        let workload =
-            crate::tenant::MultiTenantSpec::aggressor_victim(5, 0.5, 2.0, 1.0, 3).generate();
-        let fleet = Fleet::new(
-            FleetConfig {
+        let workload = MultiTenantSpec::aggressor_victim(5, 0.5, 2.0, 1.0, 3).generate();
+        let cell = CellSpec {
+            label: "wfq".to_string(),
+            seed: 3,
+            fleet: FleetConfig {
                 qpus: 2,
                 seed: 3,
                 ..FleetConfig::default()
             },
-            SplitExecConfig::with_seed(3),
-        );
-        let mut policy = WeightedFairQueue::new();
-        let report = simulate(fleet, &workload, &mut policy, SimConfig::default());
+            scheduler: SchedulerSpec::WeightedFair {
+                weights: Vec::new(),
+                lane_order: LaneOrder::default(),
+            },
+            admission: AdmissionSpec::AdmitAll,
+            config: SimConfig::default(),
+            workload: Arc::new(workload),
+        };
+        let report = run_cell(0, &cell, &mut NullSink).report;
         let json = report.to_json();
         assert_eq!(json.get("policy"), Some(&JsonValue::from("wfq")));
         assert_eq!(json.get("jobs"), Some(&JsonValue::from(report.jobs)));

@@ -18,9 +18,9 @@
 //!   Vesuvius-class devices differ in lattice size, and therefore in both
 //!   embedding capacity and per-stage timing.
 //! * [`cache`] — finite embedding-table capacity: each device's warm set is
-//!   a bounded [`WarmCache`] behind the [`EvictionPolicy`] trait, with
-//!   [`Lru`] and [`CostAware`] (evict the topology cheapest to re-embed,
-//!   priced by [`split_exec::CostModel`]) shipping.  Warm hits refresh
+//!   a bounded [`WarmCache`] whose [`EvictionPolicyKind`] picks the victim:
+//!   LRU, or cost-aware (evict the topology cheapest to re-embed, priced by
+//!   [`split_exec::CostModel`]).  Warm hits refresh
 //!   recency; capacity below the workload's topology diversity produces the
 //!   hit-rate cliff the `cache-cliff` sweep maps.
 //! * [`workload`] — seeded open workloads (Poisson, bursty) over real
@@ -53,7 +53,9 @@
 //!   fair share keeps its latency no matter how hard another tenant floods
 //!   the fleet, while tight-deadline jobs still jump their own lane.
 //!   [`SchedulerSpec`] names a policy with its knobs and builds it.
-//! * [`sim`] — the engine; [`metrics`] — latency percentiles
+//! * [`sim`] — the engine; [`sweep`] — [`CellSpec`], the one description
+//!   of a run, and [`run_cell`], the one entry point every run goes
+//!   through; [`metrics`] — latency percentiles
 //!   (via [`quantum_anneal::stats::percentile`]), per-stage breakdown,
 //!   per-QPU utilization and cache behavior (hit rate, evictions),
 //!   queue-depth and hit-rate-vs-capacity series ([`CacheCliffSeries`]),
@@ -80,13 +82,22 @@
 //! (stage 1 ≫ stage 2) for every policy.
 //!
 //! ```
+//! use std::sync::Arc;
 //! use sx_cluster::prelude::*;
-//! use split_exec::SplitExecConfig;
 //!
-//! let workload = WorkloadSpec::repeated_topologies(30, 0.05, 7).generate();
-//! let fleet = Fleet::new(FleetConfig::default(), SplitExecConfig::with_seed(7));
-//! let mut policy = SchedulerSpec::CacheAffinity.build();
-//! let report = simulate(fleet, &workload, policy.as_mut(), SimConfig::default());
+//! let cell = CellSpec {
+//!     label: "affinity".to_string(),
+//!     seed: 7,
+//!     fleet: FleetConfig {
+//!         seed: 7,
+//!         ..FleetConfig::default()
+//!     },
+//!     scheduler: SchedulerSpec::CacheAffinity,
+//!     admission: AdmissionSpec::AdmitAll,
+//!     config: SimConfig::default(),
+//!     workload: Arc::new(WorkloadSpec::repeated_topologies(30, 0.05, 7).generate()),
+//! };
+//! let report = run_cell(0, &cell, &mut NullSink).report;
 //! assert_eq!(report.completed + report.rejected, 30);
 //! assert!(report.stage1_fraction() > 0.9); // the paper's headline, fleet-scale
 //! println!("{report}");
@@ -113,43 +124,7 @@ pub mod telemetry;
 pub mod tenant;
 pub mod workload;
 
-pub use admission::{
-    AdmissionContext, AdmissionController, AdmissionDecision, AdmitAll, TokenBucket,
-    TokenBucketConfig,
-};
-pub use cache::{AdmissionPolicy, CostAware, EvictionPolicy, EvictionPolicyKind, Lru, WarmCache};
-pub use event::{Event, EventKind, EventQueue};
-pub use fleet::{Fleet, FleetConfig, QpuDevice};
-pub use job::{Job, JobRecord};
-pub use json::JsonValue;
-pub use metrics::{
-    jains_index, CacheCliffSeries, CachePoint, LatencyStats, QpuStats, SimReport, TenantStats,
-};
-pub use replay::{
-    check_replay, fleet_fingerprint, parse_arrival_trace, parse_flight_record,
-    render_arrival_trace, workload_digest, FlightRecord, RecordedRun, RecorderSink, ReplayCheck,
-    ReplayError, ARRIVAL_SCHEMA, FLIGHT_SCHEMA,
-};
-pub use scheduler::{
-    CacheAffinity, EarliestDeadlineFirst, Fifo, LaneOrder, Scheduler, SchedulerSpec,
-    ShortestPredictedFirst, WeightedFairQueue,
-};
-pub use sim::{
-    simulate, simulate_with_admission, simulate_with_telemetry, PercentileMode, SimConfig,
-    TraceRecord, WorkloadMode,
-};
-pub use sweep::{
-    run_cell, run_sweep, AdmissionSpec, CellResult, CellSpec, MergedAggregates, RateCalibration,
-    SweepOutcome, SweepPlan,
-};
-pub use telemetry::{
-    FanoutSink, HostStopwatch, JsonlSink, MetricsRegistry, NullSink, PerfettoSink, SimSeries,
-    StreamingHistogram, TraceSink, VecSink,
-};
-pub use tenant::{MultiTenantSpec, TenantId, TenantMeta, TenantSpec};
-pub use workload::{
-    ArrivalProcess, DeadlinePolicy, FamilySpec, Workload, WorkloadError, WorkloadSpec,
-};
+pub use prelude::*;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
@@ -157,9 +132,7 @@ pub mod prelude {
         AdmissionContext, AdmissionController, AdmissionDecision, AdmitAll, TokenBucket,
         TokenBucketConfig,
     };
-    pub use crate::cache::{
-        AdmissionPolicy, CostAware, EvictionPolicy, EvictionPolicyKind, Lru, WarmCache,
-    };
+    pub use crate::cache::{AdmissionPolicy, EvictionPolicyKind, WarmCache};
     pub use crate::event::{Event, EventKind, EventQueue};
     pub use crate::fleet::{Fleet, FleetConfig, QpuDevice};
     pub use crate::job::{Job, JobRecord};
@@ -177,8 +150,7 @@ pub mod prelude {
         ShortestPredictedFirst, WeightedFairQueue,
     };
     pub use crate::sim::{
-        simulate, simulate_with_admission, simulate_with_telemetry, PercentileMode, SimConfig,
-        TraceRecord, WorkloadMode,
+        simulate_with_telemetry, PercentileMode, SimConfig, TraceRecord, WorkloadMode,
     };
     pub use crate::sweep::{
         run_cell, run_sweep, AdmissionSpec, CellResult, CellSpec, MergedAggregates,
@@ -201,45 +173,77 @@ mod determinism_tests {
     //! metrics.
 
     use crate::prelude::*;
-    use split_exec::SplitExecConfig;
+    use std::sync::Arc;
 
-    fn run(policy: &SchedulerSpec, seed: u64) -> SimReport {
+    /// A cell on `fleet` (seeded by the fleet's own seed), admitting every
+    /// arrival in open mode.
+    pub(super) fn cell(
+        fleet: FleetConfig,
+        scheduler: SchedulerSpec,
+        workload: Workload,
+    ) -> CellSpec {
+        CellSpec {
+            label: scheduler.name().to_string(),
+            seed: fleet.seed,
+            fleet,
+            scheduler,
+            admission: AdmissionSpec::AdmitAll,
+            config: SimConfig::default(),
+            workload: Arc::new(workload),
+        }
+    }
+
+    pub(super) fn fleet(qpus: usize, seed: u64) -> FleetConfig {
+        FleetConfig {
+            qpus,
+            seed,
+            ..FleetConfig::default()
+        }
+    }
+
+    /// The cell's report and its full event trace.
+    fn traced(spec: &CellSpec) -> (SimReport, Vec<TraceRecord>) {
+        let mut sink = VecSink::new();
+        let report = run_cell(0, spec, &mut sink).report;
+        (report, sink.into_trace())
+    }
+
+    /// Weighted fair queueing with the workload's own tenant weights.
+    fn wfq(workload: &Workload) -> SchedulerSpec {
+        SchedulerSpec::WeightedFair {
+            weights: workload.weights(),
+            lane_order: LaneOrder::default(),
+        }
+    }
+
+    fn run(policy: &SchedulerSpec, seed: u64) -> (SimReport, Vec<TraceRecord>) {
         // Rate ~1 job/s against ~1–4 s services keeps several devices busy,
         // so policies genuinely differ (at negligible load every policy
         // collapses onto device 0).
         let workload = WorkloadSpec::repeated_topologies(35, 1.0, seed).generate();
-        let fleet = Fleet::new(
-            FleetConfig {
-                qpus: 3,
-                seed,
-                ..FleetConfig::default()
-            },
-            SplitExecConfig::with_seed(seed),
-        );
-        let mut scheduler = policy.build();
-        simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default())
+        traced(&cell(fleet(3, seed), policy.clone(), workload))
     }
 
     #[test]
     fn same_seed_gives_bit_identical_trace_and_metrics() {
         for policy in SchedulerSpec::all() {
-            let a = run(&policy, 17);
-            let b = run(&policy, 17);
-            // PartialEq over the full report covers the trace, every f64
-            // metric and every per-job record; equality of f64s produced by
-            // the same deterministic computation is bit-identity.
-            assert_eq!(a, b, "policy {policy} diverged across identical runs");
-            for (ta, tb) in a.trace.iter().zip(&b.trace) {
-                assert_eq!(ta, tb);
-            }
+            // PartialEq over the full report and trace covers every f64
+            // metric, every per-job record and every trace record;
+            // equality of f64s produced by the same deterministic
+            // computation is bit-identity.
+            assert_eq!(
+                run(&policy, 17),
+                run(&policy, 17),
+                "policy {policy} diverged across identical runs"
+            );
         }
     }
 
     #[test]
     fn different_seeds_diverge() {
-        let a = run(&SchedulerSpec::Fifo, 1);
-        let b = run(&SchedulerSpec::Fifo, 2);
-        assert_ne!(a.trace, b.trace);
+        let (_, a) = run(&SchedulerSpec::Fifo, 1);
+        let (_, b) = run(&SchedulerSpec::Fifo, 2);
+        assert_ne!(a, b);
     }
 
     #[test]
@@ -249,23 +253,14 @@ mod determinism_tests {
         for eviction in EvictionPolicyKind::all() {
             let run = |seed: u64| {
                 let workload = WorkloadSpec::repeated_topologies(35, 1.0, seed).generate();
-                let fleet = Fleet::new(
-                    FleetConfig {
-                        qpus: 3,
-                        seed,
-                        ..FleetConfig::default()
-                    }
-                    .with_cache(1, eviction),
-                    SplitExecConfig::with_seed(seed),
-                );
                 // FIFO routes by queue position alone, so every device sees
                 // every topology: at capacity 1 the bound must bind.
-                let mut scheduler = SchedulerSpec::Fifo.build();
-                simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default())
+                let fleet = fleet(3, seed).with_cache(1, eviction);
+                traced(&cell(fleet, SchedulerSpec::Fifo, workload))
             };
             let a = run(29);
-            let b = run(29);
-            assert_eq!(a, b, "{eviction} eviction broke determinism");
+            assert_eq!(a, run(29), "{eviction} eviction broke determinism");
+            let (a, _) = a;
             assert!(a.evictions() > 0, "{eviction}: no evictions at capacity 1");
             for qpu in &a.per_qpu {
                 assert!(qpu.warm_topologies <= 1);
@@ -280,37 +275,30 @@ mod determinism_tests {
         // machine — same seed ⇒ bit-identical report, trace included.
         let run = |seed: u64| {
             let workload = MultiTenantSpec::aggressor_victim(10, 0.6, 5.0, 2.0, seed).generate();
-            let fleet = Fleet::new(
-                FleetConfig {
-                    qpus: 3,
-                    seed,
-                    ..FleetConfig::default()
+            traced(&CellSpec {
+                admission: AdmissionSpec::TokenBucket {
+                    default: TokenBucketConfig {
+                        rate_hz: 2.0,
+                        burst: 3.0,
+                        max_queue_depth: 8,
+                        max_defer_seconds: 50.0,
+                        ..TokenBucketConfig::default()
+                    },
+                    per_tenant: Vec::new(),
                 },
-                SplitExecConfig::with_seed(seed),
-            );
-            let mut scheduler = WeightedFairQueue::for_workload(&workload);
-            let mut admission = TokenBucket::new(TokenBucketConfig {
-                rate_hz: 2.0,
-                burst: 3.0,
-                max_queue_depth: 8,
-                max_defer_seconds: 50.0,
-                ..TokenBucketConfig::default()
-            });
-            simulate_with_admission(
-                fleet,
-                &workload,
-                &mut scheduler,
-                &mut admission,
-                SimConfig::default(),
-            )
+                ..cell(fleet(3, seed), wfq(&workload), workload)
+            })
         };
         let a = run(31);
-        let b = run(31);
-        assert_eq!(a, b, "multi-tenant run diverged across identical seeds");
-        assert_ne!(a.trace, run(32).trace);
+        assert_eq!(
+            a,
+            run(31),
+            "multi-tenant run diverged across identical seeds"
+        );
+        assert_ne!(a.1, run(32).1);
         // The scenario actually exercises the new machinery.
-        assert_eq!(a.per_tenant.len(), 2);
-        assert_eq!(a.admission, "token-bucket");
+        assert_eq!(a.0.per_tenant.len(), 2);
+        assert_eq!(a.0.admission, "token-bucket");
     }
 
     #[test]
@@ -322,32 +310,23 @@ mod determinism_tests {
             let workload = MultiTenantSpec::aggressor_victim(12, 0.8, 4.0, 1.0, seed)
                 .with_uniform_deadlines(DeadlinePolicy::ProportionalSlack { factor: 3.0 })
                 .generate();
-            let fleet = Fleet::new(
-                FleetConfig {
-                    qpus: 3,
-                    seed,
-                    ..FleetConfig::default()
+            traced(&CellSpec {
+                admission: AdmissionSpec::TokenBucket {
+                    default: TokenBucketConfig {
+                        shed_infeasible: true,
+                        ..TokenBucketConfig::default()
+                    },
+                    per_tenant: Vec::new(),
                 },
-                SplitExecConfig::with_seed(seed),
-            );
-            let mut scheduler = WeightedFairQueue::for_workload(&workload);
-            let mut admission = TokenBucket::new(TokenBucketConfig {
-                shed_infeasible: true,
-                ..TokenBucketConfig::default()
-            });
-            simulate_with_admission(
-                fleet,
-                &workload,
-                &mut scheduler,
-                &mut admission,
-                SimConfig::default(),
-            )
+                ..cell(fleet(3, seed), wfq(&workload), workload)
+            })
         };
         let a = run(41);
         assert_eq!(a, run(41), "deadline run diverged across identical seeds");
-        assert_ne!(a.trace, run(42).trace);
+        assert_ne!(a.1, run(42).1);
         // The run exercises the new machinery: every completed job carries
         // a deadline and the lateness summary is populated.
+        let (a, _) = a;
         assert_eq!(a.slo_jobs(), a.completed);
         assert!(a.lateness.percentiles_ordered());
     }
@@ -358,8 +337,8 @@ mod determinism_tests {
         // cache-affinity policy completes the same workload with lower mean
         // latency than FIFO, because it pays ~one cold embed per topology
         // instead of ~one per (topology, device) pair.
-        let fifo = run(&SchedulerSpec::Fifo, 23);
-        let affinity = run(&SchedulerSpec::CacheAffinity, 23);
+        let (fifo, _) = run(&SchedulerSpec::Fifo, 23);
+        let (affinity, _) = run(&SchedulerSpec::CacheAffinity, 23);
         assert_eq!(fifo.jobs, affinity.jobs);
         assert!(affinity.cold_misses() < fifo.cold_misses());
         assert!(
@@ -370,25 +349,19 @@ mod determinism_tests {
         );
     }
 }
-
 #[cfg(test)]
 mod proptests {
+    use super::determinism_tests::{cell, fleet};
     use crate::prelude::*;
     use proptest::prelude::*;
-    use split_exec::SplitExecConfig;
+
+    fn report(spec: &CellSpec) -> SimReport {
+        run_cell(0, spec, &mut NullSink).report
+    }
 
     fn run_fifo(seed: u64, jobs: usize, qpus: usize) -> SimReport {
         let workload = WorkloadSpec::repeated_topologies(jobs, 0.05, seed).generate();
-        let fleet = Fleet::new(
-            FleetConfig {
-                qpus,
-                seed,
-                ..FleetConfig::default()
-            },
-            SplitExecConfig::with_seed(seed),
-        );
-        let mut scheduler = SchedulerSpec::Fifo.build();
-        simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default())
+        report(&cell(fleet(qpus, seed), SchedulerSpec::Fifo, workload))
     }
 
     proptest! {
@@ -437,13 +410,8 @@ mod proptests {
             };
             for policy in SchedulerSpec::all() {
                 let workload = WorkloadSpec::repeated_topologies(20, 1.0, seed).generate();
-                let fleet = Fleet::new(
-                    FleetConfig { qpus: 2, seed, ..FleetConfig::default() }
-                        .with_cache(capacity, eviction),
-                    SplitExecConfig::with_seed(seed),
-                );
-                let mut scheduler = policy.build();
-                let report = simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default());
+                let fleet = fleet(2, seed).with_cache(capacity, eviction);
+                let report = report(&cell(fleet, policy, workload));
                 prop_assert_eq!(report.completed + report.rejected, report.jobs);
                 for qpu in &report.per_qpu {
                     prop_assert!(
@@ -461,12 +429,7 @@ mod proptests {
         fn jobs_are_conserved(seed in 0u64..200) {
             for policy in SchedulerSpec::all() {
                 let workload = WorkloadSpec::mixed(12, 0.1, seed).generate();
-                let fleet = Fleet::new(
-                    FleetConfig { qpus: 2, seed, ..FleetConfig::default() },
-                    SplitExecConfig::with_seed(seed),
-                );
-                let mut scheduler = policy.build();
-                let report = simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default());
+                let report = report(&cell(fleet(2, seed), policy, workload));
                 prop_assert_eq!(report.completed + report.rejected, report.jobs);
                 prop_assert_eq!(report.records.len(), report.completed);
             }
@@ -490,12 +453,11 @@ mod proptests {
                 seed,
             )
             .generate();
-            let fleet = Fleet::new(
-                FleetConfig { qpus: 2, seed, ..FleetConfig::default() },
-                SplitExecConfig::with_seed(seed),
-            );
-            let mut scheduler = WeightedFairQueue::for_workload(&workload);
-            let report = simulate(fleet, &workload, &mut scheduler, SimConfig::default());
+            let wfq = SchedulerSpec::WeightedFair {
+                weights: workload.weights(),
+                lane_order: LaneOrder::default(),
+            };
+            let report = report(&cell(fleet(2, seed), wfq, workload));
             // No admission gate and feasible sizes: everything completes.
             prop_assert_eq!(report.rejected, 0);
             prop_assert_eq!(report.completed, report.jobs);
@@ -526,12 +488,7 @@ mod proptests {
                 lane_order: LaneOrder::default(),
             };
             for policy in [SchedulerSpec::Fifo, wfq] {
-                let fleet = Fleet::new(
-                    FleetConfig { qpus: 2, seed, ..FleetConfig::default() },
-                    SplitExecConfig::with_seed(seed),
-                );
-                let mut scheduler = policy.build();
-                let report = simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default());
+                let report = report(&cell(fleet(2, seed), policy, workload.clone()));
                 prop_assert!(report.latency.percentiles_ordered());
                 prop_assert!(report.wait.percentiles_ordered());
                 for tenant in &report.per_tenant {

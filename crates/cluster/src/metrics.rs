@@ -8,10 +8,9 @@
 //! pipeline or a simulated datacenter.
 
 use crate::job::JobRecord;
-use crate::sim::TraceRecord;
 use crate::telemetry::StreamingHistogram;
 use crate::tenant::TenantId;
-use quantum_anneal::stats::{percentile_sorted, Histogram};
+use quantum_anneal::stats::percentile_sorted;
 use split_exec::offline_cache::CacheStats;
 use split_exec::BatchSummary;
 use std::fmt;
@@ -64,9 +63,8 @@ impl LatencyStats {
     ///
     /// `min`/`max`/`mean` are tracked exactly by the sketch; the quantiles
     /// carry its documented relative-error bound
-    /// ([`StreamingHistogram::relative_error_bound`]).  This is the
-    /// retention-free path behind
-    /// [`crate::sim::PercentileMode::Sketch`].
+    /// ([`StreamingHistogram::relative_error_bound`]).  This is the path
+    /// behind [`crate::sim::PercentileMode::Sketch`].
     pub fn from_sketch(sketch: &StreamingHistogram) -> Self {
         Self {
             mean: sketch.mean(),
@@ -247,9 +245,6 @@ pub struct SimReport {
     pub queue_depth: Vec<(f64, usize)>,
     /// Per-job records in completion order.
     pub records: Vec<JobRecord>,
-    /// The full deterministic event trace (fired events, dispatches,
-    /// rejections, in order).
-    pub trace: Vec<TraceRecord>,
 }
 
 impl SimReport {
@@ -382,12 +377,6 @@ impl SimReport {
         } else {
             self.slo_misses() as f64 / jobs as f64
         }
-    }
-
-    /// Histogram of end-to-end latencies with `bins` uniform bins.
-    pub fn latency_histogram(&self, bins: usize) -> Histogram {
-        let latencies: Vec<f64> = self.records.iter().map(|r| r.latency_seconds()).collect();
-        Histogram::from_samples(&latencies, bins)
     }
 
     /// Export the run in the shared batch-report format
@@ -668,7 +657,6 @@ mod tests {
             per_tenant: vec![tenant_stats(0, 1.0, 4.0)],
             queue_depth: vec![(0.0, 1), (2.0, 2), (5.0, 0)],
             records,
-            trace: Vec::new(),
         }
     }
 
@@ -844,12 +832,5 @@ mod tests {
         assert!(text.contains("policy fifo"));
         assert!(text.contains("stage-1 share"));
         assert!(text.contains("max queue depth 2"));
-    }
-
-    #[test]
-    fn latency_histogram_counts_all_jobs() {
-        let h = report().latency_histogram(4);
-        assert_eq!(h.count, 2);
-        assert_eq!(h.bins.iter().sum::<u64>(), 2);
     }
 }

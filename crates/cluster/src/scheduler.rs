@@ -56,7 +56,6 @@ use std::hash::BuildHasherDefault;
 use crate::cache::KeySet;
 use crate::fleet::{Fleet, QpuDevice};
 use crate::job::Job;
-use crate::workload::Workload;
 
 /// A scheduling policy.
 ///
@@ -461,16 +460,29 @@ pub enum LaneOrder {
 /// position, device ties by id, and all state lives on the virtual clock.
 ///
 /// ```
+/// use std::sync::Arc;
 /// use sx_cluster::prelude::*;
-/// use split_exec::SplitExecConfig;
 ///
 /// // Two tenants, the aggressor arriving 6x faster than the victim.
 /// let workload = MultiTenantSpec::aggressor_victim(8, 0.5, 6.0, 1.0, 7).generate();
-/// let fleet = Fleet::new(FleetConfig::default(), SplitExecConfig::with_seed(7));
 ///
 /// // Weights come from the workload's tenant metadata.
-/// let mut wfq = WeightedFairQueue::for_workload(&workload);
-/// let report = simulate(fleet, &workload, &mut wfq, SimConfig::default());
+/// let cell = CellSpec {
+///     label: "wfq".to_string(),
+///     seed: 7,
+///     fleet: FleetConfig {
+///         seed: 7,
+///         ..FleetConfig::default()
+///     },
+///     scheduler: SchedulerSpec::WeightedFair {
+///         weights: workload.weights(),
+///         lane_order: LaneOrder::default(),
+///     },
+///     admission: AdmissionSpec::AdmitAll,
+///     config: SimConfig::default(),
+///     workload: Arc::new(workload),
+/// };
+/// let report = run_cell(0, &cell, &mut NullSink).report;
 ///
 /// // Fair queueing completes every tenant's jobs — the flood cannot
 /// // starve the victim's lane.
@@ -518,12 +530,6 @@ impl WeightedFairQueue {
             virtual_time: 0.0,
             lane_order: LaneOrder::default(),
         }
-    }
-
-    /// Weights taken from the workload's tenant metadata — the usual way to
-    /// build the policy for a [`crate::tenant::MultiTenantSpec`] stream.
-    pub fn for_workload(workload: &Workload) -> Self {
-        Self::with_weights(workload.weights())
     }
 
     /// Override the in-lane ordering ([`LaneOrder::EarliestDeadline`] is
@@ -880,21 +886,25 @@ mod tests {
 
     #[test]
     fn spjf_large_job_dispatches_under_a_continuous_short_stream() {
-        use crate::sim::{simulate, SimConfig};
+        use crate::sim::SimConfig;
+        use crate::sweep::{run_cell, AdmissionSpec, CellSpec};
+        use crate::telemetry::NullSink;
         use crate::workload::Workload;
+        use std::sync::Arc;
 
         // One large job arrives early into a single-QPU system flooded with
         // short jobs of one warm topology.  Pure SJF serves every short job
         // first; aged SJF starts the large job while shorts still arrive.
+        let fleet_config = crate::FleetConfig {
+            qpus: 1,
+            qubit_fault_rate: 0.0,
+            coupler_fault_rate: 0.0,
+            seed: 1,
+            ..crate::FleetConfig::default()
+        };
         let build_fleet = || {
             crate::Fleet::new(
-                crate::FleetConfig {
-                    qpus: 1,
-                    qubit_fault_rate: 0.0,
-                    coupler_fault_rate: 0.0,
-                    seed: 1,
-                    ..crate::FleetConfig::default()
-                },
+                fleet_config.clone(),
                 split_exec::SplitExecConfig::with_seed(1),
             )
         };
@@ -937,18 +947,27 @@ mod tests {
             job.id = i;
         }
         let large_id = jobs.iter().position(|j| &*j.family == "large").unwrap();
-        let workload = Workload::single_tenant(jobs);
-        let start_of = |scheduler: &mut dyn Scheduler| {
-            let report = simulate(build_fleet(), &workload, scheduler, SimConfig::default());
-            report
+        let workload = Arc::new(Workload::single_tenant(jobs));
+        let start_of = |aging_weight: f64| {
+            let cell = CellSpec {
+                label: format!("spjf aging {aging_weight}"),
+                seed: 1,
+                fleet: fleet_config.clone(),
+                scheduler: SchedulerSpec::ShortestPredictedFirst { aging_weight },
+                admission: AdmissionSpec::AdmitAll,
+                config: SimConfig::default(),
+                workload: Arc::clone(&workload),
+            };
+            run_cell(0, &cell, &mut NullSink)
+                .report
                 .records
                 .iter()
                 .find(|r| r.job == large_id)
                 .map(|r| r.start)
                 .expect("large job never completed")
         };
-        let aged_start = start_of(&mut ShortestPredictedFirst::default());
-        let pure_start = start_of(&mut ShortestPredictedFirst::with_aging(0.0));
+        let aged_start = start_of(DEFAULT_AGING_WEIGHT);
+        let pure_start = start_of(0.0);
         let last_short_arrival = gap * (shorts - 1) as f64;
         assert!(
             aged_start < pure_start,

@@ -1,23 +1,24 @@
 //! The simulation engine: replaying a workload against a fleet.
 //!
-//! [`simulate`] is the whole simulator: pop the earliest event, update
-//! state, let the scheduler dispatch, repeat until the future-event list is
-//! empty.  Everything runs on the virtual clock of [`crate::event`] — no
-//! wall time, no global RNG — so the outcome (trace included) is a pure
-//! function of `(fleet seed, workload, policy, admission, mode)`.
+//! [`simulate_with_telemetry`] is the whole simulator: pop the earliest
+//! event, update state, let the scheduler dispatch, repeat until the
+//! future-event list is empty.  Everything runs on the virtual clock of
+//! [`crate::event`] — no wall time, no global RNG — so the outcome (trace
+//! included) is a pure function of `(fleet seed, workload, policy,
+//! admission, mode)`.  Every run enters through
+//! [`crate::sweep::run_cell`], which rebuilds the fleet, scheduler and
+//! admission controller from a [`crate::sweep::CellSpec`] and calls this
+//! core.
 //!
-//! [`simulate_with_admission`] interposes an
-//! [`AdmissionController`] between
-//! arrival and the scheduler: accepted jobs queue as usual, shed jobs are
-//! dropped and counted per tenant, deferred jobs re-arrive at the
-//! controller's chosen virtual time (with their original arrival stamp in
-//! open mode, so deferral shows up in the queueing delay).
+//! An [`AdmissionController`] sits between arrival and the scheduler:
+//! accepted jobs queue as usual, shed jobs are dropped and counted per
+//! tenant, deferred jobs re-arrive at the controller's chosen virtual time
+//! (with their original arrival stamp in open mode, so deferral shows up
+//! in the queueing delay).
 //!
-//! [`simulate_with_telemetry`] is the fully instrumented core the other
-//! entry points wrap: the trace stream goes to a caller-chosen
-//! [`TraceSink`] (retention is a *policy* — the legacy entry points attach
-//! a [`crate::telemetry::VecSink`] so `SimReport.trace` keeps working,
-//! large runs attach a [`crate::telemetry::NullSink`]), and an optional
+//! The trace stream goes to a caller-chosen [`TraceSink`] (retention is a
+//! *policy*: attach a [`crate::telemetry::VecSink`] to read the trace, a
+//! [`crate::telemetry::NullSink`] to drop it), and an optional
 //! [`MetricsRegistry`] samples queue depth, per-QPU utilization, cache
 //! hit-rate, and per-tenant lane depth on the virtual clock.  Telemetry is
 //! a pure observer: any sink/registry combination yields bit-identical
@@ -31,13 +32,13 @@
 //!   releases the next job from the stream immediately, the classic
 //!   fixed-population throughput experiment.
 
-use crate::admission::{AdmissionContext, AdmissionController, AdmissionDecision, AdmitAll};
+use crate::admission::{AdmissionContext, AdmissionController, AdmissionDecision};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fleet::Fleet;
 use crate::job::{Job, JobRecord};
 use crate::metrics::{LatencyStats, QpuStats, SimReport, TenantStats};
 use crate::scheduler::Scheduler;
-use crate::telemetry::{MetricsRegistry, SimSeries, StreamingHistogram, TraceSink, VecSink};
+use crate::telemetry::{MetricsRegistry, SimSeries, StreamingHistogram, TraceSink};
 use crate::tenant::{TenantId, TenantMeta};
 use crate::workload::Workload;
 
@@ -64,11 +65,12 @@ pub enum PercentileMode {
     /// completed-job count).
     #[default]
     Exact,
-    /// Stream samples through a [`StreamingHistogram`] sketch: constant
-    /// memory regardless of run size, quantiles within the sketch's
-    /// documented relative-error bound
-    /// ([`StreamingHistogram::relative_error_bound`]), `min`/`max`/`mean`
-    /// still exact.  The right choice for million-job runs.
+    /// Stream samples through a [`StreamingHistogram`] sketch instead of
+    /// sorting a copy of them: quantiles within the sketch's documented
+    /// relative-error bound ([`StreamingHistogram::relative_error_bound`]),
+    /// `min`/`max`/`mean` still exact.  This saves only the summary's
+    /// sample buffer: [`SimReport::records`] keeps every [`JobRecord`] in
+    /// both modes, so a run's memory grows with its job count either way.
     Sketch,
 }
 
@@ -147,46 +149,6 @@ pub enum TraceRecord {
     },
 }
 
-/// Run `workload` against `fleet` under `scheduler`, admitting every
-/// arrival ([`AdmitAll`]).
-///
-/// The fleet is consumed: its warm sets and occupancy are part of the run's
-/// state, so policy comparisons must rebuild the fleet (same
-/// [`crate::fleet::FleetConfig`], hence identical fault maps) per run.
-pub fn simulate(
-    fleet: Fleet,
-    workload: &Workload,
-    scheduler: &mut dyn Scheduler,
-    config: SimConfig,
-) -> SimReport {
-    simulate_with_admission(fleet, workload, scheduler, &mut AdmitAll, config)
-}
-
-/// [`simulate`], with an [`AdmissionController`] gating every arrival
-/// before it reaches the scheduler: accepted jobs queue, shed jobs are
-/// dropped (counted per tenant), deferred jobs re-arrive at the
-/// controller's chosen virtual time.
-///
-/// Retains the full event trace in `SimReport.trace` via a
-/// [`VecSink`] — the pre-telemetry behavior, kept for replay and
-/// determinism tests.  Large runs should call
-/// [`simulate_with_telemetry`] with a [`crate::telemetry::NullSink`]
-/// instead, so retention is opt-in.
-pub fn simulate_with_admission(
-    fleet: Fleet,
-    workload: &Workload,
-    scheduler: &mut dyn Scheduler,
-    admission: &mut dyn AdmissionController,
-    config: SimConfig,
-) -> SimReport {
-    let mut sink = VecSink::new();
-    let mut report = simulate_with_telemetry(
-        fleet, workload, scheduler, admission, config, &mut sink, None,
-    );
-    report.trace = sink.into_trace();
-    report
-}
-
 /// Every buffer the dispatch loop writes to, sized for the whole run up
 /// front.
 ///
@@ -246,12 +208,16 @@ impl SimScratch {
     }
 }
 
-/// The fully instrumented engine core: every trace record goes to `sink`
-/// (never retained by the engine itself — `SimReport.trace` comes back
-/// empty; attach a [`VecSink`] and move its records in if retention is
-/// wanted, as [`simulate_with_admission`] does), and when `registry` is
-/// provided its standard instruments ([`MetricsRegistry::sim_series`]) are
-/// fed and sampled on the virtual clock after every event.
+/// The engine core: run `workload` against `fleet` under `scheduler`,
+/// with `admission` gating every arrival.  Every trace record goes to
+/// `sink` (the engine retains none), and when `registry` is provided its
+/// standard instruments ([`MetricsRegistry::sim_series`]) are fed and
+/// sampled on the virtual clock after every event.
+///
+/// The fleet is consumed: its warm sets and occupancy are part of the
+/// run's state, so policy comparisons must rebuild the fleet (same
+/// [`crate::fleet::FleetConfig`], hence identical fault maps) per run —
+/// which [`crate::sweep::run_cell`] does from the cell's spec.
 ///
 /// Telemetry is a **pure observer**: for fixed simulation inputs, every
 /// choice of `sink`/`registry` produces an identical report (the
@@ -799,19 +765,20 @@ fn assemble_report(
         per_tenant,
         queue_depth,
         records,
-        // The engine never retains the trace; callers that want one attach
-        // a `VecSink` and move its records in (see `simulate_with_admission`).
-        trace: Vec::new(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::TokenBucketConfig;
     use crate::fleet::FleetConfig;
-    use crate::scheduler::{LaneOrder, SchedulerSpec, WeightedFairQueue, DEFAULT_AGING_WEIGHT};
+    use crate::scheduler::{LaneOrder, SchedulerSpec, DEFAULT_AGING_WEIGHT};
+    use crate::sweep::{run_cell, AdmissionSpec, CellSpec};
+    use crate::telemetry::{NullSink, VecSink};
     use crate::workload::WorkloadSpec;
     use split_exec::SplitExecConfig;
+    use std::sync::Arc;
 
     fn fleet(seed: u64) -> Fleet {
         Fleet::new(
@@ -824,18 +791,52 @@ mod tests {
         )
     }
 
+    /// A cell on `fleet(seed)`'s shape: open mode, every arrival admitted.
+    fn cell(seed: u64, scheduler: SchedulerSpec, workload: Workload) -> CellSpec {
+        CellSpec {
+            label: scheduler.name().to_string(),
+            seed,
+            fleet: FleetConfig {
+                qpus: 3,
+                seed,
+                ..FleetConfig::default()
+            },
+            scheduler,
+            admission: AdmissionSpec::AdmitAll,
+            config: SimConfig::default(),
+            workload: Arc::new(workload),
+        }
+    }
+
+    fn report(spec: &CellSpec) -> SimReport {
+        run_cell(0, spec, &mut NullSink).report
+    }
+
+    fn closed(clients: usize) -> SimConfig {
+        SimConfig {
+            mode: WorkloadMode::Closed { clients },
+            ..SimConfig::default()
+        }
+    }
+
+    /// A token bucket whose default budget is `config`, with no per-tenant
+    /// overrides.
+    fn token_bucket(config: TokenBucketConfig) -> AdmissionSpec {
+        AdmissionSpec::TokenBucket {
+            default: config,
+            per_tenant: Vec::new(),
+        }
+    }
+
     fn run(policy: &SchedulerSpec, seed: u64, mode: WorkloadMode) -> SimReport {
         let workload = WorkloadSpec::repeated_topologies(40, 0.5, seed).generate();
-        let mut scheduler = policy.build();
-        simulate(
-            fleet(seed),
-            &workload,
-            scheduler.as_mut(),
-            SimConfig {
+        report(&CellSpec {
+            config: SimConfig {
                 mode,
                 ..SimConfig::default()
             },
-        )
+            ..cell(seed, policy.clone(), workload)
+        })
     }
 
     /// The sketch's own rank rule (1-based nearest rank ⌈q·n⌉), applied to
@@ -849,19 +850,16 @@ mod tests {
     #[test]
     fn sketch_percentiles_agree_with_exact_within_the_documented_bound() {
         let workload = WorkloadSpec::repeated_topologies(60, 0.8, 21).generate();
-        let mut exact_sched = SchedulerSpec::CacheAffinity.build();
-        let exact = simulate(
-            fleet(21),
-            &workload,
-            exact_sched.as_mut(),
-            SimConfig::default(),
-        );
-        let sketch_config = SimConfig {
-            percentiles: PercentileMode::Sketch,
-            ..SimConfig::default()
+        let exact_cell = cell(21, SchedulerSpec::CacheAffinity, workload);
+        let exact = report(&exact_cell);
+        let sketch_cell = CellSpec {
+            config: SimConfig {
+                percentiles: PercentileMode::Sketch,
+                ..SimConfig::default()
+            },
+            ..exact_cell
         };
-        let mut sketch_sched = SchedulerSpec::CacheAffinity.build();
-        let sketch = simulate(fleet(21), &workload, sketch_sched.as_mut(), sketch_config);
+        let sketch = report(&sketch_cell);
 
         // The percentile mode only changes how the report summarizes; the
         // simulation itself is bit-identical.
@@ -870,9 +868,7 @@ mod tests {
         assert_eq!(exact.events, sketch.events);
 
         // And the sketch path is itself deterministic.
-        let mut again_sched = SchedulerSpec::CacheAffinity.build();
-        let again = simulate(fleet(21), &workload, again_sched.as_mut(), sketch_config);
-        assert_eq!(again, sketch);
+        assert_eq!(report(&sketch_cell), sketch);
 
         let bound = StreamingHistogram::default().relative_error_bound();
         for (what, values, exact_stats, sketch_stats) in [
@@ -1016,32 +1012,22 @@ mod tests {
 
     #[test]
     fn admission_sheds_over_the_depth_limit_and_bounds_the_queue() {
-        use crate::admission::{TokenBucket, TokenBucketConfig};
-
         // One slow device, a flood of arrivals: without admission the queue
         // grows with the flood; with a depth limit it cannot.
         let workload = WorkloadSpec::repeated_topologies(60, 50.0, 3).generate();
-        let open = simulate(
-            fleet(3),
-            &workload,
-            SchedulerSpec::Fifo.build().as_mut(),
-            SimConfig::default(),
-        );
+        let open_cell = cell(3, SchedulerSpec::Fifo, workload);
+        let open = report(&open_cell);
         let depth_limit = 4;
-        let mut gate = TokenBucket::new(TokenBucketConfig {
-            rate_hz: 100.0, // tokens never bind; only the depth limit does
-            burst: 100.0,
-            max_queue_depth: depth_limit,
-            max_defer_seconds: 1e6,
-            ..TokenBucketConfig::default()
+        let gated = report(&CellSpec {
+            admission: token_bucket(TokenBucketConfig {
+                rate_hz: 100.0, // tokens never bind; only the depth limit does
+                burst: 100.0,
+                max_queue_depth: depth_limit,
+                max_defer_seconds: 1e6,
+                ..TokenBucketConfig::default()
+            }),
+            ..open_cell
         });
-        let gated = simulate_with_admission(
-            fleet(3),
-            &workload,
-            SchedulerSpec::Fifo.build().as_mut(),
-            &mut gate,
-            SimConfig::default(),
-        );
         assert!(open.max_queue_depth() > depth_limit);
         assert!(gated.max_queue_depth() <= depth_limit);
         assert!(gated.shed > 0);
@@ -1053,26 +1039,20 @@ mod tests {
 
     #[test]
     fn deferred_jobs_complete_and_pay_the_defer_in_waiting_time() {
-        use crate::admission::{TokenBucket, TokenBucketConfig};
-
         // A tight rate budget with room to defer: jobs trickle in at the
         // bucket's pace but all complete, and the defer time lands in the
         // queueing delay because the original arrival stamp is preserved.
         let workload = WorkloadSpec::repeated_topologies(12, 100.0, 5).generate();
-        let mut gate = TokenBucket::new(TokenBucketConfig {
-            rate_hz: 0.5,
-            burst: 1.0,
-            max_queue_depth: 100,
-            max_defer_seconds: 1e6,
-            ..TokenBucketConfig::default()
+        let report = report(&CellSpec {
+            admission: token_bucket(TokenBucketConfig {
+                rate_hz: 0.5,
+                burst: 1.0,
+                max_queue_depth: 100,
+                max_defer_seconds: 1e6,
+                ..TokenBucketConfig::default()
+            }),
+            ..cell(3, SchedulerSpec::Fifo, workload)
         });
-        let report = simulate_with_admission(
-            fleet(3),
-            &workload,
-            SchedulerSpec::Fifo.build().as_mut(),
-            &mut gate,
-            SimConfig::default(),
-        );
         assert_eq!(report.completed, 12, "nothing sheds under a pure defer");
         assert!(report.deferrals > 0);
         assert_eq!(report.per_tenant[0].deferrals, report.deferrals);
@@ -1083,8 +1063,6 @@ mod tests {
 
     #[test]
     fn closed_mode_defer_bound_sheds_instead_of_spinning() {
-        use crate::admission::{TokenBucket, TokenBucketConfig};
-
         // Regression: closed mode used to re-stamp every arrival event —
         // including deferred re-arrivals — with the current clock, so the
         // controller's `now - arrival` defer measure was always zero and
@@ -1092,23 +1070,17 @@ mod tests {
         // out-of-tokens jobs must shed at their bounded re-arrival, not
         // keep deferring on a fresh stamp.
         let workload = WorkloadSpec::repeated_topologies(6, 1.0, 3).generate();
-        let mut gate = TokenBucket::new(TokenBucketConfig {
-            rate_hz: 0.001,
-            burst: 1.0,
-            max_queue_depth: 100,
-            max_defer_seconds: 10.0,
-            ..TokenBucketConfig::default()
+        let report = report(&CellSpec {
+            admission: token_bucket(TokenBucketConfig {
+                rate_hz: 0.001,
+                burst: 1.0,
+                max_queue_depth: 100,
+                max_defer_seconds: 10.0,
+                ..TokenBucketConfig::default()
+            }),
+            config: closed(2),
+            ..cell(3, SchedulerSpec::Fifo, workload)
         });
-        let report = simulate_with_admission(
-            fleet(3),
-            &workload,
-            SchedulerSpec::Fifo.build().as_mut(),
-            &mut gate,
-            SimConfig {
-                mode: WorkloadMode::Closed { clients: 2 },
-                ..SimConfig::default()
-            },
-        );
         assert!(report.shed > 0, "defer bound never bound in closed mode");
         assert_eq!(
             report.completed + report.rejected + report.shed,
@@ -1133,15 +1105,11 @@ mod tests {
                 slack_seconds: slack,
             })
             .generate();
-        let report = simulate(
-            fleet(7),
-            &workload,
-            SchedulerSpec::Fifo.build().as_mut(),
-            SimConfig {
-                mode: WorkloadMode::Closed { clients: 2 },
-                ..SimConfig::default()
-            },
-        );
+        let spec = CellSpec {
+            config: closed(2),
+            ..cell(7, SchedulerSpec::Fifo, workload)
+        };
+        let report = report(&spec);
         assert_eq!(report.completed, 30);
         for r in &report.records {
             let deadline = r.deadline.expect("every job is deadline-stamped");
@@ -1161,7 +1129,7 @@ mod tests {
         assert!(report
             .records
             .iter()
-            .any(|r| r.arrival > workload.jobs[r.job].arrival));
+            .any(|r| r.arrival > spec.workload.jobs[r.job].arrival));
     }
 
     #[test]
@@ -1169,12 +1137,11 @@ mod tests {
         use crate::tenant::MultiTenantSpec;
 
         let workload = MultiTenantSpec::aggressor_victim(8, 0.5, 3.0, 1.0, 11).generate();
-        let report = simulate(
-            fleet(9),
-            &workload,
-            &mut WeightedFairQueue::new(),
-            SimConfig::default(),
-        );
+        let uniform_wfq = SchedulerSpec::WeightedFair {
+            weights: Vec::new(),
+            lane_order: LaneOrder::default(),
+        };
+        let report = report(&cell(9, uniform_wfq, workload));
         assert_eq!(report.per_tenant.len(), 2);
         let victim = report.tenant_named("victim").unwrap();
         let aggressor = report.tenant_named("aggressor").unwrap();
@@ -1196,29 +1163,22 @@ mod tests {
     #[test]
     fn empty_workload_produces_an_empty_report() {
         let workload = Workload::single_tenant(vec![]);
-        let mut scheduler = SchedulerSpec::Fifo.build();
-        let report = simulate(
-            fleet(1),
-            &workload,
-            scheduler.as_mut(),
-            SimConfig::default(),
-        );
+        let mut sink = VecSink::new();
+        let report = run_cell(0, &cell(1, SchedulerSpec::Fifo, workload), &mut sink).report;
         assert_eq!(report.jobs, 0);
         assert_eq!(report.completed, 0);
         assert_eq!(report.makespan_seconds, 0.0);
         assert_eq!(report.events, 0);
-        assert!(report.trace.is_empty());
+        assert!(sink.records().is_empty());
     }
 
     #[test]
     fn telemetry_is_a_pure_observer() {
         use crate::admission::AdmitAll;
-        use crate::telemetry::{MetricsRegistry, NullSink, PerfettoSink, VecSink};
+        use crate::telemetry::{MetricsRegistry, PerfettoSink};
 
         // Across seeds and policies: sink on vs sink off (and registry on
-        // vs off) must yield bit-identical reports.  The trace field is the
-        // one deliberate difference — VecSink retains, NullSink drops — so
-        // it is normalized before comparison.
+        // vs off) must yield bit-identical reports.
         for seed in [3, 21, 77] {
             for policy in [
                 SchedulerSpec::Fifo,
@@ -1268,25 +1228,23 @@ mod tests {
                     "seed {seed}: Perfetto sink perturbed the run"
                 );
                 assert!(perfetto.event_count() > 0);
-                // The legacy wrapper is exactly "core + VecSink retention".
-                let mut legacy = simulate(
-                    fleet(seed),
-                    &workload,
-                    policy.build().as_mut(),
-                    SimConfig::default(),
-                );
-                assert_eq!(legacy.trace, vec_sink.records());
-                legacy.trace = Vec::new();
-                assert_eq!(bare, legacy);
+                // `run_cell` is exactly the core with the cell's fleet,
+                // scheduler and admission rebuilt from its spec.
+                let mut retained = VecSink::new();
+                let via_cell = run_cell(0, &cell(seed, policy, workload), &mut retained);
+                assert_eq!(retained.records(), vec_sink.records());
+                assert_eq!(bare, via_cell.report);
             }
         }
     }
 
     #[test]
     fn events_count_the_fired_trace_records() {
-        let report = run(&SchedulerSpec::Fifo, 17, WorkloadMode::Open);
-        let fired = report
-            .trace
+        let workload = WorkloadSpec::repeated_topologies(40, 0.5, 17).generate();
+        let mut sink = VecSink::new();
+        let report = run_cell(0, &cell(17, SchedulerSpec::Fifo, workload), &mut sink).report;
+        let fired = sink
+            .records()
             .iter()
             .filter(|r| matches!(r, TraceRecord::Fired(_)))
             .count();
@@ -1297,7 +1255,7 @@ mod tests {
     #[test]
     fn attached_registry_samples_the_standard_instruments() {
         use crate::admission::AdmitAll;
-        use crate::telemetry::{MetricsRegistry, NullSink};
+        use crate::telemetry::MetricsRegistry;
 
         let workload = WorkloadSpec::repeated_topologies(25, 1.0, 5).generate();
         let mut sink = NullSink;

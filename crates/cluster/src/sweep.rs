@@ -6,11 +6,11 @@
 //! and it is serialized: a flight record's header line is a `CellSpec`
 //! ([`CellSpec::to_json`]), and replay runs the parsed spec through the
 //! same [`run_cell`] every sweep cell and `cluster_sim` run goes through.
-//! [`SweepPlan`] expands a cartesian grid of axes (seed × fleet × load ×
-//! workload variant × scheduler) into cells, with capacity-derived
-//! arrival-rate calibration
-//! ([`RateCalibration`]) hoisted out of the per-cell loop so a cell's rate
-//! depends only on its `(fleet, load)` coordinates, never on axis order.
+//! [`SweepPlan`] expands a cartesian grid of axes (seed × load × workload
+//! variant × scheduler) over one labelled fleet into cells, with the
+//! fleet's capacity-derived arrival-rate calibration ([`RateCalibration`])
+//! computed once when the plan is built, so a cell's rate depends only on
+//! its load, never on axis order.
 //! [`run_sweep`] executes the cells one after another and collects
 //! [`CellResult`]s in index order; cross-cell aggregates are merged through
 //! [`StreamingHistogram::merge`].
@@ -20,8 +20,8 @@
 //! Every cell is a pure function of its [`CellSpec`]: the fleet (and its
 //! per-device RNGs) is rebuilt from the cell's seed, the scheduler and
 //! admission controller are rebuilt from their specs, and the engine runs
-//! with a [`NullSink`] plus a per-cell sketch [`MetricsRegistry`] — the
-//! production-shaped telemetry configuration.  No state is shared between
+//! with a [`NullSink`]; the cell's latency and wait sketches are built from
+//! its report's records after the run.  No state is shared between
 //! cells, and merges walk cell-index order, so a cell's report does not
 //! depend on which cells ran before it, and the merged aggregates depend
 //! only on the cell list.  The cell-permutation proptest in
@@ -37,11 +37,12 @@ use split_exec::SplitExecConfig;
 
 use crate::admission::{AdmissionController, AdmitAll, TokenBucket, TokenBucketConfig};
 use crate::fleet::{cost_table, Fleet, FleetConfig};
+use crate::job::JobRecord;
 use crate::json::JsonValue;
 use crate::metrics::SimReport;
 use crate::scheduler::{Scheduler, SchedulerSpec};
 use crate::sim::{simulate_with_telemetry, SimConfig};
-use crate::telemetry::{HostStopwatch, MetricsRegistry, NullSink, StreamingHistogram, TraceSink};
+use crate::telemetry::{HostStopwatch, NullSink, StreamingHistogram, TraceSink};
 use crate::tenant::TenantId;
 use crate::workload::Workload;
 
@@ -122,55 +123,40 @@ pub struct CellResult {
     pub label: String,
     /// The engine's report for the cell.
     pub report: SimReport,
-    /// End-to-end latency sketch from the cell's registry (seconds).
+    /// End-to-end latency sketch of the report's records (seconds).
     pub latency_sketch: StreamingHistogram,
-    /// Queueing-delay sketch from the cell's registry (seconds).
+    /// Queueing-delay sketch of the report's records (seconds).
     pub wait_sketch: StreamingHistogram,
 }
 
-/// Virtual-time sampling cadence of every cell's metrics registry.  It
-/// paces only the registry's gauges, which no [`CellResult`] reads, so no
-/// output depends on its value.
-const SAMPLE_INTERVAL: f64 = 5.0;
-
-/// Once-per-cell setup: rebuild the fleet, scheduler, admission controller
-/// and metrics registry from the cell's specs.
-#[allow(clippy::type_complexity)]
+/// Once-per-cell setup: rebuild the fleet, scheduler and admission
+/// controller from the cell's specs.
 // sx-lint: hot-exempt -- once-per-cell construction before the dispatch loop; the loop itself only touches pre-built state
-fn cell_runtime(
-    spec: &CellSpec,
-) -> (
-    Fleet,
-    Box<dyn Scheduler>,
-    Box<dyn AdmissionController>,
-    MetricsRegistry,
-) {
+fn cell_runtime(spec: &CellSpec) -> (Fleet, Box<dyn Scheduler>, Box<dyn AdmissionController>) {
     (
         Fleet::new(spec.fleet.clone(), SplitExecConfig::with_seed(spec.seed)),
         spec.scheduler.build(),
         spec.admission.build(),
-        MetricsRegistry::new(SAMPLE_INTERVAL),
     )
 }
 
-/// Once-per-cell teardown: lift the registry's standard sketches into the
-/// [`CellResult`].
+/// Once-per-cell teardown: sketch the report's records, in completion
+/// order, into the [`CellResult`].
 // sx-lint: hot-exempt -- once per cell, after the event loop drains; nothing here is per-event
-fn assemble_cell(
-    index: usize,
-    spec: &CellSpec,
-    report: SimReport,
-    registry: &MetricsRegistry,
-) -> CellResult {
-    let sketch = |name: &str| {
-        registry.histogram(name).cloned().unwrap_or_default() // sim_series always registers both; empty workloads still get an empty sketch
+fn assemble_cell(index: usize, spec: &CellSpec, report: SimReport) -> CellResult {
+    let sketch = |value: fn(&JobRecord) -> f64| {
+        let mut sketch = StreamingHistogram::default();
+        for record in &report.records {
+            sketch.observe(value(record));
+        }
+        sketch
     };
     CellResult {
         index,
         label: spec.label.clone(),
+        latency_sketch: sketch(JobRecord::latency_seconds),
+        wait_sketch: sketch(JobRecord::wait_seconds),
         report,
-        latency_sketch: sketch("latency_seconds"),
-        wait_sketch: sketch("wait_seconds"),
     }
 }
 
@@ -178,13 +164,14 @@ fn assemble_cell(
 ///
 /// The cell is a pure function of `spec` — see the module docs — so the
 /// result is identical no matter in what order cells run.  `sink` is
-/// normally [`NullSink`] (the production-shaped config); `cluster_sim`'s
-/// observer passes its recording chain here when a flight record or
-/// Perfetto trace was requested, which cannot perturb the report (sinks
-/// are pure observers).
+/// normally [`NullSink`]; `cluster_sim`'s observer passes its recording
+/// chain here when a flight record or Perfetto trace was requested, and
+/// tests and examples pass a [`crate::telemetry::VecSink`] to read the
+/// trace.  Sinks are pure observers, so none of them can perturb the
+/// report.
 // sx-lint: hot-root -- the sweep runner's per-cell body: between setup and assembly this IS the dispatch loop, and must stay allocation-free in steady state
 pub fn run_cell(index: usize, spec: &CellSpec, sink: &mut dyn TraceSink) -> CellResult {
-    let (fleet, mut scheduler, mut admission, mut registry) = cell_runtime(spec);
+    let (fleet, mut scheduler, mut admission) = cell_runtime(spec);
     let report = simulate_with_telemetry(
         fleet,
         &spec.workload,
@@ -192,9 +179,9 @@ pub fn run_cell(index: usize, spec: &CellSpec, sink: &mut dyn TraceSink) -> Cell
         admission.as_mut(),
         spec.config,
         sink,
-        Some(&mut registry),
+        None,
     );
-    assemble_cell(index, spec, report, &registry)
+    assemble_cell(index, spec, report)
 }
 
 /// Cross-cell aggregates, merged in cell-index order through
@@ -235,18 +222,18 @@ impl MergedAggregates {
             merged.completed += cell.report.completed;
             merged.shed += cell.report.shed;
             merged.events += cell.report.events;
-            // Every cell sketch comes from a MetricsRegistry with the
-            // default resolution, so the γ-mismatch arm is unreachable.
+            // Every cell sketch is built at the default resolution, so the
+            // γ-mismatch arm is unreachable.
             merged
                 .latency
                 .merge(&cell.latency_sketch)
-                // sx-lint: allow(H003) -- γ is uniform by construction: every cell registry uses the default resolution
-                .expect("cell registries share the default sketch resolution");
+                // sx-lint: allow(H003) -- γ is uniform by construction: every cell sketch uses the default resolution
+                .expect("cell sketches share the default resolution");
             merged
                 .wait
                 .merge(&cell.wait_sketch)
-                // sx-lint: allow(H003) -- γ is uniform by construction: every cell registry uses the default resolution
-                .expect("cell registries share the default sketch resolution");
+                // sx-lint: allow(H003) -- γ is uniform by construction: every cell sketch uses the default resolution
+                .expect("cell sketches share the default resolution");
         }
         merged
     }
@@ -339,9 +326,9 @@ pub fn run_sweep(cells: &[CellSpec]) -> SweepOutcome {
 /// every fleet shape.  Before this type, each mode probed a fleet and
 /// recomputed the warm-service mean inline, per sweep arm — so a
 /// reordering of the axes could silently move which probe produced a
-/// cell's rate.  A `RateCalibration` is computed once per fleet axis entry
-/// at plan-construction time ([`SweepPlan::calibrated`]) and every cell's
-/// rate is derived from that stored value.
+/// cell's rate.  A `RateCalibration` is computed once, when the plan is
+/// built ([`SweepPlan::new`]), and every cell's rate is derived from that
+/// stored value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateCalibration {
     warm_mean_seconds: f64,
@@ -386,54 +373,59 @@ impl RateCalibration {
     }
 }
 
-/// A cartesian grid of sweep axes: seed × fleet × load × workload variant
-/// × scheduler, expanded into [`CellSpec`]s in that fixed nesting order.
+/// A cartesian grid of sweep axes over one labelled fleet: seed × load ×
+/// workload variant × scheduler, expanded into [`CellSpec`]s in that fixed
+/// nesting order.
 ///
-/// The plan owns the per-fleet [`RateCalibration`]s (computed once, in
-/// fleet-axis order, by [`Self::calibrated`]); [`Self::rate_for`] derives
-/// every cell's arrival rate from the stored calibration so rates cannot
+/// The plan calibrates its fleet once, when it is built
+/// ([`SweepPlan::new`]), and [`Self::rate_for`] derives every cell's
+/// arrival rate from that stored [`RateCalibration`], so rates cannot
 /// drift when axes are added or reordered.  Workload and scheduler
 /// construction stay with the caller as closures — tenant compositions and
 /// lane weights are mode-specific — but each workload is generated exactly
-/// once per `(seed, fleet, load, variant)` coordinate and shared across
-/// the scheduler axis via `Arc`.
+/// once per `(seed, load, variant)` coordinate and shared across the
+/// scheduler axis via `Arc`.
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
-    seeds: Vec<u64>,
-    fleets: Vec<(String, FleetConfig)>,
-    loads: Vec<f64>,
+    fleet_name: String,
+    fleet: FleetConfig,
+    calibration: RateCalibration,
     base_rate_hz: f64,
-    qpus: usize,
     config: SimConfig,
-    calibrations: Option<Vec<RateCalibration>>,
+    seeds: Vec<u64>,
+    loads: Vec<f64>,
 }
 
 impl SweepPlan {
-    /// A plan with the given base arrival rate, fleet size and engine
-    /// config, and empty axes.
-    pub fn new(base_rate_hz: f64, qpus: usize, config: SimConfig) -> SweepPlan {
-        SweepPlan {
-            seeds: Vec::new(),
-            fleets: Vec::new(),
-            loads: Vec::new(),
+    /// A plan over `fleet`, with the given base arrival rate and engine
+    /// config, and empty seed and load axes.  `fleet_name` labels the
+    /// cells (an empty name is left out of the label).  The fleet is
+    /// calibrated here against `sizes` (logical spins per topology of the
+    /// sweep's mix); an error names the fleet.
+    pub fn new(
+        fleet_name: impl Into<String>,
+        fleet: FleetConfig,
+        sizes: &[usize],
+        base_rate_hz: f64,
+        config: SimConfig,
+    ) -> Result<SweepPlan, String> {
+        let fleet_name = fleet_name.into();
+        let calibration = RateCalibration::for_fleet(&fleet, sizes)
+            .map_err(|err| format!("fleet '{fleet_name}': {err}"))?;
+        Ok(SweepPlan {
+            fleet_name,
+            fleet,
+            calibration,
             base_rate_hz,
-            qpus,
             config,
-            calibrations: None,
-        }
+            seeds: Vec::new(),
+            loads: Vec::new(),
+        })
     }
 
     /// Set the seed axis.
     pub fn seeds(mut self, seeds: impl Into<Vec<u64>>) -> SweepPlan {
         self.seeds = seeds.into();
-        self
-    }
-
-    /// Set the fleet axis (labelled configs).  Invalidates any previous
-    /// calibration: call [`Self::calibrated`] after the axis is final.
-    pub fn fleets(mut self, fleets: Vec<(String, FleetConfig)>) -> SweepPlan {
-        self.fleets = fleets;
-        self.calibrations = None;
         self
     }
 
@@ -443,42 +435,19 @@ impl SweepPlan {
         self
     }
 
-    /// Compute one [`RateCalibration`] per fleet-axis entry from `sizes`,
-    /// hoisting the capacity probes out of the cell loop.  Until this is
-    /// called, [`Self::rate_for`] treats `load` as a plain multiplier on
-    /// the base rate (the uncalibrated modes' behavior).
-    pub fn calibrated(mut self, sizes: &[usize]) -> Result<SweepPlan, String> {
-        let mut calibrations = Vec::with_capacity(self.fleets.len());
-        for (name, config) in &self.fleets {
-            let calibration = RateCalibration::for_fleet(config, sizes)
-                .map_err(|err| format!("fleet '{name}': {err}"))?;
-            calibrations.push(calibration);
-        }
-        self.calibrations = Some(calibrations);
-        Ok(self)
-    }
-
-    /// The stored calibration for fleet-axis entry `fleet_index`, if the
-    /// plan was calibrated.
-    pub fn calibration(&self, fleet_index: usize) -> Option<&RateCalibration> {
-        self.calibrations.as_ref().and_then(|c| c.get(fleet_index))
-    }
-
-    /// The arrival rate for a cell at `(fleet_index, load)` — from the
-    /// hoisted calibration when present, else `base_rate_hz × load`.
-    pub fn rate_for(&self, fleet_index: usize, load: f64) -> f64 {
-        match self.calibration(fleet_index) {
-            Some(calibration) => calibration.rate_hz(self.base_rate_hz, load, self.qpus),
-            None => self.base_rate_hz * load,
-        }
+    /// The arrival rate for a cell at `load`, from the stored calibration
+    /// and the fleet's device count ([`RateCalibration::rate_hz`]).
+    pub fn rate_for(&self, load: f64) -> f64 {
+        self.calibration
+            .rate_hz(self.base_rate_hz, load, self.fleet.qpus)
     }
 
     /// Expand the grid into cells, in the fixed nesting order
-    /// seed → fleet → load → variant → scheduler.
+    /// seed → load → variant → scheduler.
     ///
     /// `make_workload(seed, rate_hz, variant)` is called once per
-    /// `(seed, fleet, load, variant)` coordinate; the returned workload is
-    /// shared across the scheduler axis.  `make_scheduler(name, workload)`
+    /// `(seed, load, variant)` coordinate; the returned workload is shared
+    /// across the scheduler axis.  `make_scheduler(name, workload)`
     /// resolves a scheduler-axis name against the workload (weighted-fair
     /// specs need its lane weights).
     pub fn expand<V>(
@@ -490,40 +459,38 @@ impl SweepPlan {
     ) -> Vec<CellSpec> {
         let mut cells = Vec::new();
         for &seed in &self.seeds {
-            for (fleet_index, (fleet_name, fleet)) in self.fleets.iter().enumerate() {
-                // A cell's fleet must carry the cell's seed, not the
-                // axis-template's: device fault draws derive from it.
-                let fleet = FleetConfig {
-                    seed,
-                    ..fleet.clone()
-                };
-                for &load in &self.loads {
-                    let rate_hz = self.rate_for(fleet_index, load);
-                    for (variant_name, variant) in variants {
-                        let workload = make_workload(seed, rate_hz, variant);
-                        for scheduler_name in schedulers {
-                            let scheduler = make_scheduler(scheduler_name, &workload);
-                            let label = [
-                                format!("s{seed}"),
-                                fleet_name.clone(),
-                                format!("load{load}"),
-                                variant_name.clone(),
-                                (*scheduler_name).to_string(),
-                            ]
-                            .into_iter()
-                            .filter(|part| !part.is_empty())
-                            .collect::<Vec<_>>()
-                            .join("/");
-                            cells.push(CellSpec {
-                                label,
-                                seed,
-                                fleet: fleet.clone(),
-                                scheduler,
-                                admission: AdmissionSpec::AdmitAll,
-                                config: self.config,
-                                workload: Arc::clone(&workload),
-                            });
-                        }
+            // A cell's fleet must carry the cell's seed, not the plan's:
+            // device fault draws derive from it.
+            let fleet = FleetConfig {
+                seed,
+                ..self.fleet.clone()
+            };
+            for &load in &self.loads {
+                let rate_hz = self.rate_for(load);
+                for (variant_name, variant) in variants {
+                    let workload = make_workload(seed, rate_hz, variant);
+                    for scheduler_name in schedulers {
+                        let scheduler = make_scheduler(scheduler_name, &workload);
+                        let label = [
+                            format!("s{seed}"),
+                            self.fleet_name.clone(),
+                            format!("load{load}"),
+                            variant_name.clone(),
+                            (*scheduler_name).to_string(),
+                        ]
+                        .into_iter()
+                        .filter(|part| !part.is_empty())
+                        .collect::<Vec<_>>()
+                        .join("/");
+                        cells.push(CellSpec {
+                            label,
+                            seed,
+                            fleet: fleet.clone(),
+                            scheduler,
+                            admission: AdmissionSpec::AdmitAll,
+                            config: self.config,
+                            workload: Arc::clone(&workload),
+                        });
                     }
                 }
             }
@@ -535,8 +502,13 @@ impl SweepPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::LaneOrder;
     use crate::sim::{PercentileMode, SimConfig, WorkloadMode};
+    use crate::telemetry::MetricsRegistry;
+    use crate::tenant::MultiTenantSpec;
     use crate::workload::WorkloadSpec;
+
+    const SIZES: [usize; 3] = [16, 20, 24];
 
     fn test_config() -> SimConfig {
         SimConfig {
@@ -546,16 +518,14 @@ mod tests {
     }
 
     fn small_cells(seed: u64) -> Vec<CellSpec> {
-        let plan = SweepPlan::new(1.0, 2, test_config())
+        let fleet = FleetConfig {
+            qpus: 2,
+            seed,
+            ..FleetConfig::default()
+        };
+        let plan = SweepPlan::new("uniform", fleet, &SIZES, 1.0, test_config())
+            .expect("calibration succeeds for the sweep mix sizes")
             .seeds(vec![seed])
-            .fleets(vec![(
-                "uniform".to_string(),
-                FleetConfig {
-                    qpus: 2,
-                    seed,
-                    ..FleetConfig::default()
-                },
-            )])
             .loads(vec![1.0]);
         plan.expand(
             &[(String::new(), ())],
@@ -598,17 +568,81 @@ mod tests {
         );
     }
 
+    /// `run_cell` sketches the report's records; a registry attached to the
+    /// engine observes the same values at each completion, in the same
+    /// order, so the two sketches are identical, an empty run included.
     #[test]
-    fn expansion_order_is_seed_fleet_load_variant_scheduler() {
-        let plan = SweepPlan::new(2.0, 2, test_config())
+    fn cell_sketches_equal_the_registry_sketches() {
+        let workloads = [
+            Arc::new(MultiTenantSpec::aggressor_victim(8, 0.5, 3.0, 1.0, 9).generate()),
+            Arc::new(Workload::single_tenant(Vec::new())),
+        ];
+        let closed = SimConfig {
+            mode: WorkloadMode::Closed { clients: 3 },
+            ..test_config()
+        };
+        let mut completions = 0;
+        for workload in &workloads {
+            let wfq = SchedulerSpec::WeightedFair {
+                weights: workload.weights(),
+                lane_order: LaneOrder::default(),
+            };
+            for scheduler in [SchedulerSpec::Fifo, wfq] {
+                for config in [test_config(), closed] {
+                    let spec = CellSpec {
+                        label: format!("{scheduler}"),
+                        seed: 9,
+                        fleet: FleetConfig {
+                            qpus: 2,
+                            seed: 9,
+                            ..FleetConfig::default()
+                        },
+                        scheduler: scheduler.clone(),
+                        admission: AdmissionSpec::AdmitAll,
+                        config,
+                        workload: Arc::clone(workload),
+                    };
+                    let cell = run_cell(0, &spec, &mut NullSink);
+
+                    let (fleet, mut policy, mut admission) = cell_runtime(&spec);
+                    let mut registry = MetricsRegistry::new(5.0);
+                    let report = simulate_with_telemetry(
+                        fleet,
+                        &spec.workload,
+                        policy.as_mut(),
+                        admission.as_mut(),
+                        spec.config,
+                        &mut NullSink,
+                        Some(&mut registry),
+                    );
+                    assert_eq!(report, cell.report, "{}", spec.label);
+                    assert_eq!(
+                        registry.histogram("latency_seconds"),
+                        Some(&cell.latency_sketch),
+                        "{}: latency sketch",
+                        spec.label
+                    );
+                    assert_eq!(
+                        registry.histogram("wait_seconds"),
+                        Some(&cell.wait_sketch),
+                        "{}: wait sketch",
+                        spec.label
+                    );
+                    completions += cell.latency_sketch.count();
+                }
+            }
+        }
+        assert!(completions > 0, "the non-empty workload completed no job");
+    }
+
+    #[test]
+    fn expansion_order_is_seed_load_variant_scheduler() {
+        let plan = SweepPlan::new("a", FleetConfig::default(), &SIZES, 2.0, test_config())
+            .expect("calibration succeeds for the sweep mix sizes")
             .seeds(vec![1, 2])
-            .fleets(vec![
-                ("a".to_string(), FleetConfig::default()),
-                ("b".to_string(), FleetConfig::default()),
-            ])
             .loads(vec![0.5, 1.5]);
         let cells = plan.expand(
-            &[(String::new(), ())],
+            &[("x".to_string(), ()), ("y".to_string(), ())],
             &["fifo"],
             |seed, rate_hz, ()| {
                 Arc::new(
@@ -623,47 +657,50 @@ mod tests {
         assert_eq!(
             labels,
             [
-                "s1/a/load0.5/fifo",
-                "s1/a/load1.5/fifo",
-                "s1/b/load0.5/fifo",
-                "s1/b/load1.5/fifo",
-                "s2/a/load0.5/fifo",
-                "s2/a/load1.5/fifo",
-                "s2/b/load0.5/fifo",
-                "s2/b/load1.5/fifo",
+                "s1/a/load0.5/x/fifo",
+                "s1/a/load0.5/y/fifo",
+                "s1/a/load1.5/x/fifo",
+                "s1/a/load1.5/y/fifo",
+                "s2/a/load0.5/x/fifo",
+                "s2/a/load0.5/y/fifo",
+                "s2/a/load1.5/x/fifo",
+                "s2/a/load1.5/y/fifo",
             ]
         );
-        // The uncalibrated plan treats load as a plain rate multiplier.
-        assert_eq!(plan.rate_for(0, 0.5), 1.0);
-        assert_eq!(plan.rate_for(1, 1.5), 3.0);
         // Every cell's fleet carries the cell seed.
         assert!(cells.iter().take(4).all(|c| c.fleet.seed == 1));
         assert!(cells.iter().skip(4).all(|c| c.fleet.seed == 2));
     }
 
     #[test]
-    fn calibrated_rates_are_positive_and_fleet_dependent() {
+    fn calibrated_rates_are_positive_and_linear_in_load() {
         let uniform = FleetConfig {
             qpus: 2,
             seed: 3,
             ..FleetConfig::default()
         };
-        let hetero = FleetConfig::heterogeneous(2, 3);
-        let plan = SweepPlan::new(1.0, 2, test_config())
-            .fleets(vec![
-                ("uniform".to_string(), uniform.clone()),
-                ("hetero".to_string(), hetero),
-            ])
-            .calibrated(&[16, 20, 24])
-            .expect("calibration succeeds for the sweep mix sizes");
-        let direct = RateCalibration::for_fleet(&uniform, &[16, 20, 24])
-            .expect("calibration succeeds for the sweep mix sizes");
-        assert_eq!(plan.calibration(0), Some(&direct));
-        assert!(plan.rate_for(0, 1.0) > 0.0);
-        // rate is linear in load given one calibration.
-        let r1 = plan.rate_for(0, 0.5);
-        let r2 = plan.rate_for(0, 1.0);
-        assert!((r2 / r1 - 2.0).abs() < 1e-12);
+        for fleet in [uniform, FleetConfig::heterogeneous(2, 3)] {
+            let plan = SweepPlan::new("f", fleet.clone(), &SIZES, 1.0, test_config())
+                .expect("calibration succeeds for the sweep mix sizes");
+            let direct = RateCalibration::for_fleet(&fleet, &SIZES)
+                .expect("calibration succeeds for the sweep mix sizes");
+            assert_eq!(plan.rate_for(1.0), direct.rate_hz(1.0, 1.0, fleet.qpus));
+            assert!(plan.rate_for(1.0) > 0.0);
+            let r1 = plan.rate_for(0.5);
+            let r2 = plan.rate_for(1.0);
+            assert!((r2 / r1 - 2.0).abs() < 1e-12);
+        }
+        // A size the device model cannot serve fails the plan, naming the
+        // fleet.
+        let err = SweepPlan::new(
+            "big",
+            FleetConfig::default(),
+            &[100_000],
+            1.0,
+            test_config(),
+        )
+        .expect_err("no warm service model for an oversized topology");
+        assert!(err.starts_with("fleet 'big': "), "{err}");
     }
 
     #[test]

@@ -37,22 +37,20 @@ fn micros(seconds: f64) -> f64 {
 /// [`PerfettoSink::finish`] after the run to obtain the JSON document.
 ///
 /// ```
+/// use std::sync::Arc;
 /// use sx_cluster::prelude::*;
-/// use sx_cluster::telemetry::PerfettoSink;
-/// use split_exec::SplitExecConfig;
 ///
-/// let workload = WorkloadSpec::repeated_topologies(6, 0.5, 7).generate();
-/// let fleet = Fleet::new(
-///     FleetConfig { qpus: 2, seed: 7, ..FleetConfig::default() },
-///     SplitExecConfig::with_seed(7),
-/// );
+/// let cell = CellSpec {
+///     label: "fifo".to_string(),
+///     seed: 7,
+///     fleet: FleetConfig { qpus: 2, seed: 7, ..FleetConfig::default() },
+///     scheduler: SchedulerSpec::Fifo,
+///     admission: AdmissionSpec::AdmitAll,
+///     config: SimConfig::default(),
+///     workload: Arc::new(WorkloadSpec::repeated_topologies(6, 0.5, 7).generate()),
+/// };
 /// let mut sink = PerfettoSink::new();
-/// let mut policy = SchedulerSpec::Fifo.build();
-/// let mut admit = AdmitAll;
-/// simulate_with_telemetry(
-///     fleet, &workload, policy.as_mut(), &mut admit,
-///     SimConfig::default(), &mut sink, None,
-/// );
+/// run_cell(0, &cell, &mut sink);
 /// let doc = sink.finish();
 /// assert!(doc.to_string().contains("traceEvents"));
 /// ```

@@ -6,10 +6,8 @@
 //! records and the caller decides what observing them means.
 //!
 //! * [`NullSink`] — drop everything (the default for large runs).
-//! * [`VecSink`] — retain everything (the pre-telemetry behavior, now
-//!   opt-in; the legacy [`crate::sim::simulate`] entry points use it so
-//!   `SimReport.trace` and every replay/determinism test keep working
-//!   unchanged).
+//! * [`VecSink`] — retain everything in memory; what tests and examples
+//!   pass to [`crate::sweep::run_cell`] when they read the trace.
 //! * [`JsonlSink`] — stream each record as one JSON object per line to any
 //!   `io::Write`, so a full trace can go to disk without ever living in
 //!   memory.

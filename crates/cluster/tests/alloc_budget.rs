@@ -74,7 +74,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allocations performed by one full simulate call (everything else —
+/// Allocations performed by one full engine call (everything else —
 /// workload generation, fleet construction, scheduler build — happens
 /// outside the counted window).
 fn allocations_for(policy: &SchedulerSpec, jobs: usize) -> usize {
@@ -206,8 +206,8 @@ fn allocations_for_sweep(cells: &[CellSpec]) -> usize {
 fn sweep_runner_adds_constant_overhead_and_nothing_per_cell() {
     warmup();
     // Identical cells (one shared workload): every per-cell quantity —
-    // dispatch pattern, cost-table builds, sketch bucket spans, registry sample
-    // counts — is identical, so allocation counts must be exactly linear
+    // dispatch pattern, cost-table builds, sketch bucket spans — is
+    // identical, so allocation counts must be exactly linear
     // in the cell count.  A super-linear term means the runner itself
     // started allocating per cell beyond the cell body.
     let cell = sweep_cell(200);

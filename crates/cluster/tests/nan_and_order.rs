@@ -5,6 +5,8 @@
 //! `f64::total_cmp` (the EventKey pattern of `cluster/src/event.rs`), under
 //! which NaN is just the greatest value.
 
+use std::sync::Arc;
+
 use split_exec::SplitExecConfig;
 use sx_cluster::cache::CacheEntry;
 use sx_cluster::prelude::*;
@@ -21,15 +23,16 @@ fn probe_job(id: usize, deadline: Option<f64>) -> Job {
     }
 }
 
+fn small_fleet_config(seed: u64) -> FleetConfig {
+    FleetConfig {
+        qpus: 2,
+        seed,
+        ..FleetConfig::default()
+    }
+}
+
 fn small_fleet(seed: u64) -> Fleet {
-    Fleet::new(
-        FleetConfig {
-            qpus: 2,
-            seed,
-            ..FleetConfig::default()
-        },
-        SplitExecConfig::with_seed(seed),
-    )
+    Fleet::new(small_fleet_config(seed), SplitExecConfig::with_seed(seed))
 }
 
 #[test]
@@ -76,9 +79,19 @@ fn simulation_with_all_nan_deadlines_completes_and_replays() {
         for job in &mut workload.jobs {
             job.deadline = Some(f64::NAN);
         }
-        let fleet = small_fleet(seed);
-        let mut scheduler = WeightedFairQueue::for_workload(&workload);
-        simulate(fleet, &workload, &mut scheduler, SimConfig::default())
+        let cell = CellSpec {
+            label: "wfq".to_string(),
+            seed,
+            fleet: small_fleet_config(seed),
+            scheduler: SchedulerSpec::WeightedFair {
+                weights: workload.weights(),
+                lane_order: LaneOrder::default(),
+            },
+            admission: AdmissionSpec::AdmitAll,
+            config: SimConfig::default(),
+            workload: Arc::new(workload),
+        };
+        run_cell(0, &cell, &mut NullSink).report
     };
     let a = run(11);
     let b = run(11);
@@ -101,7 +114,7 @@ fn cost_aware_eviction_does_not_panic_on_nan_reembed_cost() {
         last_use,
         reembed_seconds,
     };
-    let policy = CostAware;
+    let policy = EvictionPolicyKind::CostAware;
     // NaN is the *most expensive* entry under total_cmp, so the finite-cost
     // entry is sacrificed first.
     let entries = [entry(1, 0, f64::NAN), entry(2, 1, 4.5)];

@@ -11,13 +11,36 @@
 //! cargo run --release --example cluster_fleet
 //! ```
 
-use split_exec::SplitExecConfig;
+use std::sync::Arc;
+
 use sx_cluster::prelude::*;
+
+/// Run `workload` on a heterogeneous 4-QPU fleet whose caches hold
+/// `capacity` topologies under `eviction`.  Every cell rebuilds the fleet
+/// from the same seed, so each run sees identical fault maps.
+fn run(
+    seed: u64,
+    capacity: usize,
+    eviction: EvictionPolicyKind,
+    scheduler: SchedulerSpec,
+    workload: &Arc<Workload>,
+) -> SimReport {
+    let cell = CellSpec {
+        label: scheduler.name().to_string(),
+        seed,
+        fleet: FleetConfig::heterogeneous(4, seed).with_cache(capacity, eviction),
+        scheduler,
+        admission: AdmissionSpec::AdmitAll,
+        config: SimConfig::default(),
+        workload: Arc::clone(workload),
+    };
+    run_cell(0, &cell, &mut NullSink).report
+}
 
 fn main() {
     let seed = 42;
     let capacity = 2;
-    let workload = WorkloadSpec::bursty(120, 1.5, 6, seed).generate();
+    let workload = Arc::new(WorkloadSpec::bursty(120, 1.5, 6, seed).generate());
     println!(
         "workload: {} jobs over {} distinct topologies (max lps {})\n",
         workload.len(),
@@ -28,12 +51,7 @@ fn main() {
     for policy in SchedulerSpec::all() {
         // Same fleet seed per policy: identical fault maps, fair comparison.
         // Each device holds at most `capacity` warm embeddings (LRU).
-        let fleet = Fleet::new(
-            FleetConfig::heterogeneous(4, seed).with_cache(capacity, EvictionPolicyKind::Lru),
-            SplitExecConfig::with_seed(seed),
-        );
-        let mut scheduler = policy.build();
-        let report = simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default());
+        let report = run(seed, capacity, EvictionPolicyKind::Lru, policy, &workload);
         println!("{report}");
         for qpu in &report.per_qpu {
             println!(
@@ -57,14 +75,9 @@ fn main() {
     // eviction keeps the topologies that are expensive to re-embed.
     println!("eviction policy at capacity 2 (FIFO scheduling):");
     for eviction in EvictionPolicyKind::all() {
-        let fleet = Fleet::new(
-            FleetConfig::heterogeneous(4, seed).with_cache(2, eviction),
-            SplitExecConfig::with_seed(seed),
-        );
         // FIFO routes blind to warmth, so the caches churn and the
         // eviction choice is what separates the two runs.
-        let mut scheduler = SchedulerSpec::Fifo.build();
-        let report = simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default());
+        let report = run(seed, 2, eviction, SchedulerSpec::Fifo, &workload);
         println!(
             "  {:>10}: mean latency {:.3}s, hit rate {:.0}%, {} evictions",
             eviction.name(),

@@ -17,18 +17,45 @@
 //! cargo run --release --example deadline_slo
 //! ```
 
+use std::sync::Arc;
+
 use split_exec::SplitExecConfig;
 use sx_cluster::prelude::*;
 
-fn fleet(seed: u64) -> Fleet {
-    Fleet::new(
-        FleetConfig {
-            qpus: 3,
-            seed,
-            ..FleetConfig::default()
-        },
-        SplitExecConfig::with_seed(seed),
-    )
+fn fleet(seed: u64) -> FleetConfig {
+    FleetConfig {
+        qpus: 3,
+        seed,
+        ..FleetConfig::default()
+    }
+}
+
+/// Run `workload` on the 3-QPU fleet under `scheduler`, with `admission`
+/// gating every arrival.
+fn run(
+    seed: u64,
+    scheduler: SchedulerSpec,
+    admission: AdmissionSpec,
+    workload: &Arc<Workload>,
+) -> SimReport {
+    let cell = CellSpec {
+        label: scheduler.name().to_string(),
+        seed,
+        fleet: fleet(seed),
+        scheduler,
+        admission,
+        config: SimConfig::default(),
+        workload: Arc::clone(workload),
+    };
+    run_cell(0, &cell, &mut NullSink).report
+}
+
+/// Weighted fair queueing with the workload's own tenant weights.
+fn wfq(workload: &Workload, lane_order: LaneOrder) -> SchedulerSpec {
+    SchedulerSpec::WeightedFair {
+        weights: workload.weights(),
+        lane_order,
+    }
 }
 
 fn main() {
@@ -44,27 +71,26 @@ fn main() {
         mix: vec![(1.0, FamilySpec::MaxCutCycle { sizes })],
         deadlines: DeadlinePolicy::ProportionalSlack { factor: 4.0 },
     };
-    let workload = MultiTenantSpec {
-        seed,
-        tenants: vec![
-            tenant("alpha", vec![12, 20, 28, 36]),
-            tenant("beta", vec![14, 22, 30, 34]),
-        ],
-    }
-    .generate();
+    let workload = Arc::new(
+        MultiTenantSpec {
+            seed,
+            tenants: vec![
+                tenant("alpha", vec![12, 20, 28, 36]),
+                tenant("beta", vec![14, 22, 30, 34]),
+            ],
+        }
+        .generate(),
+    );
     println!(
         "workload: {} jobs, all deadline-stamped ({} distinct topologies)\n",
         workload.len(),
         workload.distinct_topologies(),
     );
 
-    let run = |scheduler: &mut dyn Scheduler| {
-        simulate(fleet(seed), &workload, scheduler, SimConfig::default())
-    };
-    let fifo = run(&mut Fifo);
-    let plain =
-        run(&mut WeightedFairQueue::for_workload(&workload).with_lane_order(LaneOrder::Fifo));
-    let edf_lane = run(&mut WeightedFairQueue::for_workload(&workload));
+    let open = |scheduler| run(seed, scheduler, AdmissionSpec::AdmitAll, &workload);
+    let fifo = open(SchedulerSpec::Fifo);
+    let plain = open(wfq(&workload, LaneOrder::Fifo));
+    let edf_lane = open(wfq(&workload, LaneOrder::EarliestDeadline));
 
     println!(
         "{:>9} {:>8} {:>10} {:>12} {:>7}",
@@ -87,7 +113,8 @@ fn main() {
     // deadlines that are provably unreachable whenever every device is
     // mid-embed.  The gate sheds the doomed jobs at admission and never
     // touches the feasible tenant.
-    let worst_pin = fleet(seed).worst_cold_service_seconds(36);
+    let worst_pin =
+        Fleet::new(fleet(seed), SplitExecConfig::with_seed(seed)).worst_cold_service_seconds(36);
     let shed_workload = MultiTenantSpec {
         seed,
         tenants: vec![
@@ -116,21 +143,18 @@ fn main() {
         ],
     }
     .generate();
-    let mut gate = TokenBucket::new(TokenBucketConfig {
-        rate_hz: 1e3, // only the feasibility check binds
-        burst: 1e3,
-        max_queue_depth: usize::MAX,
-        max_defer_seconds: 1e9,
-        shed_infeasible: true,
-    });
-    let mut policy = WeightedFairQueue::for_workload(&shed_workload);
-    let gated = simulate_with_admission(
-        fleet(seed),
-        &shed_workload,
-        &mut policy,
-        &mut gate,
-        SimConfig::default(),
-    );
+    let gate = AdmissionSpec::TokenBucket {
+        default: TokenBucketConfig {
+            rate_hz: 1e3, // only the feasibility check binds
+            burst: 1e3,
+            max_queue_depth: usize::MAX,
+            max_defer_seconds: 1e9,
+            shed_infeasible: true,
+        },
+        per_tenant: Vec::new(),
+    };
+    let policy = wfq(&shed_workload, LaneOrder::EarliestDeadline);
+    let gated = run(seed, policy, gate, &Arc::new(shed_workload));
     let feasible = gated.tenant_named("feasible").unwrap();
     let doomed = gated.tenant_named("doomed").unwrap();
     println!(

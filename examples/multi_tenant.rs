@@ -15,24 +15,38 @@
 //! cargo run --release --example multi_tenant
 //! ```
 
-use split_exec::SplitExecConfig;
+use std::sync::Arc;
+
 use sx_cluster::prelude::*;
 
-fn fleet(seed: u64) -> Fleet {
-    Fleet::new(
-        FleetConfig {
+/// Run `workload` on a 4-QPU fleet under `scheduler`, with `admission`
+/// gating every arrival.
+fn run(
+    seed: u64,
+    scheduler: SchedulerSpec,
+    admission: AdmissionSpec,
+    workload: &Arc<Workload>,
+) -> SimReport {
+    let cell = CellSpec {
+        label: scheduler.name().to_string(),
+        seed,
+        fleet: FleetConfig {
             qpus: 4,
             seed,
             ..FleetConfig::default()
         },
-        SplitExecConfig::with_seed(seed),
-    )
+        scheduler,
+        admission,
+        config: SimConfig::default(),
+        workload: Arc::clone(workload),
+    };
+    run_cell(0, &cell, &mut NullSink).report
 }
 
 fn main() {
     let seed = 7;
     let spec = MultiTenantSpec::aggressor_victim(15, 0.45, 10.0, 1.0, seed);
-    let workload = spec.generate();
+    let workload = Arc::new(spec.generate());
     println!(
         "workload: {} victim + {} aggressor jobs ({} distinct topologies)\n",
         workload
@@ -54,12 +68,11 @@ fn main() {
         ..spec.clone()
     }
     .generate();
-    let mut fifo = SchedulerSpec::Fifo.build();
-    let isolated = simulate(
-        fleet(seed),
-        &isolated_workload,
-        fifo.as_mut(),
-        SimConfig::default(),
+    let isolated = run(
+        seed,
+        SchedulerSpec::Fifo,
+        AdmissionSpec::AdmitAll,
+        &Arc::new(isolated_workload),
     );
     println!(
         "isolated victim baseline: p50 {:.2}s, p99 {:.2}s\n",
@@ -67,13 +80,21 @@ fn main() {
     );
 
     // 1. FIFO: one queue, no tenancy — the flood wins.
-    let mut fifo = SchedulerSpec::Fifo.build();
-    let fifo_report = simulate(fleet(seed), &workload, fifo.as_mut(), SimConfig::default());
+    let fifo_report = run(
+        seed,
+        SchedulerSpec::Fifo,
+        AdmissionSpec::AdmitAll,
+        &workload,
+    );
     println!("{fifo_report}\n");
 
-    // 2. WFQ: per-tenant lanes on a virtual clock.
-    let mut wfq = WeightedFairQueue::for_workload(&workload);
-    let wfq_report = simulate(fleet(seed), &workload, &mut wfq, SimConfig::default());
+    // 2. WFQ: per-tenant lanes on a virtual clock, weighted by the
+    // workload's tenant metadata.
+    let wfq = SchedulerSpec::WeightedFair {
+        weights: workload.weights(),
+        lane_order: LaneOrder::default(),
+    };
+    let wfq_report = run(seed, wfq.clone(), AdmissionSpec::AdmitAll, &workload);
     println!("{wfq_report}\n");
 
     // 3. WFQ + admission: budget the aggressor's lane.
@@ -84,21 +105,17 @@ fn main() {
         max_defer_seconds: 1e9,
         ..TokenBucketConfig::default()
     };
-    let mut gate = TokenBucket::new(generous).with_tenant_budget(
-        TenantId(1),
-        TokenBucketConfig {
-            max_queue_depth: 6,
-            ..generous
-        },
-    );
-    let mut wfq = WeightedFairQueue::for_workload(&workload);
-    let gated_report = simulate_with_admission(
-        fleet(seed),
-        &workload,
-        &mut wfq,
-        &mut gate,
-        SimConfig::default(),
-    );
+    let gate = AdmissionSpec::TokenBucket {
+        default: generous,
+        per_tenant: vec![(
+            TenantId(1),
+            TokenBucketConfig {
+                max_queue_depth: 6,
+                ..generous
+            },
+        )],
+    };
+    let gated_report = run(seed, wfq, gate, &workload);
     println!("{gated_report}\n");
 
     let victim = |r: &SimReport| r.tenant_named("victim").unwrap().latency.p99;

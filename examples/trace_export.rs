@@ -1,10 +1,10 @@
 //! Telemetry: export a cluster run as a Perfetto / Chrome trace.
 //!
 //! Runs the aggressor/victim composition under weighted fair queueing with
-//! a [`PerfettoSink`] and a metrics registry attached, then writes the
-//! trace-event JSON to `trace_cluster.json` (or the path given as the
-//! first argument).  Open the file at <https://ui.perfetto.dev> — or
-//! `chrome://tracing` — to see, on the *virtual* timeline:
+//! a [`PerfettoSink`] attached, then writes the trace-event JSON to
+//! `trace_cluster.json` (or the path given as the first argument).  Open
+//! the file at <https://ui.perfetto.dev> — or `chrome://tracing` — to see,
+//! on the *virtual* timeline:
 //!
 //! * one lane per job (process "jobs"): a `queued` span from first
 //!   arrival to dispatch, then `embed` → `anneal` → `readout` service
@@ -12,10 +12,9 @@
 //! * one track per QPU (process "fleet"): back-to-back `job N` occupancy
 //!   spans — the gaps are idle capacity.
 //!
-//! Telemetry is a pure observer: attaching the sink and registry does not
-//! change the schedule (the sink-purity tests assert bit-identical
-//! reports), so the exported trace is exactly the run you would have had
-//! without it.
+//! Telemetry is a pure observer: attaching the sink does not change the
+//! schedule (the sink-purity tests assert bit-identical reports), so the
+//! exported trace is exactly the run you would have had without it.
 //!
 //! ```text
 //! cargo run --release --example trace_export [-- PATH]
@@ -23,7 +22,8 @@
 //!
 //! See `docs/OBSERVABILITY.md` for the full telemetry layer reference.
 
-use split_exec::SplitExecConfig;
+use std::sync::Arc;
+
 use sx_cluster::prelude::*;
 
 fn main() {
@@ -35,29 +35,26 @@ fn main() {
     // A small aggressor/victim mix: 12 victim jobs at 0.4 Hz, an
     // aggressor submitting 4x as many jobs at 4x the rate.
     let workload = MultiTenantSpec::aggressor_victim(12, 0.4, 4.0, 1.0, seed).generate();
-    let fleet = Fleet::new(
-        FleetConfig {
+    let cell = CellSpec {
+        label: "wfq".to_string(),
+        seed,
+        fleet: FleetConfig {
             qpus: 4,
             seed,
             ..FleetConfig::default()
         },
-        SplitExecConfig::with_seed(seed),
-    );
+        scheduler: SchedulerSpec::WeightedFair {
+            weights: workload.weights(),
+            lane_order: LaneOrder::default(),
+        },
+        admission: AdmissionSpec::AdmitAll,
+        config: SimConfig::default(),
+        workload: Arc::new(workload),
+    };
 
-    let mut scheduler = WeightedFairQueue::for_workload(&workload);
     let mut sink = PerfettoSink::new();
-    // Sample queue depth, per-QPU utilization, cache hit-rate and lane
-    // depths every 2 virtual seconds alongside the trace.
-    let mut registry = MetricsRegistry::new(2.0);
-    let report = simulate_with_telemetry(
-        fleet,
-        &workload,
-        &mut scheduler,
-        &mut AdmitAll,
-        SimConfig::default(),
-        &mut sink,
-        Some(&mut registry),
-    );
+    let result = run_cell(0, &cell, &mut sink);
+    let report = &result.report;
 
     println!("{report}\n");
 
@@ -76,24 +73,21 @@ fn main() {
         }
     }
 
-    // The registry's sketches summarize the same run without retaining a
-    // per-event trace — the configuration large runs should prefer.
-    if let Some(latency) = registry.histogram("latency_seconds") {
-        println!(
-            "latency sketch over {} completions: p50 {:.2}s, p95 {:.2}s, p99 {:.2}s \
-             (relative error <= {:.1}%)",
-            latency.count(),
-            latency.p50(),
-            latency.p95(),
-            latency.p99(),
-            100.0 * latency.relative_error_bound(),
-        );
-    }
-    if let Some(depth) = registry.gauge_series("queue_depth") {
-        let peak = depth.iter().fold(0.0f64, |acc, &(_, v)| acc.max(v));
-        println!(
-            "queue depth sampled {} times on the virtual clock; peak {peak}",
-            depth.len(),
-        );
-    }
+    // The cell's sketch summarizes the same run in a fixed number of
+    // buckets — what sweeps merge across cells.
+    let latency = &result.latency_sketch;
+    println!(
+        "latency sketch over {} completions: p50 {:.2}s, p95 {:.2}s, p99 {:.2}s \
+         (relative error <= {:.1}%)",
+        latency.count(),
+        latency.p50(),
+        latency.p95(),
+        latency.p99(),
+        100.0 * latency.relative_error_bound(),
+    );
+    println!(
+        "queue depth sampled after each of {} events; peak {}",
+        report.queue_depth.len(),
+        report.max_queue_depth(),
+    );
 }

@@ -3,28 +3,63 @@
 //! the public APIs of `sx_cluster`, `split_exec` and `quantum_anneal`
 //! together.
 
+use std::sync::Arc;
+
 use split_exec::SplitExecConfig;
 use sx_cluster::prelude::*;
 
-fn fleet(qpus: usize, seed: u64) -> Fleet {
-    Fleet::new(
-        FleetConfig {
-            qpus,
-            seed,
-            ..FleetConfig::default()
-        },
-        SplitExecConfig::with_seed(seed),
-    )
+fn fleet(qpus: usize, seed: u64) -> FleetConfig {
+    FleetConfig {
+        qpus,
+        seed,
+        ..FleetConfig::default()
+    }
+}
+
+/// A cell on `fleet` (seeded by the fleet's own seed), admitting every
+/// arrival in open mode.
+fn cell(fleet: FleetConfig, scheduler: SchedulerSpec, workload: &Workload) -> CellSpec {
+    CellSpec {
+        label: scheduler.name().to_string(),
+        seed: fleet.seed,
+        fleet,
+        scheduler,
+        admission: AdmissionSpec::AdmitAll,
+        config: SimConfig::default(),
+        workload: Arc::new(workload.clone()),
+    }
+}
+
+fn report(spec: &CellSpec) -> SimReport {
+    run_cell(0, spec, &mut NullSink).report
+}
+
+/// The cell's report and its full event trace.
+fn traced(spec: &CellSpec) -> (SimReport, Vec<TraceRecord>) {
+    let mut sink = VecSink::new();
+    let report = run_cell(0, spec, &mut sink).report;
+    (report, sink.into_trace())
+}
+
+/// Weighted fair queueing with the workload's own tenant weights.
+fn weighted_fair(workload: &Workload) -> SchedulerSpec {
+    SchedulerSpec::WeightedFair {
+        weights: workload.weights(),
+        lane_order: LaneOrder::default(),
+    }
+}
+
+/// A token bucket whose default budget is `default`, with no per-tenant
+/// overrides.
+fn token_bucket(default: TokenBucketConfig) -> AdmissionSpec {
+    AdmissionSpec::TokenBucket {
+        default,
+        per_tenant: Vec::new(),
+    }
 }
 
 fn run(policy: &SchedulerSpec, workload: &Workload, qpus: usize, seed: u64) -> SimReport {
-    let mut scheduler = policy.build();
-    simulate(
-        fleet(qpus, seed),
-        workload,
-        scheduler.as_mut(),
-        SimConfig::default(),
-    )
+    report(&cell(fleet(qpus, seed), policy.clone(), workload))
 }
 
 /// The headline acceptance demo: on a seeded repeated-topology mix,
@@ -77,8 +112,8 @@ fn fleet_scale_breakdown_reproduces_stage1_dominance() {
 fn simulation_is_deterministic_end_to_end() {
     let spec = WorkloadSpec::bursty(50, 1.2, 5, 19);
     for policy in SchedulerSpec::all() {
-        let a = run(&policy, &spec.generate(), 4, 19);
-        let b = run(&policy, &spec.generate(), 4, 19);
+        let a = traced(&cell(fleet(4, 19), policy.clone(), &spec.generate()));
+        let b = traced(&cell(fleet(4, 19), policy.clone(), &spec.generate()));
         assert_eq!(a, b, "policy {policy} is not deterministic");
     }
 }
@@ -168,17 +203,8 @@ fn bounded_caches_exhibit_the_hit_rate_cliff() {
     };
     for eviction in EvictionPolicyKind::all() {
         for capacity in [1usize, 2, 4] {
-            let fleet = Fleet::new(
-                FleetConfig {
-                    qpus: 3,
-                    seed: 11,
-                    ..FleetConfig::default()
-                }
-                .with_cache(capacity, eviction),
-                SplitExecConfig::with_seed(11),
-            );
-            let mut scheduler = SchedulerSpec::Fifo.build();
-            let report = simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default());
+            let fleet = fleet(3, 11).with_cache(capacity, eviction);
+            let report = report(&cell(fleet, SchedulerSpec::Fifo, &workload));
             series
                 .points
                 .push(CachePoint::from_report(capacity, eviction.name(), &report));
@@ -225,21 +251,21 @@ fn heterogeneous_fleet_completes_and_replays_deterministically() {
     let workload = WorkloadSpec::repeated_topologies(40, 1.0, 13).generate();
     for policy in SchedulerSpec::all() {
         let run = || {
-            let fleet = Fleet::new(
+            traced(&cell(
                 FleetConfig::heterogeneous(4, 13),
-                SplitExecConfig::with_seed(13),
-            );
-            let mut scheduler = policy.build();
-            simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default())
+                policy.clone(),
+                &workload,
+            ))
         };
-        let report = run();
+        let first = run();
+        let report = &first.0;
         assert_eq!(report.completed + report.rejected, 40);
         assert!(report.completed > 0);
         // Work spreads beyond a single device (affinity may legitimately
         // concentrate a few topologies on a few devices, but not on one).
         let active = report.per_qpu.iter().filter(|q| q.jobs > 0).count();
         assert!(active >= 2, "{policy}: only {active} device(s) served work");
-        assert_eq!(report, run(), "policy {policy} diverged on a hetero fleet");
+        assert_eq!(first, run(), "policy {policy} diverged on a hetero fleet");
     }
 }
 
@@ -296,13 +322,7 @@ fn wfq_bounds_the_victim_p99_under_an_aggressor() {
     assert!(isolated_p99 > 0.0);
 
     let fifo = run(&SchedulerSpec::Fifo, &workload, 3, seed);
-    let mut wfq_policy = WeightedFairQueue::for_workload(&workload);
-    let wfq = simulate(
-        fleet(3, seed),
-        &workload,
-        &mut wfq_policy,
-        SimConfig::default(),
-    );
+    let wfq = run(&weighted_fair(&workload), &workload, 3, seed);
 
     let fifo_victim = fifo.tenant_named("victim").unwrap().latency.p99;
     let wfq_victim = wfq.tenant_named("victim").unwrap().latency.p99;
@@ -323,37 +343,32 @@ fn token_bucket_sheds_the_aggressor_not_the_victim() {
     let seed = 3;
     let workload = MultiTenantSpec::aggressor_victim(12, 0.4, 10.0, 1.0, seed).generate();
 
-    let open = {
-        let mut policy = WeightedFairQueue::for_workload(&workload);
-        simulate(fleet(3, seed), &workload, &mut policy, SimConfig::default())
-    };
+    let open_cell = cell(fleet(3, seed), weighted_fair(&workload), &workload);
+    let open = report(&open_cell);
 
     let depth_limit = 5;
-    let mut gate = TokenBucket::new(TokenBucketConfig {
-        rate_hz: 100.0,
-        burst: 100.0,
-        max_queue_depth: usize::MAX,
-        max_defer_seconds: 1e6,
-        ..TokenBucketConfig::default()
-    })
-    .with_tenant_budget(
-        TenantId(1),
-        TokenBucketConfig {
-            rate_hz: 100.0,
-            burst: 100.0,
-            max_queue_depth: depth_limit,
-            max_defer_seconds: 1e6,
-            ..TokenBucketConfig::default()
+    let gated = report(&CellSpec {
+        admission: AdmissionSpec::TokenBucket {
+            default: TokenBucketConfig {
+                rate_hz: 100.0,
+                burst: 100.0,
+                max_queue_depth: usize::MAX,
+                max_defer_seconds: 1e6,
+                ..TokenBucketConfig::default()
+            },
+            per_tenant: vec![(
+                TenantId(1),
+                TokenBucketConfig {
+                    rate_hz: 100.0,
+                    burst: 100.0,
+                    max_queue_depth: depth_limit,
+                    max_defer_seconds: 1e6,
+                    ..TokenBucketConfig::default()
+                },
+            )],
         },
-    );
-    let mut policy = WeightedFairQueue::for_workload(&workload);
-    let gated = simulate_with_admission(
-        fleet(3, seed),
-        &workload,
-        &mut policy,
-        &mut gate,
-        SimConfig::default(),
-    );
+        ..open_cell
+    });
 
     let aggressor = gated.tenant_named("aggressor").unwrap();
     let victim = gated.tenant_named("victim").unwrap();
@@ -374,24 +389,19 @@ fn token_bucket_sheds_the_aggressor_not_the_victim() {
 fn multi_tenant_simulation_is_deterministic_end_to_end() {
     let run = |seed: u64| {
         let workload = MultiTenantSpec::aggressor_victim(10, 0.5, 6.0, 2.0, seed).generate();
-        let mut policy = WeightedFairQueue::for_workload(&workload);
-        let mut gate = TokenBucket::new(TokenBucketConfig {
-            rate_hz: 1.5,
-            burst: 4.0,
-            max_queue_depth: 10,
-            max_defer_seconds: 100.0,
-            ..TokenBucketConfig::default()
-        });
-        simulate_with_admission(
-            fleet(3, seed),
-            &workload,
-            &mut policy,
-            &mut gate,
-            SimConfig::default(),
-        )
+        traced(&CellSpec {
+            admission: token_bucket(TokenBucketConfig {
+                rate_hz: 1.5,
+                burst: 4.0,
+                max_queue_depth: 10,
+                max_defer_seconds: 100.0,
+                ..TokenBucketConfig::default()
+            }),
+            ..cell(fleet(3, seed), weighted_fair(&workload), &workload)
+        })
     };
     assert_eq!(run(21), run(21));
-    assert_ne!(run(21).trace, run(22).trace);
+    assert_ne!(run(21).1, run(22).1);
 }
 
 /// The machine-readable export: a multi-tenant report renders to JSON with
@@ -399,8 +409,7 @@ fn multi_tenant_simulation_is_deterministic_end_to_end() {
 #[test]
 fn sim_reports_export_to_json() {
     let workload = MultiTenantSpec::aggressor_victim(6, 0.5, 3.0, 1.0, 5).generate();
-    let mut policy = WeightedFairQueue::for_workload(&workload);
-    let report = simulate(fleet(2, 5), &workload, &mut policy, SimConfig::default());
+    let report = run(&weighted_fair(&workload), &workload, 2, 5);
     let json = report.to_json();
     assert_eq!(json.get("policy"), Some(&JsonValue::from("wfq")));
     assert!(json.get("jains_fairness_index").is_some());
@@ -448,18 +457,10 @@ fn second_chance_cache_admission_helps_on_low_repetition_mixes() {
     );
 
     let run = |admission: sx_cluster::AdmissionPolicy| {
-        let fleet = Fleet::new(
-            FleetConfig {
-                qpus: 2,
-                seed: 13,
-                ..FleetConfig::default()
-            }
+        let fleet = fleet(2, 13)
             .with_cache(3, EvictionPolicyKind::Lru)
-            .with_cache_admission(admission),
-            SplitExecConfig::with_seed(13),
-        );
-        let mut scheduler = SchedulerSpec::Fifo.build();
-        simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default())
+            .with_cache_admission(admission);
+        report(&cell(fleet, SchedulerSpec::Fifo, &workload))
     };
     let always = run(sx_cluster::AdmissionPolicy::Always);
     let second = run(sx_cluster::AdmissionPolicy::SecondChance);
@@ -506,14 +507,13 @@ fn edf_lanes_cut_the_slo_miss_rate_under_load() {
     .generate();
     assert_eq!(workload.deadline_jobs(), 90);
 
-    let run = |scheduler: &mut dyn Scheduler| {
-        simulate(fleet(3, seed), &workload, scheduler, SimConfig::default())
+    let fifo = run(&SchedulerSpec::Fifo, &workload, 3, seed);
+    let plain = SchedulerSpec::WeightedFair {
+        weights: workload.weights(),
+        lane_order: LaneOrder::Fifo,
     };
-    let fifo = run(&mut Fifo);
-    let mut plain = WeightedFairQueue::for_workload(&workload).with_lane_order(LaneOrder::Fifo);
-    let plain = run(&mut plain);
-    let mut edf_lane = WeightedFairQueue::for_workload(&workload);
-    let edf_lane = run(&mut edf_lane);
+    let plain = run(&plain, &workload, 3, seed);
+    let edf_lane = run(&weighted_fair(&workload), &workload, 3, seed);
 
     // Everything completes (no admission gate), so miss-rates compare the
     // same population.
@@ -560,7 +560,8 @@ fn edf_lanes_cut_the_slo_miss_rate_under_load() {
 fn infeasible_shedding_never_claims_a_feasible_job() {
     let seed = 5;
     // The worst single-job pin on this fleet: the costliest cold service.
-    let worst_pin = fleet(2, seed).worst_cold_service_seconds(36);
+    let worst_pin =
+        Fleet::new(fleet(2, seed), SplitExecConfig::with_seed(seed)).worst_cold_service_seconds(36);
     let workload = MultiTenantSpec {
         seed,
         tenants: vec![
@@ -605,21 +606,16 @@ fn infeasible_shedding_never_claims_a_feasible_job() {
     }
     .generate();
 
-    let mut gate = TokenBucket::new(TokenBucketConfig {
-        rate_hz: 1e3,
-        burst: 1e3,
-        max_queue_depth: usize::MAX,
-        max_defer_seconds: 1e9,
-        shed_infeasible: true,
+    let (report, trace) = traced(&CellSpec {
+        admission: token_bucket(TokenBucketConfig {
+            rate_hz: 1e3,
+            burst: 1e3,
+            max_queue_depth: usize::MAX,
+            max_defer_seconds: 1e9,
+            shed_infeasible: true,
+        }),
+        ..cell(fleet(2, seed), weighted_fair(&workload), &workload)
     });
-    let mut policy = WeightedFairQueue::for_workload(&workload);
-    let report = simulate_with_admission(
-        fleet(2, seed),
-        &workload,
-        &mut policy,
-        &mut gate,
-        SimConfig::default(),
-    );
 
     let feasible = report.tenant_named("feasible").unwrap();
     let doomed = report.tenant_named("doomed").unwrap();
@@ -643,8 +639,7 @@ fn infeasible_shedding_never_claims_a_feasible_job() {
     // deadline really was tighter than its best-case completion: no
     // completed sibling of the same size finished within that slack while
     // the fleet was loaded.
-    let infeasible_sheds = report
-        .trace
+    let infeasible_sheds = trace
         .iter()
         .filter(|t| {
             matches!(
@@ -667,25 +662,21 @@ fn deadline_streams_are_deterministic_end_to_end() {
         let workload = MultiTenantSpec::aggressor_victim(10, 0.5, 5.0, 2.0, seed)
             .with_uniform_deadlines(DeadlinePolicy::ProportionalSlack { factor: 3.0 })
             .generate();
-        let mut policy = WeightedFairQueue::for_workload(&workload);
-        let mut gate = TokenBucket::new(TokenBucketConfig {
-            rate_hz: 2.0,
-            burst: 4.0,
-            max_queue_depth: 32,
-            max_defer_seconds: 200.0,
-            shed_infeasible: true,
-        });
-        simulate_with_admission(
-            fleet(3, seed),
-            &workload,
-            &mut policy,
-            &mut gate,
-            SimConfig::default(),
-        )
+        traced(&CellSpec {
+            admission: token_bucket(TokenBucketConfig {
+                rate_hz: 2.0,
+                burst: 4.0,
+                max_queue_depth: 32,
+                max_defer_seconds: 200.0,
+                shed_infeasible: true,
+            }),
+            ..cell(fleet(3, seed), weighted_fair(&workload), &workload)
+        })
     };
     let a = run(33);
     assert_eq!(a, run(33));
-    assert_ne!(a.trace, run(34).trace);
+    assert_ne!(a.1, run(34).1);
+    let (a, _) = a;
     // Deadlines made it through generation, dispatch and records.
     assert!(a.slo_jobs() > 0);
     assert!(a.records.iter().all(|r| r.deadline.is_some()));
@@ -699,8 +690,7 @@ fn slo_fields_export_to_json() {
             slack_seconds: 30.0,
         })
         .generate();
-    let mut policy = WeightedFairQueue::for_workload(&workload);
-    let report = simulate(fleet(2, 5), &workload, &mut policy, SimConfig::default());
+    let report = run(&weighted_fair(&workload), &workload, 2, 5);
     let json = report.to_json();
     for field in ["slo_jobs", "slo_misses", "slo_miss_rate", "shed_infeasible"] {
         assert!(json.get(field).is_some(), "missing report field {field}");
@@ -724,15 +714,16 @@ fn slo_fields_export_to_json() {
 #[test]
 fn closed_loop_completes_the_stream() {
     let workload = WorkloadSpec::repeated_topologies(30, 1.0, 9).generate();
-    let report = simulate(
-        fleet(2, 9),
-        &workload,
-        &mut ShortestPredictedFirst::default(),
-        SimConfig {
+    let spjf = SchedulerSpec::ShortestPredictedFirst {
+        aging_weight: sx_cluster::scheduler::DEFAULT_AGING_WEIGHT,
+    };
+    let report = report(&CellSpec {
+        config: SimConfig {
             mode: WorkloadMode::Closed { clients: 3 },
             percentiles: PercentileMode::Exact,
         },
-    );
+        ..cell(fleet(2, 9), spjf, &workload)
+    });
     assert_eq!(report.completed + report.rejected, 30);
     assert!(report.max_queue_depth() <= 3);
     // A closed system with demand always waiting keeps devices busier than
@@ -748,22 +739,23 @@ fn closed_loop_completes_the_stream() {
 fn telemetry_never_perturbs_a_multi_tenant_run() {
     for seed in [5, 29] {
         let workload = MultiTenantSpec::aggressor_victim(10, 0.5, 6.0, 2.0, seed).generate();
-        let gate_config = TokenBucketConfig {
-            rate_hz: 1.5,
-            burst: 4.0,
-            max_queue_depth: 10,
-            max_defer_seconds: 100.0,
-            ..TokenBucketConfig::default()
+        let spec = CellSpec {
+            admission: token_bucket(TokenBucketConfig {
+                rate_hz: 1.5,
+                burst: 4.0,
+                max_queue_depth: 10,
+                max_defer_seconds: 100.0,
+                ..TokenBucketConfig::default()
+            }),
+            ..cell(fleet(3, seed), weighted_fair(&workload), &workload)
         };
         let run = |sink: &mut dyn TraceSink, registry: Option<&mut MetricsRegistry>| {
-            let mut policy = WeightedFairQueue::for_workload(&workload);
-            let mut gate = TokenBucket::new(gate_config);
             simulate_with_telemetry(
-                fleet(3, seed),
-                &workload,
-                &mut policy,
-                &mut gate,
-                SimConfig::default(),
+                Fleet::new(spec.fleet.clone(), SplitExecConfig::with_seed(spec.seed)),
+                &spec.workload,
+                spec.scheduler.build().as_mut(),
+                spec.admission.build().as_mut(),
+                spec.config,
                 sink,
                 registry,
             )
@@ -782,19 +774,10 @@ fn telemetry_never_perturbs_a_multi_tenant_run() {
             "PerfettoSink + registry changed the run (seed {seed})"
         );
 
-        // The retaining sink matches what the legacy wrapper reports.
-        let legacy = {
-            let mut policy = WeightedFairQueue::for_workload(&workload);
-            let mut gate = TokenBucket::new(gate_config);
-            simulate_with_admission(
-                fleet(3, seed),
-                &workload,
-                &mut policy,
-                &mut gate,
-                SimConfig::default(),
-            )
-        };
-        assert_eq!(legacy.trace, vec_sink.records());
+        // `run_cell` is the same run: same report, same trace.
+        let (via_cell, trace) = traced(&spec);
+        assert_eq!(bare, via_cell);
+        assert_eq!(trace, vec_sink.records());
 
         // And the registry saw the run it observed: counters and sketches
         // agree with the report's own accounting.
@@ -815,17 +798,9 @@ fn telemetry_never_perturbs_a_multi_tenant_run() {
 fn perfetto_export_parses_as_trace_event_json() {
     let seed = 11;
     let workload = MultiTenantSpec::aggressor_victim(8, 0.5, 4.0, 1.0, seed).generate();
-    let mut policy = WeightedFairQueue::for_workload(&workload);
     let mut sink = PerfettoSink::new();
-    let report = simulate_with_telemetry(
-        fleet(2, seed),
-        &workload,
-        &mut policy,
-        &mut AdmitAll,
-        SimConfig::default(),
-        &mut sink,
-        None,
-    );
+    let spec = cell(fleet(2, seed), weighted_fair(&workload), &workload);
+    let report = run_cell(0, &spec, &mut sink).report;
     let rendered = sink.finish().to_string();
 
     let doc = sx_cluster::json::parse(&rendered).expect("Perfetto export must parse");
