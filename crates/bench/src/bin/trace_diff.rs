@@ -2,9 +2,9 @@
 //! event.
 //!
 //! A flight record (written by `cluster_sim --record`, schema
-//! `sx-flight-record/v3`) is a deterministic function of its header, the
-//! run's serialized `CellSpec`: same seed, fleet, scheduler, admission and
-//! workload must yield the same record stream byte for byte.  This tool is the CI-facing check of that invariant:
+//! `sx-flight-record/v4`) is a deterministic function of its header, the
+//! run's serialized `CellSpec`: same fleet (its seed included), scheduler,
+//! admission and workload must yield the same record stream byte for byte.  This tool is the CI-facing check of that invariant:
 //!
 //! ```text
 //! trace_diff <a.jsonl> <b.jsonl> [--context N]
@@ -20,7 +20,7 @@
 //!   unknown schema version (the records cannot be meaningfully compared).
 //!
 //! Comparison is on raw trimmed lines, so any difference — header fields
-//! such as the seed or fleet fingerprint, record payloads, or one file
+//! such as the fleet (its seed) or fleet fingerprint, record payloads, or one file
 //! simply being longer — counts as divergence.  When the headers
 //! themselves differ, the differing top-level keys are named and the scan
 //! continues forward so the first divergent *record* (and its `seq`) is

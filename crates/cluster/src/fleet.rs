@@ -488,14 +488,11 @@ impl Iterator for Holders<'_> {
     }
 }
 
-/// The fleet: all devices plus shared application configuration, and the
-/// placement index over them.
+/// The fleet: all devices and the placement index over them.
 #[derive(Debug)]
 pub struct Fleet {
     /// The devices, indexed by id.
     pub devices: Vec<QpuDevice>,
-    /// The application configuration shared by all devices.
-    pub app_config: SplitExecConfig,
     /// Per QPU model, the device ids sorted by `(fault_difficulty, id)`:
     /// the order in which that model's cold predictions ascend.
     cold_order: Vec<Vec<u32>>,
@@ -506,7 +503,9 @@ pub struct Fleet {
 impl Fleet {
     /// Build a fleet, drawing each device's faults deterministically from
     /// the configured seed.  Each QPU model in use gets one pristine
-    /// lattice and one cost table, shared by all its devices.
+    /// lattice and one cost table, shared by all its devices; the cost
+    /// tables read only `app_config`'s accuracy and per-read success
+    /// probability, so its seed changes nothing.
     pub fn new(config: FleetConfig, app_config: SplitExecConfig) -> Self {
         assert!(config.qpus > 0, "a fleet needs at least one QPU");
         assert!(
@@ -533,7 +532,6 @@ impl Fleet {
         let pairs = config.cache_capacity.unwrap_or(0) * config.qpus;
         Self {
             devices,
-            app_config,
             cold_order,
             holders: WarmHolders::with_capacity(pairs),
         }
@@ -853,6 +851,35 @@ mod tests {
         f.mark_warm(0, 7, 20);
         assert!(f.devices[0].is_warm(7), "second occurrence must be cached");
         assert_eq!(f.warm_holders(7).collect::<Vec<_>>(), vec![0]);
+    }
+
+    /// The application seed reaches no cost row: fleets built with
+    /// different `SplitExecConfig` seeds price every size bit-identically.
+    #[test]
+    fn app_seed_changes_no_cost_row() {
+        let config = FleetConfig::heterogeneous(2, 5);
+        let a = Fleet::new(config.clone(), SplitExecConfig::with_seed(1));
+        let b = Fleet::new(config, SplitExecConfig::with_seed(2));
+        for (da, db) in a.devices.iter().zip(&b.devices) {
+            assert_eq!(da.cost.max_lps(), db.cost.max_lps());
+            for lps in 0..=da.cost.max_lps() {
+                match (da.cost.costs(lps), db.cost.costs(lps)) {
+                    (Ok(x), Ok(y)) => {
+                        let bits = |c: StageCosts| {
+                            [
+                                c.stage1_embed_seconds,
+                                c.stage1_overhead_seconds,
+                                c.stage2_seconds,
+                                c.stage3_seconds,
+                            ]
+                            .map(f64::to_bits)
+                        };
+                        assert_eq!(bits(x), bits(y), "device {} lps {lps}", da.id);
+                    }
+                    (x, y) => assert_eq!(x.is_ok(), y.is_ok(), "device {} lps {lps}", da.id),
+                }
+            }
+        }
     }
 
     #[test]

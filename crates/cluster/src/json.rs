@@ -11,9 +11,8 @@
 //! rather than producing an unparseable document.
 //!
 //! [`parse`] is the inverse seam: a recursive-descent RFC 8259 parser used
-//! by the tests (every emitted document must round-trip), by
-//! `cluster_sim --mode sweep` to validate its `sx-sweep/v1` document
-//! against the schema after writing it, and by the flight-record reader.
+//! by the tests (every emitted document must round-trip) and by the
+//! flight-record reader.
 
 use crate::event::EventKind;
 use crate::metrics::{LatencyStats, QpuStats, SimReport, TenantStats};
@@ -662,7 +661,6 @@ mod tests {
         let workload = MultiTenantSpec::aggressor_victim(5, 0.5, 2.0, 1.0, 3).generate();
         let cell = CellSpec {
             label: "wfq".to_string(),
-            seed: 3,
             fleet: FleetConfig {
                 qpus: 2,
                 seed: 3,

@@ -58,23 +58,23 @@
 //!   through; [`metrics`] — latency percentiles
 //!   (via [`quantum_anneal::stats::percentile`]), per-stage breakdown,
 //!   per-QPU utilization and cache behavior (hit rate, evictions),
-//!   queue-depth and hit-rate-vs-capacity series ([`CacheCliffSeries`]),
+//!   queue depth,
 //!   per-tenant percentiles/shed/deferral counts ([`TenantStats`]) with
 //!   Jain's fairness index and max-min share, per-tenant and global
 //!   SLO-miss counts, miss-rates and lateness percentiles, and export to
 //!   the shared [`split_exec::BatchSummary`] report format.
 //! * [`json`] — deterministic hand-rolled JSON emission ([`JsonValue`],
 //!   `SimReport::to_json`) so sweeps are machine-readable without a
-//!   serialization dependency, plus a real RFC 8259 parser ([`json::parse`]) used to
-//!   validate every emitted document.
+//!   serialization dependency, plus a real RFC 8259 parser ([`json::parse`])
+//!   that reads flight records back and round-trips every emitted document
+//!   in the tests.
 //! * [`telemetry`] — the observability layer (`docs/OBSERVABILITY.md`):
 //!   pluggable [`TraceSink`]s (null / retained / JSONL streaming /
 //!   Perfetto export) so trace retention is a policy instead of a default,
 //!   a [`MetricsRegistry`] sampling queue depth, utilization, hit-rate and
 //!   lane depth on the virtual clock, [`StreamingHistogram`] quantile
 //!   sketches (mergeable, documented error bound) for percentiles without
-//!   record retention, and a host-side stopwatch
-//!   ([`telemetry::HostStopwatch`]) for the sweep runner's wall clock.
+//!   record retention.  No module reads a wall clock.
 //!
 //! Service times are the paper's own stage models ([`split_exec::cost`]),
 //! so the simulator is the paper's performance model instantiated at fleet
@@ -87,7 +87,6 @@
 //!
 //! let cell = CellSpec {
 //!     label: "affinity".to_string(),
-//!     seed: 7,
 //!     fleet: FleetConfig {
 //!         seed: 7,
 //!         ..FleetConfig::default()
@@ -137,13 +136,10 @@ pub mod prelude {
     pub use crate::fleet::{Fleet, FleetConfig, QpuDevice};
     pub use crate::job::{Job, JobRecord};
     pub use crate::json::JsonValue;
-    pub use crate::metrics::{
-        jains_index, CacheCliffSeries, CachePoint, LatencyStats, QpuStats, SimReport, TenantStats,
-    };
+    pub use crate::metrics::{jains_index, LatencyStats, QpuStats, SimReport, TenantStats};
     pub use crate::replay::{
-        check_replay, fleet_fingerprint, parse_arrival_trace, parse_flight_record,
-        render_arrival_trace, workload_digest, FlightRecord, RecordedRun, RecorderSink,
-        ReplayCheck, ReplayError, ARRIVAL_SCHEMA, FLIGHT_SCHEMA,
+        check_replay, fleet_fingerprint, parse_flight_record, workload_digest, FlightRecord,
+        RecordedRun, RecorderSink, ReplayCheck, ReplayError, FLIGHT_SCHEMA,
     };
     pub use crate::scheduler::{
         CacheAffinity, EarliestDeadlineFirst, Fifo, LaneOrder, Scheduler, SchedulerSpec,
@@ -153,11 +149,10 @@ pub mod prelude {
         simulate_with_telemetry, PercentileMode, SimConfig, TraceRecord, WorkloadMode,
     };
     pub use crate::sweep::{
-        run_cell, run_sweep, AdmissionSpec, CellResult, CellSpec, MergedAggregates,
-        RateCalibration, SweepOutcome, SweepPlan,
+        run_cell, AdmissionSpec, CellResult, CellSpec, MergedAggregates, RateCalibration, SweepPlan,
     };
     pub use crate::telemetry::{
-        FanoutSink, HostStopwatch, JsonlSink, MetricsRegistry, NullSink, PerfettoSink, SimSeries,
+        FanoutSink, JsonlSink, MetricsRegistry, NullSink, PerfettoSink, SimSeries,
         StreamingHistogram, TraceSink, VecSink,
     };
     pub use crate::tenant::{MultiTenantSpec, TenantId, TenantMeta, TenantSpec};
@@ -184,7 +179,6 @@ mod determinism_tests {
     ) -> CellSpec {
         CellSpec {
             label: scheduler.name().to_string(),
-            seed: fleet.seed,
             fleet,
             scheduler,
             admission: AdmissionSpec::AdmitAll,

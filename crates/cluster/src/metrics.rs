@@ -491,98 +491,6 @@ impl fmt::Display for SimReport {
     }
 }
 
-/// One point of a cache-capacity sweep: the fleet-wide hit rate and mean
-/// latency observed at a given per-device capacity under one eviction
-/// policy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachePoint {
-    /// Per-device warm-cache capacity the run used.
-    pub capacity: usize,
-    /// Eviction policy name (`lru`, `cost-aware`).
-    pub eviction: String,
-    /// Fleet-wide warm-hit rate of the run.
-    pub hit_rate: f64,
-    /// Mean end-to-end latency (seconds).
-    pub mean_latency_seconds: f64,
-    /// Total evictions across the fleet.
-    pub evictions: usize,
-    /// Total cold embeds across the fleet.
-    pub cold_misses: usize,
-}
-
-impl CachePoint {
-    /// Extract the point from a finished run.
-    pub fn from_report(capacity: usize, eviction: &str, report: &SimReport) -> Self {
-        Self {
-            capacity,
-            eviction: eviction.to_string(),
-            hit_rate: report.hit_rate(),
-            mean_latency_seconds: report.latency.mean,
-            evictions: report.evictions(),
-            cold_misses: report.cold_misses(),
-        }
-    }
-}
-
-/// A hit-rate-vs-capacity series: the outcome of sweeping warm-cache
-/// capacity across the topology diversity of one workload — the measurement
-/// that exposes the hit-rate cliff.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CacheCliffSeries {
-    /// Distinct topologies in the swept workload (where the cliff sits).
-    pub distinct_topologies: usize,
-    /// Sweep points, in the order they were run.
-    pub points: Vec<CachePoint>,
-}
-
-impl CacheCliffSeries {
-    /// The points of one eviction policy, sorted by capacity ascending.
-    pub fn policy_points(&self, eviction: &str) -> Vec<&CachePoint> {
-        let mut points: Vec<&CachePoint> = self
-            .points
-            .iter()
-            .filter(|p| p.eviction == eviction)
-            .collect();
-        points.sort_by_key(|p| p.capacity);
-        points
-    }
-
-    /// Whether the hit rate is monotone non-decreasing in capacity for the
-    /// given policy (within `tolerance` to absorb scheduling feedback).
-    pub fn hit_rate_monotone(&self, eviction: &str, tolerance: f64) -> bool {
-        self.policy_points(eviction)
-            .windows(2)
-            .all(|pair| pair[1].hit_rate >= pair[0].hit_rate - tolerance)
-    }
-}
-
-impl fmt::Display for CacheCliffSeries {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{:>9} {:>11} {:>7} {:>10} {:>10} {:>6}",
-            "capacity", "eviction", "hit%", "mean [s]", "evictions", "cold"
-        )?;
-        for p in &self.points {
-            writeln!(
-                f,
-                "{:>9} {:>11} {:>7.1} {:>10.3} {:>10} {:>6}",
-                p.capacity,
-                p.eviction,
-                100.0 * p.hit_rate,
-                p.mean_latency_seconds,
-                p.evictions,
-                p.cold_misses
-            )?;
-        }
-        write!(
-            f,
-            "(workload holds {} distinct topologies)",
-            self.distinct_topologies
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,38 +685,6 @@ mod tests {
         assert!((r.per_qpu[0].hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(r.max_queue_depth(), 2);
         assert!((r.mean_utilization() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cache_cliff_series_orders_and_checks_monotonicity() {
-        let mut series = CacheCliffSeries {
-            distinct_topologies: 4,
-            ..CacheCliffSeries::default()
-        };
-        for (cap, hit) in [(4usize, 0.9), (1, 0.1), (2, 0.5)] {
-            series.points.push(CachePoint {
-                capacity: cap,
-                eviction: "lru".into(),
-                hit_rate: hit,
-                mean_latency_seconds: 1.0,
-                evictions: 0,
-                cold_misses: 0,
-            });
-        }
-        let ordered: Vec<usize> = series
-            .policy_points("lru")
-            .iter()
-            .map(|p| p.capacity)
-            .collect();
-        assert_eq!(ordered, vec![1, 2, 4]);
-        assert!(series.hit_rate_monotone("lru", 1e-9));
-        assert!(series.policy_points("cost-aware").is_empty());
-        // A regression (higher capacity, lower hit rate) trips the check.
-        series.points[0].hit_rate = 0.0;
-        assert!(!series.hit_rate_monotone("lru", 1e-9));
-        let text = format!("{series}");
-        assert!(text.contains("capacity"));
-        assert!(text.contains("4 distinct topologies"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Flight recorder: record any run, replay it bit-identically, diff two
 //! runs to the first divergent event.
 //!
-//! A run is a pure function of its [`CellSpec`]: same seed, fleet,
-//! scheduler, admission, engine config and workload ⇒ bit-identical
+//! A run is a pure function of its [`CellSpec`]: same fleet (its seed
+//! included), scheduler, admission, engine config and workload ⇒ bit-identical
 //! [`TraceRecord`] stream (the determinism tests in `lib.rs` pin this).
 //! This module persists that guarantee: a **flight record** is a versioned
 //! JSONL file holding, for every simulated run, one header line — the
@@ -16,16 +16,17 @@
 //! `trace_diff` CLI in `crates/bench`) — every regression becomes a
 //! replayable artifact.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`RecorderSink`] — a [`TraceSink`] that streams header + records to
 //!   any `io::Write` using [`JsonlSink`]'s latched-error plumbing (an
 //!   observability failure never aborts a simulation).
-//! * Arrival traces ([`ARRIVAL_SCHEMA`]) — [`render_arrival_trace`] /
-//!   [`parse_arrival_trace`] turn a captured job stream into a workload
-//!   that replays bit-identically against policy changes.
 //! * [`check_replay`] — re-run a parsed segment's spec and compare the
 //!   replayed stream element-wise against the recorded one.
+//!
+//! A header's workload is also a workload source of its own:
+//! `cluster_sim --workload trace:PATH` runs the first segment's job
+//! stream under other policies.
 //!
 //! Parsing never panics: every malformed input — truncated JSONL,
 //! unknown schema version, out-of-order arrivals, duplicate job ids, an
@@ -51,16 +52,13 @@ use crate::tenant::{TenantId, TenantMeta};
 use crate::workload::Workload;
 
 /// Schema tag carried by every flight-record header line.
-pub const FLIGHT_SCHEMA: &str = "sx-flight-record/v3";
-
-/// Schema tag carried by every arrival-trace header line.
-pub const ARRIVAL_SCHEMA: &str = "sx-arrival-trace/v1";
+pub const FLIGHT_SCHEMA: &str = "sx-flight-record/v4";
 
 // ---------------------------------------------------------------------------
 // Errors
 // ---------------------------------------------------------------------------
 
-/// Why a flight record or arrival trace could not be parsed.
+/// Why a flight record could not be parsed.
 ///
 /// Line numbers are 1-based positions in the input text.
 #[derive(Debug)]
@@ -118,7 +116,7 @@ pub enum ReplayError {
 impl std::fmt::Display for ReplayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReplayError::Empty => write!(f, "no flight-record or trace content found"),
+            ReplayError::Empty => write!(f, "no flight-record content found"),
             ReplayError::UnknownSchema { found, expected } => {
                 write!(f, "unknown schema {found:?} (this build reads {expected:?})")
             }
@@ -850,7 +848,6 @@ impl CellSpec {
         JsonValue::object([
             ("schema", JsonValue::from(FLIGHT_SCHEMA)),
             ("label", JsonValue::from(self.label.as_str())),
-            ("seed", JsonValue::from(self.seed.to_string())),
             (
                 "fleet_fingerprint",
                 JsonValue::from(fleet_fingerprint(&self.fleet).to_string()),
@@ -879,7 +876,6 @@ impl CellSpec {
         }
         let spec = CellSpec {
             label: str_field(line, value, "label")?.to_string(),
-            seed: u64_field(line, value, "seed")?,
             fleet: fleet_from_json(line, req(line, value, "fleet")?)?,
             scheduler: SchedulerSpec::from_json(line, req(line, value, "scheduler")?)?,
             admission: AdmissionSpec::from_json(line, req(line, value, "admission")?)?,
@@ -1086,104 +1082,6 @@ impl<W: io::Write> TraceSink for RecorderSink<W> {
 }
 
 // ---------------------------------------------------------------------------
-// Arrival traces: recorded workloads as just another workload source
-// ---------------------------------------------------------------------------
-
-/// Render a workload as an arrival trace: one [`ARRIVAL_SCHEMA`] header
-/// line (tenant table + job count), then one line per job in submission
-/// order.  [`parse_arrival_trace`] inverts this bit-identically.
-pub fn render_arrival_trace(workload: &Workload) -> String {
-    let header = JsonValue::object([
-        ("schema", JsonValue::from(ARRIVAL_SCHEMA)),
-        ("jobs", JsonValue::from(workload.jobs.len())),
-        (
-            "tenants",
-            JsonValue::array(workload.tenants.iter().map(tenant_to_json)),
-        ),
-    ]);
-    let mut out = header.to_string();
-    out.push('\n');
-    for job in &workload.jobs {
-        out.push_str(&job_to_json(job).to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Parse an arrival trace back into a [`Workload`], enforcing the trace
-/// invariants: matching schema, dense in-order job ids, non-decreasing
-/// arrivals, tenant indices within the declared tenant table, and a job
-/// count matching the header's declaration (so a truncated file is a typed
-/// error, not a silently shorter workload).
-pub fn parse_arrival_trace(text: &str) -> Result<Workload, ReplayError> {
-    let mut header: Option<(usize, Vec<TenantMeta>)> = None;
-    let mut jobs: Vec<Job> = Vec::new();
-    let mut last_line = 0usize;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = idx + 1;
-        last_line = line;
-        let trimmed = raw.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let value = json::parse(trimmed).map_err(|source| ReplayError::Json { line, source })?;
-        match &header {
-            None => {
-                let Some(schema) = value.get("schema") else {
-                    return Err(field_err(
-                        line,
-                        "schema",
-                        "first line must be the arrival-trace header",
-                    ));
-                };
-                let schema = match schema {
-                    JsonValue::Str(s) => s.as_str(),
-                    other => {
-                        return Err(field_err(
-                            line,
-                            "schema",
-                            format!("expected string, found {}", type_name(other)),
-                        ))
-                    }
-                };
-                if schema != ARRIVAL_SCHEMA {
-                    return Err(ReplayError::UnknownSchema {
-                        found: schema.to_string(),
-                        expected: ARRIVAL_SCHEMA,
-                    });
-                }
-                let declared = usize_field(line, &value, "jobs")?;
-                let raw_tenants = array_field(line, &value, "tenants")?;
-                let mut tenants = Vec::with_capacity(raw_tenants.len());
-                for item in raw_tenants {
-                    tenants.push(tenant_from_json(line, item)?);
-                }
-                jobs.reserve(declared);
-                header = Some((declared, tenants));
-            }
-            Some((_, tenants)) => {
-                let job = job_from_json(line, &value)?;
-                push_job(&mut jobs, tenants.len(), job, line)?;
-            }
-        }
-    }
-    let Some((declared, tenants)) = header else {
-        return Err(ReplayError::Empty);
-    };
-    if jobs.len() != declared {
-        return Err(field_err(
-            last_line.max(1),
-            "jobs",
-            format!(
-                "header declares {declared} jobs but the trace contains {} (truncated file?)",
-                jobs.len()
-            ),
-        ));
-    }
-    Ok(Workload { jobs, tenants })
-}
-
-// ---------------------------------------------------------------------------
 // Replay
 // ---------------------------------------------------------------------------
 
@@ -1250,7 +1148,6 @@ mod tests {
     fn small_cell(seed: u64, scheduler: SchedulerSpec) -> CellSpec {
         CellSpec {
             label: format!("s{seed}/{}", scheduler.name()),
-            seed,
             fleet: FleetConfig {
                 qpus: 2,
                 seed,
@@ -1328,8 +1225,10 @@ mod tests {
         let bucket = token_bucket_cell(43);
         for spec in [admit_all, bucket] {
             let rendered = spec.to_json().to_string();
-            assert!(rendered.starts_with(r#"{"schema":"sx-flight-record/v3","#));
+            assert!(rendered.starts_with(r#"{"schema":"sx-flight-record/v4","#));
             assert!(!rendered.contains("sample_interval"), "{rendered}");
+            // The one seed a cell has is its fleet's.
+            assert_eq!(rendered.matches("\"seed\"").count(), 1, "{rendered}");
             let parsed = json::parse(&rendered).expect("valid JSON");
             let back = CellSpec::from_json(1, &parsed).expect("round trip");
             assert_eq!(back, spec);
@@ -1359,8 +1258,8 @@ mod tests {
         let text = format!("{}{}", record_run(&a), record_run(&b));
         let flight = parse_flight_record(&text).expect("parses");
         assert_eq!(flight.runs.len(), 2);
-        assert_eq!(flight.runs[0].spec.seed, 3);
-        assert_eq!(flight.runs[1].spec.seed, 4);
+        assert_eq!(flight.runs[0].spec.fleet.seed, 3);
+        assert_eq!(flight.runs[1].spec.fleet.seed, 4);
         for run in &flight.runs {
             assert_eq!(check_replay(run, &mut NullSink).divergence, None);
         }
@@ -1398,24 +1297,6 @@ mod tests {
     }
 
     #[test]
-    fn arrival_traces_round_trip_bit_identically() {
-        let workload = tiny_workload(10);
-        let text = render_arrival_trace(&workload);
-        let back = parse_arrival_trace(&text).expect("parses");
-        assert_eq!(back, workload);
-        // Render → parse → render is byte-stable.
-        assert_eq!(render_arrival_trace(&back), text);
-    }
-
-    #[test]
-    fn generated_workloads_round_trip_as_arrival_traces() {
-        let spec = crate::workload::WorkloadSpec::repeated_topologies(12, 2.0, 9);
-        let direct = spec.try_generate().expect("valid spec");
-        let text = render_arrival_trace(&direct);
-        assert_eq!(parse_arrival_trace(&text).expect("parses"), direct);
-    }
-
-    #[test]
     fn workload_digest_separates_unequal_workloads() {
         let a = tiny_workload(8);
         let mut b = tiny_workload(8);
@@ -1450,6 +1331,7 @@ mod tests {
             "sx-flight-record/v999",
             "sx-flight-record/v1",
             "sx-flight-record/v2",
+            "sx-flight-record/v3",
         ] {
             let err =
                 parse_flight_record(&format!(r#"{{"schema":"{found}"}}"#)).expect_err("must fail");
@@ -1464,20 +1346,27 @@ mod tests {
                 other => panic!("expected UnknownSchema, got {other}"),
             }
         }
-        let err = parse_arrival_trace(r#"{"schema":"sx-arrival-trace/v0","jobs":0,"tenants":[]}"#)
-            .expect_err("must fail");
-        assert!(matches!(err, ReplayError::UnknownSchema { .. }));
+    }
+
+    /// A header whose embedded workload breaks a job-stream invariant.
+    fn header_with(edit: impl FnOnce(&mut Workload)) -> String {
+        let mut workload = tiny_workload(4);
+        edit(&mut workload);
+        CellSpec {
+            workload: Arc::new(workload),
+            ..small_cell(5, SchedulerSpec::Fifo)
+        }
+        .to_json()
+        .to_string()
     }
 
     #[test]
     fn out_of_order_arrivals_are_a_typed_error() {
-        let mut workload = tiny_workload(4);
-        workload.jobs[2].arrival = 0.1; // earlier than job 1's 0.5
-        let text = render_arrival_trace(&workload);
-        let err = parse_arrival_trace(&text).expect_err("must fail");
-        match err {
+        // Job 2 arrives earlier than job 1's 0.5.
+        let text = header_with(|w| w.jobs[2].arrival = 0.1);
+        match parse_flight_record(&text).expect_err("must fail") {
             ReplayError::OutOfOrderArrival { line, prev, next } => {
-                assert_eq!(line, 4, "job 2 sits on line 4 (header + jobs 0..2)");
+                assert_eq!(line, 1, "the workload sits in the header line");
                 assert_eq!(prev, 0.5);
                 assert_eq!(next, 0.1);
             }
@@ -1487,14 +1376,13 @@ mod tests {
 
     #[test]
     fn duplicate_job_ids_are_a_typed_error() {
-        let mut workload = tiny_workload(4);
-        workload.jobs[3].id = 1;
-        workload.jobs[3].arrival = workload.jobs[2].arrival;
-        let text = render_arrival_trace(&workload);
-        let err = parse_arrival_trace(&text).expect_err("must fail");
-        match err {
+        let text = header_with(|w| {
+            w.jobs[3].id = 1;
+            w.jobs[3].arrival = w.jobs[2].arrival;
+        });
+        match parse_flight_record(&text).expect_err("must fail") {
             ReplayError::DuplicateJobId { line, id } => {
-                assert_eq!(line, 5);
+                assert_eq!(line, 1);
                 assert_eq!(id, 1);
             }
             other => panic!("expected DuplicateJobId, got {other}"),
@@ -1502,20 +1390,18 @@ mod tests {
     }
 
     #[test]
-    fn truncated_arrival_traces_are_caught_by_the_declared_count() {
-        let workload = tiny_workload(6);
-        let text = render_arrival_trace(&workload);
-        // Drop the last complete line (a clean truncation: every remaining
-        // line still parses, only the count betrays it).
-        let trimmed = text.trim_end();
-        let cut = trimmed.rfind('\n').expect("multi-line");
-        let err = parse_arrival_trace(&trimmed[..cut]).expect_err("must fail");
-        match err {
-            ReplayError::Field { field, reason, .. } => {
-                assert_eq!(field, "jobs");
-                assert!(reason.contains("declares 6"), "got: {reason}");
+    fn tenant_indices_past_the_tenant_table_are_a_typed_error() {
+        let text = header_with(|w| w.jobs[1].tenant = TenantId(1));
+        match parse_flight_record(&text).expect_err("must fail") {
+            ReplayError::Field {
+                line,
+                field,
+                reason,
+            } => {
+                assert_eq!((line, field), (1, "tenant"));
+                assert!(reason.contains("out of range"), "got: {reason}");
             }
-            other => panic!("expected Field error, got {other}"),
+            other => panic!("expected a tenant Field error, got {other}"),
         }
     }
 
@@ -1526,7 +1412,7 @@ mod tests {
         assert!(matches!(err, ReplayError::Field { .. }));
         assert!(matches!(parse_flight_record(""), Err(ReplayError::Empty)));
         assert!(matches!(
-            parse_arrival_trace("\n\n"),
+            parse_flight_record("\n\n"),
             Err(ReplayError::Empty)
         ));
     }

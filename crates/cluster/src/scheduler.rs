@@ -469,7 +469,6 @@ pub enum LaneOrder {
 /// // Weights come from the workload's tenant metadata.
 /// let cell = CellSpec {
 ///     label: "wfq".to_string(),
-///     seed: 7,
 ///     fleet: FleetConfig {
 ///         seed: 7,
 ///         ..FleetConfig::default()
@@ -951,7 +950,6 @@ mod tests {
         let start_of = |aging_weight: f64| {
             let cell = CellSpec {
                 label: format!("spjf aging {aging_weight}"),
-                seed: 1,
                 fleet: fleet_config.clone(),
                 scheduler: SchedulerSpec::ShortestPredictedFirst { aging_weight },
                 admission: AdmissionSpec::AdmitAll,

@@ -795,7 +795,6 @@ mod tests {
     fn cell(seed: u64, scheduler: SchedulerSpec, workload: Workload) -> CellSpec {
         CellSpec {
             label: scheduler.name().to_string(),
-            seed,
             fleet: FleetConfig {
                 qpus: 3,
                 seed,

@@ -1,9 +1,9 @@
 //! Deterministic experiment runner: independent simulation cells, each a
 //! pure function of its spec, run in cell-index order.
 //!
-//! A [`CellSpec`] is the one complete description of a run — seed,
-//! workload, fleet config, scheduler spec, admission spec, engine config —
-//! and it is serialized: a flight record's header line is a `CellSpec`
+//! A [`CellSpec`] is the one complete description of a run — workload,
+//! fleet config (its seed included), scheduler spec, admission spec,
+//! engine config — and it is serialized: a flight record's header line is a `CellSpec`
 //! ([`CellSpec::to_json`]), and replay runs the parsed spec through the
 //! same [`run_cell`] every sweep cell and `cluster_sim` run goes through.
 //! [`SweepPlan`] expands a cartesian grid of axes (seed × load × workload
@@ -11,25 +11,24 @@
 //! fleet's capacity-derived arrival-rate calibration ([`RateCalibration`])
 //! computed once when the plan is built, so a cell's rate depends only on
 //! its load, never on axis order.
-//! [`run_sweep`] executes the cells one after another and collects
-//! [`CellResult`]s in index order; cross-cell aggregates are merged through
-//! [`StreamingHistogram::merge`].
+//! Callers map [`run_cell`] over a cell list in index order;
+//! [`MergedAggregates::merge`] folds the [`CellResult`]s into cross-cell
+//! aggregates through [`StreamingHistogram::merge`].
 //!
 //! # Execution order is invisible
 //!
 //! Every cell is a pure function of its [`CellSpec`]: the fleet (and its
-//! per-device RNGs) is rebuilt from the cell's seed, the scheduler and
-//! admission controller are rebuilt from their specs, and the engine runs
-//! with a [`NullSink`]; the cell's latency and wait sketches are built from
-//! its report's records after the run.  No state is shared between
+//! per-device RNGs) is rebuilt from the cell's fleet config, the scheduler
+//! and admission controller are rebuilt from their specs, and the engine
+//! runs with a [`NullSink`](crate::telemetry::NullSink); the cell's
+//! latency and wait sketches are built from its report's records after the
+//! run.  No state is shared between
 //! cells, and merges walk cell-index order, so a cell's report does not
 //! depend on which cells ran before it, and the merged aggregates depend
 //! only on the cell list.  The cell-permutation proptest in
 //! `tests/sweep_determinism.rs` checks this.
 //!
-//! [`run_cell`] reads no wall clock.  Only [`SweepOutcome::wall_seconds`]
-//! is a host-side wall-clock measurement; it is excluded from every
-//! determinism comparison and from the deterministic `sx-sweep/v1` JSON.
+//! Nothing in this module reads a wall clock.
 
 use std::sync::Arc;
 
@@ -42,7 +41,7 @@ use crate::json::JsonValue;
 use crate::metrics::SimReport;
 use crate::scheduler::{Scheduler, SchedulerSpec};
 use crate::sim::{simulate_with_telemetry, SimConfig};
-use crate::telemetry::{HostStopwatch, NullSink, StreamingHistogram, TraceSink};
+use crate::telemetry::{StreamingHistogram, TraceSink};
 use crate::tenant::TenantId;
 use crate::workload::Workload;
 
@@ -99,9 +98,8 @@ impl AdmissionSpec {
 pub struct CellSpec {
     /// Display label, e.g. `s7/uniform/load0.7/fifo`.
     pub label: String,
-    /// Seed for the cell's fleet (device fault draws and sub-RNGs).
-    pub seed: u64,
-    /// Fleet shape; the fleet is rebuilt per cell from this config.
+    /// Fleet shape and fault seed; the fleet is rebuilt per cell from this
+    /// config.
     pub fleet: FleetConfig,
     /// Scheduler, rebuilt per cell with fresh state.
     pub scheduler: SchedulerSpec,
@@ -134,7 +132,7 @@ pub struct CellResult {
 // sx-lint: hot-exempt -- once-per-cell construction before the dispatch loop; the loop itself only touches pre-built state
 fn cell_runtime(spec: &CellSpec) -> (Fleet, Box<dyn Scheduler>, Box<dyn AdmissionController>) {
     (
-        Fleet::new(spec.fleet.clone(), SplitExecConfig::with_seed(spec.seed)),
+        Fleet::new(spec.fleet.clone(), SplitExecConfig::default()),
         spec.scheduler.build(),
         spec.admission.build(),
     )
@@ -160,12 +158,12 @@ fn assemble_cell(index: usize, spec: &CellSpec, report: SimReport) -> CellResult
     }
 }
 
-/// Execute one cell: the sweep runner's per-cell body.
+/// Execute one cell: the body of every run.
 ///
 /// The cell is a pure function of `spec` — see the module docs — so the
 /// result is identical no matter in what order cells run.  `sink` is
-/// normally [`NullSink`]; `cluster_sim`'s observer passes its recording
-/// chain here when a flight record or Perfetto trace was requested, and
+/// normally [`crate::telemetry::NullSink`]; `cluster_sim`'s observer
+/// passes its recording chain here when a flight record or Perfetto trace was requested, and
 /// tests and examples pass a [`crate::telemetry::VecSink`] to read the
 /// trace.  Sinks are pure observers, so none of them can perturb the
 /// report.
@@ -269,54 +267,6 @@ impl MergedAggregates {
     }
 }
 
-/// Everything a sweep produced: per-cell results in index order, the
-/// merged aggregates, and the host-side wall clock for the whole sweep.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// Per-cell results, in cell-index order.
-    pub cells: Vec<CellResult>,
-    /// Cross-cell aggregates merged in index order.
-    pub merged: MergedAggregates,
-    /// Host wall clock for the whole sweep (not deterministic).
-    pub wall_seconds: f64,
-}
-
-impl SweepOutcome {
-    /// Assemble an outcome from already-executed cells (used by
-    /// `cluster_sim`, which runs each cell through its observer's sink
-    /// chain and must produce the same shape [`run_sweep`] does).
-    pub fn collect(cells: Vec<CellResult>, wall_seconds: f64) -> SweepOutcome {
-        let merged = MergedAggregates::merge(&cells);
-        SweepOutcome {
-            cells,
-            merged,
-            wall_seconds,
-        }
-    }
-
-    /// Summed events per host second across the sweep — the host-side
-    /// throughput figure `cluster_sim --mode sweep` prints on its `host:`
-    /// line.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.merged.events as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Execute `cells` in index order, each with a bare [`NullSink`].
-pub fn run_sweep(cells: &[CellSpec]) -> SweepOutcome {
-    let stopwatch = HostStopwatch::start();
-    let results = cells
-        .iter()
-        .enumerate()
-        .map(|(index, cell)| run_cell(index, cell, &mut NullSink))
-        .collect();
-    SweepOutcome::collect(results, stopwatch.elapsed_seconds())
-}
-
 /// Capacity-derived arrival-rate calibration, hoisted out of the per-cell
 /// loop.
 ///
@@ -343,10 +293,7 @@ impl RateCalibration {
         if sizes.is_empty() {
             return Err("calibration needs at least one topology size".to_string());
         }
-        let table = cost_table(
-            config.device_model(0),
-            &SplitExecConfig::with_seed(config.seed),
-        );
+        let table = cost_table(config.device_model(0), &SplitExecConfig::default());
         let mut total = 0.0;
         for &lps in sizes {
             let costs = table
@@ -484,7 +431,6 @@ impl SweepPlan {
                         .join("/");
                         cells.push(CellSpec {
                             label,
-                            seed,
                             fleet: fleet.clone(),
                             scheduler,
                             admission: AdmissionSpec::AdmitAll,
@@ -504,7 +450,7 @@ mod tests {
     use super::*;
     use crate::scheduler::LaneOrder;
     use crate::sim::{PercentileMode, SimConfig, WorkloadMode};
-    use crate::telemetry::MetricsRegistry;
+    use crate::telemetry::{MetricsRegistry, NullSink};
     use crate::tenant::MultiTenantSpec;
     use crate::workload::WorkloadSpec;
 
@@ -544,18 +490,27 @@ mod tests {
         )
     }
 
+    fn run_all(cells: &[CellSpec]) -> Vec<CellResult> {
+        cells
+            .iter()
+            .enumerate()
+            .map(|(index, cell)| run_cell(index, cell, &mut NullSink))
+            .collect()
+    }
+
     #[test]
     fn merged_aggregates_sum_cell_counts() {
         let cells = small_cells(5);
-        let outcome = run_sweep(&cells);
-        let completed: usize = outcome.cells.iter().map(|c| c.report.completed).sum();
-        assert_eq!(outcome.merged.completed, completed);
-        assert_eq!(outcome.merged.latency.count(), completed as u64);
-        assert_eq!(outcome.merged.cells, cells.len());
+        let results = run_all(&cells);
+        let merged = MergedAggregates::merge(&results);
+        let completed: usize = results.iter().map(|c| c.report.completed).sum();
+        assert_eq!(merged.completed, completed);
+        assert_eq!(merged.latency.count(), completed as u64);
+        assert_eq!(merged.cells, cells.len());
         // Running the same cells again reproduces every cell and the
         // merged document byte for byte.
-        let again = run_sweep(&cells);
-        for (a, b) in outcome.cells.iter().zip(&again.cells) {
+        let again = run_all(&cells);
+        for (a, b) in results.iter().zip(&again) {
             assert_eq!(a.index, b.index);
             assert_eq!(a.label, b.label);
             assert_eq!(a.report, b.report);
@@ -563,8 +518,8 @@ mod tests {
             assert_eq!(a.wait_sketch, b.wait_sketch);
         }
         assert_eq!(
-            format!("{}", outcome.merged.to_json()),
-            format!("{}", again.merged.to_json())
+            format!("{}", merged.to_json()),
+            format!("{}", MergedAggregates::merge(&again).to_json())
         );
     }
 
@@ -591,7 +546,6 @@ mod tests {
                 for config in [test_config(), closed] {
                     let spec = CellSpec {
                         label: format!("{scheduler}"),
-                        seed: 9,
                         fleet: FleetConfig {
                             qpus: 2,
                             seed: 9,

@@ -1,6 +1,5 @@
 //! Observability for the cluster simulator: trace sinks, a virtual-time
-//! metrics registry with streaming quantile sketches, Perfetto export, and
-//! a host-side stopwatch.
+//! metrics registry with streaming quantile sketches, and Perfetto export.
 //!
 //! The layer is built around one invariant: **telemetry is a pure
 //! observer**.  Sinks and registries receive references to engine state and
@@ -19,8 +18,6 @@
 //!   the virtual clock, plus histogram sketches.
 //! * [`sketch`] — [`StreamingHistogram`]: mergeable log-bucketed
 //!   percentiles with a documented relative-error bound.
-//! * [`stopwatch`] — [`HostStopwatch`]: the sweep runner's wall clock (the
-//!   one sanctioned D001 exception; see `lint.allow`).
 //!
 //! `docs/OBSERVABILITY.md` is the narrative guide.
 
@@ -28,10 +25,8 @@ pub mod perfetto;
 pub mod registry;
 pub mod sink;
 pub mod sketch;
-pub mod stopwatch;
 
 pub use perfetto::PerfettoSink;
 pub use registry::{CounterId, GaugeId, HistogramId, MetricsRegistry, SimSeries};
 pub use sink::{FanoutSink, JsonlSink, NullSink, TraceSink, VecSink};
 pub use sketch::StreamingHistogram;
-pub use stopwatch::HostStopwatch;

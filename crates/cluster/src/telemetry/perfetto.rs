@@ -42,7 +42,6 @@ fn micros(seconds: f64) -> f64 {
 ///
 /// let cell = CellSpec {
 ///     label: "fifo".to_string(),
-///     seed: 7,
 ///     fleet: FleetConfig { qpus: 2, seed: 7, ..FleetConfig::default() },
 ///     scheduler: SchedulerSpec::Fifo,
 ///     admission: AdmissionSpec::AdmitAll,

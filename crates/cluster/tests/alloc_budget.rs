@@ -165,13 +165,14 @@ fn allocation_count_is_deterministic_run_to_run() {
     );
 }
 
-// --- the sweep runner's allocation budget ------------------------------
+// --- the sweep's allocation budget --------------------------------------
 //
-// `run_sweep`'s per-cell body (`sweep::run_cell`, marked hot-root for
-// sx_lint's A-rules) wraps the same engine the tests above budget.  Its
-// contract: the runner adds NOTHING per cell beyond the cell body itself —
-// collection and merging are per-sweep constants — so the per-cell
-// steady-state allocation count is unchanged under the sweep runner.
+// A sweep is a `run_cell` loop (`sweep::run_cell` is marked hot-root for
+// sx_lint's A-rules and wraps the same engine the tests above budget)
+// followed by `MergedAggregates::merge`.  Its contract: the loop and the
+// merge add NOTHING per cell beyond the cell body itself — collection and
+// merging are per-sweep constants — so the per-cell steady-state
+// allocation count is unchanged inside a sweep.
 
 use std::sync::Arc;
 
@@ -180,7 +181,6 @@ use std::sync::Arc;
 fn sweep_cell(jobs: usize) -> CellSpec {
     CellSpec {
         label: "alloc-budget".to_string(),
-        seed: 11,
         fleet: FleetConfig {
             qpus: 4,
             seed: 11,
@@ -194,11 +194,24 @@ fn sweep_cell(jobs: usize) -> CellSpec {
     }
 }
 
+/// Run `cells` in index order and merge their aggregates, as
+/// `cluster_sim --mode sweep` does.
+fn run_sweep(cells: &[CellSpec]) -> (Vec<CellResult>, MergedAggregates) {
+    let results: Vec<CellResult> = cells
+        .iter()
+        .enumerate()
+        .map(|(index, cell)| run_cell(index, cell, &mut NullSink))
+        .collect();
+    let merged = MergedAggregates::merge(&results);
+    (results, merged)
+}
+
 fn allocations_for_sweep(cells: &[CellSpec]) -> usize {
     let before = allocations();
-    let outcome = run_sweep(cells);
+    let (results, merged) = run_sweep(cells);
     let after = allocations();
-    assert_eq!(outcome.cells.len(), cells.len());
+    assert_eq!(results.len(), cells.len());
+    assert_eq!(merged.cells, cells.len());
     after - before
 }
 
@@ -208,7 +221,7 @@ fn sweep_runner_adds_constant_overhead_and_nothing_per_cell() {
     // Identical cells (one shared workload): every per-cell quantity —
     // dispatch pattern, cost-table builds, sketch bucket spans — is
     // identical, so allocation counts must be exactly linear
-    // in the cell count.  A super-linear term means the runner itself
+    // in the cell count.  A super-linear term means the loop or the merge
     // started allocating per cell beyond the cell body.
     let cell = sweep_cell(200);
     let one = vec![cell.clone()];
@@ -223,8 +236,8 @@ fn sweep_runner_adds_constant_overhead_and_nothing_per_cell() {
     assert_eq!(
         c2 - c1,
         c3 - c2,
-        "per-cell marginal allocation cost must be constant under the sweep \
-         runner (got {c1}/{c2}/{c3} for 1/2/3 identical cells)"
+        "per-cell marginal allocation cost must be constant in a sweep \
+         (got {c1}/{c2}/{c3} for 1/2/3 identical cells)"
     );
 }
 
@@ -234,7 +247,7 @@ fn sweep_cell_body_matches_direct_execution() {
     let cell = sweep_cell(200);
     let _ = run_sweep(std::slice::from_ref(&cell));
 
-    // The cell body run directly, outside the runner.
+    // The cell body run directly, outside a sweep.
     let mut sink = NullSink;
     let before = allocations();
     let direct_result = sx_cluster::sweep::run_cell(0, &cell, &mut sink);
@@ -251,8 +264,8 @@ fn sweep_cell_body_matches_direct_execution() {
     assert_eq!(
         c2 - c1,
         direct,
-        "a cell inside run_sweep must allocate exactly what the cell body \
-         allocates directly ({direct}) — the runner adds nothing per cell"
+        "a cell inside a sweep must allocate exactly what the cell body \
+         allocates directly ({direct}) — the loop and merge add nothing per cell"
     );
     assert_eq!(direct_result.report.records.len(), 200);
 }

@@ -81,7 +81,6 @@ fn simulation_with_all_nan_deadlines_completes_and_replays() {
         }
         let cell = CellSpec {
             label: "wfq".to_string(),
-            seed,
             fleet: small_fleet_config(seed),
             scheduler: SchedulerSpec::WeightedFair {
                 weights: workload.weights(),

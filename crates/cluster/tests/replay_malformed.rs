@@ -1,10 +1,11 @@
 //! End-to-end tests of the flight-recorder contract through the public
 //! API: a recorded run — token-bucket admission included — replays
 //! bit-identically, and every malformed input class — truncated JSONL
-//! mid-record, unknown schema versions, out-of-order arrivals, duplicate
-//! job ids, invalid admission budgets — is a typed [`ReplayError`], never
-//! a panic (the `sx_lint` H003 contract extends to parsing adversarial
-//! files).
+//! mid-record, unknown schema versions, tampered digests, invalid
+//! admission budgets — is a typed [`ReplayError`], never a panic (the
+//! `sx_lint` H003 contract extends to parsing adversarial files).  The
+//! job-stream invariants of a header's workload (ordered arrivals, unique
+//! ids, tenant range) are pinned by `replay.rs`'s unit tests.
 
 use std::sync::Arc;
 
@@ -25,7 +26,6 @@ fn workload(seed: u64) -> Workload {
 fn cell(seed: u64, scheduler: SchedulerSpec, admission: AdmissionSpec) -> CellSpec {
     CellSpec {
         label: format!("s{seed}/{}", scheduler.name()),
-        seed,
         fleet: fleet_config(seed),
         scheduler,
         admission,
@@ -134,12 +134,14 @@ fn truncated_jsonl_mid_record_is_a_typed_parse_error() {
 
 #[test]
 fn unknown_flight_schema_versions_are_refused() {
-    // v1 headers described admission by name only and v2 headers carried
-    // a registry cadence no output read; no path reads either.
+    // v1 headers described admission by name only, v2 headers carried a
+    // registry cadence no output read, and v3 headers a second seed no
+    // run read; no path reads any of them.
     for schema in [
         "sx-flight-record/v999",
         "sx-flight-record/v1",
         "sx-flight-record/v2",
+        "sx-flight-record/v3",
     ] {
         let text = recorded(23).replace(FLIGHT_SCHEMA, schema);
         match parse_flight_record(&text) {
@@ -152,77 +154,17 @@ fn unknown_flight_schema_versions_are_refused() {
     }
 }
 
+/// A header's workload stands in for the generator that produced it: what
+/// `cluster_sim --workload trace:PATH` runs.
 #[test]
-fn unknown_arrival_schema_versions_are_refused() {
-    let trace = render_arrival_trace(&workload(5)).replace(ARRIVAL_SCHEMA, "sx-arrival-trace/v999");
-    assert!(matches!(
-        parse_arrival_trace(&trace),
-        Err(ReplayError::UnknownSchema { .. })
-    ));
-}
-
-#[test]
-fn arrival_traces_round_trip_through_the_public_api() {
-    let original = workload(5);
-    let trace = render_arrival_trace(&original);
-    let reread = parse_arrival_trace(&trace).expect("own output parses");
-    assert_eq!(reread.jobs, original.jobs);
-    assert_eq!(reread.tenants, original.tenants);
-    assert_eq!(workload_digest(&reread), workload_digest(&original));
-    // A recorded trace stands in for the generator that produced it.
+fn a_header_workload_reproduces_its_generator() {
+    let record = parse_flight_record(&recorded(5)).expect("own output parses");
+    let reread = &record.runs[0].spec.workload;
     let generated = WorkloadSpec::repeated_topologies(16, 1.5, 5)
         .try_generate()
         .expect("valid spec");
-    assert_eq!(reread, generated);
-}
-
-#[test]
-fn out_of_order_arrivals_are_a_typed_error_not_a_panic() {
-    let trace = render_arrival_trace(&workload(5));
-    let mut lines: Vec<&str> = trace.lines().collect();
-    // Swapping two job lines breaks the non-decreasing arrival invariant
-    // (Poisson arrivals are almost surely strictly increasing).
-    lines.swap(3, 4);
-    let err = parse_arrival_trace(&lines.join("\n")).expect_err("must refuse reordering");
-    assert!(
-        matches!(
-            err,
-            ReplayError::OutOfOrderArrival { .. }
-                | ReplayError::DuplicateJobId { .. }
-                | ReplayError::Field { .. }
-        ),
-        "expected a typed ordering error, got {err:?}"
-    );
-}
-
-#[test]
-fn duplicate_job_ids_are_a_typed_error_not_a_panic() {
-    let trace = render_arrival_trace(&workload(5));
-    let lines: Vec<&str> = trace.lines().collect();
-    // Repeat a job line verbatim: its id collides with itself while its
-    // arrival time stays non-decreasing, isolating the duplicate-id check.
-    let mut doctored: Vec<&str> = lines.clone();
-    doctored.insert(3, lines[2]);
-    let err = parse_arrival_trace(&doctored.join("\n")).expect_err("must refuse duplicate ids");
-    assert!(
-        matches!(
-            err,
-            ReplayError::DuplicateJobId { .. } | ReplayError::Field { .. }
-        ),
-        "expected a duplicate-id error, got {err:?}"
-    );
-}
-
-#[test]
-fn truncated_arrival_traces_fail_the_declared_count_check() {
-    let trace = render_arrival_trace(&workload(5));
-    let lines: Vec<&str> = trace.lines().collect();
-    let clipped = lines[..lines.len() - 2].join("\n");
-    let err = parse_arrival_trace(&clipped).expect_err("must notice missing jobs");
-    assert!(
-        err.to_string().contains("truncated"),
-        "the error should point at truncation, got: {err}"
-    );
+    assert_eq!(**reread, generated);
+    assert_eq!(workload_digest(reread), workload_digest(&generated));
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! The sweep runner's determinism contract, end-to-end: execution order is
+//! A sweep's determinism contract, end-to-end: execution order is
 //! invisible.  Running any permutation of a [`SweepPlan`]'s cells must
 //! give every cell exactly the report and sketches the unpermuted run gave
 //! it, across seeds and scheduling policies.
@@ -43,6 +43,15 @@ fn expand(plan: &SweepPlan) -> Vec<CellSpec> {
     )
 }
 
+/// Run `cells` in index order, each with a bare [`NullSink`].
+fn run_all(cells: &[CellSpec]) -> Vec<CellResult> {
+    cells
+        .iter()
+        .enumerate()
+        .map(|(index, cell)| run_cell(index, cell, &mut NullSink))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -55,7 +64,7 @@ proptest! {
         permutation_seed in 0u64..u64::MAX,
     ) {
         let cells = expand(&test_plan());
-        let oracle = run_sweep(&cells);
+        let oracle = run_all(&cells);
 
         // A deterministic Fisher–Yates driven by the proptest-chosen seed.
         let mut order: Vec<usize> = (0..cells.len()).collect();
@@ -66,10 +75,10 @@ proptest! {
         }
         let permuted: Vec<CellSpec> = order.iter().map(|&i| cells[i].clone()).collect();
 
-        let shuffled = run_sweep(&permuted);
+        let shuffled = run_all(&permuted);
         for (pos, &original) in order.iter().enumerate() {
-            let a = &shuffled.cells[pos];
-            let b = &oracle.cells[original];
+            let a = &shuffled[pos];
+            let b = &oracle[original];
             prop_assert_eq!(&a.label, &b.label);
             prop_assert_eq!(a.index, pos, "results must come back in submission order");
             prop_assert_eq!(&a.report, &b.report,

@@ -27,7 +27,6 @@ fn run(
 ) -> SimReport {
     let cell = CellSpec {
         label: scheduler.name().to_string(),
-        seed,
         fleet: FleetConfig::heterogeneous(4, seed).with_cache(capacity, eviction),
         scheduler,
         admission: AdmissionSpec::AdmitAll,

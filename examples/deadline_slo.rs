@@ -40,7 +40,6 @@ fn run(
 ) -> SimReport {
     let cell = CellSpec {
         label: scheduler.name().to_string(),
-        seed,
         fleet: fleet(seed),
         scheduler,
         admission,

@@ -29,7 +29,6 @@ fn run(
 ) -> SimReport {
     let cell = CellSpec {
         label: scheduler.name().to_string(),
-        seed,
         fleet: FleetConfig {
             qpus: 4,
             seed,

@@ -37,7 +37,6 @@ fn main() {
     let workload = MultiTenantSpec::aggressor_victim(12, 0.4, 4.0, 1.0, seed).generate();
     let cell = CellSpec {
         label: "wfq".to_string(),
-        seed,
         fleet: FleetConfig {
             qpus: 4,
             seed,

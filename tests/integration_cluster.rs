@@ -21,7 +21,6 @@ fn fleet(qpus: usize, seed: u64) -> FleetConfig {
 fn cell(fleet: FleetConfig, scheduler: SchedulerSpec, workload: &Workload) -> CellSpec {
     CellSpec {
         label: scheduler.name().to_string(),
-        seed: fleet.seed,
         fleet,
         scheduler,
         admission: AdmissionSpec::AdmitAll,
@@ -197,49 +196,53 @@ fn bounded_caches_exhibit_the_hit_rate_cliff() {
     let diversity = workload.distinct_topologies();
     assert_eq!(diversity, 4);
 
-    let mut series = CacheCliffSeries {
-        distinct_topologies: diversity,
-        ..CacheCliffSeries::default()
-    };
+    // (eviction, capacity, report), capacities ascending per eviction.
+    let capacities = [1usize, 2, 4];
+    let mut points: Vec<(EvictionPolicyKind, usize, SimReport)> = Vec::new();
     for eviction in EvictionPolicyKind::all() {
-        for capacity in [1usize, 2, 4] {
+        for capacity in capacities {
             let fleet = fleet(3, 11).with_cache(capacity, eviction);
-            let report = report(&cell(fleet, SchedulerSpec::Fifo, &workload));
-            series
-                .points
-                .push(CachePoint::from_report(capacity, eviction.name(), &report));
+            points.push((
+                eviction,
+                capacity,
+                report(&cell(fleet, SchedulerSpec::Fifo, &workload)),
+            ));
         }
     }
 
-    for eviction in EvictionPolicyKind::all() {
-        let name = eviction.name();
+    for series in points.chunks(capacities.len()) {
+        let name = series[0].0.name();
+        let hit_rates: Vec<f64> = series.iter().map(|(_, _, r)| r.hit_rate()).collect();
         assert!(
-            series.hit_rate_monotone(name, 0.02),
-            "{name} hit rate not monotone in capacity: {series}"
+            hit_rates.windows(2).all(|w| w[1] >= w[0] - 0.02),
+            "{name} hit rate not monotone in capacity: {hit_rates:?}"
         );
-        let points = series.policy_points(name);
+        let (first, last) = (&series[0].2, &series[series.len() - 1].2);
         assert!(
-            points.last().unwrap().hit_rate > points.first().unwrap().hit_rate + 0.1,
-            "{name} shows no cliff: {series}"
+            last.hit_rate() > first.hit_rate() + 0.1,
+            "{name} shows no cliff: {hit_rates:?}"
         );
         // Below diversity, the bound binds: evictions happen.
-        assert!(points.first().unwrap().evictions > 0);
+        assert!(first.evictions() > 0);
         // At full diversity nothing needs evicting.
-        assert_eq!(points.last().unwrap().evictions, 0);
+        assert_eq!(last.evictions(), 0);
     }
 
-    let mean_at = |name: &str, cap: usize| {
-        series
-            .policy_points(name)
+    let mean_at = |eviction: EvictionPolicyKind, cap: usize| {
+        points
             .iter()
-            .find(|p| p.capacity == cap)
+            .find(|(e, c, _)| *e == eviction && *c == cap)
+            .map(|(_, _, r)| r.latency.mean)
             .unwrap()
-            .mean_latency_seconds
     };
     // Cost-aware must not lose to LRU at the cliff.
+    let (lru, cost_aware) = (
+        mean_at(EvictionPolicyKind::Lru, 2),
+        mean_at(EvictionPolicyKind::CostAware, 2),
+    );
     assert!(
-        mean_at("cost-aware", 2) <= mean_at("lru", 2) * 1.001,
-        "cost-aware lost to LRU at the cliff: {series}"
+        cost_aware <= lru * 1.001,
+        "cost-aware lost to LRU at the cliff: {cost_aware} vs {lru}"
     );
 }
 
@@ -751,7 +754,7 @@ fn telemetry_never_perturbs_a_multi_tenant_run() {
         };
         let run = |sink: &mut dyn TraceSink, registry: Option<&mut MetricsRegistry>| {
             simulate_with_telemetry(
-                Fleet::new(spec.fleet.clone(), SplitExecConfig::with_seed(spec.seed)),
+                Fleet::new(spec.fleet.clone(), SplitExecConfig::default()),
                 &spec.workload,
                 spec.scheduler.build().as_mut(),
                 spec.admission.build().as_mut(),
