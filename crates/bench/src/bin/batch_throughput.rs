@@ -6,14 +6,21 @@
 //! `Pipeline::execute_batch`, and the per-job wall time is compared against
 //! submitting each job alone (cold embedding every time).
 //!
+//! Exits 1 if the batch ran CMR other than once per distinct topology, or
+//! if any batched job's solution or error differs from its solo run.
+//!
 //! ```text
 //! cargo run --release -p sx-bench --bin batch_throughput [--backend=sa|pt|exact]
 //! ```
 
 use chimera_graph::generators;
 use qubo_ising::prelude::MaxCut;
+use qubo_ising::qubo_to_ising;
 use qubo_ising::Qubo;
+use split_exec::offline_cache::graph_key;
 use split_exec::prelude::*;
+use std::collections::HashSet;
+use std::process::ExitCode;
 use std::time::Instant;
 use sx_bench::backend_from_env_args;
 
@@ -24,7 +31,7 @@ fn weighted_cycle(n: usize, weight: f64) -> Qubo {
     MaxCut::weighted(graph.clone(), &weights).to_qubo()
 }
 
-fn main() {
+fn main() -> ExitCode {
     let backend = backend_from_env_args();
     let config = SplitExecConfig::with_seed(29).with_backend(backend);
     let pipeline = Pipeline::new(SplitMachine::paper_default(), config);
@@ -38,11 +45,9 @@ fn main() {
     println!("# batch throughput, stage-2 backend: {backend}");
 
     let start = Instant::now();
-    let solo_ok = jobs
-        .iter()
-        .filter(|qubo| pipeline.execute(qubo).is_ok())
-        .count();
+    let solo: Vec<_> = jobs.iter().map(|qubo| pipeline.execute(qubo)).collect();
     let solo_seconds = start.elapsed().as_secs_f64();
+    let solo_ok = solo.iter().filter(|result| result.is_ok()).count();
 
     let report = pipeline.execute_batch_report(&jobs);
 
@@ -75,4 +80,36 @@ fn main() {
         "speedup: {:.1}x wall-clock over serial cold submission",
         solo_seconds / report.wall_seconds
     );
+
+    let mut ok = true;
+    let topologies = jobs
+        .iter()
+        .map(|job| graph_key(&qubo_to_ising(job).ising.interaction_graph()))
+        .collect::<HashSet<_>>()
+        .len();
+    if report.embedding_cache.misses != topologies {
+        eprintln!(
+            "FAIL: {} CMR runs for {topologies} distinct topologies",
+            report.embedding_cache.misses
+        );
+        ok = false;
+    }
+    for (job, (batched, solo)) in report.results.iter().zip(&solo).enumerate() {
+        let same = match (batched, solo) {
+            (Ok(batched), Ok(solo)) => {
+                batched.solution == solo.solution && batched.stage2.samples == solo.stage2.samples
+            }
+            (Err(batched), Err(solo)) => batched == solo,
+            _ => false,
+        };
+        if !same {
+            eprintln!("FAIL: job {job}: the batch result differs from its solo execute");
+            ok = false;
+        }
+    }
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -172,9 +172,9 @@ impl Pipeline {
         // each distinct topology costs one miss here, and every job, the
         // first of its topology included, is then served from the table, so
         // misses = distinct topologies and hits = jobs.  A topology that
-        // fails to embed is tried once here (failures are not cached); the
-        // job itself surfaces the error.  Empty jobs are rejected later by
-        // stage 1.
+        // fails to embed also costs one CMR run here: the table stores the
+        // failure, and its jobs are served that error.  Empty jobs are
+        // rejected later by stage 1.
         let mut seen = HashSet::new();
         for job in jobs.iter().filter(|job| job.num_variables() > 0) {
             let graph = qubo_to_ising(job).ising.interaction_graph();
@@ -308,6 +308,20 @@ mod tests {
         assert_eq!(report.failed(), 1);
         assert!(matches!(report.results[1], Err(PipelineError::BadInput(_))));
         assert!(report.results[0].is_ok() && report.results[2].is_ok());
+    }
+
+    #[test]
+    fn a_topology_that_fails_to_embed_runs_cmr_once() {
+        // K6 has no minor in one K_{4,4} unit cell.
+        let p = Pipeline::new(SplitMachine::unit_cell(), SplitExecConfig::with_seed(1));
+        let job = MaxCut::unweighted(generators::complete(6)).to_qubo();
+        let report = p.execute_batch_report(std::slice::from_ref(&job));
+        assert_eq!(report.succeeded, 0);
+        assert_eq!(report.embedding_cache.misses, 1);
+        assert_eq!(report.embedding_cache.hits, 1);
+        let solo = p.execute(&job).unwrap_err();
+        assert!(matches!(solo, PipelineError::Embedding(_)));
+        assert_eq!(report.results[0].as_ref().unwrap_err(), &solo);
     }
 
     #[test]

@@ -184,6 +184,24 @@ impl SplitMachine {
 }
 
 #[cfg(test)]
+impl SplitMachine {
+    /// A D-Wave 2X model whose lattice is one unit cell, `C(1,1,4)`: eight
+    /// qubits forming `K_{4,4}`.  `K6` and `K7` provably have no minor in it
+    /// (too few edges once chains are contracted) and `K9` needs more qubits
+    /// than it has, so tests can make CMR fail in milliseconds, even in a
+    /// debug build.
+    pub(crate) fn unit_cell() -> Self {
+        let chimera = Chimera::new(1, 1, 4);
+        let hardware = chimera.graph().clone();
+        Self {
+            chimera,
+            hardware,
+            ..Self::paper_default()
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -5,10 +5,18 @@
 //! off-line embedding, in which specific input graphs are pre-embedded and
 //! stored in a graph lookup table", trading the expensive in-line embedding
 //! computation for a lookup keyed on the input graph.  This module implements
-//! that idea: embeddings are cached under a canonical key of the input graph
-//! and reused when an isomorphic-by-construction (identical vertex labels)
-//! graph is requested again.  The ablation benchmark
-//! `ablation_offline_embedding` measures the warm-vs-cold difference.
+//! that idea: the *outcome* of embedding an input graph — the embedding, or
+//! the error CMR returned — is stored under a canonical key and served again
+//! when an isomorphic-by-construction (identical vertex labels) graph is
+//! requested.  The ablation benchmark `ablation_offline_embedding` measures
+//! the warm-vs-cold difference.
+//!
+//! Storing failures is as safe as storing successes: CMR is a pure function
+//! of the key — the input graph, the hardware graph and every field of
+//! [`CmrConfig`] — and reads no clock and has no time budget, so a served
+//! outcome equals what a fresh [`find_embedding`] call would return.  A
+//! topology CMR cannot embed therefore costs one failed search per key, not
+//! one per job.
 //!
 //! A full graph-isomorphism lookup (the paper wryly notes the D-Wave could be
 //! used to program the D-Wave) is out of scope; the cache keys on the labeled
@@ -20,18 +28,20 @@ use crate::error::PipelineError;
 use crate::machine::SplitMachine;
 use crate::timing::timed;
 use chimera_graph::Graph;
-use minor_embed::{find_embedding, CmrStats, Embedding};
+use minor_embed::{find_embedding, CmrConfig, CmrStats, EmbedError, Embedding};
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-/// Cache statistics.
+/// Cache statistics.  Every lookup is exactly one hit or one miss.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Number of lookups that found a stored embedding.
+    /// Lookups served from the table, whether the stored outcome is an
+    /// embedding or a failure.
     pub hits: usize,
-    /// Number of lookups that had to run the embedding heuristic.
+    /// CMR runs: lookups that had to run the embedding heuristic, whether
+    /// the run succeeded or failed.
     pub misses: usize,
 }
 
@@ -47,12 +57,13 @@ impl CacheStats {
     }
 }
 
-/// A cache of pre-computed embeddings keyed by the labeled edge set of the
-/// input graph.  Lookups take `&self` (interior mutability), so one cache
-/// can be shared by the pipelines of a batch on one thread.
+/// A table of embedding outcomes keyed by the labeled edge set of the input
+/// graph and the embedding context ([`entry_key`]).  Lookups take `&self`
+/// (interior mutability), so one cache can be shared by the pipelines of a
+/// batch on one thread.
 #[derive(Debug, Default)]
 pub struct EmbeddingCache {
-    entries: RefCell<HashMap<u64, Embedding>>,
+    entries: RefCell<HashMap<u64, Result<Embedding, EmbedError>>>,
     hits: Cell<usize>,
     misses: Cell<usize>,
 }
@@ -71,17 +82,23 @@ pub fn graph_key(graph: &Graph) -> u64 {
 /// hardware graph and the CMR configuration.  A cache held across batches
 /// (or shared between pipelines) must not serve an embedding computed for a
 /// different machine or heuristic configuration: chains could reference
-/// qubits the other hardware lacks, and determinism guarantees would break
-/// silently.
+/// qubits the other hardware lacks, and a stored embedding or failure would
+/// silently differ from what a fresh run computes.  The destructure is
+/// exhaustive, so a new CMR field does not compile until it is keyed.
 pub fn entry_key(input: &Graph, machine: &SplitMachine, config: &SplitExecConfig) -> u64 {
+    let CmrConfig {
+        max_passes,
+        tries,
+        seed,
+        overlap_penalty_base,
+    } = &config.cmr;
     let mut hasher = DefaultHasher::new();
     graph_key(input).hash(&mut hasher);
     graph_key(&machine.hardware).hash(&mut hasher);
-    let cmr = &config.cmr;
-    cmr.max_passes.hash(&mut hasher);
-    cmr.tries.hash(&mut hasher);
-    cmr.seed.hash(&mut hasher);
-    cmr.overlap_penalty_base.to_bits().hash(&mut hasher);
+    max_passes.hash(&mut hasher);
+    tries.hash(&mut hasher);
+    seed.hash(&mut hasher);
+    overlap_penalty_base.to_bits().hash(&mut hasher);
     hasher.finish()
 }
 
@@ -105,7 +122,7 @@ impl EmbeddingCache {
         Self::default()
     }
 
-    /// Number of stored embeddings.
+    /// Number of stored outcomes (embeddings and failures).
     // sx-lint: hot-exempt -- offline embedding table, consulted at embed time, never in the event loop; `len` name-collides with collection calls in engine bodies
     pub fn len(&self) -> usize {
         self.entries.borrow().len()
@@ -124,8 +141,9 @@ impl EmbeddingCache {
         }
     }
 
-    /// Whether an embedding for `graph` under this machine/config context is
-    /// stored (does not count as a lookup in the statistics).
+    /// Whether an outcome — embedding or failure — for `graph` under this
+    /// machine/config context is stored (does not count as a lookup in the
+    /// statistics).
     // sx-lint: hot-exempt -- offline embedding table, consulted at embed time, never in the event loop; `contains` name-collides with HashSet calls in engine bodies
     pub fn contains(
         &self,
@@ -152,11 +170,12 @@ impl EmbeddingCache {
     ) {
         self.entries
             .borrow_mut()
-            .insert(entry_key(graph, machine, config), embedding);
+            .insert(entry_key(graph, machine, config), Ok(embedding));
     }
 
-    /// Look up the embedding for `input`, computing (and storing) it with the
-    /// CMR heuristic on a miss.
+    /// Look up the embedding for `input`, running the CMR heuristic on a
+    /// miss and storing its outcome.  A stored failure is served like a
+    /// stored embedding: as the error a fresh run would return.
     pub fn get_or_compute(
         &self,
         input: &Graph,
@@ -168,18 +187,22 @@ impl EmbeddingCache {
         if let Some(found) = found {
             self.hits.set(self.hits.get() + 1);
             return Ok(CachedEmbedding {
-                embedding: found,
+                embedding: found?,
                 cache_hit: true,
                 seconds: 0.0,
                 stats: CmrStats::default(),
             });
         }
         let (outcome, seconds) = timed(|| find_embedding(input, &machine.hardware, &config.cmr));
-        let outcome = outcome?;
-        self.entries
-            .borrow_mut()
-            .insert(key, outcome.embedding.clone());
         self.misses.set(self.misses.get() + 1);
+        self.entries.borrow_mut().insert(
+            key,
+            outcome
+                .as_ref()
+                .map(|outcome| outcome.embedding.clone())
+                .map_err(Clone::clone),
+        );
+        let outcome = outcome?;
         Ok(CachedEmbedding {
             embedding: outcome.embedding,
             cache_hit: false,
@@ -280,12 +303,98 @@ mod tests {
     }
 
     #[test]
-    fn embedding_failures_are_not_cached() {
-        let (machine, config, cache) = setup();
-        // More logical vertices than physical qubits: rejected immediately.
-        let too_big = generators::complete(2000);
-        assert!(cache.get_or_compute(&too_big, &machine, &config).is_err());
-        assert!(cache.is_empty());
+    fn embedding_failures_are_cached() {
+        let machine = SplitMachine::unit_cell();
+        let config = SplitExecConfig::with_seed(4);
+        let cache = EmbeddingCache::new();
+        // K6 has no minor in one K_{4,4} cell: CMR runs and fails once...
+        let k6 = generators::complete(6);
+        let fresh = find_embedding(&k6, &machine.hardware, &config.cmr).unwrap_err();
+        assert!(matches!(fresh, EmbedError::NoEmbeddingFound { .. }));
+        let first = cache.get_or_compute(&k6, &machine, &config).unwrap_err();
+        assert_eq!(first, PipelineError::Embedding(fresh));
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
+        assert!(cache.contains(&k6, &machine, &config));
+        assert_eq!(cache.len(), 1);
+        // ...and every later lookup is served the same error from the table.
+        let second = cache.get_or_compute(&k6, &machine, &config).unwrap_err();
+        assert_eq!(second, first);
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+
+        // Rejections that never reach the search (more logical vertices than
+        // qubits) are stored the same way.
+        let too_big = generators::complete(9);
+        let rejected = cache
+            .get_or_compute(&too_big, &machine, &config)
+            .unwrap_err();
+        assert!(matches!(
+            rejected,
+            PipelineError::Embedding(EmbedError::HardwareTooSmall { .. })
+        ));
+        assert_eq!(
+            cache
+                .get_or_compute(&too_big, &machine, &config)
+                .unwrap_err(),
+            rejected
+        );
+        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 2 });
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn cached_execution_equals_fresh_execution_on_a_mixed_stream() {
+        use crate::pipeline::Pipeline;
+        use qubo_ising::prelude::MaxCut;
+
+        let pipeline = Pipeline::new(SplitMachine::unit_cell(), SplitExecConfig::with_seed(3));
+        // Repeats of topologies that embed (C4, C6) and that fail (K6 and K7
+        // after a CMR search, K9 rejected outright), each with fresh
+        // coefficients.
+        let topologies = [
+            generators::cycle(4),
+            generators::complete(6),
+            generators::cycle(6),
+            generators::complete(9),
+            generators::complete(6),
+            generators::cycle(4),
+            generators::complete(7),
+            generators::complete(9),
+            generators::cycle(6),
+            generators::complete(7),
+        ];
+        let cache = EmbeddingCache::new();
+        let mut failures = 0;
+        for (job, graph) in topologies.into_iter().enumerate() {
+            let weights: Vec<((usize, usize), f64)> = graph
+                .edges()
+                .map(|(u, v)| ((u, v), 1.0 + ((job + u + 2 * v) % 5) as f64))
+                .collect();
+            let qubo = MaxCut::weighted(graph.clone(), &weights).to_qubo();
+            match (
+                pipeline.execute_cached(&qubo, &cache),
+                pipeline.execute(&qubo),
+            ) {
+                (Ok(cached), Ok(fresh)) => {
+                    let (cached, fresh) = (&cached.solution, &fresh.solution);
+                    assert_eq!(cached.assignment, fresh.assignment, "job {job}");
+                    assert_eq!(cached.qubo_energy.to_bits(), fresh.qubo_energy.to_bits());
+                    assert_eq!(cached.ising_energy.to_bits(), fresh.ising_energy.to_bits());
+                }
+                (Err(cached), Err(fresh)) => {
+                    assert_eq!(cached, fresh, "job {job}");
+                    failures += 1;
+                }
+                (cached, fresh) => panic!(
+                    "job {job}: cached {:?} but fresh {:?}",
+                    cached.is_ok(),
+                    fresh.is_ok()
+                ),
+            }
+        }
+        assert_eq!(failures, 6);
+        // One CMR run per distinct topology; every repeat is served.
+        assert_eq!(cache.stats(), CacheStats { hits: 5, misses: 5 });
+        assert_eq!(cache.len(), 5);
     }
 
     #[test]
