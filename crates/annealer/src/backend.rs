@@ -20,6 +20,7 @@
 //! stage 2 per job without code changes.
 
 use crate::pt::{parallel_tempering, PtConfig};
+use crate::sa::CompiledIsing;
 use crate::sampler::{QpuAccessReport, SampleSet, SimulatedQpu};
 use crate::schedule::AnnealSchedule;
 use crate::timing::QpuTimings;
@@ -208,10 +209,12 @@ impl SamplerBackend for ParallelTemperingBackend {
         let mut config = self.config;
         config.min_temperature *= scale;
         config.max_temperature *= scale;
+        let compiled = CompiledIsing::new(ising);
         let mut updates = 0;
         let reads = (0..params.num_reads)
             .map(|i| {
-                let result = parallel_tempering(ising, &config, params.seed.wrapping_add(i as u64));
+                let result =
+                    parallel_tempering(&compiled, &config, params.seed.wrapping_add(i as u64));
                 updates += result.updates;
                 (result.best_spins, result.best_energy)
             })
@@ -232,8 +235,9 @@ impl SamplerBackend for ParallelTemperingBackend {
 /// Every read "observes" the true optimum, so the returned ensemble is a
 /// single record with multiplicity `num_reads`.  Embedded programs are
 /// expressed over the whole hardware register, so enumeration is restricted
-/// to the *active* spins — those carrying a field or touched by a coupling;
-/// inactive spins contribute no energy and are reported as +1.  Rejects
+/// to the *active* spins of [`CompiledIsing::active_spins`] — those with a
+/// nonzero field or a nonzero coupling, the same spins the SA and PT sweeps
+/// visit; inactive spins contribute no energy and are reported as +1.  Rejects
 /// programs whose active size exceeds
 /// [`ExactEnumerationBackend::max_spins`] (the 2ⁿ walk is exponential); the
 /// seed is ignored — the backend is an oracle, not a sampler.
@@ -275,20 +279,13 @@ impl SamplerBackend for ExactEnumerationBackend {
 
     fn sample(&self, ising: &Ising, params: &SampleParams) -> Result<SampleSet, SamplerError> {
         let n = ising.num_spins();
-        // Restrict enumeration to spins that can affect the energy.
-        let mut active = vec![false; n];
-        for (i, h) in ising.fields().enumerate() {
-            if h != 0.0 {
-                active[i] = true;
-            }
-        }
-        for ((u, v), j) in ising.couplings() {
-            if j != 0.0 {
-                active[u] = true;
-                active[v] = true;
-            }
-        }
-        let index: Vec<usize> = (0..n).filter(|&i| active[i]).collect();
+        // Restrict enumeration to spins that can affect the energy: the
+        // active spins the SA and PT sweeps visit.
+        let index: Vec<usize> = CompiledIsing::new(ising)
+            .active_spins()
+            .iter()
+            .map(|&i| i as usize)
+            .collect();
         if index.len() > self.max_spins {
             return Err(SamplerError::TooLarge {
                 spins: index.len(),
@@ -307,9 +304,7 @@ impl SamplerBackend for ExactEnumerationBackend {
             compact.set_field(position[i], ising.field(i));
         }
         for ((u, v), j) in ising.couplings() {
-            if j != 0.0 {
-                compact.set_coupling(position[u], position[v], j);
-            }
+            compact.set_coupling(position[u], position[v], j);
         }
         let (energy, compact_ground, _evaluated) = solve_ising_exact(&compact);
         let mut ground: Vec<Spin> = vec![1; n];
@@ -490,6 +485,38 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("exceeds"));
+    }
+
+    #[test]
+    fn exact_backend_enumerates_only_the_active_spins() {
+        // A 1,000-spin register: an antiferromagnetic 6-ring, one biased
+        // spin, and zero writes that leave their spins idle.
+        let mut model = Ising::new(1000);
+        for k in 0..6 {
+            model.set_coupling(100 + k, 100 + (k + 1) % 6, -1.0);
+        }
+        model.set_field(900, 0.5);
+        model.set_field(500, -0.0);
+        model.set_coupling(700, 701, 0.0);
+        let set = ExactEnumerationBackend::default()
+            .sample(&model, &SampleParams::new(3, 0))
+            .unwrap();
+        let best = set.best().unwrap();
+        assert_eq!(best.energy, -6.5);
+        assert_eq!(best.occurrences, 3);
+        let ring = &best.spins[100..106];
+        assert!(ring.windows(2).all(|w| w[0] == -w[1]), "{ring:?}");
+        let idle = (0..1000).filter(|i| !(100..106).contains(i));
+        assert!(idle.into_iter().all(|i| best.spins[i] == 1));
+        assert_eq!(
+            ExactEnumerationBackend::with_max_spins(6)
+                .sample(&model, &SampleParams::new(1, 0))
+                .unwrap_err(),
+            SamplerError::TooLarge {
+                spins: 7,
+                max_spins: 6
+            }
+        );
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   [`backend::BackendKind`].
 //! * [`schedule`] — annealing schedules (default 20 µs hardware duration).
 //! * [`sa`] — single-spin-flip simulated annealing over a compiled (CSR)
-//!   Ising model; one call = one hardware read.
+//!   Ising model whose sweeps visit only the active spins; one call = one
+//!   hardware read.
 //! * [`pt`] — parallel tempering, a stronger classical reference sampler.
 //! * [`sampler`] — the [`sampler::SimulatedQpu`] front-end: batched,
 //!   seed-indexed reads run in order on the calling thread, aggregated into
@@ -74,8 +75,89 @@ pub mod prelude {
 
 #[cfg(test)]
 mod proptests {
+    use crate::pt::{parallel_tempering, parallel_tempering_full_register, PtConfig};
+    use crate::sa::{anneal_once, anneal_once_full_register, CompiledIsing};
+    use crate::schedule::AnnealSchedule;
     use crate::stats::{achieved_accuracy, required_reads};
+    use chimera_graph::{generators, Chimera, FaultModel};
+    use minor_embed::{embed_ising, find_embedding, CmrConfig, ParameterSetting};
     use proptest::prelude::*;
+    use qubo_ising::Ising;
+    use rand::Rng;
+    use rand_chacha::rand_core::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    /// A program over `n` spins of which about `active_rate` carry
+    /// parameters.  Among those, fields are zero, negative zero or drawn
+    /// from [-2, 2); pairs are coupled with probability `density`, some
+    /// couplings are written as zero or built up and cancelled, so the
+    /// rest of the register (and some spins with a zero write) stays idle.
+    fn sparse_program(n: usize, active_rate: f64, density: f64, seed: u64) -> Ising {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut program = Ising::new(n);
+        let candidates: Vec<usize> = (0..n).filter(|_| rng.gen_bool(active_rate)).collect();
+        for &i in &candidates {
+            match rng.gen_range(0u32..4) {
+                0 => program.set_field(i, -0.0),
+                1 => program.set_field(i, 0.0),
+                _ => program.set_field(i, rng.gen_range(-2.0..2.0)),
+            }
+        }
+        for (a, &i) in candidates.iter().enumerate() {
+            for &j in &candidates[a + 1..] {
+                if rng.gen_bool(density) {
+                    match rng.gen_range(0u32..4) {
+                        0 => program.set_coupling(i, j, 0.0),
+                        1 => {
+                            program.add_coupling(i, j, 0.75);
+                            program.add_coupling(i, j, -0.75);
+                        }
+                        _ => program.set_coupling(i, j, rng.gen_range(-2.0..2.0)),
+                    }
+                }
+            }
+        }
+        program
+    }
+
+    /// A `K_k` embedded by CMR on a C(4,4,4) lattice with random dead
+    /// qubits and couplers: the physical program spans all 128 qubits, the
+    /// dead and unused ones idle.  `None` when CMR finds no embedding.
+    fn faulted_embedded_program(k: usize, seed: u64) -> Option<Ising> {
+        let chimera = Chimera::new(4, 4, 4);
+        let hardware = FaultModel::random(chimera.graph(), 0.05, 0.02, seed).apply(chimera.graph());
+        let logical = Ising::random_on_graph(&generators::complete(k), seed);
+        let config = CmrConfig {
+            seed,
+            ..CmrConfig::default()
+        };
+        let embedding = find_embedding(&logical.interaction_graph(), &hardware, &config).ok()?;
+        let setting = ParameterSetting::auto(&logical, 2.0);
+        Some(embed_ising(&logical, &embedding.embedding, &hardware, setting).physical)
+    }
+
+    /// The active-spin SA kernel equals the full-register oracle bit for bit.
+    fn assert_sa_matches_oracle(program: &Ising, sweeps: usize, temperature: f64, seed: u64) {
+        let compiled = CompiledIsing::new(program);
+        let schedule = AnnealSchedule {
+            initial_temperature: temperature,
+            final_temperature: temperature / 200.0,
+            ..AnnealSchedule::default().with_sweeps(sweeps)
+        };
+        let fast = anneal_once(&compiled, &schedule, seed);
+        let oracle = anneal_once_full_register(&compiled, &schedule, seed);
+        assert_eq!(fast, oracle);
+        assert_eq!(fast.energy.to_bits(), oracle.energy.to_bits());
+    }
+
+    /// The active-spin PT kernel equals the full-register oracle bit for bit.
+    fn assert_pt_matches_oracle(program: &Ising, config: &PtConfig, seed: u64) {
+        let compiled = CompiledIsing::new(program);
+        let fast = parallel_tempering(&compiled, config, seed);
+        let oracle = parallel_tempering_full_register(&compiled, config, seed);
+        assert_eq!(fast, oracle);
+        assert_eq!(fast.best_energy.to_bits(), oracle.best_energy.to_bits());
+    }
 
     proptest! {
         /// Eq. (6) always returns enough reads to meet the requested accuracy
@@ -114,6 +196,63 @@ mod proptests {
             for i in 0..n {
                 let expected: i8 = if i % 2 == 0 { 1 } else { -1 };
                 prop_assert_eq!(read.spins[i], expected);
+            }
+        }
+
+        /// SA sweeps over the active spins only give the full-register
+        /// kernel's spins, energy bits and `updates`, on sparse programs
+        /// with idle spins and zero writes, odd and even sweep counts and
+        /// the empty register.
+        #[test]
+        fn sa_active_sweep_matches_full_register(
+            n in 0usize..200,
+            active_rate in 0.0f64..1.0,
+            density in 0.0f64..0.3,
+            sweeps in 0usize..12,
+            temperature in 0.05f64..20.0,
+            seed in 0u64..1_000_000,
+        ) {
+            let program = sparse_program(n, active_rate, density, seed);
+            assert_sa_matches_oracle(&program, sweeps, temperature, seed);
+            assert_sa_matches_oracle(&Ising::new(0), sweeps, temperature, seed);
+        }
+
+        /// The same on CMR embeddings over faulted lattices.
+        #[test]
+        fn sa_active_sweep_matches_full_register_on_faulted_embeddings(
+            k in 2usize..7,
+            sweeps in 0usize..12,
+            temperature in 0.05f64..20.0,
+            seed in 0u64..1_000_000,
+        ) {
+            let Some(program) = faulted_embedded_program(k, seed) else { return };
+            assert_sa_matches_oracle(&program, sweeps, temperature, seed);
+        }
+
+        /// PT sweeps over the active spins only give the full-register
+        /// kernel's `PtResult` bit for bit, with odd and even
+        /// `sweeps_per_exchange`, on sparse programs and faulted embeddings.
+        #[test]
+        fn pt_active_sweep_matches_full_register(
+            n in 0usize..120,
+            active_rate in 0.0f64..1.0,
+            density in 0.0f64..0.3,
+            replicas in 1usize..5,
+            sweeps_per_exchange in 0usize..6,
+            rounds in 0usize..6,
+            k in 2usize..7,
+            seed in 0u64..1_000_000,
+        ) {
+            let config = PtConfig {
+                replicas,
+                sweeps_per_exchange,
+                rounds,
+                ..PtConfig::default()
+            };
+            assert_pt_matches_oracle(&sparse_program(n, active_rate, density, seed), &config, seed);
+            assert_pt_matches_oracle(&Ising::new(0), &config, seed);
+            if let Some(program) = faulted_embedded_program(k, seed) {
+                assert_pt_matches_oracle(&program, &config, seed);
             }
         }
     }

@@ -11,6 +11,16 @@
 //! The inner loop works on a flattened CSR neighbor structure so that a
 //! sweep touches memory contiguously; this is the same layout used by the
 //! hardware-graph crate's `chimera_graph::Csr`.
+//!
+//! An embedded program spans the whole hardware register, but only the
+//! qubits of its chains carry parameters: on C(12,12,4) a typical program
+//! uses a few dozen of 1,152 spins.  A sweep therefore visits only the
+//! *active* spins ([`CompiledIsing::active_spins`]).  An idle spin has
+//! ΔE = ±0 on every attempt, so Metropolis would flip it on every sweep
+//! without drawing a random number; the kernel applies the net effect once
+//! (a flip when the sweep count is odd) and counts the skipped attempts
+//! arithmetically, so the RNG stream, the decisions, the final register and
+//! the `updates` count are exactly those of a full-register sweep.
 
 use crate::schedule::AnnealSchedule;
 use qubo_ising::{Ising, Spin};
@@ -29,6 +39,8 @@ pub struct CompiledIsing {
     neighbors: Vec<u32>,
     /// Coupling values aligned with `neighbors`.
     weights: Vec<f64>,
+    /// Spins with a nonzero bias or a nonzero coupling, ascending.
+    active: Vec<u32>,
 }
 
 impl CompiledIsing {
@@ -51,17 +63,66 @@ impl CompiledIsing {
             }
             offsets.push(neighbors.len() as u32);
         }
+        let h: Vec<f64> = (0..n).map(|i| model.field(i)).collect();
+        let active = (0..n)
+            .filter(|&i| {
+                let row = offsets[i] as usize..offsets[i + 1] as usize;
+                h[i] != 0.0 || weights[row].iter().any(|&w| w != 0.0)
+            })
+            .map(|i| i as u32)
+            .collect();
         Self {
-            h: (0..n).map(|i| model.field(i)).collect(),
+            h,
             offsets,
             neighbors,
             weights,
+            active,
         }
     }
 
     /// Number of spins.
     pub fn num_spins(&self) -> usize {
         self.h.len()
+    }
+
+    /// The active spins, ascending: those with a nonzero bias or a nonzero
+    /// coupling.  Every other spin is idle, contributes nothing to the
+    /// energy and has ΔE = ±0 in every configuration.
+    pub fn active_spins(&self) -> &[u32] {
+        &self.active
+    }
+
+    /// One Metropolis sweep over the active spins at `temperature`, in
+    /// ascending order, calling `on_flip` with the ΔE of each accepted
+    /// flip.  Idle spins are left alone; see [`CompiledIsing::flip_idle`].
+    #[inline]
+    pub(crate) fn sweep_active(
+        &self,
+        spins: &mut [Spin],
+        temperature: f64,
+        rng: &mut impl Rng,
+        mut on_flip: impl FnMut(f64),
+    ) {
+        for &i in &self.active {
+            let i = i as usize;
+            let delta = self.flip_delta(spins, i);
+            if delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature).exp() {
+                spins[i] = -spins[i];
+                on_flip(delta);
+            }
+        }
+    }
+
+    /// Apply the net effect of `sweeps` full-register sweeps to the idle
+    /// spins: each one flips on every sweep, so it ends flipped exactly
+    /// when `sweeps` is odd.
+    pub(crate) fn flip_idle(&self, spins: &mut [Spin], sweeps: usize) {
+        if sweeps % 2 == 1 {
+            spins.iter_mut().for_each(|s| *s = -*s);
+            for &i in &self.active {
+                spins[i as usize] = -spins[i as usize];
+            }
+        }
     }
 
     /// Energy of a configuration under the compiled model.
@@ -103,7 +164,8 @@ pub struct AnnealRead {
     pub spins: Vec<Spin>,
     /// Energy of the final configuration.
     pub energy: f64,
-    /// Number of single-spin updates attempted.
+    /// Single-spin updates attempted over the whole register: sweeps × spins.
+    /// Attempts on idle spins are counted arithmetically, not performed.
     pub updates: u64,
 }
 
@@ -112,6 +174,32 @@ pub struct AnnealRead {
 /// Deterministic in `seed`.  The returned configuration is the final state of
 /// the anneal (not the best state visited), mirroring hardware readout.
 pub fn anneal_once(model: &CompiledIsing, schedule: &AnnealSchedule, seed: u64) -> AnnealRead {
+    let n = model.num_spins();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut spins: Vec<Spin> = (0..n)
+        .map(|_| if rng.gen::<bool>() { 1 } else { -1 })
+        .collect();
+    for step in 0..schedule.sweeps {
+        let temperature = schedule.temperature(step).max(1e-12);
+        model.sweep_active(&mut spins, temperature, &mut rng, |_| {});
+    }
+    model.flip_idle(&mut spins, schedule.sweeps);
+    let energy = model.energy(&spins);
+    AnnealRead {
+        spins,
+        energy,
+        updates: schedule.sweeps as u64 * n as u64,
+    }
+}
+
+/// The full-register kernel: every sweep visits all `n` spins, idle ones
+/// included.  Kept as the oracle [`anneal_once`] must match bit for bit.
+#[cfg(test)]
+pub(crate) fn anneal_once_full_register(
+    model: &CompiledIsing,
+    schedule: &AnnealSchedule,
+    seed: u64,
+) -> AnnealRead {
     let n = model.num_spins();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut spins: Vec<Spin> = (0..n)

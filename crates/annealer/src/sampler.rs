@@ -83,7 +83,10 @@ pub struct QpuAccessReport {
     pub modeled_seconds: f64,
     /// Wall-clock seconds the simulation itself took.
     pub simulation_seconds: f64,
-    /// Total single-spin updates performed by the simulator.
+    /// Single-spin updates attempted over the whole register (sweeps ×
+    /// spins, summed over reads).  Sweeps visit only the active spins;
+    /// attempts on idle spins are counted arithmetically, so the count does
+    /// not depend on how sparse the program is.
     pub updates: u64,
 }
 

@@ -5,7 +5,7 @@
 //! characteristic; in the simulated QPU it is set by the annealing schedule,
 //! so this bench quantifies the cost/quality trade-off of the substitution.
 
-use chimera_graph::generators;
+use chimera_graph::{generators, Chimera};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use quantum_anneal::prelude::*;
 use quantum_anneal::sa::{anneal_once, CompiledIsing};
@@ -24,6 +24,32 @@ fn bench_single_read(c: &mut Criterion) {
             b.iter(|| black_box(anneal_once(compiled, &schedule, 9).energy))
         });
     }
+    group.finish();
+}
+
+/// The shape the pipeline anneals: an embedded program spans the whole
+/// 1,152-qubit C(12,12,4) register, but only about 40 qubits (here the
+/// first five unit cells, with their couplers) carry parameters.
+fn bench_sparse_register(c: &mut Criterion) {
+    let hardware = Chimera::new(12, 12, 4).into_graph();
+    let (patch, qubits) = hardware.induced_subgraph(&(0..40).collect::<Vec<_>>());
+    let logical = Ising::random_on_graph(&patch, 5);
+    let mut model = Ising::new(hardware.vertex_count());
+    for (i, h) in logical.fields().enumerate() {
+        model.set_field(qubits[i], h);
+    }
+    for ((u, v), j) in logical.couplings() {
+        model.set_coupling(qubits[u], qubits[v], j);
+    }
+    let compiled = CompiledIsing::new(&model);
+    let schedule = AnnealSchedule::default();
+    let mut group = c.benchmark_group("annealer/sparse_register");
+    group.throughput(Throughput::Elements(
+        (hardware.vertex_count() * schedule.sweeps) as u64,
+    ));
+    group.bench_with_input(BenchmarkId::from_parameter(40), &compiled, |b, compiled| {
+        b.iter(|| black_box(anneal_once(compiled, &schedule, 9).energy))
+    });
     group.finish();
 }
 
@@ -63,6 +89,7 @@ fn report_success_probability_vs_sweeps(_c: &mut Criterion) {
 criterion_group!(
     annealer,
     bench_single_read,
+    bench_sparse_register,
     bench_batched_reads,
     report_success_probability_vs_sweeps
 );
