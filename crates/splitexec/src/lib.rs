@@ -82,6 +82,9 @@ pub mod stage2;
 pub mod stage3;
 pub mod timing;
 
+#[cfg(test)]
+mod golden;
+
 pub use batch::{BatchReport, BatchSummary};
 pub use config::SplitExecConfig;
 pub use cost::{CostModel, StageCosts};
