@@ -20,7 +20,7 @@
 //! stage 2 per job without code changes.
 
 use crate::pt::{parallel_tempering, PtConfig};
-use crate::sa::CompiledIsing;
+use crate::sa::{anneal_once, CompiledIsing};
 use crate::sampler::{QpuAccessReport, SampleSet, SimulatedQpu};
 use crate::schedule::AnnealSchedule;
 use crate::timing::QpuTimings;
@@ -141,7 +141,7 @@ impl SamplerBackend for SimulatedQpu {
     }
 
     fn sample(&self, ising: &Ising, params: &SampleParams) -> Result<SampleSet, SamplerError> {
-        SamplerBackend::sample_with_report(self, ising, params).map(|(set, _)| set)
+        self.sample_with_report(ising, params).map(|(set, _)| set)
     }
 
     fn timings(&self) -> &QpuTimings {
@@ -153,14 +153,46 @@ impl SamplerBackend for SimulatedQpu {
         ising: &Ising,
         params: &SampleParams,
     ) -> Result<(SampleSet, QpuAccessReport), SamplerError> {
-        let scaled = self.with_temperature_scale(params.energy_scale.max(1.0));
-        Ok(SimulatedQpu::sample_with_report(
-            &scaled,
-            ising,
-            params.num_reads,
-            params.seed,
-        ))
+        let scale = params.energy_scale.max(1.0);
+        let mut schedule = self.schedule;
+        schedule.initial_temperature *= scale;
+        schedule.final_temperature *= scale;
+        Ok(sample_reads(self, ising, params, |compiled, seed| {
+            let read = anneal_once(compiled, &schedule, seed);
+            (read.spins, read.energy, read.updates)
+        }))
     }
+}
+
+/// The read loop shared by the SA and PT backends: compile the program
+/// once, run read `i` with seed `seed + i` (so each read depends only on
+/// its index), sum the reads' spin updates, and aggregate the reads into a
+/// [`SampleSet`] next to the modeled access time and the host time taken.
+fn sample_reads(
+    backend: &dyn SamplerBackend,
+    ising: &Ising,
+    params: &SampleParams,
+    read: impl Fn(&CompiledIsing, u64) -> (Vec<Spin>, f64, u64),
+) -> (SampleSet, QpuAccessReport) {
+    // sx-lint: allow(D001) -- times a real sampler execution (host wall clock), not simulated virtual time
+    let start = std::time::Instant::now();
+    let compiled = CompiledIsing::new(ising);
+    let mut updates = 0;
+    let reads = (0..params.num_reads)
+        .map(|i| {
+            let (spins, energy, read_updates) = read(&compiled, params.seed.wrapping_add(i as u64));
+            updates += read_updates;
+            (spins, energy)
+        })
+        .collect();
+    let set = SampleSet::from_reads(reads);
+    let report = QpuAccessReport {
+        reads: params.num_reads,
+        modeled_seconds: backend.modeled_access_seconds(params.num_reads),
+        simulation_seconds: start.elapsed().as_secs_f64(),
+        updates,
+    };
+    (set, report)
 }
 
 /// Parallel tempering as a stage-2 backend: each read is one independent
@@ -203,30 +235,14 @@ impl SamplerBackend for ParallelTemperingBackend {
         ising: &Ising,
         params: &SampleParams,
     ) -> Result<(SampleSet, QpuAccessReport), SamplerError> {
-        // sx-lint: allow(D001) -- times a real sampler execution (host wall clock), not simulated virtual time
-        let start = std::time::Instant::now();
         let scale = params.energy_scale.max(1.0);
         let mut config = self.config;
         config.min_temperature *= scale;
         config.max_temperature *= scale;
-        let compiled = CompiledIsing::new(ising);
-        let mut updates = 0;
-        let reads = (0..params.num_reads)
-            .map(|i| {
-                let result =
-                    parallel_tempering(&compiled, &config, params.seed.wrapping_add(i as u64));
-                updates += result.updates;
-                (result.best_spins, result.best_energy)
-            })
-            .collect();
-        let set = SampleSet::from_reads(reads);
-        let report = QpuAccessReport {
-            reads: params.num_reads,
-            modeled_seconds: self.modeled_access_seconds(params.num_reads),
-            simulation_seconds: start.elapsed().as_secs_f64(),
-            updates,
-        };
-        Ok((set, report))
+        Ok(sample_reads(self, ising, params, |compiled, seed| {
+            let result = parallel_tempering(compiled, &config, seed);
+            (result.best_spins, result.best_energy, result.updates)
+        }))
     }
 }
 

@@ -14,9 +14,10 @@
 //!   Ising model whose sweeps visit only the active spins; one call = one
 //!   hardware read.
 //! * [`pt`] — parallel tempering, a stronger classical reference sampler.
-//! * [`sampler`] — the [`sampler::SimulatedQpu`] front-end: batched,
-//!   seed-indexed reads run in order on the calling thread, aggregated into
-//!   a [`sampler::SampleSet`] plus a modeled hardware access time.
+//! * [`sampler`] — the [`sampler::SimulatedQpu`] and what a request
+//!   returns: seed-indexed reads aggregated into a [`sampler::SampleSet`]
+//!   plus a [`sampler::QpuAccessReport`] with the modeled hardware access
+//!   time.
 //! * [`stats`] — Eq. (6) repetition counts and success-probability
 //!   estimation.
 //! * [`timing`] — the DW2 programming/readout constants from the paper's
@@ -30,8 +31,9 @@
 //! model.set_coupling(0, 1, 1.0);
 //! model.set_coupling(2, 3, 1.0);
 //! let qpu = SimulatedQpu::with_schedule(AnnealSchedule::fast());
-//! let samples = qpu.sample(&model, 8, 42);
+//! let samples = qpu.sample(&model, &SampleParams::new(8, 42))?;
 //! assert_eq!(samples.num_reads(), 8);
+//! # Ok::<(), SamplerError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -53,7 +55,6 @@ pub use sampler::{QpuAccessReport, SampleRecord, SampleSet, SimulatedQpu};
 pub use schedule::{AnnealSchedule, ScheduleShape};
 pub use stats::{
     achieved_accuracy, estimate_success_probability, percentile, percentile_sorted, required_reads,
-    Histogram,
 };
 pub use timing::QpuTimings;
 
@@ -68,7 +69,7 @@ pub mod prelude {
     pub use crate::schedule::{AnnealSchedule, ScheduleShape};
     pub use crate::stats::{
         achieved_accuracy, estimate_success_probability, percentile, percentile_sorted,
-        required_reads, Histogram,
+        required_reads,
     };
     pub use crate::timing::QpuTimings;
 }

@@ -1,17 +1,19 @@
-//! The simulated QPU front-end: batched sampling with hardware-style timing.
+//! What a sampling request returns, and the simulated QPU that serves it.
 //!
 //! A [`SimulatedQpu`] plays the role of the D-Wave processor in the
-//! split-execution pipeline: it accepts a (hardware-embeddable) Ising
-//! program, performs `num_reads` statistically independent anneals, and
-//! returns an aggregated [`SampleSet`] plus the QPU-access time the paper's
-//! timing constants assign to that work.  Reads run one after another on
-//! the calling thread; read `i` is seeded `seed + i`, so each read depends
-//! only on its index.
+//! split-execution pipeline: an annealing schedule plus the hardware timing
+//! constants.  It samples through its [`SamplerBackend`] implementation
+//! (in [`crate::backend`]): `num_reads` statistically independent anneals,
+//! aggregated into a [`SampleSet`], plus a [`QpuAccessReport`] with the
+//! QPU-access time the paper's timing constants assign to that work.  Reads
+//! run one after another on the calling thread; read `i` is seeded
+//! `seed + i`, so each read depends only on its index.
+//!
+//! [`SamplerBackend`]: crate::backend::SamplerBackend
 
-use crate::sa::{anneal_once, CompiledIsing};
 use crate::schedule::AnnealSchedule;
 use crate::timing::QpuTimings;
-use qubo_ising::{Ising, Spin};
+use qubo_ising::Spin;
 
 /// One distinct configuration observed in the readout ensemble.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,64 +109,14 @@ impl SimulatedQpu {
             ..Self::default()
         }
     }
-
-    /// A copy of this QPU with both schedule temperatures multiplied by
-    /// `scale` — used to match a unit-scale schedule to the actual magnitude
-    /// of an embedded program's parameters.
-    pub fn with_temperature_scale(&self, scale: f64) -> Self {
-        let mut scaled = self.clone();
-        scaled.schedule.initial_temperature *= scale;
-        scaled.schedule.final_temperature *= scale;
-        scaled
-    }
-
-    /// Sample and also report modeled hardware access time and simulation
-    /// cost.
-    pub fn sample_with_report(
-        &self,
-        model: &Ising,
-        num_reads: usize,
-        seed: u64,
-    ) -> (SampleSet, QpuAccessReport) {
-        // sx-lint: allow(D001) -- times a real annealing run (host wall clock); results stay seed-deterministic
-        let start = std::time::Instant::now();
-        let compiled = CompiledIsing::new(model);
-        let mut updates = 0;
-        let reads = (0..num_reads)
-            .map(|i| {
-                let read = anneal_once(&compiled, &self.schedule, seed.wrapping_add(i as u64));
-                updates += read.updates;
-                (read.spins, read.energy)
-            })
-            .collect();
-        let set = SampleSet::from_reads(reads);
-        let report = QpuAccessReport {
-            reads: num_reads,
-            modeled_seconds: self.timings.total_access_seconds(num_reads),
-            simulation_seconds: start.elapsed().as_secs_f64(),
-            updates,
-        };
-        (set, report)
-    }
-}
-
-impl SimulatedQpu {
-    /// Draw `num_reads` independent samples; deterministic in `seed`.
-    ///
-    /// (Inherent rather than part of [`crate::backend::SamplerBackend`] so
-    /// the short 3-argument form stays unambiguous at call sites that import
-    /// both; the backend trait's `sample` takes a
-    /// [`crate::backend::SampleParams`].)
-    pub fn sample(&self, model: &Ising, num_reads: usize, seed: u64) -> SampleSet {
-        self.sample_with_report(model, num_reads, seed).0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{SampleParams, SamplerBackend};
     use chimera_graph::generators;
-    use qubo_ising::solve_ising_exact;
+    use qubo_ising::{solve_ising_exact, Ising};
 
     fn small_model(seed: u64) -> Ising {
         Ising::random_on_graph(&generators::gnp(12, 0.4, seed), seed + 1)
@@ -205,8 +157,9 @@ mod tests {
     fn sampling_is_deterministic_in_seed() {
         let model = small_model(5);
         let qpu = SimulatedQpu::with_schedule(AnnealSchedule::fast());
-        let a = qpu.sample(&model, 16, 3);
-        let b = qpu.sample(&model, 16, 3);
+        let params = SampleParams::new(16, 3);
+        let a = qpu.sample(&model, &params).unwrap();
+        let b = qpu.sample(&model, &params).unwrap();
         assert_eq!(a, b);
     }
 
@@ -215,7 +168,7 @@ mod tests {
         let model = small_model(11);
         let (exact, _, _) = solve_ising_exact(&model);
         let qpu = SimulatedQpu::with_schedule(AnnealSchedule::thorough());
-        let set = qpu.sample(&model, 32, 1);
+        let set = qpu.sample(&model, &SampleParams::new(32, 1)).unwrap();
         assert!(set.best_energy().unwrap() <= exact + 1e-9);
     }
 
@@ -223,7 +176,9 @@ mod tests {
     fn report_contains_hardware_and_simulation_costs() {
         let model = small_model(2);
         let qpu = SimulatedQpu::with_schedule(AnnealSchedule::fast());
-        let (set, report) = qpu.sample_with_report(&model, 10, 4);
+        let (set, report) = qpu
+            .sample_with_report(&model, &SampleParams::new(10, 4))
+            .unwrap();
         assert_eq!(set.num_reads(), 10);
         assert_eq!(report.reads, 10);
         assert!(report.modeled_seconds > qpu.timings.processor_initialize_seconds());
@@ -235,7 +190,9 @@ mod tests {
     fn zero_reads_produce_empty_set() {
         let model = small_model(3);
         let qpu = SimulatedQpu::default();
-        let (set, report) = qpu.sample_with_report(&model, 0, 0);
+        let (set, report) = qpu
+            .sample_with_report(&model, &SampleParams::new(0, 0))
+            .unwrap();
         assert_eq!(set.num_reads(), 0);
         assert_eq!(report.reads, 0);
     }

@@ -1,6 +1,6 @@
 //! Sampling statistics: the paper's Eq. (6), success-probability
-//! estimation, and the small order-statistics helpers (percentiles,
-//! histograms) shared by the benchmark and cluster-simulation metrics.
+//! estimation, and the percentile helpers shared by the benchmark and
+//! cluster-simulation metrics.
 //!
 //! The QPU is "effectively a probabilistic processor" (Sec. 3.2): a single
 //! read lands in the ground state with some characteristic probability
@@ -108,92 +108,6 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
     }
     let frac = rank - lo as f64;
     Some(sorted[lo] + frac * (sorted[hi] - sorted[lo]))
-}
-
-/// A fixed-range histogram with uniform bins, for latency and queue-depth
-/// distributions.  Values below the range land in the first bin and values
-/// above it in the last, so every added sample is counted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Inclusive lower edge of the range.
-    pub lo: f64,
-    /// Exclusive upper edge of the range (values `>= hi` clamp to the last
-    /// bin).
-    pub hi: f64,
-    /// Per-bin counts.
-    pub bins: Vec<u64>,
-    /// Total number of samples added.
-    pub count: u64,
-}
-
-impl Histogram {
-    /// An empty histogram over `[lo, hi)` with `bins` uniform bins.
-    ///
-    /// # Panics
-    /// Panics when `bins == 0` or `lo >= hi` — a degenerate histogram is a
-    /// caller bug, not a runtime condition.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram range is empty: [{lo}, {hi})");
-        Self {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            count: 0,
-        }
-    }
-
-    /// Build a histogram over the full range of `samples` (no-op bins when
-    /// the slice is empty).
-    pub fn from_samples(samples: &[f64], bins: usize) -> Self {
-        let lo = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let (lo, hi) = if samples.is_empty() {
-            (0.0, 1.0)
-        } else if lo == hi {
-            // Constant data: a unit-wide interval starting at the value.
-            (lo, lo + 1.0)
-        } else {
-            (lo, hi)
-        };
-        let mut h = Self::new(lo, hi, bins);
-        for &x in samples {
-            h.add(x);
-        }
-        h
-    }
-
-    /// The index of the bin that `value` falls into (clamped to the range).
-    pub fn bin_index(&self, value: f64) -> usize {
-        let span = self.hi - self.lo;
-        let raw = ((value - self.lo) / span * self.bins.len() as f64).floor();
-        (raw.max(0.0) as usize).min(self.bins.len() - 1)
-    }
-
-    /// Count one sample.
-    pub fn add(&mut self, value: f64) {
-        let idx = self.bin_index(value);
-        self.bins[idx] += 1;
-        self.count += 1;
-    }
-
-    /// The `(lower, upper)` edges of bin `idx`.
-    pub fn bin_edges(&self, idx: usize) -> (f64, f64) {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        (
-            self.lo + idx as f64 * width,
-            self.lo + (idx + 1) as f64 * width,
-        )
-    }
-
-    /// Fraction of all samples in bin `idx` (0 when the histogram is empty).
-    pub fn fraction(&self, idx: usize) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.bins[idx] as f64 / self.count as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -315,46 +229,6 @@ mod tests {
         assert_eq!(percentile(&[42.0], 0.0), Some(42.0));
         assert_eq!(percentile(&[42.0], 0.5), Some(42.0));
         assert_eq!(percentile(&[42.0], 1.0), Some(42.0));
-    }
-
-    #[test]
-    fn histogram_counts_and_clamps() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.0, 1.9, 2.0, 9.99, 10.0, 15.0, -3.0] {
-            h.add(x);
-        }
-        assert_eq!(h.count, 7);
-        // -3.0 clamps into bin 0; 10.0 and 15.0 clamp into the last bin.
-        assert_eq!(h.bins, vec![3, 1, 0, 0, 3]);
-        assert!((h.fraction(0) - 3.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_bin_edges_partition_the_range() {
-        let h = Histogram::new(2.0, 4.0, 4);
-        assert_eq!(h.bin_edges(0), (2.0, 2.5));
-        assert_eq!(h.bin_edges(3), (3.5, 4.0));
-        assert_eq!(h.bin_index(2.5), 1);
-        assert_eq!(h.bin_index(3.999), 3);
-    }
-
-    #[test]
-    fn histogram_from_samples_covers_data() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let h = Histogram::from_samples(&xs, 3);
-        assert_eq!(h.count, 4);
-        assert_eq!(h.bins.iter().sum::<u64>(), 4);
-        assert_eq!(h.lo, 1.0);
-        assert_eq!(h.hi, 4.0);
-    }
-
-    #[test]
-    fn histogram_from_degenerate_samples() {
-        let empty = Histogram::from_samples(&[], 4);
-        assert_eq!(empty.count, 0);
-        let constant = Histogram::from_samples(&[2.0, 2.0, 2.0], 4);
-        assert_eq!(constant.count, 3);
-        assert_eq!(constant.bins.iter().sum::<u64>(), 3);
     }
 }
 

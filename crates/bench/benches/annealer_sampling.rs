@@ -61,7 +61,13 @@ fn bench_batched_reads(c: &mut Criterion) {
     for reads in [4usize, 16, 64] {
         group.bench_with_input(BenchmarkId::from_parameter(reads), &reads, |b, &reads| {
             let qpu = SimulatedQpu::with_schedule(AnnealSchedule::fast());
-            b.iter(|| black_box(qpu.sample(&model, reads, 1).num_reads()))
+            b.iter(|| {
+                black_box(
+                    qpu.sample(&model, &SampleParams::new(reads, 1))
+                        .unwrap()
+                        .num_reads(),
+                )
+            })
         });
     }
     group.finish();
@@ -77,7 +83,7 @@ fn report_success_probability_vs_sweeps(_c: &mut Criterion) {
     eprintln!("\nempirical per-read success probability vs schedule sweeps (16-spin instance):");
     for sweeps in [16usize, 64, 256, 1024] {
         let qpu = SimulatedQpu::with_schedule(AnnealSchedule::default().with_sweeps(sweeps));
-        let samples = qpu.sample(&model, 64, 3);
+        let samples = qpu.sample(&model, &SampleParams::new(64, 3)).unwrap();
         let est = estimate_success_probability(&samples.energies(), exact, 1e-9);
         eprintln!(
             "  sweeps={sweeps:<5} p_s={:.3} ({} of {} reads hit the exact optimum)",

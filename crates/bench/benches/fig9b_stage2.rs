@@ -51,8 +51,15 @@ fn bench_simulated_sampling(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{accuracy}")),
             &config,
             |b, config| {
+                let backend = config.backend.build_with_schedule(config.schedule);
                 b.iter(|| {
-                    let r = execute_stage2(&machine, config, black_box(&logical)).unwrap();
+                    let r = execute_stage2_with_backend(
+                        &machine,
+                        config,
+                        black_box(&logical),
+                        backend.as_ref(),
+                    )
+                    .unwrap();
                     black_box(r.reads)
                 })
             },

@@ -3,7 +3,7 @@
 //! The paper's Sec. 3.3 proposes off-line embedding as the remedy for the
 //! stage-1 bottleneck.  This binary quantifies it end to end: a batch of
 //! MAX-CUT jobs over a shared topology family is pushed through
-//! `Pipeline::execute_batch`, and the per-job wall time is compared against
+//! `Pipeline::execute_batch` on a fresh embedding table, and the per-job wall time is compared against
 //! submitting each job alone (cold embedding every time).
 //!
 //! Exits 1 if the batch ran CMR other than once per distinct topology, or
@@ -49,7 +49,8 @@ fn main() -> ExitCode {
     let solo_seconds = start.elapsed().as_secs_f64();
     let solo_ok = solo.iter().filter(|result| result.is_ok()).count();
 
-    let report = pipeline.execute_batch_report(&jobs);
+    let report = pipeline.execute_batch(&jobs, &EmbeddingCache::new());
+    let summary = &report.summary;
 
     println!(
         "serial cold submission: {solo_ok}/{} jobs in {solo_seconds:.3}s ({:.1} jobs/s)",
@@ -58,27 +59,27 @@ fn main() -> ExitCode {
     );
     println!(
         "batch submission:       {}/{} jobs in {:.3}s ({:.1} jobs/s)",
-        report.succeeded,
-        report.jobs,
-        report.wall_seconds,
-        report.succeeded as f64 / report.wall_seconds
+        summary.succeeded,
+        summary.jobs,
+        summary.wall_seconds,
+        summary.succeeded as f64 / summary.wall_seconds
     );
     println!(
         "embedding cache: {} misses, {} hits ({:.0}% of stage-1 embeddings amortized)",
-        report.embedding_cache.misses,
-        report.embedding_cache.hits,
-        100.0 * report.embedding_cache.hit_rate()
+        summary.embedding_cache.misses,
+        summary.embedding_cache.hits,
+        100.0 * summary.embedding_cache.hit_rate()
     );
     println!(
         "modeled stage split: stage1 {:.2e}s, stage2 {:.2e}s, stage3 {:.2e}s (stage-1 share {:.1}%)",
-        report.stage1_seconds,
-        report.stage2_seconds,
-        report.stage3_seconds,
-        100.0 * report.stage1_fraction()
+        summary.stage1_seconds,
+        summary.stage2_seconds,
+        summary.stage3_seconds,
+        100.0 * summary.stage1_fraction
     );
     println!(
         "speedup: {:.1}x wall-clock over serial cold submission",
-        solo_seconds / report.wall_seconds
+        solo_seconds / summary.wall_seconds
     );
 
     let mut ok = true;
@@ -87,10 +88,10 @@ fn main() -> ExitCode {
         .map(|job| graph_key(&qubo_to_ising(job).ising.interaction_graph()))
         .collect::<HashSet<_>>()
         .len();
-    if report.embedding_cache.misses != topologies {
+    if summary.embedding_cache.misses != topologies {
         eprintln!(
             "FAIL: {} CMR runs for {topologies} distinct topologies",
-            report.embedding_cache.misses
+            summary.embedding_cache.misses
         );
         ok = false;
     }

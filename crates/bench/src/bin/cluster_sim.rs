@@ -988,7 +988,7 @@ fn fairness(args: &Args) -> Experiment {
         // run — same spec, fleet and scheduler as the gated one.
         let (open, gated) = (at(10.0, "wfq"), &results[results.len() - 1].report);
         let (victim, aggressor) = victim_and_aggressor(gated);
-        let (open_depth, gated_depth) = (open.max_queue_depth(), gated.max_queue_depth());
+        let (open_depth, gated_depth) = (open.max_queue_depth, gated.max_queue_depth);
         let unbounded = aggressor.max_queue_depth > depth_limit;
         let message = "admission did not bound the aggressor's queue depth";
         verdict.fail_if(unbounded, message);

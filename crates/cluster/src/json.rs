@@ -216,9 +216,9 @@ impl QpuStats {
 impl SimReport {
     /// The run's aggregate outcome as a JSON object: headline counts,
     /// latency/wait summaries, per-stage breakdown, per-device and
-    /// per-tenant statistics and the fairness indices.  Per-job records,
-    /// the event trace and the queue-depth series are deliberately omitted
-    /// (they dominate the size and sweeps don't consume them).
+    /// per-tenant statistics and the fairness indices.  Per-job records
+    /// are deliberately omitted (they dominate the size and sweeps don't
+    /// consume them).
     pub fn to_json(&self) -> JsonValue {
         JsonValue::object([
             ("policy", JsonValue::from(self.policy.as_str())),
@@ -245,7 +245,7 @@ impl SimReport {
             ("cold_misses", JsonValue::from(self.cold_misses())),
             ("evictions", JsonValue::from(self.evictions())),
             ("hit_rate", JsonValue::from(self.hit_rate())),
-            ("max_queue_depth", JsonValue::from(self.max_queue_depth())),
+            ("max_queue_depth", JsonValue::from(self.max_queue_depth)),
             (
                 "jains_fairness_index",
                 JsonValue::from(self.jains_fairness_index()),

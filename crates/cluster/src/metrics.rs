@@ -241,8 +241,8 @@ pub struct SimReport {
     pub per_qpu: Vec<QpuStats>,
     /// Per-tenant statistics, in tenant-id order.
     pub per_tenant: Vec<TenantStats>,
-    /// Queue depth sampled after every event: `(virtual time, depth)`.
-    pub queue_depth: Vec<(f64, usize)>,
+    /// Largest queue depth seen after any event.
+    pub max_queue_depth: usize,
     /// Per-job records in completion order.
     pub records: Vec<JobRecord>,
 }
@@ -296,11 +296,6 @@ impl SimReport {
         } else {
             self.per_qpu.iter().map(|q| q.utilization).sum::<f64>() / self.per_qpu.len() as f64
         }
-    }
-
-    /// Largest queue depth observed.
-    pub fn max_queue_depth(&self) -> usize {
-        self.queue_depth.iter().map(|&(_, d)| d).max().unwrap_or(0)
     }
 
     /// The statistics of one tenant, if it appears in the report.
@@ -440,7 +435,7 @@ impl fmt::Display for SimReport {
             self.warm_hits(),
             self.cold_misses(),
             self.evictions(),
-            self.max_queue_depth()
+            self.max_queue_depth
         )?;
         if self.slo_jobs() > 0 || self.shed_infeasible > 0 {
             write!(
@@ -563,7 +558,7 @@ mod tests {
                 cache_capacity: Some(1),
             }],
             per_tenant: vec![tenant_stats(0, 1.0, 4.0)],
-            queue_depth: vec![(0.0, 1), (2.0, 2), (5.0, 0)],
+            max_queue_depth: 2,
             records,
         }
     }
@@ -683,7 +678,7 @@ mod tests {
         assert_eq!(r.evictions(), 2);
         assert!((r.hit_rate() - 0.5).abs() < 1e-12);
         assert!((r.per_qpu[0].hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(r.max_queue_depth(), 2);
+        assert_eq!(r.max_queue_depth, 2);
         assert!((r.mean_utilization() - 0.8).abs() < 1e-12);
     }
 

@@ -162,7 +162,6 @@ pub enum TraceRecord {
 struct SimScratch {
     events: EventQueue,
     queue: Vec<Job>,
-    queue_depth: Vec<(f64, usize)>,
     records: Vec<JobRecord>,
     in_flight: Vec<Option<JobRecord>>,
     /// When each job first entered the system (closed mode re-stamps
@@ -183,18 +182,13 @@ impl SimScratch {
     ///
     /// Capacity arithmetic: the queue and the record list hold at most one
     /// entry per job; the future-event list holds the un-fired arrivals
-    /// plus one in-flight completion per device; the depth series gets one
-    /// sample per event, and a run without deferrals fires at most one
-    /// arrival plus one completion per job (admission deferrals re-arrive
-    /// and may grow the series past the estimate — amortized doubling,
-    /// never per-event).
+    /// plus one in-flight completion per device.
     // sx-lint: hot-exempt -- once-per-run setup: the dispatch loop only writes into buffers sized here
     fn for_run(workload: &Workload, fleet: &Fleet, lanes: usize) -> Self {
         let jobs = workload.len();
         Self {
             events: EventQueue::with_capacity(jobs + fleet.devices.len() + 1),
             queue: Vec::with_capacity(jobs),
-            queue_depth: Vec::with_capacity(2 * jobs + 1),
             records: Vec::with_capacity(jobs),
             in_flight: vec![None; jobs],
             released_at: vec![None; jobs],
@@ -252,7 +246,6 @@ pub fn simulate_with_telemetry(
     let SimScratch {
         mut events,
         mut queue,
-        mut queue_depth,
         mut records,
         mut in_flight,
         mut released_at,
@@ -264,6 +257,7 @@ pub fn simulate_with_telemetry(
         mut tenant_rejected,
     } = SimScratch::for_run(workload, &fleet, lanes);
     let mut shed = 0usize;
+    let mut max_queue_depth = 0usize;
     let mut shed_infeasible = 0usize;
     let mut deferrals = 0usize;
 
@@ -512,7 +506,7 @@ pub fn simulate_with_telemetry(
             }
         }
 
-        queue_depth.push((clock, queue.len()));
+        max_queue_depth = max_queue_depth.max(queue.len());
 
         // Feed and sample the registry after the dispatch loop settles, so
         // every sample boundary sees a consistent post-event state.
@@ -567,7 +561,7 @@ pub fn simulate_with_telemetry(
             deferrals,
             makespan: clock,
             records,
-            queue_depth,
+            max_queue_depth,
             tenant_depth_max,
             tenant_shed,
             tenant_shed_infeasible,
@@ -587,7 +581,7 @@ struct RunOutcome {
     deferrals: usize,
     makespan: f64,
     records: Vec<JobRecord>,
-    queue_depth: Vec<(f64, usize)>,
+    max_queue_depth: usize,
     tenant_depth_max: Vec<usize>,
     tenant_shed: Vec<usize>,
     tenant_shed_infeasible: Vec<usize>,
@@ -648,7 +642,7 @@ fn assemble_report(
         deferrals,
         makespan,
         records,
-        queue_depth,
+        max_queue_depth,
         tenant_depth_max,
         tenant_shed,
         tenant_shed_infeasible,
@@ -763,7 +757,7 @@ fn assemble_report(
         stage3_seconds: records.iter().map(|r| r.stage3_seconds).sum(),
         per_qpu,
         per_tenant,
-        queue_depth,
+        max_queue_depth,
         records,
     }
 }
@@ -998,7 +992,7 @@ mod tests {
         assert_eq!(report.completed + report.rejected, report.jobs);
         // With 2 clients, at most 2 jobs are ever queued or in service, so
         // the dispatch queue never exceeds the client count.
-        assert!(report.max_queue_depth() <= 2);
+        assert!(report.max_queue_depth <= 2);
     }
 
     #[test]
@@ -1027,8 +1021,8 @@ mod tests {
             }),
             ..open_cell
         });
-        assert!(open.max_queue_depth() > depth_limit);
-        assert!(gated.max_queue_depth() <= depth_limit);
+        assert!(open.max_queue_depth > depth_limit);
+        assert!(gated.max_queue_depth <= depth_limit);
         assert!(gated.shed > 0);
         assert_eq!(gated.completed + gated.rejected + gated.shed, gated.jobs);
         assert_eq!(gated.admission, "token-bucket");

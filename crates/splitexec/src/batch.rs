@@ -12,9 +12,10 @@
 //! the same configuration, because all stochastic components are seeded
 //! per job.
 //!
-//! [`Pipeline::execute_batch`] returns the per-job results;
-//! [`Pipeline::execute_batch_report`] additionally aggregates per-stage
-//! timing and cache behavior into a [`BatchReport`].
+//! [`Pipeline::execute_batch`] runs a batch against a caller-held table
+//! (pass a fresh [`EmbeddingCache::new`] for a one-off batch, or keep one
+//! to carry embeddings across batches) and returns the per-job results
+//! next to one [`BatchSummary`] of per-stage timing and table behavior.
 
 use crate::error::PipelineError;
 use crate::offline_cache::{graph_key, CacheStats, EmbeddingCache};
@@ -23,77 +24,21 @@ use qubo_ising::{qubo_to_ising, Qubo};
 use std::collections::HashSet;
 use std::fmt;
 
-/// Aggregated outcome of one batch submission.
-///
-/// (The compact, plain-data form is [`BatchSummary`] — see
-/// [`BatchReport::summary`].)
+/// The outcome of one batch submission: every job's result and their
+/// aggregate.
 #[derive(Debug)]
 pub struct BatchReport {
     /// Per-job results, in submission order.
     pub results: Vec<Result<ExecutionReport, PipelineError>>,
-    /// Number of jobs submitted.
-    pub jobs: usize,
-    /// Number of jobs that produced a solution.
-    pub succeeded: usize,
-    /// Sum of modeled stage-1 seconds over successful jobs.
-    pub stage1_seconds: f64,
-    /// Sum of modeled stage-2 seconds over successful jobs.
-    pub stage2_seconds: f64,
-    /// Sum of measured stage-3 seconds over successful jobs.
-    pub stage3_seconds: f64,
-    /// Sum of end-to-end modeled seconds over successful jobs.
-    pub total_seconds: f64,
-    /// Wall-clock seconds the whole batch took on the host (the modeled
-    /// time is `total_seconds`).
-    pub wall_seconds: f64,
-    /// Embedding-cache behavior for this batch (hits = jobs whose stage-1
-    /// embedding was amortized away).
-    pub embedding_cache: CacheStats,
-}
-
-impl BatchReport {
-    /// Number of jobs that failed.
-    pub fn failed(&self) -> usize {
-        self.jobs - self.succeeded
-    }
-
-    /// Fraction of the summed modeled time spent in stage 1 — the batch
-    /// analogue of the paper's headline single-job observation.
-    pub fn stage1_fraction(&self) -> f64 {
-        if self.total_seconds == 0.0 {
-            0.0
-        } else {
-            self.stage1_seconds / self.total_seconds
-        }
-    }
-
-    /// The serializable aggregate view of this report.
-    pub fn summary(&self) -> BatchSummary {
-        BatchSummary {
-            jobs: self.jobs,
-            succeeded: self.succeeded,
-            failed: self.failed(),
-            stage1_seconds: self.stage1_seconds,
-            stage2_seconds: self.stage2_seconds,
-            stage3_seconds: self.stage3_seconds,
-            total_seconds: self.total_seconds,
-            wall_seconds: self.wall_seconds,
-            stage1_fraction: self.stage1_fraction(),
-            embedding_cache: self.embedding_cache,
-        }
-    }
-}
-
-impl fmt::Display for BatchReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.summary().fmt(f)
-    }
+    /// Job counts, summed per-stage seconds, wall clock and embedding-table
+    /// behavior over the batch.
+    pub summary: BatchSummary,
 }
 
 /// The aggregate, wire-friendly view of a batch (or cluster-simulation)
 /// outcome: job counts, summed per-stage seconds, wall clock and embedding
 /// cache behavior.  This is the shared report format between
-/// [`Pipeline::execute_batch_report`] and the `sx_cluster` simulator, which
+/// [`Pipeline::execute_batch`] and the `sx_cluster` simulator, which
 /// produces the same shape for a whole fleet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchSummary {
@@ -113,9 +58,11 @@ pub struct BatchSummary {
     pub total_seconds: f64,
     /// Wall-clock (or virtual-clock) seconds the whole run spanned.
     pub wall_seconds: f64,
-    /// Fraction of the summed time spent in stage 1.
+    /// Fraction of the summed time spent in stage 1 (0 when nothing
+    /// succeeded).
     pub stage1_fraction: f64,
-    /// Embedding-cache behavior over the run.
+    /// Embedding-cache behavior over the run (hits = jobs whose stage-1
+    /// embedding was amortized away).
     pub embedding_cache: CacheStats,
 }
 
@@ -145,24 +92,13 @@ impl fmt::Display for BatchSummary {
 }
 
 impl Pipeline {
-    /// Execute a batch of jobs, amortizing stage-1 embeddings across
-    /// identical interaction topologies and running jobs in submission
-    /// order.  Results come back in that order; each equals what
-    /// [`Pipeline::execute`] would return for that job alone.
-    pub fn execute_batch(&self, jobs: &[Qubo]) -> Vec<Result<ExecutionReport, PipelineError>> {
-        self.execute_batch_report(jobs).results
-    }
-
-    /// Like [`Pipeline::execute_batch`], with aggregate timing and cache
-    /// statistics.  A fresh [`EmbeddingCache`] is used per call; to carry
-    /// embeddings across batches (the paper's off-line embedding table),
-    /// hold a cache and use [`Pipeline::execute_batch_with_cache`].
-    pub fn execute_batch_report(&self, jobs: &[Qubo]) -> BatchReport {
-        self.execute_batch_with_cache(jobs, &EmbeddingCache::new())
-    }
-
-    /// Execute a batch against a caller-held embedding cache.
-    pub fn execute_batch_with_cache(&self, jobs: &[Qubo], cache: &EmbeddingCache) -> BatchReport {
+    /// Execute a batch of jobs against the embedding table `cache`,
+    /// amortizing stage-1 embeddings across identical interaction
+    /// topologies and running jobs in submission order.  Results come back
+    /// in that order; each equals what [`Pipeline::execute`] would return
+    /// for that job alone.  The summary's table counts cover this batch
+    /// only.
+    pub fn execute_batch(&self, jobs: &[Qubo], cache: &EmbeddingCache) -> BatchReport {
         // sx-lint: allow(D001) -- measures real batch wall-clock throughput; the pipeline executes actual compute here
         let start = std::time::Instant::now();
         let stats_before = cache.stats();
@@ -192,32 +128,36 @@ impl Pipeline {
             .map(|job| self.execute_cached(job, cache))
             .collect();
 
-        let mut report = BatchReport {
+        let mut summary = BatchSummary {
             jobs: jobs.len(),
             succeeded: 0,
+            failed: 0,
             stage1_seconds: 0.0,
             stage2_seconds: 0.0,
             stage3_seconds: 0.0,
             total_seconds: 0.0,
             wall_seconds: 0.0,
+            stage1_fraction: 0.0,
             embedding_cache: CacheStats::default(),
-            results: Vec::new(),
         };
         for execution in results.iter().flatten() {
-            report.succeeded += 1;
-            report.stage1_seconds += execution.stage1.total_seconds;
-            report.stage2_seconds += execution.stage2.total_seconds;
-            report.stage3_seconds += execution.stage3.measured_seconds;
-            report.total_seconds += execution.total_seconds();
+            summary.succeeded += 1;
+            summary.stage1_seconds += execution.stage1.total_seconds;
+            summary.stage2_seconds += execution.stage2.total_seconds;
+            summary.stage3_seconds += execution.stage3.measured_seconds;
+            summary.total_seconds += execution.total_seconds();
+        }
+        summary.failed = summary.jobs - summary.succeeded;
+        if summary.total_seconds != 0.0 {
+            summary.stage1_fraction = summary.stage1_seconds / summary.total_seconds;
         }
         let stats_after = cache.stats();
-        report.embedding_cache = CacheStats {
+        summary.embedding_cache = CacheStats {
             hits: stats_after.hits - stats_before.hits,
             misses: stats_after.misses - stats_before.misses,
         };
-        report.wall_seconds = start.elapsed().as_secs_f64();
-        report.results = results;
-        report
+        summary.wall_seconds = start.elapsed().as_secs_f64();
+        BatchReport { results, summary }
     }
 }
 
@@ -242,7 +182,7 @@ mod tests {
         let jobs: Vec<Qubo> = (4..9)
             .map(|n| MaxCut::unweighted(generators::cycle(n)).to_qubo())
             .collect();
-        let batch = p.execute_batch(&jobs);
+        let batch = p.execute_batch(&jobs, &EmbeddingCache::new()).results;
         assert_eq!(batch.len(), jobs.len());
         for (job, result) in jobs.iter().zip(&batch) {
             let solo = p.execute(job).unwrap();
@@ -267,10 +207,10 @@ mod tests {
                 MaxCut::weighted(graph.clone(), &weights).to_qubo()
             })
             .collect();
-        let report = p.execute_batch_report(&jobs);
-        assert_eq!(report.succeeded, 5);
-        assert_eq!(report.embedding_cache.misses, 1);
-        assert_eq!(report.embedding_cache.hits, 5);
+        let report = p.execute_batch(&jobs, &EmbeddingCache::new());
+        assert_eq!(report.summary.succeeded, 5);
+        assert_eq!(report.summary.embedding_cache.misses, 1);
+        assert_eq!(report.summary.embedding_cache.hits, 5);
         // The warm pass computed the embedding; every job then hit.
         let cache_hits = report
             .results
@@ -288,10 +228,10 @@ mod tests {
             MaxCut::unweighted(generators::path(6)).to_qubo(),
             MaxCut::unweighted(generators::cycle(6)).to_qubo(),
         ];
-        let report = p.execute_batch_report(&jobs);
-        assert_eq!(report.succeeded, 3);
-        assert_eq!(report.embedding_cache.misses, 2);
-        assert_eq!(report.embedding_cache.hits, 3);
+        let summary = p.execute_batch(&jobs, &EmbeddingCache::new()).summary;
+        assert_eq!(summary.succeeded, 3);
+        assert_eq!(summary.embedding_cache.misses, 2);
+        assert_eq!(summary.embedding_cache.hits, 3);
     }
 
     #[test]
@@ -302,10 +242,10 @@ mod tests {
             Qubo::new(0), // rejected: no variables
             MaxCut::unweighted(generators::path(4)).to_qubo(),
         ];
-        let report = p.execute_batch_report(&jobs);
-        assert_eq!(report.jobs, 3);
-        assert_eq!(report.succeeded, 2);
-        assert_eq!(report.failed(), 1);
+        let report = p.execute_batch(&jobs, &EmbeddingCache::new());
+        assert_eq!(report.summary.jobs, 3);
+        assert_eq!(report.summary.succeeded, 2);
+        assert_eq!(report.summary.failed, 1);
         assert!(matches!(report.results[1], Err(PipelineError::BadInput(_))));
         assert!(report.results[0].is_ok() && report.results[2].is_ok());
     }
@@ -315,10 +255,10 @@ mod tests {
         // K6 has no minor in one K_{4,4} unit cell.
         let p = Pipeline::new(SplitMachine::unit_cell(), SplitExecConfig::with_seed(1));
         let job = MaxCut::unweighted(generators::complete(6)).to_qubo();
-        let report = p.execute_batch_report(std::slice::from_ref(&job));
-        assert_eq!(report.succeeded, 0);
-        assert_eq!(report.embedding_cache.misses, 1);
-        assert_eq!(report.embedding_cache.hits, 1);
+        let report = p.execute_batch(std::slice::from_ref(&job), &EmbeddingCache::new());
+        assert_eq!(report.summary.succeeded, 0);
+        assert_eq!(report.summary.embedding_cache.misses, 1);
+        assert_eq!(report.summary.embedding_cache.hits, 1);
         let solo = p.execute(&job).unwrap_err();
         assert!(matches!(solo, PipelineError::Embedding(_)));
         assert_eq!(report.results[0].as_ref().unwrap_err(), &solo);
@@ -330,15 +270,20 @@ mod tests {
         let jobs: Vec<Qubo> = (5..8)
             .map(|n| MaxCut::unweighted(generators::cycle(n)).to_qubo())
             .collect();
-        let report = p.execute_batch_report(&jobs);
+        let report = p.execute_batch(&jobs, &EmbeddingCache::new());
         let summed: f64 = report
             .results
             .iter()
             .map(|r| r.as_ref().unwrap().total_seconds())
             .sum();
-        assert!((report.total_seconds - summed).abs() < 1e-9);
-        assert!(report.stage1_fraction() > 0.9);
-        assert!(report.wall_seconds > 0.0);
+        let summary = report.summary;
+        assert!((summary.total_seconds - summed).abs() < 1e-9);
+        assert!(
+            (summary.stage1_fraction - summary.stage1_seconds / summary.total_seconds).abs()
+                < 1e-15
+        );
+        assert!(summary.stage1_fraction > 0.9);
+        assert!(summary.wall_seconds > 0.0);
     }
 
     #[test]
@@ -346,44 +291,38 @@ mod tests {
         let p = pipeline(2);
         let cache = EmbeddingCache::new();
         let jobs = vec![MaxCut::unweighted(generators::cycle(7)).to_qubo()];
-        let first = p.execute_batch_with_cache(&jobs, &cache);
+        let first = p.execute_batch(&jobs, &cache).summary;
         assert_eq!(first.embedding_cache.misses, 1);
-        let second = p.execute_batch_with_cache(&jobs, &cache);
+        let second = p.execute_batch(&jobs, &cache).summary;
         assert_eq!(second.embedding_cache.misses, 0);
         assert_eq!(second.embedding_cache.hits, 1);
     }
 
     #[test]
-    fn summary_mirrors_the_report_and_displays() {
+    fn summary_counts_failures_and_displays() {
         let p = pipeline(9);
         let jobs: Vec<Qubo> = vec![
             MaxCut::unweighted(generators::cycle(6)).to_qubo(),
             Qubo::new(0),
             MaxCut::unweighted(generators::cycle(6)).to_qubo(),
         ];
-        let report = p.execute_batch_report(&jobs);
-        let summary = report.summary();
+        let summary = p.execute_batch(&jobs, &EmbeddingCache::new()).summary;
         assert_eq!(summary.jobs, 3);
         assert_eq!(summary.succeeded, 2);
         assert_eq!(summary.failed, 1);
-        assert_eq!(summary.stage1_seconds, report.stage1_seconds);
-        assert_eq!(summary.total_seconds, report.total_seconds);
-        assert_eq!(summary.embedding_cache, report.embedding_cache);
-        assert!((summary.stage1_fraction - report.stage1_fraction()).abs() < 1e-15);
 
-        let text = format!("{report}");
+        let text = format!("{summary}");
         assert!(text.contains("3 jobs: 2 succeeded, 1 failed"));
         assert!(text.contains("stage-1 share"));
         assert!(text.contains("embedding cache"));
-        assert_eq!(text, format!("{summary}"));
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let report = pipeline(1).execute_batch_report(&[]);
-        assert_eq!(report.jobs, 0);
-        assert_eq!(report.succeeded, 0);
-        assert_eq!(report.stage1_fraction(), 0.0);
-        assert!(pipeline(1).execute_batch(&[]).is_empty());
+        let report = pipeline(1).execute_batch(&[], &EmbeddingCache::new());
+        assert!(report.results.is_empty());
+        assert_eq!(report.summary.jobs, 0);
+        assert_eq!(report.summary.succeeded, 0);
+        assert_eq!(report.summary.stage1_fraction, 0.0);
     }
 }

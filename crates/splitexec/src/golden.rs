@@ -209,16 +209,17 @@ fn measure() -> Vec<(String, String)> {
         3,
         BackendKind::SimulatedAnnealing,
     )
-    .execute_batch_with_cache(&batch_jobs(), &EmbeddingCache::new());
+    .execute_batch(&batch_jobs(), &EmbeddingCache::new());
+    let summary = &batch.summary;
     rows.push((
         "batch".to_string(),
         format!(
             "{} jobs, {} succeeded, {} failed, {} misses, {} hits",
-            batch.jobs,
-            batch.succeeded,
-            batch.failed(),
-            batch.embedding_cache.misses,
-            batch.embedding_cache.hits
+            summary.jobs,
+            summary.succeeded,
+            summary.failed,
+            summary.embedding_cache.misses,
+            summary.embedding_cache.hits
         ),
     ));
     for (job, result) in batch.results.iter().enumerate() {

@@ -56,9 +56,9 @@
 //!
 //! // Batch submission embeds a repeated topology once and reuses it.
 //! let jobs = vec![qubo.clone(), qubo.clone(), qubo];
-//! let batch = pipeline.execute_batch_report(&jobs);
-//! assert_eq!(batch.succeeded, 3);
-//! assert_eq!(batch.embedding_cache.misses, 1);
+//! let batch = pipeline.execute_batch(&jobs, &EmbeddingCache::new());
+//! assert_eq!(batch.summary.succeeded, 3);
+//! assert_eq!(batch.summary.embedding_cache.misses, 1);
 //! # Ok::<(), split_exec::PipelineError>(())
 //! ```
 
@@ -103,12 +103,10 @@ pub mod prelude {
     pub use crate::machine::{Architecture, QpuModel, SplitMachine};
     pub use crate::offline_cache::{CacheStats, EmbeddingCache};
     pub use crate::pipeline::{ExecutionReport, Pipeline, PredictedBreakdown, SolutionSummary};
-    pub use crate::report::{breakdown_table, csv_series, BreakdownRow};
+    pub use crate::report::{breakdown_table, BreakdownRow};
     pub use crate::sequence::{Layer, SequenceTrace};
-    pub use crate::stage1::{execute_stage1, execute_stage1_cached, predict_stage1};
-    pub use crate::stage2::{
-        execute_stage2, execute_stage2_with_backend, predict_stage2, reads_for_accuracy,
-    };
+    pub use crate::stage1::{execute_stage1_cached, predict_stage1};
+    pub use crate::stage2::{execute_stage2_with_backend, predict_stage2, reads_for_accuracy};
     pub use crate::stage3::{execute_stage3, predict_stage3};
     // Stage-2 backend selection, re-exported so pipeline users need only one
     // glob import.

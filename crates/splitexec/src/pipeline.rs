@@ -154,9 +154,10 @@ impl Pipeline {
         })
     }
 
-    /// Execute the full application on a concrete QUBO instance.
+    /// Execute the full application on a concrete QUBO instance: stage 1
+    /// embeds on a fresh [`EmbeddingCache`], so CMR always runs.
     pub fn execute(&self, qubo: &Qubo) -> Result<ExecutionReport, PipelineError> {
-        self.execute_impl(qubo, None)
+        self.execute_cached(qubo, &EmbeddingCache::new())
     }
 
     /// Execute the full application, serving the stage-1 minor embedding
@@ -170,15 +171,7 @@ impl Pipeline {
         qubo: &Qubo,
         cache: &EmbeddingCache,
     ) -> Result<ExecutionReport, PipelineError> {
-        self.execute_impl(qubo, Some(cache))
-    }
-
-    fn execute_impl(
-        &self,
-        qubo: &Qubo,
-        cache: Option<&EmbeddingCache>,
-    ) -> Result<ExecutionReport, PipelineError> {
-        let stage1 = execute_stage1_cached(&self.machine, &self.config, qubo, cache)?;
+        let stage1 = execute_stage1_cached(&self.machine, &self.config, qubo, Some(cache))?;
         let backend = self.backend();
         let stage2 = execute_stage2_with_backend(
             &self.machine,
@@ -205,11 +198,6 @@ impl Pipeline {
             stage3,
             solution,
         })
-    }
-
-    /// Convenience wrapper: execute and return only the solution summary.
-    pub fn solve(&self, qubo: &Qubo) -> Result<SolutionSummary, PipelineError> {
-        Ok(self.execute(qubo)?.solution)
     }
 }
 
@@ -345,14 +333,6 @@ mod tests {
     fn execute_rejects_empty_input() {
         let err = pipeline(1).execute(&Qubo::new(0)).unwrap_err();
         assert!(matches!(err, PipelineError::BadInput(_)));
-    }
-
-    #[test]
-    fn solve_returns_solution_only() {
-        let qubo = MaxCut::unweighted(generators::path(5)).to_qubo();
-        let solution = pipeline(5).solve(&qubo).unwrap();
-        assert_eq!(solution.assignment.len(), 5);
-        assert!(solution.distinct_solutions >= 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Report formatting: the tables and CSV series used by the figure
+//! Report formatting: the stage-breakdown tables used by the figure
 //! regeneration binaries and the examples.
 
 use crate::pipeline::{ExecutionReport, PredictedBreakdown};
@@ -71,18 +71,6 @@ pub fn breakdown_table(rows: &[BreakdownRow]) -> String {
     out
 }
 
-/// Render an `(x, series...)` data set as CSV with a header line, the format
-/// consumed by external plotting of the figure series.
-pub fn csv_series(header: &[&str], rows: &[Vec<f64>]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{}", header.join(","));
-    for row in rows {
-        let formatted: Vec<String> = row.iter().map(|v| format!("{v:.9e}")).collect();
-        let _ = writeln!(out, "{}", formatted.join(","));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,14 +113,5 @@ mod tests {
         assert_eq!(table.lines().count(), 3);
         assert!(table.contains("stage1 [s]"));
         assert!(table.contains("20"));
-    }
-
-    #[test]
-    fn csv_series_has_header_and_rows() {
-        let csv = csv_series(&["n", "model", "measured"], &[vec![1.0, 2.0, 3.0]]);
-        let mut lines = csv.lines();
-        assert_eq!(lines.next().unwrap(), "n,model,measured");
-        let data = lines.next().unwrap();
-        assert_eq!(data.split(',').count(), 3);
     }
 }

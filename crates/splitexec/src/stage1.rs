@@ -9,10 +9,11 @@
 //!   operation count, `LPS²` logical-Ising construction, `LPS³` parameter
 //!   setting, constant electronics initialization) against the `SimpleNode`
 //!   machine model — the *solid line* of Fig. 9(a).
-//! * [`execute_stage1`] actually performs the work with the real
+//! * [`execute_stage1_cached`] actually performs the work with the real
 //!   implementations (QUBO→Ising conversion, CMR embedding, parameter
 //!   spreading) and measures wall-clock time — the analogue of the paper's
-//!   *dashed* experimentally-observed line.
+//!   *dashed* experimentally-observed line.  The embedding always comes
+//!   through an [`EmbeddingCache`], the caller's or a fresh one.
 
 use crate::config::SplitExecConfig;
 use crate::error::PipelineError;
@@ -20,7 +21,7 @@ use crate::machine::SplitMachine;
 use crate::offline_cache::EmbeddingCache;
 use crate::timing::timed;
 use aspen_model::{listings, ApplicationModel, ParamEnv, Prediction, Predictor};
-use minor_embed::{embed_ising, find_embedding, CmrStats, EmbeddedIsing, ParameterSetting};
+use minor_embed::{embed_ising, CmrStats, EmbeddedIsing, ParameterSetting};
 use quantum_anneal::QpuTimings;
 use qubo_ising::{qubo_to_ising, Ising, Qubo};
 
@@ -86,8 +87,8 @@ pub struct Stage1Execution {
     /// Work counters reported by the heuristic (zero when the embedding was
     /// served from a cache).
     pub embedding_stats: CmrStats,
-    /// Whether the embedding came from an [`EmbeddingCache`] rather than
-    /// being computed in-line.
+    /// Whether the [`EmbeddingCache`] served a stored outcome rather than
+    /// running CMR on a miss.
     pub embedding_cache_hit: bool,
     /// Seconds spent spreading parameters over the embedded chains.
     pub parameter_seconds: f64,
@@ -110,19 +111,11 @@ pub struct Stage1Execution {
     pub total_seconds: f64,
 }
 
-/// Execute stage 1 for a concrete QUBO on the given machine.
-pub fn execute_stage1(
-    machine: &SplitMachine,
-    config: &SplitExecConfig,
-    qubo: &Qubo,
-) -> Result<Stage1Execution, PipelineError> {
-    execute_stage1_cached(machine, config, qubo, None)
-}
-
-/// Execute stage 1, optionally serving the minor embedding from an
-/// [`EmbeddingCache`] (the paper's Sec. 3.3 "off-line embedding" remedy; the
-/// batch-submission path uses this to amortize the dominant stage-1 cost
-/// across jobs with the same interaction topology).
+/// Execute stage 1 for a concrete QUBO on the given machine, serving the
+/// minor embedding from `cache` (the paper's Sec. 3.3 "off-line embedding"
+/// remedy; the batch-submission path uses this to amortize the dominant
+/// stage-1 cost across jobs with the same interaction topology).  `None`
+/// embeds on a fresh table, so CMR runs and the result is a miss.
 pub fn execute_stage1_cached(
     machine: &SplitMachine,
     config: &SplitExecConfig,
@@ -140,44 +133,29 @@ pub fn execute_stage1_cached(
     let (conversion, conversion_seconds) = timed(|| qubo_to_ising(qubo));
     let logical = conversion.ising;
 
-    // 2. Minor embedding with the CMR heuristic (`EmbedData`), or a cache
-    //    lookup keyed on the interaction graph.
-    let interaction = logical.interaction_graph();
-    let (embedding, embedding_stats, embedding_seconds, embedding_cache_hit) = match cache {
-        Some(cache) => {
-            let served = cache.get_or_compute(&interaction, machine, config)?;
-            (
-                served.embedding,
-                served.stats,
-                served.seconds,
-                served.cache_hit,
-            )
-        }
-        None => {
-            let (outcome, seconds) =
-                timed(|| find_embedding(&interaction, &machine.hardware, &config.cmr));
-            let outcome = outcome?;
-            (outcome.embedding, outcome.stats, seconds, false)
-        }
-    };
+    // 2. Minor embedding with the CMR heuristic (`EmbedData`), looked up
+    //    in the embedding table by the interaction graph.
+    let scratch = EmbeddingCache::new();
+    let cache = cache.unwrap_or(&scratch);
+    let served = cache.get_or_compute(&logical.interaction_graph(), machine, config)?;
 
     // 3. Parameter setting over the embedded chains.
     let setting = ParameterSetting::auto(&logical, config.chain_strength_factor);
     let (embedded, parameter_seconds) =
-        timed(|| embed_ising(&logical, &embedding, &machine.hardware, setting));
+        timed(|| embed_ising(&logical, &served.embedding, &machine.hardware, setting));
 
     // 4. Electronics initialization: a constant taken from the hardware
     //    model (we have no programmable magnetic memory to drive).
     let processor_initialize_seconds = QpuTimings::dw2x().processor_initialize_seconds();
 
-    let measured_seconds = conversion_seconds + embedding_seconds + parameter_seconds;
+    let measured_seconds = conversion_seconds + served.seconds + parameter_seconds;
     Ok(Stage1Execution {
         lps,
         conversion_seconds,
         conversion_operations: conversion.operations,
-        embedding_seconds,
-        embedding_stats,
-        embedding_cache_hit,
+        embedding_seconds: served.seconds,
+        embedding_stats: served.stats,
+        embedding_cache_hit: served.cache_hit,
         parameter_seconds,
         parameter_operations: embedded.operations,
         processor_initialize_seconds,
@@ -246,7 +224,7 @@ mod tests {
         let machine = machine();
         let config = SplitExecConfig::with_seed(3);
         let qubo = MaxCut::unweighted(generators::cycle(8)).to_qubo();
-        let result = execute_stage1(&machine, &config, &qubo).unwrap();
+        let result = execute_stage1_cached(&machine, &config, &qubo, None).unwrap();
         assert_eq!(result.lps, 8);
         assert!(result.conversion_operations > 0);
         assert!(result.parameter_operations > 0);
@@ -264,7 +242,8 @@ mod tests {
     #[test]
     fn execution_rejects_empty_problem() {
         let err =
-            execute_stage1(&machine(), &SplitExecConfig::default(), &Qubo::new(0)).unwrap_err();
+            execute_stage1_cached(&machine(), &SplitExecConfig::default(), &Qubo::new(0), None)
+                .unwrap_err();
         assert!(matches!(err, PipelineError::BadInput(_)));
     }
 
@@ -276,7 +255,8 @@ mod tests {
         let mut machine = SplitMachine::with_faults(QpuModel::Vesuvius, faults);
         machine.hardware = chimera.graph().clone();
         let qubo = MaxCut::unweighted(generators::complete(40)).to_qubo();
-        let err = execute_stage1(&machine, &SplitExecConfig::default(), &qubo).unwrap_err();
+        let err =
+            execute_stage1_cached(&machine, &SplitExecConfig::default(), &qubo, None).unwrap_err();
         assert!(matches!(err, PipelineError::Embedding(_)));
     }
 
@@ -288,7 +268,7 @@ mod tests {
         let machine = machine();
         let config = SplitExecConfig::with_seed(1);
         let qubo = MaxCut::unweighted(generators::cycle(4)).to_qubo();
-        let result = execute_stage1(&machine, &config, &qubo).unwrap();
+        let result = execute_stage1_cached(&machine, &config, &qubo, None).unwrap();
         assert!(result.processor_initialize_seconds > result.measured_seconds * 0.5);
     }
 }

@@ -6,9 +6,9 @@
 //! orders of magnitude cheaper than the stage-1 pre-processing.
 //!
 //! * [`predict_stage2`] walks the Fig. 7 ASPEN model.
-//! * [`execute_stage2`] draws the same number of reads from the simulated
-//!   QPU, reporting both the modeled hardware access time and the wall-clock
-//!   simulation time.
+//! * [`execute_stage2_with_backend`] draws the same number of reads from a
+//!   [`SamplerBackend`] (the simulated QPU by default), reporting both the
+//!   modeled hardware access time and the wall-clock simulation time.
 
 use crate::config::SplitExecConfig;
 use crate::error::PipelineError;
@@ -82,17 +82,6 @@ pub struct Stage2Execution {
     pub total_seconds: f64,
 }
 
-/// Execute stage 2 on the backend named by `config.backend` (convenience
-/// wrapper over [`execute_stage2_with_backend`]).
-pub fn execute_stage2(
-    machine: &SplitMachine,
-    config: &SplitExecConfig,
-    physical: &Ising,
-) -> Result<Stage2Execution, PipelineError> {
-    let backend = config.backend.build_with_schedule(config.schedule);
-    execute_stage2_with_backend(machine, config, physical, backend.as_ref())
-}
-
 /// Execute stage 2: sample the embedded (physical) Ising program on any
 /// [`SamplerBackend`].
 pub fn execute_stage2_with_backend(
@@ -151,6 +140,12 @@ mod tests {
         SplitMachine::paper_default()
     }
 
+    /// Stage 2 on the backend `config` names.
+    fn execute(config: &SplitExecConfig, physical: &Ising) -> Stage2Execution {
+        let backend = config.backend.build_with_schedule(config.schedule);
+        execute_stage2_with_backend(&machine(), config, physical, backend.as_ref()).unwrap()
+    }
+
     #[test]
     fn prediction_matches_hand_computed_times() {
         // pa = 0.99, ps = 0.7 -> 4 reads; 4 × 20 µs + 320 µs + 5 µs = 405 µs.
@@ -194,10 +189,9 @@ mod tests {
 
     #[test]
     fn execution_samples_and_reports() {
-        let machine = machine();
         let config = SplitExecConfig::with_seed(5);
         let logical = Ising::random_on_graph(&generators::cycle(8), 3);
-        let result = execute_stage2(&machine, &config, &logical).unwrap();
+        let result = execute(&config, &logical);
         assert_eq!(result.reads, 4);
         assert_eq!(result.samples.num_reads(), 4);
         assert!(result.observed_success > 0.0);
@@ -208,11 +202,10 @@ mod tests {
     #[test]
     fn execution_works_on_every_builtin_backend() {
         use quantum_anneal::BackendKind;
-        let machine = machine();
         let logical = Ising::random_on_graph(&generators::cycle(8), 3);
         for kind in BackendKind::all() {
             let config = SplitExecConfig::with_seed(5).with_backend(kind);
-            let result = execute_stage2(&machine, &config, &logical).unwrap();
+            let result = execute(&config, &logical);
             assert_eq!(result.backend, kind.to_string(), "{kind}");
             assert_eq!(result.samples.num_reads(), config.reads(), "{kind}");
             assert!(result.total_seconds > 0.0, "{kind}");
@@ -221,13 +214,12 @@ mod tests {
 
     #[test]
     fn execution_respects_read_cap() {
-        let machine = machine();
         let mut config = SplitExecConfig::with_seed(1)
             .with_accuracy(0.999_999)
             .with_success_probability(0.01);
         config.max_reads = Some(16);
         let logical = Ising::random_on_graph(&generators::path(4), 1);
-        let result = execute_stage2(&machine, &config, &logical).unwrap();
+        let result = execute(&config, &logical);
         assert_eq!(result.reads, 16);
     }
 

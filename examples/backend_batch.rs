@@ -52,16 +52,18 @@ fn main() -> Result<(), PipelineError> {
         })
         .collect();
     let pipeline = Pipeline::new(machine, SplitExecConfig::with_seed(3));
-    let report = pipeline.execute_batch_report(&jobs);
-    println!("\nbatch of {} same-topology jobs:", report.jobs);
+    let summary = pipeline
+        .execute_batch(&jobs, &EmbeddingCache::new())
+        .summary;
+    println!("\nbatch of {} same-topology jobs:", summary.jobs);
     println!(
         "  {} succeeded; embedding computed {} time(s), served from cache {} time(s)",
-        report.succeeded, report.embedding_cache.misses, report.embedding_cache.hits
+        summary.succeeded, summary.embedding_cache.misses, summary.embedding_cache.hits
     );
     println!(
         "  wall {:.3}s; modeled stage-1 share {:.1}%",
-        report.wall_seconds,
-        100.0 * report.stage1_fraction()
+        summary.wall_seconds,
+        100.0 * summary.stage1_fraction
     );
     Ok(())
 }

@@ -86,7 +86,6 @@ fn main() {
     );
     println!(
         "queue depth sampled after each of {} events; peak {}",
-        report.queue_depth.len(),
-        report.max_queue_depth(),
+        report.events, report.max_queue_depth,
     );
 }

@@ -89,7 +89,9 @@ fn execute_batch_equals_per_job_execute_for_every_backend() {
     ];
     for kind in BackendKind::all() {
         let pipeline = pipeline_with(13, kind);
-        let batch = pipeline.execute_batch(&jobs);
+        let batch = pipeline
+            .execute_batch(&jobs, &EmbeddingCache::new())
+            .results;
         assert_eq!(batch.len(), jobs.len());
         for (job, batched) in jobs.iter().zip(&batch) {
             let solo = pipeline.execute(job).unwrap();
@@ -117,13 +119,13 @@ fn identical_topology_batch_embeds_exactly_once() {
         })
         .collect();
     let pipeline = pipeline_with(5, BackendKind::SimulatedAnnealing);
-    let report = pipeline.execute_batch_report(&jobs);
-    assert_eq!(report.succeeded, 10);
+    let report = pipeline.execute_batch(&jobs, &EmbeddingCache::new());
+    assert_eq!(report.summary.succeeded, 10);
     assert_eq!(
-        report.embedding_cache.misses, 1,
+        report.summary.embedding_cache.misses, 1,
         "embedding should be computed exactly once for 10 identical-topology jobs"
     );
-    assert_eq!(report.embedding_cache.hits, 10);
+    assert_eq!(report.summary.embedding_cache.hits, 10);
     for result in &report.results {
         assert!(result.as_ref().unwrap().stage1.embedding_cache_hit);
     }
@@ -158,8 +160,8 @@ fn batch_wall_clock_amortization_is_observable() {
         .map(|_| MaxCut::unweighted(generators::cycle(10)).to_qubo())
         .collect();
     let pipeline = pipeline_with(9, BackendKind::SimulatedAnnealing);
-    let report = pipeline.execute_batch_report(&jobs);
-    assert_eq!(report.succeeded, 6);
+    let report = pipeline.execute_batch(&jobs, &EmbeddingCache::new());
+    assert_eq!(report.summary.succeeded, 6);
     let embed_seconds: Vec<f64> = report
         .results
         .iter()

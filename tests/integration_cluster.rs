@@ -123,7 +123,7 @@ fn simulation_is_deterministic_end_to_end() {
 fn cluster_and_batch_reports_share_one_summary_format() {
     use chimera_graph::generators;
     use qubo_ising::prelude::MaxCut;
-    use split_exec::{BatchSummary, Pipeline, SplitMachine};
+    use split_exec::{BatchSummary, EmbeddingCache, Pipeline, SplitMachine};
 
     // A real batch run through the pipeline...
     let pipeline = Pipeline::new(SplitMachine::paper_default(), SplitExecConfig::with_seed(5));
@@ -131,7 +131,9 @@ fn cluster_and_batch_reports_share_one_summary_format() {
         MaxCut::unweighted(generators::cycle(8)).to_qubo(),
         MaxCut::unweighted(generators::cycle(8)).to_qubo(),
     ];
-    let batch: BatchSummary = pipeline.execute_batch_report(&jobs).summary();
+    let batch: BatchSummary = pipeline
+        .execute_batch(&jobs, &EmbeddingCache::new())
+        .summary;
 
     // ...and a simulated cluster run produce the same struct.
     let workload = WorkloadSpec::repeated_topologies(10, 1.0, 5).generate();
@@ -375,7 +377,7 @@ fn token_bucket_sheds_the_aggressor_not_the_victim() {
 
     let aggressor = gated.tenant_named("aggressor").unwrap();
     let victim = gated.tenant_named("victim").unwrap();
-    assert!(open.max_queue_depth() > depth_limit + victim.max_queue_depth);
+    assert!(open.max_queue_depth > depth_limit + victim.max_queue_depth);
     assert!(aggressor.max_queue_depth <= depth_limit);
     assert!(aggressor.shed > 0, "the flood must shed");
     assert_eq!(victim.shed, 0, "the victim must not shed");
@@ -728,7 +730,7 @@ fn closed_loop_completes_the_stream() {
         ..cell(fleet(2, 9), spjf, &workload)
     });
     assert_eq!(report.completed + report.rejected, 30);
-    assert!(report.max_queue_depth() <= 3);
+    assert!(report.max_queue_depth <= 3);
     // A closed system with demand always waiting keeps devices busier than
     // an idle open one would be.
     assert!(report.mean_utilization() > 0.3);

@@ -29,7 +29,9 @@ fn round_trip(logical: &Ising, hardware: &chimera_graph::Graph, seed: u64) -> (f
         ParameterSetting::auto(logical, 2.0),
     );
     let qpu = SimulatedQpu::with_schedule(AnnealSchedule::default());
-    let samples = qpu.sample(&embedded.physical, 16, seed);
+    let samples = qpu
+        .sample(&embedded.physical, &SampleParams::new(16, seed))
+        .unwrap();
     let mut best_logical_energy = f64::INFINITY;
     let mut chain_breaks = 0;
     for record in &samples.records {
@@ -103,7 +105,9 @@ fn stronger_chains_reduce_chain_breaks() {
                 spread_couplings: true,
             },
         );
-        let samples = qpu.sample(&embedded.physical, 24, 9);
+        let samples = qpu
+            .sample(&embedded.physical, &SampleParams::new(24, 9))
+            .unwrap();
         let breaks: usize = samples
             .records
             .iter()
@@ -139,7 +143,7 @@ fn quantization_preserves_ground_state_at_moderate_precision() {
     let qpu = SimulatedQpu::with_schedule(AnnealSchedule::default());
     let exact = solve_ising_exact(&logical).0;
     for physical in [&embedded.physical, &quantized.programmed] {
-        let samples = qpu.sample(physical, 16, 21);
+        let samples = qpu.sample(physical, &SampleParams::new(16, 21)).unwrap();
         let best = samples
             .records
             .iter()

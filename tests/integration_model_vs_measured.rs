@@ -54,7 +54,7 @@ fn predicted_embedding_cost_grows_steeply_with_size() {
     // worst case) for a dense input the heuristic handles reliably.
     let config = SplitExecConfig::with_seed(5);
     let qubo = MaxCut::unweighted(generators::complete(6)).to_qubo();
-    let execution = execute_stage1(&machine, &config, &qubo).unwrap();
+    let execution = execute_stage1_cached(&machine, &config, &qubo, None).unwrap();
     assert!(execution.embedding_seconds < 30.0);
 }
 
@@ -88,16 +88,18 @@ fn stage3_prediction_is_negligible_at_every_size() {
 fn executed_stage1_work_counters_track_problem_size() {
     let machine = SplitMachine::paper_default();
     let config = SplitExecConfig::with_seed(8);
-    let small = execute_stage1(
+    let small = execute_stage1_cached(
         &machine,
         &config,
         &MaxCut::unweighted(generators::complete(4)).to_qubo(),
+        None,
     )
     .unwrap();
-    let large = execute_stage1(
+    let large = execute_stage1_cached(
         &machine,
         &config,
         &MaxCut::unweighted(generators::complete(6)).to_qubo(),
+        None,
     )
     .unwrap();
     assert!(large.conversion_operations > small.conversion_operations);
