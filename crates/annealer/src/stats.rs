@@ -118,6 +118,8 @@ mod tests {
     fn eq6_matches_paper_examples() {
         // ps = 0.7, pa = 0.99: ceil(ln(0.01)/ln(0.3)) = 4 reads.
         assert_eq!(required_reads(0.99, 0.7), 4);
+        // ps = 0.7, pa = 0.9999: ceil(ln(1e-4)/ln(0.3)) = 8 reads.
+        assert_eq!(required_reads(0.9999, 0.7), 8);
         // ps = 0.75, pa = 0.99 (the paper's Stage-3 defaults): 4 reads.
         assert_eq!(required_reads(0.99, 0.75), 4);
         // ps = 0.9999, pa = 0.99 (the Stage-2 listing defaults): 1 read.

@@ -71,7 +71,9 @@ fn main() -> ExitCode {
         100.0 * summary.embedding_cache.hit_rate()
     );
     println!(
-        "modeled stage split: stage1 {:.2e}s, stage2 {:.2e}s, stage3 {:.2e}s (stage-1 share {:.1}%)",
+        "stage split: stage1 {:.2e}s (measured on this host + modeled init), \
+         stage2 {:.2e}s (modeled), stage3 {:.2e}s (measured on this host); \
+         stage-1 share {:.1}%",
         summary.stage1_seconds,
         summary.stage2_seconds,
         summary.stage3_seconds,

@@ -2,24 +2,22 @@
 //!
 //! Walks the workspace, applies the rule catalog of [`sx_lint::RuleId`]
 //! (including the flow-aware hot-path A-rules), honors inline allow
-//! comments (see [`sx_lint::Suppression`]) and the `lint.allow`
-//! grandfather file at the workspace root, and exits nonzero on any
-//! unsuppressed finding.  CI runs it on every build:
+//! comments with a written reason (see [`sx_lint::Suppression`]), the one
+//! way to suppress a finding, and exits nonzero on any unsuppressed
+//! finding.  CI runs it on every build:
 //!
 //! ```text
-//! cargo run --release -p sx-bench --bin sx_lint -- --format human
+//! cargo run --release -p sx-bench --bin sx_lint
 //! ```
 //!
 //! Flags:
 //!
 //! * `--format human|json` — report format (default `human`);
 //! * `--root <dir>` — workspace root (default: walk up from the current
-//!   directory to the first `Cargo.toml` containing `[workspace]`);
-//! * `--allowlist <file>` — grandfather file (default `<root>/lint.allow`);
-//! * `--baseline <file>` — compare against a finding baseline and fail
-//!   only on *regressions* (cells whose unsuppressed count grew);
-//! * `--write-baseline <file>` — snapshot the current unsuppressed
-//!   findings to `<file>` and exit 0.
+//!   directory to the first `Cargo.toml` containing `[workspace]`).
+//!
+//! Exit status: 0 when clean, 1 on unsuppressed findings, 2 on usage or
+//! I/O errors.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -28,9 +26,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut format = "human".to_string();
     let mut root: Option<PathBuf> = None;
-    let mut allowlist: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -42,24 +37,9 @@ fn main() -> ExitCode {
                 Some(r) => root = Some(PathBuf::from(r)),
                 None => return usage("--root takes a directory"),
             },
-            "--allowlist" => match it.next() {
-                Some(a) => allowlist = Some(PathBuf::from(a)),
-                None => return usage("--allowlist takes a file"),
-            },
-            "--baseline" => match it.next() {
-                Some(b) => baseline = Some(PathBuf::from(b)),
-                None => return usage("--baseline takes a file"),
-            },
-            "--write-baseline" => match it.next() {
-                Some(b) => write_baseline = Some(PathBuf::from(b)),
-                None => return usage("--write-baseline takes a file"),
-            },
             "--help" | "-h" => return usage(""),
             other => return usage(&format!("unknown flag `{other}`")),
         }
-    }
-    if baseline.is_some() && write_baseline.is_some() {
-        return usage("--baseline and --write-baseline are mutually exclusive");
     }
 
     let root = match root.or_else(find_workspace_root) {
@@ -70,21 +50,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let allow_entries = {
-        let path = allowlist.unwrap_or_else(|| root.join(sx_lint::ALLOWLIST_FILE));
-        match std::fs::read_to_string(&path) {
-            Ok(text) => match sx_lint::parse_allowlist(&text) {
-                Ok(entries) => entries,
-                Err(err) => {
-                    eprintln!("sx_lint: {err}");
-                    return ExitCode::from(2);
-                }
-            },
-            Err(_) => Vec::new(),
-        }
-    };
-
-    let report = match sx_lint::lint_workspace(&root, &allow_entries) {
+    let report = match sx_lint::lint_workspace(&root) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("sx_lint: {err}");
@@ -95,49 +61,6 @@ fn main() -> ExitCode {
     match format.as_str() {
         "json" => print!("{}", report.json()),
         _ => print!("{}", report.human()),
-    }
-
-    if let Some(path) = write_baseline {
-        let snapshot = sx_lint::Baseline::from_report(&report);
-        if let Err(err) = std::fs::write(&path, snapshot.to_json()) {
-            eprintln!("sx_lint: writing {}: {err}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "sx_lint: wrote baseline ({} cell(s)) to {}",
-            snapshot.entries.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = baseline {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!("sx_lint: reading {}: {err}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let base = match sx_lint::Baseline::parse(&text) {
-            Ok(base) => base,
-            Err(err) => {
-                eprintln!("sx_lint: {}: {err}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let regs = sx_lint::regressions(&report, &base);
-        if regs.is_empty() {
-            eprintln!("sx_lint: no new findings vs baseline {}", path.display());
-            return ExitCode::SUCCESS;
-        }
-        for r in &regs {
-            eprintln!(
-                "sx_lint: new findings: {} in {} ({} now, {} baselined)",
-                r.rule, r.file, r.current, r.baselined
-            );
-        }
-        return ExitCode::FAILURE;
     }
 
     if report.is_clean() {
@@ -151,10 +74,7 @@ fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("sx_lint: {err}");
     }
-    eprintln!(
-        "usage: sx_lint [--format human|json] [--root <dir>] [--allowlist <file>] \
-         [--baseline <file> | --write-baseline <file>]"
-    );
+    eprintln!("usage: sx_lint [--format human|json] [--root <dir>]");
     ExitCode::from(if err.is_empty() { 0 } else { 2 })
 }
 

@@ -2,7 +2,9 @@
 //! unknown scheduler names and empty sweep axes as usage errors (exit code 2 with a
 //! message), in every mode, instead of panicking or printing NaN — and its
 //! `--mode replay --json` document describes the replayed record, not the
-//! command line.
+//! command line.  `sx_lint` fails on an unsuppressed finding, passes once
+//! an inline allow with a reason covers it, and rejects its retired
+//! suppression flags as usage errors.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -169,4 +171,77 @@ fn replay_json_describes_the_record_not_the_flags() {
         assert_eq!(row.get("qpus"), Some(&JsonValue::from(run.spec.fleet.qpus)));
         assert_eq!(row.get("divergence"), Some(&JsonValue::Null));
     }
+}
+
+fn sx_lint(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_sx_lint"))
+        .args(args)
+        .output()
+        .expect("sx_lint runs")
+}
+
+/// A scratch workspace holding one simulator source, `crates/cluster/src/x.rs`,
+/// whose body is `source`.
+fn lint_root(name: &str, source: &str) -> PathBuf {
+    let root = scratch(name);
+    let src = root.join("crates/cluster/src");
+    std::fs::create_dir_all(&src).expect("create scratch workspace");
+    std::fs::write(root.join("Cargo.toml"), "[workspace]\n").expect("write Cargo.toml");
+    std::fs::write(src.join("x.rs"), source).expect("write x.rs");
+    root
+}
+
+/// Run `sx_lint --root` over a scratch workspace holding `source`, then
+/// remove the workspace.
+fn lint_scratch(name: &str, source: &str) -> Output {
+    let root = lint_root(name, source);
+    let out = sx_lint(&["--root", root.to_str().unwrap()]);
+    std::fs::remove_dir_all(&root).expect("remove scratch workspace");
+    out
+}
+
+const WALL_CLOCK: &str = "fn f() {\n    let t = std::time::Instant::now();\n}\n";
+
+#[test]
+fn lint_fails_on_an_unsuppressed_wall_clock() {
+    let out = lint_scratch("lint-bad", WALL_CLOCK);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("D001"), "{stdout}");
+}
+
+#[test]
+fn lint_passes_once_an_inline_allow_gives_a_reason() {
+    let source = WALL_CLOCK.replace(
+        "    let t",
+        "    // sx-lint: allow(D001) -- the test proves the suppressor\n    let t",
+    );
+    let out = lint_scratch("lint-allowed", &source);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("0 finding(s) (1 suppressed)"), "{stdout}");
+}
+
+#[test]
+fn lint_rejects_an_allow_without_a_reason() {
+    let source = WALL_CLOCK.replace("    let t", "    // sx-lint: allow(D001)\n    let t");
+    let out = lint_scratch("lint-reasonless", &source);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("S001"), "{stdout}");
+    assert!(stdout.contains("D001"), "{stdout}");
+}
+
+#[test]
+fn retired_lint_suppression_flags_are_usage_errors() {
+    // Inline allows are the one way to suppress a finding.
+    let root = lint_root("lint-flags", WALL_CLOCK);
+    for flag in ["--baseline", "--write-baseline", "--allowlist"] {
+        let out = sx_lint(&["--root", root.to_str().unwrap(), flag, "lint.json"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+    }
+    std::fs::remove_dir_all(&root).expect("remove scratch workspace");
 }

@@ -152,8 +152,8 @@ pub mod prelude {
         run_cell, AdmissionSpec, CellResult, CellSpec, MergedAggregates, RateCalibration, SweepPlan,
     };
     pub use crate::telemetry::{
-        FanoutSink, JsonlSink, MetricsRegistry, NullSink, PerfettoSink, SimSeries,
-        StreamingHistogram, TraceSink, VecSink,
+        FanoutSink, MetricsRegistry, NullSink, PerfettoSink, SimSeries, StreamingHistogram,
+        TraceSink, VecSink,
     };
     pub use crate::tenant::{MultiTenantSpec, TenantId, TenantMeta, TenantSpec};
     pub use crate::workload::{

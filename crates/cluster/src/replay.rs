@@ -19,8 +19,8 @@
 //! Two layers:
 //!
 //! * [`RecorderSink`] — a [`TraceSink`] that streams header + records to
-//!   any `io::Write` using [`JsonlSink`]'s latched-error plumbing (an
-//!   observability failure never aborts a simulation).
+//!   any `io::Write` as JSONL, latching write errors instead of raising
+//!   them (an observability failure never aborts a simulation).
 //! * [`check_replay`] — re-run a parsed segment's spec and compare the
 //!   replayed stream element-wise against the recorded one.
 //!
@@ -47,7 +47,7 @@ use crate::metrics::SimReport;
 use crate::scheduler::{LaneOrder, SchedulerSpec};
 use crate::sim::{PercentileMode, SimConfig, TraceRecord, WorkloadMode};
 use crate::sweep::{run_cell, AdmissionSpec, CellSpec};
-use crate::telemetry::{FanoutSink, JsonlSink, TraceSink, VecSink};
+use crate::telemetry::{FanoutSink, TraceSink, VecSink};
 use crate::tenant::{TenantId, TenantMeta};
 use crate::workload::Workload;
 
@@ -1015,65 +1015,113 @@ fn record_from_json(line: usize, value: &JsonValue) -> Result<TraceRecord, Repla
 
 /// A [`TraceSink`] that streams a flight record to any [`io::Write`]:
 /// call [`Self::begin_run`] with the run's spec, then attach the sink to
-/// the engine — every record becomes one JSONL line.  Reuses
-/// [`JsonlSink`]'s latched-error plumbing: I/O failures are counted and
-/// latched ([`Self::take_error`] / [`Self::finish`]), never raised into
-/// the engine.
+/// the engine — every record becomes one JSON object per line (JSONL), a
+/// trace on disk instead of a trace in memory.
+///
+/// Write failures never reach the engine: they are counted in
+/// [`Self::write_errors`] and the *first* failure's [`io::Error`] is
+/// latched for [`Self::take_error`] / [`Self::finish`], while the sink
+/// keeps accepting records — an observability failure must not change (or
+/// abort) a simulation.
 ///
 /// One sink can record many runs back-to-back (one `begin_run` per run);
 /// [`parse_flight_record`] splits them back apart.
 #[derive(Debug)]
 pub struct RecorderSink<W: io::Write> {
-    inner: JsonlSink<W>,
+    out: W,
+    lines: usize,
+    write_errors: usize,
+    /// The first write/flush error observed, latched until taken.  Only
+    /// the first: a full disk produces one failure per record, and the
+    /// root cause is the earliest one.
+    error: Option<io::Error>,
 }
 
 impl<W: io::Write> RecorderSink<W> {
     /// A recorder writing to `out`.
     pub fn new(out: W) -> Self {
         Self {
-            inner: JsonlSink::new(out),
+            out,
+            lines: 0,
+            write_errors: 0,
+            error: None,
         }
     }
 
     /// Open a new run segment by writing `spec` as its header line.  Must
     /// be called before the run's first record; may be called again for
-    /// each subsequent run recorded into the same file.
+    /// each subsequent run recorded into the same file.  Headers and
+    /// records share one writer, one line counter and one error latch.
     pub fn begin_run(&mut self, spec: &CellSpec) {
-        self.inner.write_value(&spec.to_json());
+        self.write_line(&spec.to_json());
     }
 
     /// Lines (headers + records) successfully written.
     pub fn lines(&self) -> usize {
-        self.inner.lines()
+        self.lines
     }
 
-    /// Write failures latched so far.
+    /// Lines that could not be written (I/O failures, latched not
+    /// raised).
     pub fn write_errors(&self) -> usize {
-        self.inner.write_errors()
+        self.write_errors
     }
 
-    /// The first latched write failure, if any, leaving the latch empty.
+    /// The first latched write/flush failure, if any, leaving the latch
+    /// empty.  Callers that care whether the record actually landed on
+    /// disk check this (or [`Self::write_errors`]) after the run; the
+    /// engine itself never does.
     pub fn take_error(&mut self) -> Option<io::Error> {
-        self.inner.take_error()
+        self.error.take()
     }
 
     /// Flush and return the underlying writer, discarding any latched
-    /// error; use [`Self::finish`] to observe failures instead.
-    pub fn into_inner(self) -> W {
-        self.inner.into_inner()
+    /// error (a final-flush failure still counts toward the error total
+    /// first).  Use [`Self::finish`] to observe failures instead.
+    pub fn into_inner(mut self) -> W {
+        self.flush();
+        self.out
     }
 
     /// Flush and dismantle the recorder, reporting the first latched
-    /// failure: `Ok((writer, lines))` only if every line landed.
-    pub fn finish(self) -> Result<(W, usize), io::Error> {
-        self.inner.finish()
+    /// failure: `Ok((writer, lines))` only if every line was written and
+    /// flushed.
+    pub fn finish(mut self) -> Result<(W, usize), io::Error> {
+        self.flush();
+        match self.error.take() {
+            Some(err) => Err(err),
+            None => Ok((self.out, self.lines)),
+        }
+    }
+
+    /// Write one JSON value as its own line, latching any failure.
+    fn write_line(&mut self, value: &JsonValue) {
+        let line = value.to_string();
+        match writeln!(self.out, "{line}") {
+            Ok(()) => self.lines += 1,
+            Err(err) => self.latch(err),
+        }
+    }
+
+    fn flush(&mut self) {
+        if let Err(err) = self.out.flush() {
+            self.latch(err);
+        }
+    }
+
+    /// Latch one I/O failure: bump the count, keep the earliest error.
+    fn latch(&mut self, err: io::Error) {
+        self.write_errors += 1;
+        if self.error.is_none() {
+            self.error = Some(err);
+        }
     }
 }
 
 impl<W: io::Write> TraceSink for RecorderSink<W> {
     // sx-lint: hot-exempt -- streaming serialization is this sink's whole policy; NullSink is the perf default
-    fn on_record(&mut self, record: &TraceRecord, vclock: f64) {
-        self.inner.on_record(record, vclock);
+    fn on_record(&mut self, record: &TraceRecord, _vclock: f64) {
+        self.write_line(&record.to_json());
     }
 
     fn name(&self) -> &'static str {
@@ -1124,6 +1172,7 @@ pub fn check_replay(run: &RecordedRun, sink: &mut dyn TraceSink) -> ReplayCheck 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::sink::tests::sample_records;
     use crate::telemetry::NullSink;
 
     fn tiny_workload(n: usize) -> Workload {
@@ -1458,5 +1507,101 @@ mod tests {
         };
         assert!(err.to_string().contains("line 3"));
         assert!(std::error::Error::source(&err).is_some());
+    }
+
+    /// Fails every write with "disk full" and every flush with "flush
+    /// failed".
+    #[derive(Debug)]
+    struct FailingWriter;
+
+    impl io::Write for FailingWriter {
+        fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
+            Err(io::Error::other("disk full"))
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::other("flush failed"))
+        }
+    }
+
+    #[test]
+    fn recorder_lines_parse_under_the_real_json_parser() {
+        let mut sink = RecorderSink::new(Vec::<u8>::new());
+        for (i, r) in sample_records().iter().enumerate() {
+            sink.on_record(r, i as f64);
+        }
+        assert_eq!(sink.lines(), 5);
+        assert_eq!(sink.write_errors(), 0);
+        let text = String::from_utf8(sink.into_inner()).expect("utf8");
+        let kinds: Vec<String> = text
+            .lines()
+            .map(|line| {
+                let value = json::parse(line).expect("every JSONL line is valid JSON");
+                match value.get("kind") {
+                    Some(JsonValue::Str(s)) => s.clone(),
+                    other => panic!("missing kind: {other:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            ["fired", "dispatched", "shed", "deferred", "rejected"]
+        );
+    }
+
+    #[test]
+    fn headers_and_records_share_the_line_counter_and_error_latch() {
+        let mut sink = RecorderSink::new(Vec::<u8>::new());
+        sink.begin_run(&small_cell(7, SchedulerSpec::Fifo));
+        sink.on_record(&sample_records()[0], 0.0);
+        assert_eq!(sink.lines(), 2, "headers and records share one counter");
+        let (bytes, lines) = sink.finish().expect("clean run");
+        assert_eq!(lines, 2);
+        let text = String::from_utf8(bytes).expect("utf8");
+        let mut parsed = text.lines().map(|l| json::parse(l).expect("valid"));
+        assert!(parsed.next().expect("header").get("schema").is_some());
+        assert!(parsed.next().expect("record").get("kind").is_some());
+
+        let mut bad = RecorderSink::new(FailingWriter);
+        bad.begin_run(&small_cell(7, SchedulerSpec::Fifo));
+        assert_eq!(bad.write_errors(), 1, "header failures latch like records");
+        assert!(bad.take_error().is_some());
+    }
+
+    #[test]
+    fn recorder_write_failures_are_latched_not_raised() {
+        let mut sink = RecorderSink::new(FailingWriter);
+        for r in sample_records() {
+            sink.on_record(&r, 0.0);
+        }
+        assert_eq!(sink.lines(), 0);
+        assert_eq!(sink.write_errors(), 5, "errors latch; nothing panics");
+        // The first error's io::Error is latched and can be taken exactly
+        // once; the count is unaffected.
+        let err = sink.take_error().expect("first failure is latched");
+        assert_eq!(err.to_string(), "disk full");
+        assert!(sink.take_error().is_none(), "the latch empties on take");
+        assert_eq!(sink.write_errors(), 5);
+    }
+
+    #[test]
+    fn recorder_finish_reports_the_first_failure() {
+        // A clean run finishes Ok with the line count.
+        let mut ok_sink = RecorderSink::new(Vec::<u8>::new());
+        for r in sample_records() {
+            ok_sink.on_record(&r, 0.0);
+        }
+        let (bytes, lines) = ok_sink.finish().expect("clean run");
+        assert_eq!(lines, 5);
+        assert!(!bytes.is_empty());
+        // A failed run reports the *earliest* error — the write failure,
+        // not the flush failure that follows it.
+        let mut bad_sink = RecorderSink::new(FailingWriter);
+        bad_sink.on_record(&sample_records()[0], 0.0);
+        let err = bad_sink.finish().expect_err("failures must surface");
+        assert_eq!(err.to_string(), "disk full");
+        // A flush-only failure surfaces too.
+        let empty_sink = RecorderSink::new(FailingWriter);
+        let err = empty_sink.finish().expect_err("flush failure surfaces");
+        assert_eq!(err.to_string(), "flush failed");
     }
 }

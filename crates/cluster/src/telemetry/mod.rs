@@ -11,7 +11,8 @@
 //! The pieces (each module's docs go deeper):
 //!
 //! * [`sink`] — the [`TraceSink`] trait and the retention policies
-//!   ([`NullSink`], [`VecSink`], [`JsonlSink`]).
+//!   ([`NullSink`], [`VecSink`]; the JSONL flight recorder is
+//!   [`crate::replay::RecorderSink`]).
 //! * [`perfetto`] — [`PerfettoSink`], a Chrome trace-event exporter for
 //!   <https://ui.perfetto.dev>.
 //! * [`registry`] — [`MetricsRegistry`]: named counters/gauges sampled on
@@ -28,5 +29,5 @@ pub mod sketch;
 
 pub use perfetto::PerfettoSink;
 pub use registry::{CounterId, GaugeId, HistogramId, MetricsRegistry, SimSeries};
-pub use sink::{FanoutSink, JsonlSink, NullSink, TraceSink, VecSink};
+pub use sink::{FanoutSink, NullSink, TraceSink, VecSink};
 pub use sketch::StreamingHistogram;

@@ -1,99 +1,52 @@
 //! The driver: walk the workspace, scan every Rust source, resolve
-//! suppressions and the allowlist, and assemble a [`LintReport`].
+//! inline suppressions, and assemble a [`LintReport`].
 
 use crate::hotpath;
 use crate::report::{Finding, LintReport};
-use crate::rules::{check_file, check_hot, RawFinding, RuleId};
+use crate::rules::{check_file, check_hot, RawFinding};
 use crate::source::SourceFile;
 use crate::symbols::SymbolIndex;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// One grandfathered site from the allowlist file: suppresses `rule` for
-/// every path starting with `path_prefix`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllowEntry {
-    /// The rule being grandfathered.
-    pub rule: RuleId,
-    /// Workspace-relative path prefix (`/`-separated).
-    pub path_prefix: String,
-    /// The mandatory written reason.
-    pub reason: String,
-}
-
 /// Errors the driver can hit.
 #[derive(Debug)]
 pub enum LintError {
     /// Filesystem failure while walking or reading.
     Io(PathBuf, io::Error),
-    /// A malformed allowlist line (1-based line number and its text).
-    BadAllowlist(usize, String),
 }
 
 impl std::fmt::Display for LintError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LintError::Io(path, err) => write!(f, "{}: {err}", path.display()),
-            LintError::BadAllowlist(line, text) => write!(
-                f,
-                "allowlist line {line}: expected `<rule-id> <path-prefix> -- <reason>`, got `{text}`"
-            ),
         }
     }
 }
 
 impl std::error::Error for LintError {}
 
-/// Parse the allowlist format: one `<rule-id> <path-prefix> -- <reason>`
-/// per line; `#` comments and blank lines ignored.  The reason is as
-/// mandatory here as it is inline.
-pub fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, LintError> {
-    let mut entries = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let bad = || LintError::BadAllowlist(idx + 1, raw.to_string());
-        let (head, reason) = line.split_once("--").ok_or_else(bad)?;
-        let mut parts = head.split_whitespace();
-        let rule = parts.next().and_then(RuleId::from_id).ok_or_else(bad)?;
-        let path_prefix = parts.next().ok_or_else(bad)?.to_string();
-        let reason = reason.trim().to_string();
-        if reason.is_empty() || parts.next().is_some() {
-            return Err(bad());
-        }
-        entries.push(AllowEntry {
-            rule,
-            path_prefix,
-            reason,
-        });
-    }
-    Ok(entries)
-}
-
 /// Lint a single in-memory source as if it lived at `rel_path` — the entry
-/// point the fixture tests use.  Applies inline suppressions but no
-/// allowlist.  The file is its own whole workspace, so `hot-root`
-/// annotations inside it seed the A-rules.
+/// point the fixture tests use.  The file is its own whole workspace, so
+/// `hot-root` annotations inside it seed the A-rules.
 pub fn lint_source(rel_path: &str, text: &str) -> Vec<Finding> {
-    lint_sources(&[(rel_path.to_string(), text.to_string())], &[]).findings
+    lint_sources(&[(rel_path.to_string(), text.to_string())]).findings
 }
 
 /// Lint a set of in-memory sources as one workspace: the line-local rules
 /// per file, plus the symbol index / call graph / hot-path pass across
 /// all of them.
-pub fn lint_sources(sources: &[(String, String)], allowlist: &[AllowEntry]) -> LintReport {
+pub fn lint_sources(sources: &[(String, String)]) -> LintReport {
     let files: Vec<SourceFile> = sources
         .iter()
         .map(|(rel, text)| SourceFile::parse(rel, text))
         .collect();
-    lint_parsed(&files, allowlist)
+    lint_parsed(&files)
 }
 
-/// Lint every workspace source under `root`, honoring the allowlist.
-pub fn lint_workspace(root: &Path, allowlist: &[AllowEntry]) -> Result<LintReport, LintError> {
+/// Lint every workspace source under `root`.
+pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
     let mut rels = Vec::new();
     collect_rust_files(root, root, &mut rels)?;
     rels.sort();
@@ -103,12 +56,12 @@ pub fn lint_workspace(root: &Path, allowlist: &[AllowEntry]) -> Result<LintRepor
         let text = fs::read_to_string(&abs).map_err(|e| LintError::Io(abs.clone(), e))?;
         files.push(SourceFile::parse(rel, &text));
     }
-    Ok(lint_parsed(&files, allowlist))
+    Ok(lint_parsed(&files))
 }
 
 /// The two-pass core: line-local rules per file, then the workspace-wide
 /// symbol/call-graph/hot-path pass feeding the A-rules.
-fn lint_parsed(files: &[SourceFile], allowlist: &[AllowEntry]) -> LintReport {
+fn lint_parsed(files: &[SourceFile]) -> LintReport {
     let index = SymbolIndex::build(files);
     let hot = hotpath::propagate(&index);
     let mut findings = Vec::new();
@@ -117,7 +70,7 @@ fn lint_parsed(files: &[SourceFile], allowlist: &[AllowEntry]) -> LintReport {
         let hot_spans = hotpath::spans_for_file(&index, &hot, fi);
         let all_spans = hotpath::all_spans_for_file(&index, fi);
         raws.extend(check_hot(file, &hot_spans, &all_spans));
-        findings.extend(resolve(file, raws, allowlist));
+        findings.extend(resolve(file, raws));
     }
     LintReport {
         files_scanned: files.len(),
@@ -125,27 +78,21 @@ fn lint_parsed(files: &[SourceFile], allowlist: &[AllowEntry]) -> LintReport {
     }
 }
 
-/// Resolve each raw finding against inline suppressions and the allowlist.
-fn resolve(file: &SourceFile, raws: Vec<RawFinding>, allowlist: &[AllowEntry]) -> Vec<Finding> {
+/// Resolve each raw finding against the file's inline suppressions: an
+/// allow comment covers a finding only when it names the rule and gives a
+/// reason.
+fn resolve(file: &SourceFile, raws: Vec<RawFinding>) -> Vec<Finding> {
     raws.into_iter()
         .map(|raw| {
-            let inline = file
+            let reason = file
                 .suppression_covering(raw.line, raw.rule.id())
-                .filter(|s| s.reason.is_some());
-            let grandfathered = allowlist
-                .iter()
-                .find(|a| a.rule == raw.rule && file.rel_path.starts_with(a.path_prefix.as_str()));
-            let (suppressed, reason) = match (inline, grandfathered) {
-                (Some(s), _) => (true, s.reason.clone()),
-                (None, Some(a)) => (true, Some(a.reason.clone())),
-                (None, None) => (false, None),
-            };
+                .and_then(|s| s.reason.clone());
             Finding {
                 rule: raw.rule,
                 file: file.rel_path.clone(),
                 line: raw.line,
                 message: raw.message,
-                suppressed,
+                suppressed: reason.is_some(),
                 suppress_reason: reason,
             }
         })
@@ -185,19 +132,7 @@ fn collect_rust_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allowlist_parses_and_rejects_malformed_lines() {
-        let ok = parse_allowlist(
-            "# comment\n\nD001 crates/splitexec/src/timing.rs -- real wall-clock measurement\n",
-        )
-        .unwrap();
-        assert_eq!(ok.len(), 1);
-        assert_eq!(ok[0].rule, RuleId::D001);
-        assert!(parse_allowlist("D001 some/path").is_err());
-        assert!(parse_allowlist("D999 some/path -- reason").is_err());
-        assert!(parse_allowlist("D001 some/path --   ").is_err());
-    }
+    use crate::rules::RuleId;
 
     #[test]
     fn inline_suppression_requires_matching_rule_and_reason() {
@@ -219,23 +154,5 @@ mod tests {
         assert!(findings
             .iter()
             .any(|f| f.rule == RuleId::D001 && !f.suppressed));
-    }
-
-    #[test]
-    fn allowlist_grandfathers_by_path_prefix() {
-        let file = SourceFile::parse(
-            "crates/cluster/src/x.rs",
-            "fn f() { let t = std::time::Instant::now(); }\n",
-        );
-        let allow = vec![AllowEntry {
-            rule: RuleId::D001,
-            path_prefix: "crates/cluster/".to_string(),
-            reason: "grandfathered for the test".to_string(),
-        }];
-        let findings = resolve(&file, check_file(&file), &allow);
-        assert!(findings
-            .iter()
-            .filter(|f| f.rule == RuleId::D001)
-            .all(|f| f.suppressed));
     }
 }

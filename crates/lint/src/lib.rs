@@ -15,13 +15,13 @@
 //! symbol index and token-level call graph ([`symbols`]), hot-path
 //! propagation from hot-root annotations ([`hotpath`]), the
 //! A-rule family enforcing the hot-path allocation contract (A001–A003 in
-//! [`rules::RuleId`]), and finding baselines ([`baseline`]) so new rules
-//! can land gating only *new* violations.
+//! [`rules::RuleId`]).
 //!
-//! The catalog, the suppression syntax (an inline allow comment naming the
-//! rule id plus a mandatory `--`-separated reason, see
-//! [`source::Suppression`]) and the allowlist format are documented for
-//! humans in `docs/LINTING.md`.  The CLI lives in `crates/bench/src/bin/sx_lint.rs`
+//! A finding is suppressed only by an inline allow comment naming the rule
+//! id plus a mandatory `--`-separated reason on the flagged line or the
+//! line above (see [`source::Suppression`]); each one pins a single site.
+//! The catalog and the suppression syntax are documented for humans in
+//! `docs/LINTING.md`.  The CLI lives in `crates/bench/src/bin/sx_lint.rs`
 //! and exits nonzero on any unsuppressed finding; CI runs it on every
 //! build.
 //!
@@ -41,7 +41,6 @@
 // The library renders reports to strings; only the CLI prints.
 #![warn(clippy::print_stdout)]
 
-pub mod baseline;
 pub mod engine;
 pub mod hotpath;
 pub mod report;
@@ -49,28 +48,9 @@ pub mod rules;
 pub mod source;
 pub mod symbols;
 
-pub use baseline::{regressions, Baseline, BaselineEntry, Regression};
-pub use engine::{
-    lint_source, lint_sources, lint_workspace, parse_allowlist, AllowEntry, LintError,
-};
+pub use engine::{lint_source, lint_sources, lint_workspace, LintError};
 pub use hotpath::{propagate, HotInfo, HotSpan};
 pub use report::{Finding, LintReport};
 pub use rules::{RuleId, Severity};
 pub use source::{HotMark, SourceFile, Suppression};
 pub use symbols::{FnSymbol, SymbolIndex};
-
-use std::path::Path;
-
-/// Default name of the allowlist file at the workspace root.
-pub const ALLOWLIST_FILE: &str = "lint.allow";
-
-/// Lint the workspace at `root` using `<root>/lint.allow` if present —
-/// the one-call entry point the CLI and the self-lint test share.
-pub fn lint_workspace_with_default_allowlist(root: &Path) -> Result<LintReport, LintError> {
-    let allow_path = root.join(ALLOWLIST_FILE);
-    let allowlist = match std::fs::read_to_string(&allow_path) {
-        Ok(text) => parse_allowlist(&text)?,
-        Err(_) => Vec::new(),
-    };
-    lint_workspace(root, &allowlist)
-}

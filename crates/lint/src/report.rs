@@ -21,7 +21,7 @@ pub struct Finding {
     pub line: usize,
     /// Human-readable explanation.
     pub message: String,
-    /// Whether an inline `sx-lint: allow` or an allowlist entry covers it.
+    /// Whether an inline `sx-lint: allow` with a reason covers it.
     pub suppressed: bool,
     /// The written reason of the covering suppression, if any.
     pub suppress_reason: Option<String>,

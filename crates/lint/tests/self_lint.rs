@@ -8,8 +8,7 @@ use std::path::Path;
 #[test]
 fn workspace_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-    let report = sx_lint::lint_workspace_with_default_allowlist(&root)
-        .expect("workspace walk should succeed");
+    let report = sx_lint::lint_workspace(&root).expect("workspace walk should succeed");
 
     // The walk found the real tree, not an empty directory.
     assert!(

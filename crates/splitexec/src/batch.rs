@@ -48,11 +48,19 @@ pub struct BatchSummary {
     pub succeeded: usize,
     /// Number of jobs that failed (or were rejected).
     pub failed: usize,
-    /// Sum of stage-1 seconds over successful jobs.
+    /// Sum of stage-1 seconds over successful jobs.  From
+    /// [`Pipeline::execute_batch`]: seconds measured on the host (QUBO
+    /// conversion, embedding, parameter setting) plus the modeled processor
+    /// initialization.  From the simulator: virtual seconds.
     pub stage1_seconds: f64,
-    /// Sum of stage-2 seconds over successful jobs.
+    /// Sum of stage-2 seconds over successful jobs.  From
+    /// [`Pipeline::execute_batch`]: modeled, the backend's anneal and
+    /// readout timings for the reads it ran.  From the simulator: virtual
+    /// seconds.
     pub stage2_seconds: f64,
-    /// Sum of stage-3 seconds over successful jobs.
+    /// Sum of stage-3 seconds over successful jobs.  From
+    /// [`Pipeline::execute_batch`]: seconds measured on the host.  From the
+    /// simulator: virtual seconds.
     pub stage3_seconds: f64,
     /// Sum of end-to-end seconds over successful jobs (serial accounting).
     pub total_seconds: f64,

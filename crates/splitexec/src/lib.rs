@@ -106,7 +106,7 @@ pub mod prelude {
     pub use crate::report::{breakdown_table, BreakdownRow};
     pub use crate::sequence::{Layer, SequenceTrace};
     pub use crate::stage1::{execute_stage1_cached, predict_stage1};
-    pub use crate::stage2::{execute_stage2_with_backend, predict_stage2, reads_for_accuracy};
+    pub use crate::stage2::{execute_stage2_with_backend, predict_stage2};
     pub use crate::stage3::{execute_stage3, predict_stage3};
     // Stage-2 backend selection, re-exported so pipeline users need only one
     // glob import.

@@ -15,8 +15,7 @@ use crate::error::PipelineError;
 use crate::machine::SplitMachine;
 use aspen_model::{listings, ApplicationModel, ParamEnv, Prediction, Predictor};
 use quantum_anneal::{
-    estimate_success_probability, required_reads, QpuAccessReport, SampleParams, SampleSet,
-    SamplerBackend,
+    estimate_success_probability, QpuAccessReport, SampleParams, SampleSet, SamplerBackend,
 };
 use qubo_ising::Ising;
 
@@ -125,12 +124,6 @@ pub fn execute_stage2_with_backend(
     })
 }
 
-/// The repetition count the paper's Eq. (6) assigns to an accuracy sweep;
-/// exposed for the Fig. 9(b) benchmark.
-pub fn reads_for_accuracy(accuracy: f64, success_probability: f64) -> usize {
-    required_reads(accuracy, success_probability)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,11 +214,5 @@ mod tests {
         let logical = Ising::random_on_graph(&generators::path(4), 1);
         let result = execute(&config, &logical);
         assert_eq!(result.reads, 16);
-    }
-
-    #[test]
-    fn reads_for_accuracy_matches_eq6() {
-        assert_eq!(reads_for_accuracy(0.99, 0.7), 4);
-        assert_eq!(reads_for_accuracy(0.9999, 0.7), 8);
     }
 }

@@ -5,6 +5,7 @@ use std::time::Instant;
 /// Run a closure and return its result together with the elapsed wall-clock
 /// seconds.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    // sx-lint: allow(D001) -- times real stage execution (host wall clock) for model-vs-measured validation; never called from the simulator, whose clock is virtual
     let start = Instant::now();
     let value = f();
     (value, start.elapsed().as_secs_f64())
