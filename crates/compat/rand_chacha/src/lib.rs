@@ -171,6 +171,57 @@ mod tests {
         assert_ne!(xs, zs);
     }
 
+    /// The first `count` words of `rng`'s keystream as [`chacha_block`]
+    /// produces them: block 0's sixteen words, then block 1's, and so on.
+    fn block_words(rng: &ChaCha8Rng, count: usize) -> Vec<u32> {
+        let mut words = Vec::with_capacity(count + 16);
+        let mut block = [0u32; 16];
+        let mut counter = 0;
+        while words.len() < count {
+            chacha_block(&rng.key, counter, &rng.nonce, &mut block);
+            words.extend_from_slice(&block);
+            counter += 1;
+        }
+        words.truncate(count);
+        words
+    }
+
+    #[test]
+    fn mixed_draws_reproduce_the_block_word_stream() {
+        // `lead` single-word draws put the first `next_u64` at every offset
+        // of the first two blocks, including 15 and 31, where it straddles
+        // a refill; the rest of each run mixes both widths by a fixed bit
+        // pattern, so later two-word draws land on both parities too.
+        const WORDS: usize = 96;
+        for seed in [0, 7, u64::MAX] {
+            let expected = block_words(&ChaCha8Rng::seed_from_u64(seed), WORDS + 2);
+            for lead in 0..32 {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut at = 0;
+                for _ in 0..lead {
+                    assert_eq!(rng.next_u32(), expected[at], "seed {seed} word {at}");
+                    at += 1;
+                }
+                let mut pattern: u64 = 0x9E37_79B9_7F4A_7C14 ^ lead as u64;
+                while at < WORDS {
+                    if pattern & 1 == 0 || at == lead {
+                        let want = u64::from(expected[at]) | u64::from(expected[at + 1]) << 32;
+                        assert_eq!(rng.next_u64(), want, "seed {seed} lead {lead} word {at}");
+                        at += 2;
+                    } else {
+                        assert_eq!(
+                            rng.next_u32(),
+                            expected[at],
+                            "seed {seed} lead {lead} word {at}"
+                        );
+                        at += 1;
+                    }
+                    pattern = pattern.rotate_right(1);
+                }
+            }
+        }
+    }
+
     #[test]
     fn keystream_is_balanced() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
