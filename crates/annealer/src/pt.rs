@@ -169,7 +169,10 @@ pub(crate) fn parallel_tempering_full_register(
                 .collect()
         })
         .collect();
-    let mut energies: Vec<f64> = replicas.iter().map(|r| compiled.energy(r)).collect();
+    let mut energies: Vec<f64> = replicas
+        .iter()
+        .map(|r| compiled.energy_full_register(r))
+        .collect();
 
     let mut best_energy = energies
         .iter()

@@ -44,24 +44,30 @@ pub struct CompiledIsing {
 }
 
 impl CompiledIsing {
-    /// Flatten an Ising model for fast sweeps.
+    /// Flatten an Ising model for fast sweeps.  Each spin's neighbours are
+    /// listed in the order [`Ising::couplings`] yields its couplings.
     pub fn new(model: &Ising) -> Self {
         let n = model.num_spins();
-        let mut adjacency: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-        for ((i, j), jij) in model.couplings() {
-            adjacency[i].push((j as u32, jij));
-            adjacency[j].push((i as u32, jij));
+        // Count each spin's couplings, then turn the counts into row starts.
+        let mut offsets = vec![0u32; n + 1];
+        for ((i, j), _) in model.couplings() {
+            offsets[i + 1] += 1;
+            offsets[j + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::new();
-        let mut weights = Vec::new();
-        offsets.push(0u32);
-        for adj in &adjacency {
-            for &(j, w) in adj {
-                neighbors.push(j);
-                weights.push(w);
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let entries = offsets[n] as usize;
+        let mut neighbors = vec![0u32; entries];
+        let mut weights = vec![0.0; entries];
+        let mut fill = offsets[..n].to_vec();
+        for ((i, j), jij) in model.couplings() {
+            for (row, neighbor) in [(i, j), (j, i)] {
+                let k = fill[row] as usize;
+                neighbors[k] = neighbor as u32;
+                weights[k] = jij;
+                fill[row] += 1;
             }
-            offsets.push(neighbors.len() as u32);
         }
         let h: Vec<f64> = (0..n).map(|i| model.field(i)).collect();
         let active = (0..n)
@@ -126,15 +132,41 @@ impl CompiledIsing {
     }
 
     /// Energy of a configuration under the compiled model.
+    ///
+    /// Sums over the active spins only.  An idle spin's terms are all ±0,
+    /// and the running sum starts at +0 and so never becomes -0 (an exact
+    /// zero difference rounds to +0), so dropping them leaves every bit of
+    /// the full-register sum unchanged.
     pub fn energy(&self, spins: &[Spin]) -> f64 {
+        let mut e = 0.0;
+        for &i in &self.active {
+            let i = i as usize;
+            e -= self.h[i] * spins[i] as f64;
+        }
+        for &i in &self.active {
+            let i = i as usize;
+            let start = self.offsets[i] as usize;
+            let end = self.offsets[i + 1] as usize;
+            for k in start..end {
+                let j = self.neighbors[k] as usize;
+                if j > i {
+                    e -= self.weights[k] * spins[i] as f64 * spins[j] as f64;
+                }
+            }
+        }
+        e
+    }
+
+    /// The full-register sum [`Self::energy`] must match bit for bit:
+    /// every spin's bias, then every coupling, idle spins included.
+    #[cfg(test)]
+    pub(crate) fn energy_full_register(&self, spins: &[Spin]) -> f64 {
         let mut e = 0.0;
         for (i, &hi) in self.h.iter().enumerate() {
             e -= hi * spins[i] as f64;
         }
         for i in 0..self.num_spins() {
-            let start = self.offsets[i] as usize;
-            let end = self.offsets[i + 1] as usize;
-            for k in start..end {
+            for k in self.offsets[i] as usize..self.offsets[i + 1] as usize {
                 let j = self.neighbors[k] as usize;
                 if j > i {
                     e -= self.weights[k] * spins[i] as f64 * spins[j] as f64;
@@ -223,7 +255,7 @@ pub(crate) fn anneal_once_full_register(
             }
         }
     }
-    let energy = model.energy(&spins);
+    let energy = model.energy_full_register(&spins);
     AnnealRead {
         spins,
         energy,

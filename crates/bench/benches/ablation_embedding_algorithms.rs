@@ -24,7 +24,7 @@ fn bench_cmr_vs_clique(c: &mut Criterion) {
             b.iter(|| {
                 let out = find_embedding(
                     black_box(input),
-                    &machine.hardware,
+                    machine.hardware(),
                     &CmrConfig::with_seed(3),
                 );
                 black_box(out.map(|o| o.embedding.qubits_used()).unwrap_or(0))
@@ -50,7 +50,7 @@ fn bench_cmr_vs_clique(c: &mut Criterion) {
         ("cycle-24", generators::cycle(24)),
         ("grid-5x5", generators::grid(5, 5)),
     ] {
-        let cmr = find_embedding(&input, &machine.hardware, &CmrConfig::with_seed(3)).unwrap();
+        let cmr = find_embedding(&input, machine.hardware(), &CmrConfig::with_seed(3)).unwrap();
         let clique = clique_embedding(input.vertex_count(), &machine.chimera).unwrap();
         eprintln!(
             "  {name:<10} n={:<3} CMR qubits={:<5} (max chain {})  clique qubits={:<5} (max chain {})",

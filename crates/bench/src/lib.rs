@@ -121,7 +121,7 @@ pub fn measure_cmr_embedding(machine: &SplitMachine, n: usize, seed: u64) -> Mea
     };
     let start = Instant::now();
     let outcome: Result<CmrOutcome, EmbedError> =
-        find_embedding(&input, &machine.hardware, &config);
+        find_embedding(&input, machine.hardware(), &config);
     let seconds = start.elapsed().as_secs_f64();
     let (qubits_used, stats) = match &outcome {
         Ok(ok) => (ok.embedding.qubits_used(), ok.stats),

@@ -44,14 +44,14 @@ impl FaultModel {
     /// probability `coupler_rate`.
     ///
     /// Rates are clamped to `[0, 1]`.  The draw is deterministic in `seed`.
+    /// The qubit draws come first in the random stream, so the number of
+    /// dead qubits is [`Self::random_dead_qubit_count`] of the same rate
+    /// and seed, whatever the coupler rate.
     pub fn random(graph: &Graph, qubit_rate: f64, coupler_rate: f64, seed: u64) -> Self {
-        let qubit_rate = qubit_rate.clamp(0.0, 1.0);
         let coupler_rate = coupler_rate.clamp(0.0, 1.0);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let dead_qubits: Vec<usize> = graph
-            .vertices()
-            .filter(|_| rng.gen::<f64>() < qubit_rate)
-            .collect();
+        let dead_qubits: Vec<usize> =
+            dead_qubit_draws(&mut rng, graph.vertex_count(), qubit_rate).collect();
         let dead_couplers: Vec<(usize, usize)> = graph
             .edges()
             .filter(|_| rng.gen::<f64>() < coupler_rate)
@@ -60,6 +60,14 @@ impl FaultModel {
             dead_qubits,
             dead_couplers,
         }
+    }
+
+    /// How many of `qubits` qubits [`Self::random`] kills at `qubit_rate`
+    /// and `seed`: the same draws, counted instead of collected, and no
+    /// coupler draws at all.
+    pub fn random_dead_qubit_count(qubits: usize, qubit_rate: f64, seed: u64) -> usize {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        dead_qubit_draws(&mut rng, qubits, qubit_rate).count()
     }
 
     /// Draw a fault model with an exact number of dead qubits chosen
@@ -105,6 +113,18 @@ impl FaultModel {
             faults: self.clone(),
         }
     }
+}
+
+/// The qubits of `0..qubits` that fail, one draw each in index order, at
+/// `qubit_rate` clamped to `[0, 1]`: the start of [`FaultModel::random`]'s
+/// random stream.
+fn dead_qubit_draws(
+    rng: &mut ChaCha8Rng,
+    qubits: usize,
+    qubit_rate: f64,
+) -> impl Iterator<Item = usize> + '_ {
+    let qubit_rate = qubit_rate.clamp(0.0, 1.0);
+    (0..qubits).filter(move |_| rng.gen::<f64>() < qubit_rate)
 }
 
 /// A hardware graph with faults applied.
@@ -208,6 +228,21 @@ mod tests {
         let all = FaultModel::random(c.graph(), 1.0, 1.0, 1);
         assert_eq!(all.dead_qubits.len(), c.qubit_count());
         assert_eq!(all.dead_couplers.len(), c.coupler_count());
+    }
+
+    #[test]
+    fn dead_qubit_count_is_the_random_models_count() {
+        let c = Chimera::new(12, 12, 4);
+        for qubit_rate in [0.0, 0.02, 0.5, 1.0] {
+            for seed in 0..8 {
+                let full = FaultModel::random(c.graph(), qubit_rate, 0.01, seed);
+                assert_eq!(
+                    FaultModel::random_dead_qubit_count(c.qubit_count(), qubit_rate, seed),
+                    full.dead_qubits.len(),
+                    "rate {qubit_rate} seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

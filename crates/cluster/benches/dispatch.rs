@@ -16,16 +16,22 @@
 //! timed iteration replays the same seeded workload, so the event count
 //! per iteration is exact).
 //!
+//! Two set-up groups time what precedes a run: `setup/fleet_new` builds
+//! the 64-device uniform and the 1,024-device heterogeneous fleets the
+//! groups below run on (per-device dead-qubit draws and warm caches, one
+//! cost table per model), and `setup/cost_table` tabulates each QPU
+//! model's cost table alone, as `RateCalibration::for_fleet` does.
+//!
 //! Each iteration rebuilds the fleet — the engine consumes it, since warm
 //! caches and occupancy are part of the run's state.  In the small groups
 //! the measured time includes that construction: it is O(devices),
 //! independent of the event count, and identical across policies, and at
 //! 400 jobs the loop dominates.  The large-fleet group builds its fleet in
-//! untimed set-up instead, since 1,024 devices take tens of milliseconds
-//! to build.
+//! untimed set-up instead, since 1,024 devices take about as long to
+//! build as the run takes.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
-use split_exec::SplitExecConfig;
+use split_exec::{CostModel, QpuModel, SplitExecConfig};
 use std::hint::black_box;
 use sx_cluster::prelude::*;
 
@@ -161,8 +167,52 @@ fn bench_large_fleet(c: &mut Criterion) {
     group.finish();
 }
 
+/// Fleet construction on the overload group's 64 uniform DW2X devices and
+/// the large-fleet group's 1,024 mixed devices with 4-entry caches.
+fn bench_fleet_new(c: &mut Criterion) {
+    let shapes = [
+        (
+            "uniform64",
+            FleetConfig {
+                qpus: 64,
+                seed: SEED,
+                ..FleetConfig::default()
+            },
+        ),
+        (
+            "hetero1024",
+            FleetConfig::heterogeneous(1_024, SEED).with_cache(4, EvictionPolicyKind::CostAware),
+        ),
+    ];
+    let mut group = c.benchmark_group("setup/fleet_new");
+    for (name, config) in shapes {
+        group.throughput(Throughput::Elements(config.qpus as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(name), &config, |b, config| {
+            b.iter(|| black_box(Fleet::new(config.clone(), SplitExecConfig::with_seed(SEED))))
+        });
+    }
+    group.finish();
+}
+
+/// One QPU model's cost table, every size its pristine lattice embeds.
+fn bench_cost_table(c: &mut Criterion) {
+    let app = SplitExecConfig::with_seed(SEED);
+    let mut group = c.benchmark_group("setup/cost_table");
+    for model in QpuModel::all() {
+        let (m, n, _) = model.lattice();
+        let max_lps = 4 * m.min(n) + 1;
+        group.throughput(Throughput::Elements(max_lps as u64 + 1));
+        group.bench_with_input(BenchmarkId::from_parameter(model), &model, |b, &model| {
+            b.iter(|| black_box(CostModel::new(model, &app, max_lps)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     dispatch,
+    bench_fleet_new,
+    bench_cost_table,
     bench_fleet_sizes,
     bench_policies,
     bench_overload,

@@ -10,7 +10,10 @@
 //!   [`QpuModel::Vesuvius`] and [`QpuModel::Dw2x`], so capacity and stage
 //!   costs genuinely differ across the rack,
 //! * a capacity bound and a fault-difficulty factor derived from the yield
-//!   of its own fault draw ([`chimera_graph::FaultModel::random`]),
+//!   of its own fault draw — the dead-qubit count of
+//!   [`chimera_graph::FaultModel::random`], drawn alone by
+//!   [`chimera_graph::FaultModel::random_dead_qubit_count`], since nothing
+//!   the fleet derives reads which qubits or couplers failed,
 //! * a shared [`CostModel`]: the paper's analytic stage costs depend only
 //!   on the QPU generation, so [`Fleet::new`] tabulates them once per model
 //!   and every device of that model holds the same `Arc`,
@@ -25,8 +28,8 @@
 //! qubit yield; the difficulty factor charges embedding on a faulted lattice
 //! `1/yield³` of the pristine cost (fewer usable qubits ⇒ more CMR passes).
 //! Both are modeling assumptions of the simulator, not measurements — they
-//! are deliberately simple and deterministic.  No device keeps its fault map
-//! or hardware graph: only these two scalars outlive construction.
+//! are deliberately simple and deterministic.  No device builds a fault
+//! map or a hardware graph: only these two scalars come out of its draw.
 //!
 //! The fleet also carries a *placement index* so "the fastest idle device
 //! for this job" ([`Fleet::fastest_idle`]) does not price every device:
@@ -52,7 +55,7 @@ use split_exec::{PipelineError, QpuModel, SplitExecConfig};
 
 use crate::cache::{AdmissionPolicy, EvictionPolicyKind, KeyHasher, WarmCache};
 use crate::job::Job;
-use chimera_graph::{Chimera, FaultModel};
+use chimera_graph::FaultModel;
 
 /// Configuration of a simulated fleet.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +79,10 @@ pub struct FleetConfig {
     pub cache_admission: AdmissionPolicy,
     /// Per-qubit fault probability for each device's fault draw.
     pub qubit_fault_rate: f64,
-    /// Per-coupler fault probability.
+    /// Per-coupler fault probability.  Part of the fleet description, but
+    /// no device quantity depends on it: a device's capacity and
+    /// difficulty come from its dead-qubit count alone, so the fleet draws
+    /// no coupler faults.
     pub coupler_fault_rate: f64,
     /// Base seed; device `i` draws its faults with `seed + i`.
     pub seed: u64,
@@ -155,20 +161,16 @@ pub(crate) fn cost_table(model: QpuModel, app: &SplitExecConfig) -> CostModel {
     CostModel::new(model, app, pristine_clique(model))
 }
 
-/// What the devices of one QPU model share: the pristine lattice their
-/// faults are drawn on and their cost table.
+/// What the devices of one QPU model share: their cost table.
 struct SharedModel {
     model: QpuModel,
-    pristine: Chimera,
     cost: Arc<CostModel>,
 }
 
 impl SharedModel {
     fn new(model: QpuModel, app: &SplitExecConfig) -> Self {
-        let (m, n, l) = model.lattice();
         Self {
             model,
-            pristine: Chimera::new(m, n, l),
             cost: Arc::new(cost_table(model, app)),
         }
     }
@@ -205,17 +207,16 @@ pub struct QpuDevice {
 }
 
 impl QpuDevice {
-    /// Build device `id` of the fleet configuration, drawing its faults on
-    /// the model's pristine lattice.
+    /// Build device `id` of the fleet configuration, drawing its dead
+    /// qubits on the model's lattice.
     fn new(id: usize, config: &FleetConfig, shared: &SharedModel) -> Self {
-        let faults = FaultModel::random(
-            shared.pristine.graph(),
+        let qubits = shared.model.qubits();
+        let dead = FaultModel::random_dead_qubit_count(
+            qubits,
             config.qubit_fault_rate,
-            config.coupler_fault_rate,
             config.seed.wrapping_add(id as u64),
         );
-        let qubits = shared.pristine.qubit_count();
-        let yield_fraction = (qubits - faults.dead_qubits.len()) as f64 / qubits as f64;
+        let yield_fraction = (qubits - dead) as f64 / qubits as f64;
         let capacity_lps =
             ((pristine_clique(shared.model) as f64) * yield_fraction).floor() as usize;
         let fault_difficulty = (1.0 / yield_fraction.powi(3)).max(1.0);
@@ -347,13 +348,14 @@ impl QpuDevice {
 }
 
 /// The ids of `model`'s devices sorted by `(fault_difficulty, id)`: the
-/// order in which their cold predictions ascend.
+/// order in which their cold predictions ascend.  One allocation whatever
+/// the fleet size: the list is sized by a count, and the ids are distinct,
+/// so an unstable sort gives the stable order without a scratch buffer.
 fn cold_order(devices: &[QpuDevice], model: QpuModel) -> Vec<u32> {
-    let mut ids: Vec<u32> = (0..devices.len())
-        .filter(|&id| devices[id].model == model)
-        .map(|id| id as u32)
-        .collect();
-    ids.sort_by(|&a, &b| {
+    let of_model = |id: &usize| devices[*id].model == model;
+    let mut ids = Vec::with_capacity((0..devices.len()).filter(of_model).count());
+    ids.extend((0..devices.len()).filter(of_model).map(|id| id as u32));
+    ids.sort_unstable_by(|&a, &b| {
         let (da, db) = (&devices[a as usize], &devices[b as usize]);
         da.fault_difficulty
             .total_cmp(&db.fault_difficulty)
@@ -501,11 +503,11 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Build a fleet, drawing each device's faults deterministically from
-    /// the configured seed.  Each QPU model in use gets one pristine
-    /// lattice and one cost table, shared by all its devices; the cost
-    /// tables read only `app_config`'s accuracy and per-read success
-    /// probability, so its seed changes nothing.
+    /// Build a fleet, drawing each device's dead qubits deterministically
+    /// from the configured seed.  Each QPU model in use gets one cost
+    /// table, shared by all its devices; the cost tables read only
+    /// `app_config`'s accuracy and per-read success probability, so its
+    /// seed changes nothing.
     pub fn new(config: FleetConfig, app_config: SplitExecConfig) -> Self {
         assert!(config.qpus > 0, "a fleet needs at least one QPU");
         assert!(

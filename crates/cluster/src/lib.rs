@@ -9,9 +9,9 @@
 //!
 //! * [`event`] — a binary-heap future-event list on a virtual clock; no
 //!   wall time anywhere, so runs replay bit-identically from their seeds.
-//! * [`fleet`] — each simulated QPU draws its own
-//!   [`chimera_graph::FaultModel`] (fault maps differ per device, so
-//!   capacity and stage-1 cost differ per device), keeps a per-device warm
+//! * [`fleet`] — each simulated QPU draws its own dead qubits, the qubit
+//!   half of a [`chimera_graph::FaultModel`] (fault draws differ per
+//!   device, so capacity and stage-1 cost differ per device), keeps a per-device warm
 //!   embedding set mirroring [`split_exec::EmbeddingCache`], and shares its
 //!   model's [`split_exec::CostModel`] table.  Fleets may be
 //!   *heterogeneous* ([`FleetConfig::heterogeneous`]): DW2X- and

@@ -269,3 +269,71 @@ fn sweep_cell_body_matches_direct_execution() {
     );
     assert_eq!(direct_result.report.records.len(), 200);
 }
+
+// --- fleet construction's allocation budget -----------------------------
+//
+// `Fleet::new` allocates per model (a cost table) and per fleet (the device
+// list, the cold orders, the holder index, each one allocation whatever its
+// size), and per device only that device's warm cache.  No device draws a
+// fault vector or builds a graph, so doubling the device count adds exactly
+// one warm cache's allocations per added device.
+
+/// Allocations one device's warm cache makes under `config`'s cache
+/// settings: the per-device constant of fleet construction.
+fn allocations_per_warm_cache(config: &FleetConfig) -> usize {
+    let before = allocations();
+    let cache = WarmCache::new(config.cache_capacity, config.eviction)
+        .with_admission(config.cache_admission);
+    let after = allocations();
+    drop(cache);
+    after - before
+}
+
+/// Allocations `Fleet::new` makes for `config` (built outside the window).
+fn allocations_for_fleet(config: FleetConfig) -> usize {
+    let app = SplitExecConfig::with_seed(11);
+    let before = allocations();
+    let fleet = Fleet::new(config, app);
+    let after = allocations();
+    drop(fleet);
+    after - before
+}
+
+/// A fleet of `qpus` devices with 4-entry cost-aware caches: uniform DW2X,
+/// or mixed generations behind the second-chance doorkeeper.
+fn cached_fleet(shape: &str, qpus: usize) -> FleetConfig {
+    let config = match shape {
+        "uniform" => FleetConfig {
+            qpus,
+            seed: 11,
+            ..FleetConfig::default()
+        },
+        _ => {
+            FleetConfig::heterogeneous(qpus, 11).with_cache_admission(AdmissionPolicy::SecondChance)
+        }
+    };
+    config.with_cache(4, EvictionPolicyKind::CostAware)
+}
+
+#[test]
+fn fleet_construction_allocates_per_device_only_its_warm_cache() {
+    // The first build pays the process-wide parse of the stage listings.
+    warmup();
+    const N: usize = 32;
+    for shape in ["uniform", "hetero"] {
+        let per_device = allocations_per_warm_cache(&cached_fleet(shape, N));
+        assert!(
+            per_device > 0,
+            "{shape}: a bounded cache pre-sizes its buffers"
+        );
+        let at_n = allocations_for_fleet(cached_fleet(shape, N));
+        let at_2n = allocations_for_fleet(cached_fleet(shape, 2 * N));
+        assert_eq!(
+            at_2n - at_n,
+            N * per_device,
+            "{shape}: {N} more devices must add exactly {N} warm caches of \
+             {per_device} allocations (got {at_n} at {N} devices vs {at_2n} at {})",
+            2 * N
+        );
+    }
+}

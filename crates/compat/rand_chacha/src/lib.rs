@@ -81,7 +81,11 @@ impl ChaCha8Rng {
     }
 }
 
+/// Both draws are `#[inline]`, so a caller in another crate reads a
+/// buffered word without a call; only the block function, run once per
+/// sixteen words, stays out of line.
 impl RngCore for ChaCha8Rng {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         if self.index >= 16 {
             self.refill();
@@ -91,10 +95,20 @@ impl RngCore for ChaCha8Rng {
         word
     }
 
+    /// The next two words, low word first.  When both are buffered this
+    /// is one branch; otherwise two single-word draws, the second after
+    /// the refill.
+    #[inline]
     fn next_u64(&mut self) -> u64 {
-        let lo = self.next_u32() as u64;
-        let hi = self.next_u32() as u64;
-        lo | (hi << 32)
+        let index = self.index;
+        if index < 15 {
+            self.index = index + 2;
+            u64::from(self.buffer[index]) | u64::from(self.buffer[index + 1]) << 32
+        } else {
+            let lo = u64::from(self.next_u32());
+            let hi = u64::from(self.next_u32());
+            lo | hi << 32
+        }
     }
 }
 

@@ -1,8 +1,10 @@
 //! The paper's three stage models, tabulated once per QPU model.
 //!
 //! The stage predictions ([`predict_stage1`] etc.) walk an ASPEN listing
-//! each call.  Their inputs are the lattice `M`/`N`, the logical problem
-//! size, and the application's accuracy and success probability, so the
+//! each call.  Each listing is parsed once per process, on first use, and
+//! every prediction and every table shares that parse.  The predictions'
+//! inputs are the lattice `M`/`N`, the logical problem size, and the
+//! application's accuracy and success probability, so the
 //! costs depend only on the QPU generation, never on a device's fault map.
 //! [`CostModel`] therefore evaluates them once, for every logical problem
 //! size up to a bound, into a dense immutable table: ask for the per-stage
@@ -80,8 +82,9 @@ pub struct CostModel {
 
 impl CostModel {
     /// Tabulate the costs of problem sizes `0..=max_lps` on a `qpu`-class
-    /// machine.  A size whose prediction fails keeps its error, which
-    /// [`Self::costs`] returns for that size.
+    /// machine, walking the stage listings parsed once per process.  A
+    /// size whose prediction fails keeps its error, which [`Self::costs`]
+    /// returns for that size.
     pub fn new(qpu: QpuModel, config: &SplitExecConfig, max_lps: usize) -> Self {
         let machine = SplitMachine::new(qpu);
         let (accuracy, success) = (config.accuracy, config.success_probability);

@@ -10,6 +10,9 @@
 use aspen_model::builtin::{simple_node, QpuGeneration};
 use aspen_model::MachineModel;
 use chimera_graph::{Chimera, FaultModel, Graph};
+use std::sync::OnceLock;
+
+use crate::offline_cache::graph_key;
 
 /// The three integration architectures of the paper's Fig. 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -126,8 +129,12 @@ pub struct SplitMachine {
     pub aspen: MachineModel,
     /// The QPU hardware topology.
     pub chimera: Chimera,
-    /// Hardware graph after applying fabrication faults.
-    pub hardware: Graph,
+    /// Hardware graph after applying fabrication faults.  Private so that
+    /// only a constructor sets it, and [`Self::hardware_key`] stays its
+    /// key.
+    hardware: Graph,
+    /// [`graph_key`] of `hardware`, computed on first use.
+    hardware_key: OnceLock<u64>,
     /// The fault model applied to the pristine lattice.
     pub faults: FaultModel,
 }
@@ -161,6 +168,7 @@ impl SplitMachine {
             aspen: simple_node(generation),
             chimera,
             hardware,
+            hardware_key: OnceLock::new(),
             faults,
         }
     }
@@ -169,6 +177,17 @@ impl SplitMachine {
     pub fn with_architecture(mut self, architecture: Architecture) -> Self {
         self.architecture = architecture;
         self
+    }
+
+    /// The hardware graph: the lattice with the fabrication faults applied.
+    pub fn hardware(&self) -> &Graph {
+        &self.hardware
+    }
+
+    /// [`graph_key`] of [`Self::hardware`], hashed once per machine: the
+    /// hardware half of every embedding-table key.
+    pub fn hardware_key(&self) -> u64 {
+        *self.hardware_key.get_or_init(|| graph_key(&self.hardware))
     }
 
     /// Number of usable (non-faulted) qubits.
@@ -196,6 +215,7 @@ impl SplitMachine {
         Self {
             chimera,
             hardware,
+            hardware_key: OnceLock::new(),
             ..Self::paper_default()
         }
     }
@@ -259,7 +279,8 @@ mod tests {
         let faults = FaultModel::exact_dead_qubits(chimera.graph(), 20, 7);
         let m = SplitMachine::with_faults(QpuModel::Vesuvius, faults);
         assert_eq!(m.usable_qubits(), 512 - 20);
-        assert!(m.hardware.edge_count() < m.chimera.coupler_count());
+        assert!(m.hardware().edge_count() < m.chimera.coupler_count());
+        assert_eq!(m.hardware_key(), graph_key(m.hardware()));
     }
 
     #[test]

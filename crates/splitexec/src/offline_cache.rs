@@ -84,7 +84,9 @@ pub fn graph_key(graph: &Graph) -> u64 {
 /// different machine or heuristic configuration: chains could reference
 /// qubits the other hardware lacks, and a stored embedding or failure would
 /// silently differ from what a fresh run computes.  The destructure is
-/// exhaustive, so a new CMR field does not compile until it is keyed.
+/// exhaustive, so a new CMR field does not compile until it is keyed.  The
+/// hardware graph enters as [`SplitMachine::hardware_key`], hashed once per
+/// machine rather than once per lookup.
 pub fn entry_key(input: &Graph, machine: &SplitMachine, config: &SplitExecConfig) -> u64 {
     let CmrConfig {
         max_passes,
@@ -94,7 +96,7 @@ pub fn entry_key(input: &Graph, machine: &SplitMachine, config: &SplitExecConfig
     } = &config.cmr;
     let mut hasher = DefaultHasher::new();
     graph_key(input).hash(&mut hasher);
-    graph_key(&machine.hardware).hash(&mut hasher);
+    machine.hardware_key().hash(&mut hasher);
     max_passes.hash(&mut hasher);
     tries.hash(&mut hasher);
     seed.hash(&mut hasher);
@@ -193,7 +195,7 @@ impl EmbeddingCache {
                 stats: CmrStats::default(),
             });
         }
-        let (outcome, seconds) = timed(|| find_embedding(input, &machine.hardware, &config.cmr));
+        let (outcome, seconds) = timed(|| find_embedding(input, machine.hardware(), &config.cmr));
         self.misses.set(self.misses.get() + 1);
         self.entries.borrow_mut().insert(
             key,
@@ -269,7 +271,7 @@ mod tests {
         let (machine, config, cache) = setup();
         let input = generators::path(4);
         // Pre-compute offline and insert.
-        let outcome = find_embedding(&input, &machine.hardware, &config.cmr).unwrap();
+        let outcome = find_embedding(&input, machine.hardware(), &config.cmr).unwrap();
         cache.insert(&input, &machine, &config, outcome.embedding.clone());
         assert!(cache.contains(&input, &machine, &config));
         let served = cache.get_or_compute(&input, &machine, &config).unwrap();
@@ -309,7 +311,7 @@ mod tests {
         let cache = EmbeddingCache::new();
         // K6 has no minor in one K_{4,4} cell: CMR runs and fails once...
         let k6 = generators::complete(6);
-        let fresh = find_embedding(&k6, &machine.hardware, &config.cmr).unwrap_err();
+        let fresh = find_embedding(&k6, machine.hardware(), &config.cmr).unwrap_err();
         assert!(matches!(fresh, EmbedError::NoEmbeddingFound { .. }));
         let first = cache.get_or_compute(&k6, &machine, &config).unwrap_err();
         assert_eq!(first, PipelineError::Embedding(fresh));

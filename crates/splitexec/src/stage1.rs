@@ -20,10 +20,23 @@ use crate::error::PipelineError;
 use crate::machine::SplitMachine;
 use crate::offline_cache::EmbeddingCache;
 use crate::timing::timed;
-use aspen_model::{listings, ApplicationModel, ParamEnv, Prediction, Predictor};
+use aspen_model::{listings, ApplicationModel, AspenError, ParamEnv, Prediction, Predictor};
 use minor_embed::{embed_ising, CmrStats, EmbeddedIsing, ParameterSetting};
 use quantum_anneal::QpuTimings;
 use qubo_ising::{qubo_to_ising, Ising, Qubo};
+use std::sync::OnceLock;
+
+/// A built-in stage listing, parsed on first use and kept for the life of
+/// the process: every prediction of every cost table walks the same parse.
+/// A listing that fails to parse keeps its error, returned on every call.
+pub(crate) fn parse_once(
+    cell: &'static OnceLock<Result<ApplicationModel, AspenError>>,
+    listing: &str,
+) -> Result<&'static ApplicationModel, PipelineError> {
+    cell.get_or_init(|| ApplicationModel::from_source(listing))
+        .as_ref()
+        .map_err(|err| err.clone().into())
+}
 
 /// Analytic prediction for stage 1 at a given logical problem size.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,13 +65,14 @@ pub fn predict_stage1(
     machine: &SplitMachine,
     lps: usize,
 ) -> Result<Stage1Prediction, PipelineError> {
-    let app = ApplicationModel::from_source(listings::STAGE1_LISTING)?;
+    static STAGE1: OnceLock<Result<ApplicationModel, AspenError>> = OnceLock::new();
+    let app = parse_once(&STAGE1, listings::STAGE1_LISTING)?;
     let (m, n) = machine.lattice_dims();
     let overrides = ParamEnv::new()
         .with("LPS", lps as f64)
         .with("M", m as f64)
         .with("N", n as f64);
-    let prediction = Predictor::new(&machine.aspen).predict(&app, &overrides)?;
+    let prediction = Predictor::new(&machine.aspen).predict(app, &overrides)?;
     let env = app.resolve_params(&overrides)?;
     Ok(Stage1Prediction {
         lps,
@@ -142,7 +156,7 @@ pub fn execute_stage1_cached(
     // 3. Parameter setting over the embedded chains.
     let setting = ParameterSetting::auto(&logical, config.chain_strength_factor);
     let (embedded, parameter_seconds) =
-        timed(|| embed_ising(&logical, &served.embedding, &machine.hardware, setting));
+        timed(|| embed_ising(&logical, &served.embedding, machine.hardware(), setting));
 
     // 4. Electronics initialization: a constant taken from the hardware
     //    model (we have no programmable magnetic memory to drive).
@@ -233,7 +247,7 @@ mod tests {
         assert!(result.total_seconds > result.measured_seconds);
         verify_embedding(
             &result.logical.interaction_graph(),
-            &machine.hardware,
+            machine.hardware(),
             &result.embedded.embedding,
         )
         .unwrap();
@@ -249,11 +263,8 @@ mod tests {
 
     #[test]
     fn execution_propagates_embedding_failure() {
-        // K40 cannot embed into a single unit cell; use a tiny faulted machine.
-        let chimera = chimera_graph::Chimera::new(1, 1, 4);
-        let faults = chimera_graph::FaultModel::none();
-        let mut machine = SplitMachine::with_faults(QpuModel::Vesuvius, faults);
-        machine.hardware = chimera.graph().clone();
+        // K40 cannot embed into a single unit cell.
+        let machine = SplitMachine::unit_cell();
         let qubo = MaxCut::unweighted(generators::complete(40)).to_qubo();
         let err =
             execute_stage1_cached(&machine, &SplitExecConfig::default(), &qubo, None).unwrap_err();

@@ -13,11 +13,13 @@
 use crate::config::SplitExecConfig;
 use crate::error::PipelineError;
 use crate::machine::SplitMachine;
-use aspen_model::{listings, ApplicationModel, ParamEnv, Prediction, Predictor};
+use crate::stage1::parse_once;
+use aspen_model::{listings, ApplicationModel, AspenError, ParamEnv, Prediction, Predictor};
 use quantum_anneal::{
     estimate_success_probability, QpuAccessReport, SampleParams, SampleSet, SamplerBackend,
 };
 use qubo_ising::Ising;
+use std::sync::OnceLock;
 
 /// Analytic prediction for stage 2.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,11 +45,12 @@ pub fn predict_stage2(
     accuracy: f64,
     success_probability: f64,
 ) -> Result<Stage2Prediction, PipelineError> {
-    let app = ApplicationModel::from_source(listings::STAGE2_LISTING)?;
+    static STAGE2: OnceLock<Result<ApplicationModel, AspenError>> = OnceLock::new();
+    let app = parse_once(&STAGE2, listings::STAGE2_LISTING)?;
     let overrides = ParamEnv::new()
         .with("Accuracy", accuracy.clamp(0.0, 0.999_999_999) * 100.0)
         .with("Success", success_probability.clamp(1e-9, 1.0 - 1e-12));
-    let prediction = Predictor::new(&machine.aspen).predict(&app, &overrides)?;
+    let prediction = Predictor::new(&machine.aspen).predict(app, &overrides)?;
     let reads = prediction
         .resource_totals
         .get("QuOps")

@@ -12,12 +12,14 @@
 
 use crate::error::PipelineError;
 use crate::machine::SplitMachine;
+use crate::stage1::parse_once;
 use crate::timing::timed;
-use aspen_model::{listings, ApplicationModel, ParamEnv, Prediction, Predictor};
+use aspen_model::{listings, ApplicationModel, AspenError, ParamEnv, Prediction, Predictor};
 use minor_embed::{unembed_sample, Embedding};
 use quantum_anneal::SampleSet;
 use qubo_ising::energy::RankedSolution;
 use qubo_ising::{rank_solutions, Ising, Spin};
+use std::sync::OnceLock;
 
 /// Analytic prediction for stage 3.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,12 +45,13 @@ pub fn predict_stage3(
     accuracy: f64,
     success_probability: f64,
 ) -> Result<Stage3Prediction, PipelineError> {
-    let app = ApplicationModel::from_source(listings::STAGE3_LISTING)?;
+    static STAGE3: OnceLock<Result<ApplicationModel, AspenError>> = OnceLock::new();
+    let app = parse_once(&STAGE3, listings::STAGE3_LISTING)?;
     let overrides = ParamEnv::new()
         .with("LPS", lps as f64)
         .with("Accuracy", accuracy.clamp(0.0, 0.999_999_999))
         .with("Success", success_probability.clamp(1e-9, 1.0 - 1e-12));
-    let prediction = Predictor::new(&machine.aspen).predict(&app, &overrides)?;
+    let prediction = Predictor::new(&machine.aspen).predict(app, &overrides)?;
     let env = app.resolve_params(&overrides)?;
     Ok(Stage3Prediction {
         lps,
@@ -164,13 +167,13 @@ mod tests {
         let logical = Ising::random_on_graph(&generators::cycle(6), 7);
         let outcome = find_embedding(
             &logical.interaction_graph(),
-            &machine.hardware,
+            machine.hardware(),
             &CmrConfig::with_seed(2),
         )
         .unwrap();
         // Build a fake physical ensemble: every chain aligned to +1 or -1
         // alternating per record.
-        let nh = machine.hardware.vertex_count();
+        let nh = machine.hardware().vertex_count();
         let mut all_up = vec![1i8; nh];
         let all_down = vec![-1i8; nh];
         for (_, chain) in outcome.embedding.iter() {

@@ -40,12 +40,12 @@ fn main() -> Result<(), PipelineError> {
             ..CmrConfig::default()
         };
         let start = Instant::now();
-        let outcome = find_embedding(&input, &machine.hardware, &config);
+        let outcome = find_embedding(&input, machine.hardware(), &config);
         let measured = start.elapsed().as_secs_f64();
         let clique = clique_embedding(n, &machine.chimera).expect("clique embedding exists");
         match outcome {
             Ok(outcome) => {
-                verify_embedding(&input, &machine.hardware, &outcome.embedding)
+                verify_embedding(&input, machine.hardware(), &outcome.embedding)
                     .expect("CMR embedding must verify");
                 println!(
                     "{:>4} {:>14.3e} {:>14.6} {:>12.6} {:>12} {:>10} {:>12}",
