@@ -164,8 +164,8 @@ impl std::fmt::Display for AdmissionPolicy {
 /// A multiply-rotate hasher (the `FxHash` scheme) for the simulator's hot
 /// membership sets of topology keys.  A std `SipHash` probe costs several
 /// times more, and the keys are already well-mixed graph hashes.  Every
-/// [`KeySet`] answers membership only — nothing iterates one — so the hash
-/// never affects a decision.
+/// set or map hashed by it answers lookups only — nothing iterates one —
+/// so the hash never affects a decision.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct KeyHasher(u64);
 

@@ -51,9 +51,6 @@
 //! prediction, and SJF scans every idle device: its aged score can tie
 //! after rounding, and then the device-order tie-break decides.
 
-use std::hash::BuildHasherDefault;
-
-use crate::cache::KeySet;
 use crate::fleet::{Fleet, QpuDevice};
 use crate::job::Job;
 
@@ -64,6 +61,14 @@ use crate::job::Job;
 /// remaining queue waiting (e.g. for a busy device to free up).  The engine
 /// guarantees every returned device is idle at `now` and re-invokes the
 /// method until it returns `None`.
+///
+/// The queue contract: one scheduler instance serves one queue, and
+/// between two calls that queue changes in only two ways — the entry at
+/// the index the previous call returned (if it returned one) is removed,
+/// and new jobs are appended at the end.  Policies may keep state that
+/// relies on it: [`WeightedFairQueue`]'s finish tags charge every returned
+/// job as dispatched, and [`CacheAffinity`] keeps an index of the queue
+/// across calls.
 pub trait Scheduler {
     /// Stable policy name used in reports.
     fn name(&self) -> &'static str;
@@ -198,27 +203,73 @@ pub const COLD_SPEED_BAND: f64 = 1.25;
 ///    [`COLD_SPEED_BAND`] of the fastest.
 ///
 /// Within one call the fleet and the clock are fixed, so both verdicts
-/// depend only on the job's `(lps, topology_key)`, and a later job with an
-/// already-judged key gets the same verdict as the oldest one.  Pass 1
-/// therefore judges each distinct key once and skips repeats through a
-/// hashed set; pass 2 visits only the oldest job of each distinct key.
-/// Pass 1 reads the key's warm holders from the fleet's placement index
-/// and places through it ([`Fleet::fastest_idle`]); pass 2's
-/// wait-or-embed verdict folds over the key's holders, and its in-band
-/// spread scans the idle devices collected once per call.  A call costs
-/// O(queue + distinct keys × (holders + index walk) + visited pass-2 keys
-/// × idle devices), not O(queue × fleet): under overload the queue holds
-/// hundreds of jobs but only a few dozen topologies.  The scratch buffers
-/// are owned by the policy and reused, so steady-state dispatch does not
-/// allocate.
+/// depend only on the job's `(lps, topology_key)` pair, and a later job of
+/// an already-judged pair gets the same verdict as the oldest one.  Both
+/// passes therefore judge only the oldest job of each distinct pair.  The
+/// policy keeps those pairs across calls in an index of its queue: each
+/// pair with the queue position of its oldest job and its job count,
+/// ordered by that position.  A call first brings the index up to date
+/// from the two ways the engine changes the queue (the [`Scheduler`]
+/// contract): the job the last call placed is gone, so later positions
+/// shift down by one and the placed pair, if it still has jobs, moves to
+/// its next-oldest job, found by scanning forward from the removed
+/// position; and new jobs sit after the indexed part.
+///
+/// Pass 1 reads a pair's warm holders from the fleet's placement index and
+/// places through it ([`Fleet::fastest_idle`]).  Pass 2 takes the fastest
+/// idle prediction from the same query, folds its wait-or-embed verdict
+/// over the pair's holders, and scans the idle devices only for the pair
+/// it places.  A call costs O(distinct pairs × (holders + index walk) +
+/// idle devices + the forward scan after a removal), not O(queue): under
+/// overload the queue holds hundreds of jobs but only a few dozen pairs.
+/// The index is owned by the policy and reused, so steady-state dispatch
+/// does not allocate.
+///
+/// A queue changed some other way is re-indexed whole when that is cheap
+/// to see: a slice shorter than the index, or the placed job's id still at
+/// its position.  Debug builds also compare the index with one rebuilt
+/// from the slice on every call.
 #[derive(Debug, Clone)]
 pub struct CacheAffinity {
-    /// Indices of the devices idle at the current call, ascending.
-    idle: Vec<usize>,
-    /// `(lps, topology_key)` pairs pass 1 has judged this call.
-    seen: KeySet<(usize, u64)>,
-    /// Queue index of the oldest job of each key in `seen`, in queue order.
-    oldest: Vec<usize>,
+    /// The queue's distinct pairs, ordered by the position of their oldest
+    /// job.
+    pairs: Vec<QueuedPair>,
+    /// How many queue entries, from the front, the index covers.
+    indexed: usize,
+    /// The last call's placement: the slot in `pairs` of the placed pair
+    /// and the id of the job placed.
+    placed: Option<(usize, usize)>,
+    /// The index rebuilt from the slice, to check against.
+    #[cfg(debug_assertions)]
+    check: index_check::IndexCheck,
+}
+
+/// One distinct `(lps, topology_key)` pair of [`CacheAffinity`]'s queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct QueuedPair {
+    lps: usize,
+    topology_key: u64,
+    /// Queue position of the pair's oldest job.
+    oldest: usize,
+    /// The pair's jobs in the queue.
+    jobs: usize,
+}
+
+impl QueuedPair {
+    /// The pair of `job`, with `job` at queue position `at` its oldest and
+    /// only job.
+    fn of(job: &Job, at: usize) -> Self {
+        Self {
+            lps: job.lps,
+            topology_key: job.topology_key,
+            oldest: at,
+            jobs: 1,
+        }
+    }
+
+    fn holds(&self, job: &Job) -> bool {
+        self.lps == job.lps && self.topology_key == job.topology_key
+    }
 }
 
 impl Default for CacheAffinity {
@@ -228,15 +279,164 @@ impl Default for CacheAffinity {
 }
 
 impl CacheAffinity {
-    /// The policy, with scratch buffers pre-sized for 64 devices and 64
-    /// distinct queued topologies (each grows at most a few times past
-    /// that, never per event).
+    /// The policy, with its index pre-sized for 64 distinct queued pairs
+    /// (it grows at most a few times past that, never per event).
     pub fn new() -> Self {
         Self {
-            idle: Vec::with_capacity(64),
-            seen: KeySet::with_capacity_and_hasher(64, BuildHasherDefault::default()),
-            oldest: Vec::with_capacity(64),
+            pairs: Vec::with_capacity(64),
+            indexed: 0,
+            placed: None,
+            #[cfg(debug_assertions)]
+            check: index_check::IndexCheck::with_capacity(64),
         }
+    }
+
+    /// Bring the index up to date with `queue`: account for the removal of
+    /// the job the last call placed, then index the jobs appended since.
+    /// A queue that shows some other change is re-indexed whole.
+    fn sync(&mut self, queue: &[Job]) {
+        let consistent = match self.placed.take() {
+            Some((slot, id)) => self.remove_placed(queue, slot, id),
+            None => queue.len() >= self.indexed,
+        };
+        if !consistent {
+            self.pairs.clear();
+            self.indexed = 0;
+        }
+        for (at, job) in queue.iter().enumerate().skip(self.indexed) {
+            match self.pairs.iter_mut().find(|pair| pair.holds(job)) {
+                Some(pair) => pair.jobs += 1,
+                None => self.pairs.push(QueuedPair::of(job, at)),
+            }
+        }
+        self.indexed = queue.len();
+    }
+
+    /// Account for the engine's removal of the job the last call placed:
+    /// the oldest job of `pairs[slot]`, whose id is `id`.  Later positions
+    /// shift down by one, and the pair, if it still has jobs, moves to the
+    /// place of its next-oldest one.  Returns `false` when `queue` does not
+    /// show the removal.
+    fn remove_placed(&mut self, queue: &[Job], slot: usize, id: usize) -> bool {
+        let Some(&placed) = self.pairs.get(slot) else {
+            return false;
+        };
+        let at = placed.oldest;
+        self.indexed = self.indexed.saturating_sub(1);
+        if queue.len() < self.indexed || queue.get(at).is_some_and(|job| job.id == id) {
+            return false;
+        }
+        let Some(later) = self.pairs.get_mut(slot + 1..) else {
+            return false;
+        };
+        for pair in later.iter_mut() {
+            pair.oldest -= 1;
+        }
+        if placed.jobs == 1 {
+            self.pairs.remove(slot);
+            return true;
+        }
+        let next = queue
+            .get(at..self.indexed)
+            .and_then(|rest| rest.iter().position(|job| placed.holds(job)));
+        let Some(next) = next else {
+            return false;
+        };
+        let oldest = at + next;
+        let end = slot + 1 + later.partition_point(|pair| pair.oldest < oldest);
+        let Some(moved) = self.pairs.get_mut(slot..end) else {
+            return false;
+        };
+        if let Some(first) = moved.first_mut() {
+            *first = QueuedPair {
+                oldest,
+                jobs: placed.jobs - 1,
+                ..placed
+            };
+        }
+        moved.rotate_left(1);
+        true
+    }
+
+    /// The two passes over the indexed pairs: the slot in `pairs` of the
+    /// pair to place, and the device for its oldest job.
+    fn place(&self, queue: &[Job], fleet: &Fleet, now: f64) -> Option<(usize, usize)> {
+        let oldest_jobs = || {
+            self.pairs
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, pair)| Some((slot, queue.get(pair.oldest)?)))
+        };
+
+        // Pass 1: oldest job whose topology is warm on an idle device.
+        // Among the idle candidates the job takes the device with the
+        // smallest *predicted* service, not blindly the warm one — in a
+        // heterogeneous fleet a fast cold device can beat a slow warm one,
+        // and the prediction already prices both warmth and device speed.
+        for (slot, job) in oldest_jobs() {
+            let warm_idle = fleet
+                .warm_holders(job.topology_key)
+                .filter_map(|id| fleet.devices.get(id))
+                .any(|d| d.is_idle(now) && d.can_run(job.lps));
+            if warm_idle {
+                if let Some((_, d)) = fleet.fastest_idle(job, now) {
+                    return Some((slot, d));
+                }
+            }
+        }
+
+        // Pass 2: place a job that must embed cold anyway.  Prefer the
+        // device predicted fastest for it (speed matters when generations
+        // differ), but treat devices within a relative band of the fastest
+        // as equivalent — fault-map noise makes exact f64 costs unique, and
+        // a strict minimum would funnel every cold job to the single
+        // lowest-fault device.  Within the band, prefer the
+        // least-specialized cache so caches partition the topology space
+        // instead of all devices learning everything.
+        for (slot, job) in oldest_jobs() {
+            // No idle device can run the job: nothing to place it on.
+            let Some((fastest, _)) = fleet.fastest_idle(job, now) else {
+                continue;
+            };
+            let predicted = |dev: &QpuDevice| {
+                dev.predicted_service_seconds(job.lps, job.topology_key)
+                    .ok()
+            };
+            // A job warm on a busy device (pass 1 would have taken an idle
+            // one) waits for it only when wait + warm service is predicted
+            // to finish sooner than re-embedding cold on an idle device.
+            // With no warm device the fold stays infinite and never holds.
+            let warm_finish = fleet
+                .warm_holders(job.topology_key)
+                .filter_map(|id| fleet.devices.get(id))
+                .filter(|dev| dev.can_run(job.lps))
+                .filter_map(|dev| Some((dev.busy_until - now).max(0.0) + predicted(dev)?))
+                .fold(f64::INFINITY, f64::min);
+            if warm_finish < fastest {
+                continue; // hold this job for its warm device
+            }
+            // The in-band idle device with the fewest warm topologies (ties
+            // by id; strict `<` keeps the first).
+            let mut placement: Option<(usize, usize)> = None; // (warm count, id)
+            for dev in &fleet.devices {
+                if !dev.is_idle(now) || !dev.can_run(job.lps) {
+                    continue;
+                }
+                let Some(cost) = predicted(dev) else {
+                    continue;
+                };
+                if cost <= fastest * COLD_SPEED_BAND {
+                    let rank = (dev.warm_topologies(), dev.id);
+                    if placement.map(|cur| rank < cur).unwrap_or(true) {
+                        placement = Some(rank);
+                    }
+                }
+            }
+            if let Some((_, d)) = placement {
+                return Some((slot, d));
+            }
+        }
+        None
     }
 }
 
@@ -252,94 +452,69 @@ impl Scheduler for CacheAffinity {
         fleet: &Fleet,
         now: f64,
     ) -> Option<(usize, usize)> {
-        let Self { idle, seen, oldest } = self;
-        idle.clear();
-        for (i, dev) in fleet.devices.iter().enumerate() {
-            if dev.is_idle(now) {
-                idle.push(i);
-            }
-        }
-        if idle.is_empty() {
+        self.sync(queue);
+        #[cfg(debug_assertions)]
+        self.check.assert_matches(&self.pairs, queue);
+        if !fleet.devices.iter().any(|d| d.is_idle(now)) {
             return None;
         }
-        let idle_devs = || idle.iter().map(|&i| &fleet.devices[i]);
+        let (slot, device) = self.place(queue, fleet, now)?;
+        let at = self.pairs.get(slot)?.oldest;
+        self.placed = Some((slot, queue.get(at)?.id));
+        Some((at, device))
+    }
+}
 
-        // Pass 1: oldest job whose topology is warm on an idle device.
-        // Among the idle candidates the job takes the device with the
-        // smallest *predicted* service, not blindly the warm one — in a
-        // heterogeneous fleet a fast cold device can beat a slow warm one,
-        // and the prediction already prices both warmth and device speed.
-        seen.clear();
-        oldest.clear();
-        for (qi, job) in queue.iter().enumerate() {
-            if !seen.insert((job.lps, job.topology_key)) {
-                continue; // an older job with this key was turned down
+/// Debug builds' check of [`CacheAffinity`]'s index.
+#[cfg(debug_assertions)]
+mod index_check {
+    use std::collections::HashMap;
+    use std::hash::BuildHasherDefault;
+
+    use super::QueuedPair;
+    use crate::cache::KeyHasher;
+    use crate::job::Job;
+
+    /// The pairs rebuilt from the queue slice in one hashed pass, into
+    /// buffers kept across calls so the check does not allocate per event.
+    #[derive(Debug, Clone)]
+    pub(super) struct IndexCheck {
+        pairs: Vec<QueuedPair>,
+        /// Each pair's slot in `pairs`.
+        slots: HashMap<(usize, u64), usize, BuildHasherDefault<KeyHasher>>,
+    }
+
+    impl IndexCheck {
+        pub(super) fn with_capacity(pairs: usize) -> Self {
+            Self {
+                pairs: Vec::with_capacity(pairs),
+                slots: HashMap::with_capacity_and_hasher(pairs, BuildHasherDefault::default()),
             }
-            let warm_idle = fleet.warm_holders(job.topology_key).any(|id| {
-                let d = &fleet.devices[id];
-                d.is_idle(now) && d.can_run(job.lps)
-            });
-            if warm_idle {
-                if let Some((_, d)) = fleet.fastest_idle(job, now) {
-                    return Some((qi, d));
-                }
-            }
-            oldest.push(qi);
         }
 
-        // Pass 2: place a job that must embed cold anyway.  Prefer the
-        // device predicted fastest for it (speed matters when generations
-        // differ), but treat devices within a relative band of the fastest
-        // as equivalent — fault-map noise makes exact f64 costs unique, and
-        // a strict minimum would funnel every cold job to the single
-        // lowest-fault device.  Within the band, prefer the
-        // least-specialized cache so caches partition the topology space
-        // instead of all devices learning everything.
-        for &qi in oldest.iter() {
-            let job = &queue[qi];
-            let predicted = |dev: &QpuDevice| {
-                dev.predicted_service_seconds(job.lps, job.topology_key)
-                    .ok()
-            };
-            let fastest = idle_devs()
-                .filter(|dev| dev.can_run(job.lps))
-                .filter_map(predicted)
-                .fold(f64::INFINITY, f64::min);
-            // A job warm on a busy device (pass 1 would have taken an idle
-            // one) waits for it only when wait + warm service is predicted
-            // to finish sooner than re-embedding cold on an idle device.
-            // With no warm device the fold stays infinite and never holds.
-            let warm_finish = fleet
-                .warm_holders(job.topology_key)
-                .map(|id| &fleet.devices[id])
-                .filter(|dev| dev.can_run(job.lps))
-                .filter_map(|dev| Some((dev.busy_until - now).max(0.0) + predicted(dev)?))
-                .fold(f64::INFINITY, f64::min);
-            if warm_finish < fastest {
-                continue; // hold this job for its warm device
-            }
-            // The in-band device with the fewest warm topologies (ties by
-            // id; strict `<` keeps the first).
-            let mut placement: Option<(usize, usize)> = None; // (warm count, id)
-            for dev in idle_devs() {
-                if !dev.can_run(job.lps) {
-                    continue;
-                }
-                let Some(cost) = predicted(dev) else {
-                    continue;
-                };
-                if cost <= fastest * COLD_SPEED_BAND {
-                    let rank = (dev.warm_topologies(), dev.id);
-                    if placement.map(|cur| rank < cur).unwrap_or(true) {
-                        placement = Some(rank);
-                    }
+        /// Panic unless `index` is the index of `queue`.
+        pub(super) fn assert_matches(&mut self, index: &[QueuedPair], queue: &[Job]) {
+            let Self { pairs, slots } = self;
+            pairs.clear();
+            slots.clear();
+            for (at, job) in queue.iter().enumerate() {
+                let slot = *slots.entry((job.lps, job.topology_key)).or_insert_with(|| {
+                    pairs.push(QueuedPair {
+                        jobs: 0,
+                        ..QueuedPair::of(job, at)
+                    });
+                    pairs.len() - 1
+                });
+                if let Some(pair) = pairs.get_mut(slot) {
+                    pair.jobs += 1;
                 }
             }
-            if let Some((_, d)) = placement {
-                return Some((qi, d));
-            }
+            assert_eq!(
+                index,
+                pairs.as_slice(),
+                "affinity's queue index diverged from its queue"
+            );
         }
-        None
     }
 }
 
@@ -1785,13 +1960,179 @@ mod scan_oracles {
         }
     }
 
+    /// The kinds of job stream the protocol test feeds the index.
+    #[derive(Debug, Clone, Copy)]
+    enum Stream {
+        /// Twelve keys of heavy repetition; key 7 comes at two sizes, so
+        /// two pairs share one topology.
+        Shared,
+        /// Every job a topology of its own.
+        Distinct,
+    }
+
+    /// Drive one [`CacheAffinity`] through `steps` steps of the engine's
+    /// protocol and compare it with [`ScanAffinity`] on every call.  Each
+    /// step appends a burst, calls until the policy declines, and removes
+    /// and dispatches each returned job; between steps device busy times
+    /// and warm sets change (bounded caches evict), and now and then the
+    /// clock runs until the queue drains to empty.  Returns the number of
+    /// cache evictions.
+    fn drive_protocol(seed: u64, stream: Stream, config: FleetConfig, steps: usize) -> usize {
+        let label = format!("seed {seed} {stream:?}");
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut fleet = Fleet::new(config, SplitExecConfig::with_seed(seed));
+        let mut policy = CacheAffinity::new();
+        let mut queue: Vec<Job> = Vec::new();
+        let mut next_id = 0;
+        let mut now = 0.0;
+        let (mut placed, mut held, mut drains, mut deepest, mut evictions) = (0, 0, 0, 0, 0);
+        for step in 0..steps {
+            let burst = if queue.len() > 120 {
+                0
+            } else {
+                rng.gen_range(0..6usize)
+            };
+            deepest = deepest.max(queue.len() + burst);
+            for _ in 0..burst {
+                let (lps, topology_key) = match stream {
+                    Stream::Shared => {
+                        let key = rng.gen_range(0..12u64);
+                        let lps = if key == 7 && rng.gen_bool(0.5) {
+                            24
+                        } else {
+                            16 + 4 * (key as usize % 2)
+                        };
+                        (lps, key)
+                    }
+                    Stream::Distinct => ([16, 20, 24][next_id % 3], rng.gen::<u64>()),
+                };
+                queue.push(Job {
+                    id: next_id,
+                    tenant: TenantId::DEFAULT,
+                    family: "protocol".into(),
+                    lps,
+                    topology_key,
+                    arrival: now,
+                    deadline: None,
+                });
+                next_id += 1;
+            }
+            // Every 150th step the clock runs until the queue is empty.
+            let drain = step % 150 == 149 && !queue.is_empty();
+            loop {
+                if drain {
+                    now = fleet
+                        .devices
+                        .iter()
+                        .map(|d| d.busy_until)
+                        .fold(now, f64::max);
+                }
+                loop {
+                    let got = policy.next_assignment(&queue, &fleet, now);
+                    let want = ScanAffinity.next_assignment(&queue, &fleet, now);
+                    assert_eq!(got, want, "{label} step {step} queue {}", queue.len());
+                    let Some((qi, d)) = got else {
+                        held += usize::from(!queue.is_empty());
+                        break;
+                    };
+                    let job = queue.remove(qi);
+                    let service = fleet.devices[d]
+                        .predicted_service_seconds(job.lps, job.topology_key)
+                        .unwrap();
+                    fleet.devices[d].busy_until = now + service;
+                    evictions +=
+                        usize::from(fleet.mark_warm(d, job.topology_key, job.lps).is_some());
+                    placed += 1;
+                }
+                if !drain || queue.is_empty() {
+                    break;
+                }
+            }
+            drains += usize::from(drain);
+            // Between steps: the clock moves, some devices free up or
+            // turn busy, and some caches learn topologies of the stream.
+            now += 1.0;
+            for d in 0..fleet.len() {
+                if rng.gen_bool(0.3) {
+                    fleet.devices[d].busy_until = if rng.gen_bool(0.2) {
+                        now - 1.0
+                    } else {
+                        now + rng.gen_range(0.0..400.0)
+                    };
+                }
+                if rng.gen_bool(0.1) {
+                    let key = match stream {
+                        Stream::Shared => rng.gen_range(0..12u64),
+                        Stream::Distinct => rng.gen::<u64>(),
+                    };
+                    let evicted = fleet.mark_warm(d, key, 16 + 4 * (key as usize % 2));
+                    evictions += usize::from(evicted.is_some());
+                }
+            }
+        }
+        assert!(placed > steps, "{label}: only {placed} placements");
+        assert!(
+            held > 0,
+            "{label}: the policy never declined a waiting queue"
+        );
+        assert!(
+            deepest >= 100,
+            "{label}: the queue peaked at {deepest} jobs"
+        );
+        assert!(drains > 0, "{label}: the queue never drained");
+        evictions
+    }
+
+    #[test]
+    fn indexed_affinity_matches_the_scan_oracle_under_the_engine_protocol() {
+        let mut evictions = 0;
+        for seed in 0..5u64 {
+            for (i, stream) in [Stream::Shared, Stream::Distinct].into_iter().enumerate() {
+                let (_, base) = fleet_configs(seed).swap_remove(seed as usize % 3);
+                let (_, config) = with_caches(base).swap_remove((seed as usize + i) % 4);
+                evictions += drive_protocol(seed, stream, config, 2_000);
+            }
+        }
+        assert!(evictions > 0, "no bounded cache evicted");
+    }
+
+    #[test]
+    fn affinity_reindexes_a_queue_changed_outside_the_contract() {
+        let (_, config) = fleet_configs(3).swap_remove(0);
+        let fleet = Fleet::new(config, SplitExecConfig::with_seed(3));
+        let queue: Vec<Job> = (0..30)
+            .map(|id| Job {
+                id,
+                tenant: TenantId::DEFAULT,
+                family: "reindex".into(),
+                lps: 16 + 4 * (id % 3),
+                topology_key: (id % 5) as u64,
+                arrival: id as f64,
+                deadline: None,
+            })
+            .collect();
+        let mut policy = CacheAffinity::new();
+        let first = policy.next_assignment(&queue, &fleet, 0.0);
+        assert!(first.is_some());
+        // The placed job was not removed: its id is still at its position.
+        assert_eq!(policy.next_assignment(&queue, &fleet, 0.0), first);
+        // A queue shorter than the index expects.
+        let short = &queue[20..];
+        assert_eq!(
+            policy.next_assignment(short, &fleet, 0.0),
+            ScanAffinity.next_assignment(short, &fleet, 0.0)
+        );
+        assert_eq!(policy.next_assignment(&[], &fleet, 0.0), None);
+    }
+
     #[test]
     fn memoized_affinity_matches_the_scan_oracle_on_random_states() {
         // Direct calls on random fleet states: random busy times and warm
         // sets, and queues with heavy key repetition, so held, placed and
-        // refused verdicts all occur for repeated keys.
+        // refused verdicts all occur for repeated keys.  Each round's queue
+        // is unrelated to the last, so each gets a fresh policy (the
+        // `Scheduler` queue contract).
         let mut rng = ChaCha8Rng::seed_from_u64(99);
-        let mut memo = CacheAffinity::new();
         for (fleet_name, config) in fleet_configs(7) {
             for round in 0..150 {
                 let mut fleet = Fleet::new(config.clone(), SplitExecConfig::with_seed(7));
@@ -1822,7 +2163,7 @@ mod scan_oracles {
                     })
                     .collect();
                 assert_eq!(
-                    memo.next_assignment(&queue, &fleet, now),
+                    CacheAffinity::new().next_assignment(&queue, &fleet, now),
                     ScanAffinity.next_assignment(&queue, &fleet, now),
                     "{fleet_name} round {round}"
                 );

@@ -1,8 +1,9 @@
 //! The paper's three stage models, tabulated once per QPU model.
 //!
-//! The stage predictions ([`predict_stage1`] etc.) walk an ASPEN listing
-//! each call.  Each listing is parsed once per process, on first use, and
-//! every prediction and every table shares that parse.  The predictions'
+//! The stage predictions ([`predict_stage1`](crate::stage1::predict_stage1)
+//! etc.) walk an ASPEN listing each call.  Each listing is parsed once per
+//! process, on first use, and every prediction and every table shares that
+//! parse.  The predictions'
 //! inputs are the lattice `M`/`N`, the logical problem size, and the
 //! application's accuracy and success probability, so the
 //! costs depend only on the QPU generation, never on a device's fault map.
@@ -24,10 +25,10 @@
 
 use crate::config::SplitExecConfig;
 use crate::error::PipelineError;
-use crate::machine::{QpuModel, SplitMachine};
-use crate::stage1::predict_stage1;
-use crate::stage2::predict_stage2;
-use crate::stage3::predict_stage3;
+use crate::machine::QpuModel;
+use crate::stage1::predict_stage1_on;
+use crate::stage2::predict_stage2_on;
+use crate::stage3::predict_stage3_on;
 
 /// Predicted per-stage costs for one logical problem size, with stage 1
 /// split into its cache-amortizable and always-paid parts.
@@ -82,19 +83,22 @@ pub struct CostModel {
 
 impl CostModel {
     /// Tabulate the costs of problem sizes `0..=max_lps` on a `qpu`-class
-    /// machine, walking the stage listings parsed once per process.  A
-    /// size whose prediction fails keeps its error, which [`Self::costs`]
-    /// returns for that size.
+    /// machine, walking the stage listings parsed once per process.  The
+    /// predictions read only the generation's lattice dimensions and
+    /// analytic machine model, so no lattice graph is built.  A size whose
+    /// prediction fails keeps its error, which [`Self::costs`] returns for
+    /// that size.
     pub fn new(qpu: QpuModel, config: &SplitExecConfig, max_lps: usize) -> Self {
-        let machine = SplitMachine::new(qpu);
+        let (m, n, _) = qpu.lattice();
+        let aspen = qpu.simple_node();
         let (accuracy, success) = (config.accuracy, config.success_probability);
         // Stage 2 does not depend on the problem size.
-        let stage2 = predict_stage2(&machine, accuracy, success).map(|s2| s2.total_seconds);
+        let stage2 = predict_stage2_on(&aspen, accuracy, success).map(|s2| s2.total_seconds);
         let rows = (0..=max_lps)
             .map(|lps| {
-                let stage1 = predict_stage1(&machine, lps)?;
+                let stage1 = predict_stage1_on(&aspen, (m, n), lps)?;
                 let stage2_seconds = stage2.clone()?;
-                let stage3 = predict_stage3(&machine, lps, accuracy, success)?;
+                let stage3 = predict_stage3_on(&aspen, lps, accuracy, success)?;
                 Ok(StageCosts {
                     lps,
                     stage1_embed_seconds: stage1.embed_seconds,
@@ -135,6 +139,10 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::SplitMachine;
+    use crate::stage1::predict_stage1;
+    use crate::stage2::predict_stage2;
+    use crate::stage3::predict_stage3;
 
     fn model() -> CostModel {
         CostModel::new(QpuModel::Dw2x, &SplitExecConfig::with_seed(1), 50)

@@ -88,6 +88,15 @@ impl QpuModel {
         2 * l * m * n
     }
 
+    /// The analytic machine model of a node hosting this generation
+    /// (Fig. 5's `SimpleNode`): what the stage predictions walk.
+    pub(crate) fn simple_node(&self) -> MachineModel {
+        simple_node(match self {
+            QpuModel::Vesuvius => QpuGeneration::Vesuvius,
+            QpuModel::Dw2x => QpuGeneration::Dw2x,
+        })
+    }
+
     /// Stable lowercase name used in reports and CLI flags.
     pub fn name(&self) -> &'static str {
         match self {
@@ -158,14 +167,10 @@ impl SplitMachine {
         let (m, n, l) = qpu.lattice();
         let chimera = Chimera::new(m, n, l);
         let hardware = faults.apply(chimera.graph());
-        let generation = match qpu {
-            QpuModel::Vesuvius => QpuGeneration::Vesuvius,
-            QpuModel::Dw2x => QpuGeneration::Dw2x,
-        };
         Self {
             architecture: Architecture::default(),
             qpu,
-            aspen: simple_node(generation),
+            aspen: qpu.simple_node(),
             chimera,
             hardware,
             hardware_key: OnceLock::new(),

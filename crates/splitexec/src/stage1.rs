@@ -20,7 +20,9 @@ use crate::error::PipelineError;
 use crate::machine::SplitMachine;
 use crate::offline_cache::EmbeddingCache;
 use crate::timing::timed;
-use aspen_model::{listings, ApplicationModel, AspenError, ParamEnv, Prediction, Predictor};
+use aspen_model::{
+    listings, ApplicationModel, AspenError, MachineModel, ParamEnv, Prediction, Predictor,
+};
 use minor_embed::{embed_ising, CmrStats, EmbeddedIsing, ParameterSetting};
 use quantum_anneal::QpuTimings;
 use qubo_ising::{qubo_to_ising, Ising, Qubo};
@@ -65,14 +67,23 @@ pub fn predict_stage1(
     machine: &SplitMachine,
     lps: usize,
 ) -> Result<Stage1Prediction, PipelineError> {
+    predict_stage1_on(&machine.aspen, machine.lattice_dims(), lps)
+}
+
+/// [`predict_stage1`] from the two parts of a machine it reads: the
+/// analytic machine model and the lattice dimensions `(M, N)`.
+pub(crate) fn predict_stage1_on(
+    aspen: &MachineModel,
+    (m, n): (usize, usize),
+    lps: usize,
+) -> Result<Stage1Prediction, PipelineError> {
     static STAGE1: OnceLock<Result<ApplicationModel, AspenError>> = OnceLock::new();
     let app = parse_once(&STAGE1, listings::STAGE1_LISTING)?;
-    let (m, n) = machine.lattice_dims();
     let overrides = ParamEnv::new()
         .with("LPS", lps as f64)
         .with("M", m as f64)
         .with("N", n as f64);
-    let prediction = Predictor::new(&machine.aspen).predict(app, &overrides)?;
+    let prediction = Predictor::new(aspen).predict(app, &overrides)?;
     let env = app.resolve_params(&overrides)?;
     Ok(Stage1Prediction {
         lps,

@@ -14,7 +14,9 @@ use crate::config::SplitExecConfig;
 use crate::error::PipelineError;
 use crate::machine::SplitMachine;
 use crate::stage1::parse_once;
-use aspen_model::{listings, ApplicationModel, AspenError, ParamEnv, Prediction, Predictor};
+use aspen_model::{
+    listings, ApplicationModel, AspenError, MachineModel, ParamEnv, Prediction, Predictor,
+};
 use quantum_anneal::{
     estimate_success_probability, QpuAccessReport, SampleParams, SampleSet, SamplerBackend,
 };
@@ -45,12 +47,22 @@ pub fn predict_stage2(
     accuracy: f64,
     success_probability: f64,
 ) -> Result<Stage2Prediction, PipelineError> {
+    predict_stage2_on(&machine.aspen, accuracy, success_probability)
+}
+
+/// [`predict_stage2`] from the one part of a machine it reads: the
+/// analytic machine model.
+pub(crate) fn predict_stage2_on(
+    aspen: &MachineModel,
+    accuracy: f64,
+    success_probability: f64,
+) -> Result<Stage2Prediction, PipelineError> {
     static STAGE2: OnceLock<Result<ApplicationModel, AspenError>> = OnceLock::new();
     let app = parse_once(&STAGE2, listings::STAGE2_LISTING)?;
     let overrides = ParamEnv::new()
         .with("Accuracy", accuracy.clamp(0.0, 0.999_999_999) * 100.0)
         .with("Success", success_probability.clamp(1e-9, 1.0 - 1e-12));
-    let prediction = Predictor::new(&machine.aspen).predict(app, &overrides)?;
+    let prediction = Predictor::new(aspen).predict(app, &overrides)?;
     let reads = prediction
         .resource_totals
         .get("QuOps")

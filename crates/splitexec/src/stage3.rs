@@ -14,7 +14,9 @@ use crate::error::PipelineError;
 use crate::machine::SplitMachine;
 use crate::stage1::parse_once;
 use crate::timing::timed;
-use aspen_model::{listings, ApplicationModel, AspenError, ParamEnv, Prediction, Predictor};
+use aspen_model::{
+    listings, ApplicationModel, AspenError, MachineModel, ParamEnv, Prediction, Predictor,
+};
 use minor_embed::{unembed_sample, Embedding};
 use quantum_anneal::SampleSet;
 use qubo_ising::energy::RankedSolution;
@@ -45,13 +47,24 @@ pub fn predict_stage3(
     accuracy: f64,
     success_probability: f64,
 ) -> Result<Stage3Prediction, PipelineError> {
+    predict_stage3_on(&machine.aspen, lps, accuracy, success_probability)
+}
+
+/// [`predict_stage3`] from the one part of a machine it reads: the
+/// analytic machine model.
+pub(crate) fn predict_stage3_on(
+    aspen: &MachineModel,
+    lps: usize,
+    accuracy: f64,
+    success_probability: f64,
+) -> Result<Stage3Prediction, PipelineError> {
     static STAGE3: OnceLock<Result<ApplicationModel, AspenError>> = OnceLock::new();
     let app = parse_once(&STAGE3, listings::STAGE3_LISTING)?;
     let overrides = ParamEnv::new()
         .with("LPS", lps as f64)
         .with("Accuracy", accuracy.clamp(0.0, 0.999_999_999))
         .with("Success", success_probability.clamp(1e-9, 1.0 - 1e-12));
-    let prediction = Predictor::new(&machine.aspen).predict(app, &overrides)?;
+    let prediction = Predictor::new(aspen).predict(app, &overrides)?;
     let env = app.resolve_params(&overrides)?;
     Ok(Stage3Prediction {
         lps,
